@@ -136,9 +136,9 @@ TOLERANCE_DEFAULTS = {
     "twin-observer": {"identity_residual": 1e-12, "closed_form_fidelity": 1e-12},
     "swp": {
         "tick_variance_in_tau2": 1e-20,
-        # Tick locations come from minimizing a noisy quadratic, which caps
-        # their precision near 1e-8 tau; the nonclassical drift this check
-        # discriminates against is four orders of magnitude larger.
+        # Tick locations are refined to a bracket of 1e-9 tau
+        # (swp.TICK_REFINE_TOL); the nonclassical drift this check
+        # discriminates against is several orders of magnitude larger.
         "classical_spacing_deviation": 1e-7,
     },
     "ion-spectroscopy": {

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WraparoundError
-from .grid import GridState
-from .spectrum import InternalSpectrum
+from .grid import EDGE_SITES, GridState
+from .operators import total_energy
 
 # Probability near a lattice edge that aborts a grid evolution.
 ABORT_EDGE_MASS = 1e-12
@@ -53,32 +53,31 @@ class LinearPotentialEvolution:
     internal_coupled: bool = True
 
 
-def _total_energies(spectrum: InternalSpectrum, level: int, p: np.ndarray) -> np.ndarray:
-    """Vectorized E(n, p) = p^2/2 + eps_n (1 - p^2 / (2 M_n))."""
-    half = 0.5 * p * p
-    eps = spectrum.epsilons[level]
-    if eps == 0.0:
-        return half
-    return half + eps * (1.0 - half / (1.0 + eps))
-
-
 def _require_inside(state: GridState, context: str) -> None:
     mass = state.edge_mass()
     if mass > ABORT_EDGE_MASS:
         raise WraparoundError(
-            f"{context}: probability {mass:.3e} within {4} sites of the "
+            f"{context}: probability {mass:.3e} within {EDGE_SITES} sites of the "
             f"{state.domain}-lattice edge; enlarge the box or shrink the state"
         )
+
+
+def _kick_table(state: GridState, v_b: float) -> np.ndarray:
+    """Rows e^{i M_n v_b x}: the velocity boost on every branch at once."""
+    return np.exp(1j * state.spectrum.masses[:, None] * v_b * state.positions)
+
+
+def _drift_table(state: GridState, duration: float) -> np.ndarray:
+    """Rows e^{-i t E(n, p)} on the momentum lattice: exact free evolution."""
+    levels = np.arange(state.spectrum.dim)[:, None]
+    return np.exp(-1j * duration * total_energy(state.spectrum, levels, state.momenta))
 
 
 def free_evolution_grid(state: GridState, duration: float) -> GridState:
     """Exact free evolution: diagonal phases on the momentum lattice."""
     if state.domain != "position":
         raise ValueError("grid evolution expects a position-domain state")
-    p = state.momenta
-    tilde = np.fft.fft(state.amplitudes, axis=1)
-    for n in range(state.spectrum.dim):
-        tilde[n] *= np.exp(-1j * duration * _total_energies(state.spectrum, n, p))
+    tilde = np.fft.fft(state.amplitudes, axis=1) * _drift_table(state, duration)
     return state.with_amplitudes(np.fft.ifft(tilde, axis=1))
 
 
@@ -86,11 +85,7 @@ def velocity_boost_grid(state: GridState, v_b: float) -> GridState:
     """Multiply branch n by e^{i M_n v_b x}."""
     if state.domain != "position":
         raise ValueError("grid boost expects a position-domain state")
-    x = state.positions
-    amps = state.amplitudes.copy()
-    for n in range(state.spectrum.dim):
-        amps[n] *= np.exp(1j * (1.0 + state.spectrum.epsilons[n]) * v_b * x)
-    return state.with_amplitudes(amps)
+    return state.with_amplitudes(state.amplitudes * _kick_table(state, v_b))
 
 
 def momentum_boost_grid(state: GridState, p_b: float) -> GridState:
@@ -107,7 +102,7 @@ def _branch_hamiltonian(state: GridState, level: int, potential: np.ndarray) -> 
     x = state.positions
     p = state.momenta
     dft = np.exp(-1j * np.outer(p, x)) / np.sqrt(d)
-    kin = _total_energies(state.spectrum, level, p) - state.spectrum.epsilons[level]
+    kin = total_energy(state.spectrum, level, p) - state.spectrum.epsilons[level]
     h = dft.conj().T @ (kin[:, None] * dft) + np.diag(potential + state.spectrum.epsilons[level])
     return 0.5 * (h + h.conj().T)
 
@@ -223,14 +218,18 @@ def accelerated_frame_trotter(
     steps = np.asarray([int(s) for s in steps])
     if np.any(steps <= 0) or np.any(np.diff(steps) <= 0):
         raise ValueError("steps must be positive and strictly increasing")
+    if state.domain != "position":
+        raise ValueError("grid evolution expects a position-domain state")
     exact = exact_accelerated_evolution(state, acceleration, duration)
     errors = np.empty(len(steps))
     for i, n in enumerate(steps):
         dt = duration / n
-        current = state
+        kick = _kick_table(state, -acceleration * dt)
+        drift = _drift_table(state, dt)
+        amps = state.amplitudes
         for _ in range(int(n)):
-            current = velocity_boost_grid(current, -acceleration * dt)
-            current = free_evolution_grid(current, dt)
+            amps = np.fft.ifft(np.fft.fft(amps * kick, axis=1) * drift, axis=1)
+        current = state.with_amplitudes(amps)
         _require_inside(current, f"trotter product (n = {n})")
         errors[i] = float(np.linalg.norm(current.amplitudes - exact.amplitudes))
     return TrotterReport(

@@ -25,7 +25,7 @@ w; the defaults used in tests are u = 1e-3, w = 1e-5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,16 +206,10 @@ def _rotating_frame_hamiltonian(
     approximation leaves the recoil displacement e^{i k x} on the raised
     coupling.
     """
-    w = model.trap_frequency
     u = model.transition_energy
     half_rabi = 0.5 * model.rabi_frequency
-    h_ground = np.diag(w * (np.arange(dim) + 0.5))
-    h_excited = (
-        u * np.eye(dim)
-        + _p_squared(dim, w) / (2.0 * (1.0 + u))
-        + 0.5 * w * w * _x_squared(dim, w)
-    )
-    recoil = displacement_operator(dim, w, model.wavevector)
+    h_ground, h_excited = static_hamiltonians(replace(model, fock_cutoff=dim))
+    recoil = displacement_operator(dim, model.trap_frequency, model.wavevector)
     h = np.zeros((2 * dim, 2 * dim), dtype=complex)
     h[:dim, :dim] = h_ground
     h[dim:, dim:] = h_excited - (u + detuning) * np.eye(dim)

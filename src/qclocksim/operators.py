@@ -19,9 +19,11 @@ Every operator here maps one component to one component:
     free evolution   |n, p> -> e^{-i t E(n,p)} |n, p>
 
 Operators are described by small frozen dataclasses so sequences can be built,
-inspected and replayed as data.  All phases are available as plain floats
-(``phase_increment``), which lets sequence runners accumulate unwrapped phase
-without ever touching mod-2pi arithmetic.
+inspected and replayed as data.  Each operator acts on whole component arrays:
+``momentum_after`` and ``phase_increment`` take level and momentum arrays
+(scalars broadcast) and return the new momenta and the real phase increments,
+which lets sequence runners accumulate unwrapped phase without ever touching
+mod-2pi arithmetic.
 """
 
 from __future__ import annotations
@@ -78,51 +80,80 @@ class FreeEvolution:
 OperatorSpec = MomentumBoost | VelocityBoost | Translation | BranchTranslation | FreeEvolution
 
 
-def kinetic_energy(spectrum: InternalSpectrum, level: int, p: float) -> float:
-    """p^2 / (2 M_n), evaluated as p^2/2 minus the mass-energy correction."""
-    half_psq = 0.5 * p * p
-    eps = spectrum.epsilons[level]
-    if eps == 0.0:
-        return half_psq
+def kinetic_energy(spectrum: InternalSpectrum, level, p):
+    """p^2 / (2 M_n), evaluated as p^2/2 minus the mass-energy correction.
+
+    level and p may be arrays of equal or broadcastable shape.
+    """
+    half_psq = 0.5 * np.asarray(p) * p
+    eps = np.asarray(spectrum.epsilons)[level]
     return half_psq - eps * (half_psq / (1.0 + eps))
 
 
-def kinetic_energy_naive(spectrum: InternalSpectrum, level: int, p: float) -> float:
-    """Direct p^2 / (2 M_n); kept as a cross-check of the refactored form."""
-    return 0.5 * p * p / (1.0 + spectrum.epsilons[level])
-
-
-def total_energy(spectrum: InternalSpectrum, level: int, p: float) -> float:
+def total_energy(spectrum: InternalSpectrum, level, p):
     """Kinetic plus internal energy, with the dilation factor kept grouped.
 
     E = p^2/2 + epsilon_n (1 - p^2 / (2 M_n)): the internal term is the level
-    energy times its motional dilation factor.
+    energy times its motional dilation factor.  level and p broadcast.
     """
-    half_psq = 0.5 * p * p
-    eps = spectrum.epsilons[level]
-    if eps == 0.0:
-        return half_psq
+    half_psq = 0.5 * np.asarray(p) * p
+    eps = np.asarray(spectrum.epsilons)[level]
     return half_psq + eps * (1.0 - half_psq / (1.0 + eps))
 
 
-def momentum_after(op: OperatorSpec, spectrum: InternalSpectrum, level: int, p: float) -> float:
-    """Momentum label of |level, p> after applying op."""
+def momentum_after(op: OperatorSpec, spectrum: InternalSpectrum, level, p):
+    """Momentum label of |level, p> after applying op (level and p broadcast)."""
     if isinstance(op, MomentumBoost):
         return p + op.magnitude
     if isinstance(op, VelocityBoost):
-        return p + (1.0 + spectrum.epsilons[level]) * op.magnitude
+        return p + spectrum.masses[level] * op.magnitude
     return p
 
 
-def phase_increment(op: OperatorSpec, spectrum: InternalSpectrum, level: int, p: float) -> float:
+def phase_increment(op: OperatorSpec, spectrum: InternalSpectrum, level, p):
     """Real phase added to |level, p> by op (amplitude gains e^{i phase})."""
+    p = np.asarray(p, dtype=float)
     if isinstance(op, Translation):
         return -p * op.shift
     if isinstance(op, BranchTranslation):
-        return -p * (op.shift / (1.0 + spectrum.epsilons[level]))
+        return -p * (op.shift / spectrum.masses[level])
     if isinstance(op, FreeEvolution):
         return -op.duration * total_energy(spectrum, level, p)
-    return 0.0
+    return np.zeros_like(p)
+
+
+def trace_chain(
+    state: PlaneWaveState, ops, guard: RegimeGuard | None = None
+) -> tuple[PlaneWaveState, np.ndarray]:
+    """Apply a chain and also return per-component unwrapped phase totals.
+
+    Each operator is one array map on (levels, momenta, amplitudes).  The
+    phase array sums the same ``phase_increment`` values the amplitudes are
+    rotated by, as plain real numbers, so it is free of mod-2pi ambiguity and
+    can be differenced across components safely.  The output state is built
+    (and validated) once, after the last operator.
+    """
+    guard = guard or DEFAULT_GUARD
+    spectrum = state.spectrum
+    levels = state.levels
+    momenta = state.momenta
+    amps = state.amplitudes
+    phases = np.zeros(len(levels))
+    for op in ops:
+        increment = phase_increment(op, spectrum, levels, momenta)
+        phases += increment
+        # One rotation per operator, as the operators act; a single
+        # exp(1j * phases) at the end rounds differently in the last bits.
+        amps = amps * np.exp(1j * increment)
+        momenta = momentum_after(op, spectrum, levels, momenta)
+        if isinstance(op, (MomentumBoost, VelocityBoost)):
+            guard.check_momenta(momenta, context=type(op).__name__)
+    return state.with_amplitudes(amps, momenta=momenta), phases
+
+
+def apply_chain(state: PlaneWaveState, ops, guard: RegimeGuard | None = None) -> PlaneWaveState:
+    """Apply operators in order, returning a new state (input never mutated)."""
+    return trace_chain(state, ops, guard=guard)[0]
 
 
 def apply_operator(
@@ -131,56 +162,7 @@ def apply_operator(
     guard: RegimeGuard | None = None,
 ) -> PlaneWaveState:
     """Apply one operator, returning a new state (input never mutated)."""
-    guard = guard or DEFAULT_GUARD
-    spectrum = state.spectrum
-    momenta = np.array(
-        [momentum_after(op, spectrum, int(n), float(p)) for n, p in zip(state.levels, state.momenta)]
-    )
-    phases = np.array(
-        [phase_increment(op, spectrum, int(n), float(p)) for n, p in zip(state.levels, state.momenta)]
-    )
-    if isinstance(op, (MomentumBoost, VelocityBoost)):
-        guard.check_momenta(momenta, context=type(op).__name__)
-    return state.with_amplitudes(state.amplitudes * np.exp(1j * phases), momenta=momenta)
-
-
-def apply_chain(state: PlaneWaveState, ops, guard: RegimeGuard | None = None) -> PlaneWaveState:
-    for op in ops:
-        state = apply_operator(state, op, guard=guard)
-    return state
-
-
-def trace_chain(
-    state: PlaneWaveState, ops, guard: RegimeGuard | None = None
-) -> tuple[PlaneWaveState, np.ndarray]:
-    """Apply a chain and also return per-component unwrapped phase totals.
-
-    The phase array is accumulated from the same ``phase_increment`` values
-    the operators apply, as plain real numbers, so it is free of mod-2pi
-    ambiguity and can be differenced across components safely.
-    """
-    phases = np.zeros(len(state.levels))
-    for op in ops:
-        for i, (n, p) in enumerate(zip(state.levels, state.momenta)):
-            phases[i] += phase_increment(op, state.spectrum, int(n), float(p))
-        state = apply_operator(state, op, guard=guard)
-    return state, phases
-
-
-def apply_momentum_boost(state: PlaneWaveState, p_b: float, guard: RegimeGuard | None = None) -> PlaneWaveState:
-    return apply_operator(state, MomentumBoost(p_b), guard=guard)
-
-
-def apply_velocity_boost(state: PlaneWaveState, v_b: float, guard: RegimeGuard | None = None) -> PlaneWaveState:
-    return apply_operator(state, VelocityBoost(v_b), guard=guard)
-
-
-def apply_translation(state: PlaneWaveState, shift: float) -> PlaneWaveState:
-    return apply_operator(state, Translation(shift))
-
-
-def apply_free_evolution(state: PlaneWaveState, duration: float) -> PlaneWaveState:
-    return apply_operator(state, FreeEvolution(duration))
+    return apply_chain(state, [op], guard=guard)
 
 
 def conjugate_velocity_boost_by_translation(
@@ -199,8 +181,8 @@ def conjugate_velocity_boost_by_translation(
     conjugated = apply_chain(
         state, [Translation(shift), VelocityBoost(v_b), Translation(-shift)], guard=guard
     )
-    boosted = apply_velocity_boost(state, v_b, guard=guard)
-    masses = 1.0 + np.asarray([state.spectrum.epsilons[int(n)] for n in state.levels])
+    boosted = apply_operator(state, VelocityBoost(v_b), guard=guard)
+    masses = state.spectrum.masses[state.levels]
     predicted = boosted.amplitudes * np.exp(1j * masses * v_b * shift)
     worst = float(np.max(np.abs(conjugated.amplitudes - predicted)))
     if worst > tol:

@@ -41,7 +41,7 @@ from .operators import (
     OperatorSpec,
     Translation,
     VelocityBoost,
-    apply_velocity_boost,
+    apply_operator,
     kinetic_energy,
     trace_chain,
 )
@@ -170,24 +170,6 @@ def closed_form_phase(
     return motional + g - 2.0 * duration * spectrum.epsilons[level] * d
 
 
-def closed_form_rhs(
-    kind: SequenceKind,
-    spectrum: InternalSpectrum,
-    boost: float,
-    duration: float,
-    level: int,
-    momentum: float,
-    translation_level: int | None = None,
-    state_dependent_translation: bool = False,
-) -> complex:
-    """Complex phase factor (the product of the three closed-form exponentials)."""
-    phi = closed_form_phase(
-        kind, spectrum, boost, duration, level, momentum,
-        translation_level, state_dependent_translation,
-    )
-    return complex(np.exp(1j * phi))
-
-
 @dataclass(frozen=True)
 class SequenceResult:
     """Everything extracted from one executed round trip."""
@@ -207,7 +189,6 @@ class SequenceResult:
     level_factors_closed: dict[int, float]
     pair_factors: dict[tuple[int, int], float]
     gammas: dict[int, float]
-    gamma_expectation: float
     momentum_error_max: float
     level_phase_spread_max: float
     final_state: PlaneWaveState = field(repr=False)
@@ -282,9 +263,7 @@ def run_sequence(
 
     # Strip the motional part; what is left must be momentum-independent
     # within each level: G - 2 t epsilon_n d_n.
-    internal = phases + 2.0 * duration * np.array(
-        [kinetic_energy(spectrum, int(n), float(p)) for n, p in zip(probe.levels, probe.momenta)]
-    )
+    internal = phases + 2.0 * duration * kinetic_energy(spectrum, probe.levels, probe.momenta)
     occupied = sorted(set(int(n) for n in probe.levels))
     level_phase: dict[int, float] = {}
     spread_max = 0.0
@@ -311,8 +290,6 @@ def run_sequence(
     else:
         # A velocity kick gives branch n momentum M_n v, i.e. the same speed.
         gammas = {n: float(np.sqrt(1.0 + boost**2)) for n in occupied}
-    weights = probe.level_weights()
-    gamma_exp = float(sum(weights[n] * gammas[n] for n in occupied))
 
     return SequenceResult(
         kind=kind,
@@ -333,7 +310,6 @@ def run_sequence(
         },
         pair_factors=pair_factors,
         gammas=gammas,
-        gamma_expectation=gamma_exp,
         momentum_error_max=momentum_err,
         level_phase_spread_max=spread_max,
         final_state=final,
@@ -392,7 +368,7 @@ def entanglement_frame_demo(
     if spectrum.dim < 2:
         raise ValueError("frame-dependent entanglement needs at least two levels")
     before = internal_superposition(spectrum, momentum, levels=levels)
-    after = apply_velocity_boost(before, v_b, guard=guard)
+    after = apply_operator(before, VelocityBoost(v_b), guard=guard)
     return FrameEntanglement(
         entropy_before=reduced_internal_entropy(before),
         entropy_after=reduced_internal_entropy(after),

@@ -142,7 +142,9 @@ def read_pointer(clock: SWPClock, profile: DilationProfile, t: float) -> Pointer
     probs = pointer_probabilities(clock, clock_state_at(clock, profile, t))
     k = np.arange(clock.dim)
     mean_k = float(probs @ k)
-    var_k = float(probs @ (k * k)) - mean_k * mean_k
+    # Two-pass variance: E[k^2] - E[k]^2 cancels to one ulp of E[k^2] when
+    # the pointer sits on a single k, which is exactly the state at a tick.
+    var_k = float(probs @ (k - mean_k) ** 2)
     circ = 1.0 - abs(np.sum(probs * np.exp(2j * np.pi * k / clock.dim)))
     return PointerReading(
         mean=clock.tau * mean_k,

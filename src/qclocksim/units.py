@@ -21,6 +21,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RegimeError, RegimeWarning
 
 # CODATA SI constants, used only to convert user input into ratios.
@@ -60,9 +62,7 @@ class RegimeGuard:
 
         Returns True when everything is in regime.
         """
-        worst = 0.0
-        for p in momenta:
-            worst = max(worst, float(p) * float(p))
+        worst = float(np.max(np.square(np.asarray(momenta, dtype=float)), initial=0.0))
         if worst < self.kappa_max:
             return True
         msg = (
@@ -76,26 +76,6 @@ class RegimeGuard:
 
 
 DEFAULT_GUARD = RegimeGuard()
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Dimensionless scenario parameters plus the guard that polices them.
-
-    This is the bundle the CLI assembles from a config file; library code
-    takes the individual ratios directly.
-    """
-
-    epsilons: tuple[float, ...] = (0.0,)
-    beta: float = 0.0
-    momentum: float = 0.0
-    theta: float = 0.0
-    guard: RegimeGuard = DEFAULT_GUARD
-
-    def validate(self) -> None:
-        self.guard.check_epsilons(self.epsilons)
-        kick = max(1.0 + e for e in self.epsilons) * self.beta
-        self.guard.check_momenta([self.momentum + kick], context="ModelParams")
 
 
 def epsilon_from_energy(energy_joule: float, mass_kg: float) -> float:

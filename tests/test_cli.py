@@ -3,10 +3,34 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qclocksim
+from qclocksim import load_config, run_scenario
 from qclocksim.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# Level factors and trotter errors that configs/full-suite.json produces,
+# pinned so that any engine change that moves them shows.
+FROZEN_FULL_SUITE = {
+    "twin-momentum": ("dilation_factor", [0.9954545454545455]),
+    "twin-velocity": ("dilation_factor", [0.99995]),
+    "twin-observer": ("dilation_factor", [1.00005]),
+    "trotter": (
+        "error",
+        [
+            0.00018053487971910165,
+            9.025739967060568e-05,
+            4.512619927521388e-05,
+            2.2562475685953984e-05,
+            1.1281082007213524e-05,
+        ],
+    ),
+}
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -234,3 +258,22 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     assert "all 2 run(s) passed" in proc.stdout
     assert "elapsed" in proc.stderr
+
+
+def test_full_suite_values_match_the_frozen_fixture():
+    config = load_config(str(CONFIGS / "full-suite.json"))
+    checked = set()
+    for spec in config.scenarios:
+        if spec.name not in FROZEN_FULL_SUITE:
+            continue
+        column, expected = FROZEN_FULL_SUITE[spec.name]
+        [(run_name, params)] = spec.expand()
+        report = run_scenario(spec.kind, run_name, params, spec.tolerances)
+        np.testing.assert_allclose([row[column] for row in report.rows], expected, rtol=1e-12)
+        checked.add(spec.name)
+    assert checked == set(FROZEN_FULL_SUITE)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in qclocksim.__all__ if not hasattr(qclocksim, name)]
+    assert missing == []

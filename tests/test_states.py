@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qclocksim.operators import apply_velocity_boost
+from qclocksim.operators import VelocityBoost, apply_operator
 from qclocksim.spectrum import ladder_spectrum, make_spectrum
 from qclocksim.states import (
     PlaneWaveState,
@@ -100,7 +100,7 @@ def test_product_state_has_zero_entropy():
 @pytest.mark.parametrize("dim,spacing", [(2, 0.1), (4, 0.04)])
 def test_boosted_equal_superposition_is_maximally_entangled(dim, spacing):
     spec = ladder_spectrum(dim, spacing)
-    state = apply_velocity_boost(internal_superposition(spec, 0.0), 0.01)
+    state = apply_operator(internal_superposition(spec, 0.0), VelocityBoost(0.01))
     assert reduced_internal_entropy(state) == pytest.approx(math.log(dim), abs=1e-10)
 
 
@@ -109,8 +109,8 @@ def test_entropy_of_unbalanced_boosted_state_matches_eigenvalue_oracle():
     # reduced internal state is diagonal with the level weights as
     # eigenvalues.  Recompute that directly as an oracle.
     amps = [math.sqrt(0.9), math.sqrt(0.1)]
-    state = apply_velocity_boost(
-        internal_superposition(SPEC2, 0.0, amplitudes=amps), 0.02
+    state = apply_operator(
+        internal_superposition(SPEC2, 0.0, amplitudes=amps), VelocityBoost(0.02)
     )
     # Oracle: build the reduced density matrix by hand from the components.
     rho = np.zeros((2, 2), dtype=complex)

@@ -145,6 +145,16 @@ def test_tick_finder_recovers_the_undilated_ticks():
     assert abs(scan.spacing_deviation) < 1e-7
 
 
+@pytest.mark.parametrize("boost", [0.014718, 0.007685])
+def test_uniform_dilation_ticks_carry_no_roundoff_variance(boost):
+    # At a tick the pointer sits on a single k, where E[k^2] - E[k]^2 leaves
+    # one ulp of E[k^2] (1.8e-15 tau^2 at these boosts) instead of zero.
+    clock = SWPClock(dim=16, omega0=1.0)
+    scan = find_effective_ticks(clock, DilationProfile.velocity_classical(16, boost))
+    assert scan.tick_times.shape == (3,)
+    assert np.all(scan.tick_variances <= 1e-20 * clock.tau**2)
+
+
 def test_tick_finder_window_and_resolution_validation():
     clock = SWPClock(dim=8, omega0=1.0)
     profile = DilationProfile.none(8)

@@ -11,7 +11,6 @@ from qclocksim.units import (
     HBAR,
     PLANCK,
     SPEED_OF_LIGHT,
-    ModelParams,
     RegimeGuard,
     beta_from_velocity,
     epsilon_from_energy,
@@ -82,11 +81,3 @@ def test_default_guard_bounds():
     assert DEFAULT_GUARD.kappa_max == 0.1
     assert DEFAULT_GUARD.strict is False
 
-
-def test_model_params_validate_goes_through_guard():
-    ModelParams(epsilons=(0.0, 0.1), beta=0.01, momentum=0.05, theta=2.0).validate()
-    with pytest.raises(RegimeError):
-        ModelParams(epsilons=(0.0, 0.5)).validate()
-    strict = RegimeGuard(strict=True)
-    with pytest.raises(RegimeError):
-        ModelParams(epsilons=(0.0,), beta=0.5, momentum=0.0, guard=strict).validate()
