@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, RegimeError
 from .units import (
     DEFAULT_GUARD,
     beta_from_velocity,
@@ -319,13 +319,12 @@ def _max_boost(kind: str, params: dict) -> float:
 
 def _static_regime_check(kind: str, params: dict, where: str) -> None:
     guard = DEFAULT_GUARD
-    eps = _max_epsilon(kind, params)
-    _require(
-        eps <= guard.eps_max,
-        where,
-        f"largest internal energy ratio {eps!r} exceeds the RegimeGuard limit "
-        f"eps_max={guard.eps_max!r}; the weak-relativistic model does not apply",
-    )
+    # The engine's own epsilon bound, so validation refuses exactly what
+    # the run would refuse.
+    try:
+        guard.check_epsilons([_max_epsilon(kind, params)])
+    except RegimeError as exc:
+        raise ConfigError(f"{where}: RegimeGuard: {exc}") from exc
     boost = _max_boost(kind, params)
     _require(
         boost <= guard.kappa_max,

@@ -18,6 +18,13 @@ cutoff and the laser-drive dynamics themselves.  The spectroscopy scan
 simulates an actual pi-pulse lineshape in the rotating frame of the laser
 and extracts the peak, which must land on the static-branch oracle.
 
+The drive Hamiltonian is time independent in that frame, so each detuning
+costs one eigendecomposition and the pulse is applied spectrally; the
+decomposition is checked against the matrix it came from.  The peak is the
+vertex of the parabola through the three samples around the maximum, so the
+cutoff check recomputes only those three at twice the Fock cutoff, and
+rescans the whole grid only if they no longer bracket a maximum there.
+
 Physical clock parameters put the shift twenty orders of magnitude below
 double-precision resolution, so simulations must run with exaggerated u and
 w; the defaults used in tests are u = 1e-3, w = 1e-5.
@@ -31,9 +38,8 @@ import numpy as np
 
 from .errors import GridTooNarrowError, IntegrationError
 
-# Propagation is repeated with doubled step count; disagreement beyond this
-# means the stepping machinery itself is broken.
-HALVING_TOL = 1e-10
+# Bound on the relative eigendecomposition residual |H V - V Lambda| / |H|
+# and on the norm defect of the propagated state; both sit near 1e-15.
 UNITARITY_TOL = 1e-12
 
 
@@ -196,56 +202,46 @@ def branch_spectrum_oracle(model: TrapModel) -> BranchOracle:
     )
 
 
-def _rotating_frame_hamiltonian(
-    model: TrapModel, detuning: float, dim: int
+def _excitation_probabilities(
+    model: TrapModel, detunings: np.ndarray, dim: int
 ) -> np.ndarray:
-    """Time-independent drive Hamiltonian in the laser frame.
+    """Excited-branch population after the pulse, one value per detuning.
 
     Basis: ground-branch Fock block first, excited-branch block second.
     The laser frequency is u + detuning; the optical rotating-wave
     approximation leaves the recoil displacement e^{i k x} on the raised
-    coupling.
+    coupling.  Only the excited-block diagonal depends on the detuning, so
+    the block matrix H0 is built once per call.
     """
     u = model.transition_energy
     half_rabi = 0.5 * model.rabi_frequency
     h_ground, h_excited = static_hamiltonians(replace(model, fock_cutoff=dim))
     recoil = displacement_operator(dim, model.trap_frequency, model.wavevector)
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h[:dim, :dim] = h_ground
-    h[dim:, dim:] = h_excited - (u + detuning) * np.eye(dim)
-    h[dim:, :dim] = half_rabi * recoil
-    h[:dim, dim:] = half_rabi * recoil.conj().T
-    return h
-
-
-def _excitation_probability(
-    model: TrapModel, detuning: float, dim: int, steps: int = 16
-) -> float:
-    """Excited-branch population after the pulse, with stepping cross-checks."""
-    h = _rotating_frame_hamiltonian(model, detuning, dim)
-    vals, vecs = np.linalg.eigh(h)
-
-    def propagate(n_steps: int) -> np.ndarray:
-        dt = model.pulse_time / n_steps
-        u_step = vecs @ (np.exp(-1j * vals * dt)[:, None] * vecs.conj().T)
-        psi = np.zeros(2 * dim, dtype=complex)
-        psi[model.fock_index] = 1.0
-        for _ in range(n_steps):
-            psi = u_step @ psi
-        return psi
-
-    psi = propagate(steps)
-    norm_defect = abs(np.linalg.norm(psi) - 1.0)
-    if norm_defect > UNITARITY_TOL:
-        raise IntegrationError(
-            f"propagation lost unitarity by {norm_defect:.3e} at detuning {detuning!r}"
-        )
-    halving_defect = float(np.linalg.norm(psi - propagate(2 * steps)))
-    if halving_defect > HALVING_TOL:
-        raise IntegrationError(
-            f"step-halving disagreement {halving_defect:.3e} at detuning {detuning!r}"
-        )
-    return float(np.linalg.norm(psi[dim:]) ** 2)
+    h0 = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    h0[:dim, :dim] = h_ground
+    h0[dim:, dim:] = h_excited
+    h0[dim:, :dim] = half_rabi * recoil
+    h0[:dim, dim:] = half_rabi * recoil.conj().T
+    excited = np.arange(dim, 2 * dim)
+    probabilities = np.empty(len(detunings))
+    for i, detuning in enumerate(detunings):
+        h = h0.copy()
+        h[excited, excited] -= u + detuning
+        vals, vecs = np.linalg.eigh(h)
+        # A wrong decomposition fails here even when it is still unitary.
+        eig_defect = float(np.linalg.norm(h @ vecs - vecs * vals) / np.linalg.norm(h))
+        if eig_defect > UNITARITY_TOL:
+            raise IntegrationError(
+                f"eigendecomposition residual {eig_defect:.3e} at detuning {detuning!r}"
+            )
+        psi = vecs @ (np.exp(-1j * vals * model.pulse_time) * vecs[model.fock_index].conj())
+        norm_defect = abs(np.linalg.norm(psi) - 1.0)
+        if norm_defect > UNITARITY_TOL:
+            raise IntegrationError(
+                f"propagation lost unitarity by {norm_defect:.3e} at detuning {detuning!r}"
+            )
+        probabilities[i] = np.linalg.norm(psi[dim:]) ** 2
+    return probabilities
 
 
 @dataclass(frozen=True)
@@ -262,33 +258,46 @@ class SpectroscopyResult:
     cutoff_shift_change: float  # |peak at N_F - peak at 2 N_F|
 
 
-def _scan_peak(model: TrapModel, detunings: np.ndarray, dim: int) -> tuple[float, float, float, np.ndarray]:
-    excitation = np.asarray(
-        [_excitation_probability(model, d, dim) for d in detunings]
-    )
+def _parabola_vertex(d: np.ndarray, p: np.ndarray) -> float:
+    """Abscissa of the parabola through three equally spaced samples."""
+    denom = p[0] - 2.0 * p[1] + p[2]
+    if denom == 0.0:
+        return float(d[1])
+    return float(d[1] + 0.5 * (d[1] - d[0]) * (p[0] - p[2]) / denom)
+
+
+def _scan_peak(model: TrapModel, detunings: np.ndarray, dim: int) -> tuple[float, int, float, np.ndarray]:
+    """Lineshape at cutoff dim: vertex, peak index, parabola residual, samples."""
+    excitation = _excitation_probabilities(model, detunings, dim)
     idx = int(np.argmax(excitation))
     if idx == 0 or idx == len(detunings) - 1:
         raise GridTooNarrowError(
             f"lineshape peak sits on the scan edge (index {idx}); widen the "
             "detuning grid"
         )
-    d0, d1, d2 = detunings[idx - 1 : idx + 2]
-    p0, p1, p2 = excitation[idx - 1 : idx + 2]
-    denom = p0 - 2.0 * p1 + p2
-    if denom == 0.0:
-        vertex = d1
-    else:
-        vertex = d1 + 0.5 * (d1 - d0) * (p0 - p2) / denom
+    triplet = slice(idx - 1, idx + 2)
+    vertex = _parabola_vertex(detunings[triplet], excitation[triplet])
     # Diagnostic: how far a pure parabola through the peak triplet misses
     # the neighbors two grid points out.
-    coeffs = np.polyfit([d0, d1, d2], [p0, p1, p2], 2)
+    coeffs = np.polyfit(detunings[triplet], excitation[triplet], 2)
     residual = 0.0
     for j in (idx - 2, idx + 2):
         if 0 <= j < len(detunings):
             residual = max(
                 residual, abs(float(np.polyval(coeffs, detunings[j])) - excitation[j])
             )
-    return float(vertex), float(excitation[idx]), float(residual), excitation
+    return vertex, idx, float(residual), excitation
+
+
+def _doubled_cutoff_vertex(model: TrapModel, detunings: np.ndarray, idx: int) -> float:
+    """Line-center vertex at twice the Fock cutoff, from the peak triplet
+    alone unless that triplet has no interior maximum there."""
+    dim = 2 * model.fock_cutoff
+    triplet = detunings[idx - 1 : idx + 2]
+    p = _excitation_probabilities(model, triplet, dim)
+    if p[1] >= p[0] and p[1] >= p[2]:
+        return _parabola_vertex(triplet, p)
+    return _scan_peak(model, detunings, dim)[0]
 
 
 def spectroscopy_scan(
@@ -311,19 +320,16 @@ def spectroscopy_scan(
     center = oracle.carrier_shift
     half_span = span_factor * max(abs(center), 1e-3 * model.rabi_frequency)
     detunings = np.linspace(center - half_span, center + half_span, points)
-    vertex, peak_exc, residual, excitation = _scan_peak(
-        model, detunings, model.fock_cutoff
-    )
+    vertex, idx, residual, excitation = _scan_peak(model, detunings, model.fock_cutoff)
     cutoff_change = float("nan")
     if check_cutoff:
-        vertex_fine, _, _, _ = _scan_peak(model, detunings, 2 * model.fock_cutoff)
-        cutoff_change = abs(vertex_fine - vertex)
+        cutoff_change = abs(_doubled_cutoff_vertex(model, detunings, idx) - vertex)
     u = model.transition_energy
     return SpectroscopyResult(
         detunings=detunings,
         excitation=excitation,
         peak_detuning=vertex,
-        peak_excitation=peak_exc,
+        peak_excitation=float(excitation[idx]),
         relative_shift=vertex / u if u > 0.0 else float("nan"),
         oracle=oracle,
         fit_residual=residual,

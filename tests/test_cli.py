@@ -156,6 +156,29 @@ def test_regime_violation_is_a_config_error(tmp_path, capsys):
     assert "RegimeGuard" in err
 
 
+def test_epsilon_at_the_guard_limit_is_refused_at_validation(tmp_path, capsys):
+    # The engine's RegimeGuard refuses eps >= eps_max = 0.2, so validation
+    # must refuse exactly 0.2 too rather than let the run abort later.
+    config = {
+        "schema_version": 1,
+        "scenarios": [
+            {
+                "kind": "twin-momentum",
+                "name": "at-limit",
+                "params": {"epsilons": [0.0, 0.2]},
+            }
+        ],
+    }
+    path = _write_config(tmp_path / "limit.json", config)
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "scenarios[0] (run 'at-limit')" in err
+    assert "eps_max" in err
+    assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_kind_is_a_config_error(tmp_path, capsys):
     config = {
         "schema_version": 1,

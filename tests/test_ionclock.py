@@ -5,14 +5,20 @@ and compared against the package's double-precision values, so any slip in
 the shipped formulas shows up against an independent computation.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from mpmath import mp
 
-from qclocksim.errors import GridTooNarrowError
+from qclocksim import ionclock
+from qclocksim.errors import GridTooNarrowError, IntegrationError
 from qclocksim.ionclock import (
     TrapModel,
+    _doubled_cutoff_vertex,
     _p_squared,
+    _scan_peak,
     _x_operator,
     _x_squared,
     branch_spectrum_oracle,
@@ -23,6 +29,15 @@ from qclocksim.ionclock import (
 )
 
 U, W = 1e-3, 1e-5
+
+# Lineshapes of the default models at fock indices 0 and 1 (the two ion runs
+# of configs/full-suite.json), recorded before the spectral pulse replaced
+# the stepped propagator.  The two differ by roundoff: at most 4.1e-14 in
+# the excitation and 3.7e-10 relative in the vertex, which divides by the
+# second difference of a flat peak top and so magnifies that roundoff.
+FROZEN_LINESHAPES = json.loads(
+    (Path(__file__).parent / "data" / "ion_lineshape_frozen.json").read_text()
+)
 
 
 def test_ground_branch_is_exactly_harmonic():
@@ -202,3 +217,64 @@ def test_shift_comparison_assembles_the_budget():
     )
     assert budget.second_order_term == scan.oracle.second_order_term
     assert budget.second_order_variant == scan.oracle.second_order_variant
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_lineshape_matches_the_frozen_values(n):
+    frozen = FROZEN_LINESHAPES[str(n)]
+    scan = spectroscopy_scan(TrapModel(transition_energy=U, trap_frequency=W, fock_index=n))
+    np.testing.assert_allclose(scan.excitation, frozen["excitation"], rtol=0.0, atol=1e-12)
+    assert scan.peak_detuning == pytest.approx(frozen["peak_detuning"], rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("u, n", [(U, 0), (U, 1), (0.0, 0)])
+def test_doubled_cutoff_triplet_vertex_equals_the_full_rescan(u, n):
+    model = TrapModel(transition_energy=u, trap_frequency=W, fock_index=n)
+    scan = spectroscopy_scan(model)
+    idx = int(np.argmax(scan.excitation))
+    triplet_vertex = _doubled_cutoff_vertex(model, scan.detunings, idx)
+    full_vertex = _scan_peak(model, scan.detunings, 2 * model.fock_cutoff)[0]
+    assert abs(triplet_vertex - full_vertex) <= 1e-17
+    assert scan.cutoff_shift_change == abs(triplet_vertex - scan.peak_detuning)
+
+
+def test_doubled_cutoff_rescans_when_the_triplet_has_no_interior_maximum(monkeypatch):
+    real_probabilities = ionclock._excitation_probabilities
+    real_scan_peak = ionclock._scan_peak
+    scanned_dims = []
+
+    def rising_triplet(model, detunings, dim):
+        if len(detunings) == 3:
+            return np.array([0.1, 0.2, 0.3])
+        return real_probabilities(model, detunings, dim)
+
+    def recording_scan_peak(model, detunings, dim):
+        scanned_dims.append(dim)
+        return real_scan_peak(model, detunings, dim)
+
+    monkeypatch.setattr(ionclock, "_excitation_probabilities", rising_triplet)
+    monkeypatch.setattr(ionclock, "_scan_peak", recording_scan_peak)
+    model = TrapModel(transition_energy=U, trap_frequency=W)
+    scan = spectroscopy_scan(model, points=21)
+    assert scanned_dims == [32, 64]
+    full_vertex = real_scan_peak(model, scan.detunings, 64)[0]
+    assert scan.cutoff_shift_change == abs(full_vertex - scan.peak_detuning)
+
+
+def test_wrong_eigenvectors_fail_the_decomposition_check(monkeypatch):
+    # A small rotation between two eigenvectors keeps them orthonormal, so
+    # the propagated state stays normalized; only the residual against the
+    # decomposed matrix can see that they are wrong.
+    real_eigh = np.linalg.eigh
+
+    def rotated_eigh(matrix):
+        vals, vecs = real_eigh(matrix)
+        c, s = np.cos(1e-6), np.sin(1e-6)
+        first, last = vecs[:, 0].copy(), vecs[:, -1].copy()
+        vecs[:, 0] = c * first - s * last
+        vecs[:, -1] = s * first + c * last
+        return vals, vecs
+
+    monkeypatch.setattr(ionclock.np.linalg, "eigh", rotated_eigh)
+    with pytest.raises(IntegrationError, match="eigendecomposition residual"):
+        spectroscopy_scan(TrapModel(transition_energy=U, trap_frequency=W), points=21)
