@@ -12,6 +12,16 @@ boost-evolution products, pointer-clock degradation, and motional clock
 shifts in trapped ions.
 """
 
+import os
+
+# One BLAS thread per process, set before any submodule imports numpy.  Every
+# matrix here is at most a few hundred rows, so a BLAS pool only spins,
+# oversubscribes the cores under `--threads N`, and makes the last digits of
+# results depend on the core count.  A value the user has set is kept.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .config import RunConfig, ScenarioSpec, Sweep, load_config, parse_config
 from .errors import (
     ConfigError,

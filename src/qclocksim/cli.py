@@ -69,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads for independent runs (default: 1)",
+        help="worker threads for independent runs (default: 1); BLAS runs on "
+        "one thread per process, so each worker uses one core and result "
+        "files do not depend on the thread or core count",
     )
     run.add_argument(
         "--strict-regime",

@@ -4,8 +4,10 @@ Each scenario kind has one runner that builds the physical objects, runs
 the engine, fills a RunReport with rows, and applies that kind's tolerance
 checks.  Runners never print and never write files; the CLI layer owns all
 I/O.  Sweep points are independent runs and may execute on a thread pool
-(the heavy lifting is numpy linear algebra, which releases the GIL);
-results are always returned in config order regardless of thread timing.
+(the heavy lifting is numpy linear algebra, which releases the GIL).
+`import qclocksim` sets BLAS to one thread per process, so N workers use N
+cores, and results are bit-identical whatever N or the core count; they are
+always returned in config order regardless of thread timing.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file output, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,20 @@ from qclocksim import load_config, run_scenario
 from qclocksim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env_without_blas_settings(**extra):
+    """The current environment without BLAS thread variables, so that only the
+    child's own `import qclocksim` can set them."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(extra)
+    return env
+
 
 # Level factors and trotter errors that configs/full-suite.json produces,
-# pinned so that any engine change that moves them shows.
+# pinned so that any engine change that moves them shows.  The trotter errors
+# are those of one BLAS thread, the setting `import qclocksim` makes.
 FROZEN_FULL_SUITE = {
     "twin-momentum": ("dilation_factor", [0.9954545454545455]),
     "twin-velocity": ("dilation_factor", [0.99995]),
@@ -23,11 +35,11 @@ FROZEN_FULL_SUITE = {
     "trotter": (
         "error",
         [
-            0.00018053487971910165,
-            9.025739967060568e-05,
-            4.512619927521388e-05,
-            2.2562475685953984e-05,
-            1.1281082007213524e-05,
+            0.00018053487971774027,
+            9.025739966925262e-05,
+            4.5126199273865e-05,
+            2.2562475684607195e-05,
+            1.1281082005867784e-05,
         ],
     ),
 }
@@ -295,6 +307,51 @@ def test_full_suite_values_match_the_frozen_fixture():
         np.testing.assert_allclose([row[column] for row in report.rows], expected, rtol=1e-12)
         checked.add(spec.name)
     assert checked == set(FROZEN_FULL_SUITE)
+
+
+def _cpus():
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(_cpus()) < 2,
+    reason="needs sched_setaffinity and at least 2 CPUs",
+)
+def test_result_files_do_not_depend_on_the_cpu_count(tmp_path):
+    one_cpu = {min(_cpus())}
+    outs = {"one": tmp_path / "one-cpu", "all": tmp_path / "all-cpus"}
+    procs = {
+        label: subprocess.Popen(
+            [sys.executable, "-m", "qclocksim", "run", str(CONFIGS / "full-suite.json"),
+             "--out-dir", str(out), "--format", "both"],
+            env=_env_without_blas_settings(),
+            preexec_fn=(lambda: os.sched_setaffinity(0, one_cpu)) if label == "one" else None,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        for label, out in outs.items()
+    }
+    for proc in procs.values():
+        _, stderr = proc.communicate()
+        assert proc.returncode == 0, stderr.decode()
+    names = sorted(path.name for path in outs["all"].iterdir())
+    assert names == sorted(path.name for path in outs["one"].iterdir())
+    assert len(names) == 20
+    differing = [n for n in names if (outs["one"] / n).read_bytes() != (outs["all"] / n).read_bytes()]
+    assert differing == []
+
+
+@pytest.mark.parametrize(("user_setting", "expected"), [(None, "1"), ("3", "3")])
+def test_import_sets_one_blas_thread_unless_the_user_set_a_count(user_setting, expected):
+    extra = {} if user_setting is None else {"OPENBLAS_NUM_THREADS": user_setting}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, qclocksim; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=_env_without_blas_settings(**extra),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == expected
 
 
 def test_every_exported_name_resolves():
