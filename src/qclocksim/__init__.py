@@ -34,7 +34,7 @@ from .errors import (
     SequencingError,
     WraparoundError,
 )
-from .grid import GridState, gaussian_grid_state, momentum_position_transform
+from .grid import GridState, gaussian_grid_state
 from .gridops import (
     ImpulseReport,
     LinearPotentialEvolution,
@@ -194,7 +194,6 @@ __all__ = [
     "make_spectrum",
     "momentum_after",
     "momentum_boost_grid",
-    "momentum_position_transform",
     "momentum_ratio",
     "pairwise_dilation",
     "parse_config",

@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RegimeError
+from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
 from .units import (
     DEFAULT_GUARD,
+    RegimeGuard,
     beta_from_velocity,
     epsilon_from_energy,
     epsilon_from_frequency,
@@ -295,16 +297,23 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
     return params
 
 
-def _max_epsilon(kind: str, params: dict) -> float:
+def run_spectrum(
+    kind: str, params: dict, guard: RegimeGuard = DEFAULT_GUARD
+) -> InternalSpectrum | None:
+    """The internal spectrum one expanded run evolves.
+
+    None for runs without one: ion spectroscopy (a single transition energy)
+    and SWP scans with a classical dilation profile.
+    """
     if kind == "ion-spectroscopy":
-        return params["transition_energy"]
+        return None
     if kind == "swp":
-        if params["profile"] == "momentum-nonclassical":
-            return (params["dim"] - 1) * params["spacing"]
-        return 0.0
+        if params["profile"] != "momentum-nonclassical":
+            return None
+        return ladder_spectrum(params["dim"], params["spacing"], guard=guard)
     if params.get("epsilons") is not None:
-        return max(params["epsilons"])
-    return (params["levels"] - 1) * params["spacing"]
+        return make_spectrum(params["epsilons"], guard=guard)
+    return ladder_spectrum(params["levels"], params["spacing"], guard=guard)
 
 
 def _max_boost(kind: str, params: dict) -> float:
@@ -319,12 +328,17 @@ def _max_boost(kind: str, params: dict) -> float:
 
 def _static_regime_check(kind: str, params: dict, where: str) -> None:
     guard = DEFAULT_GUARD
-    # The engine's own epsilon bound, so validation refuses exactly what
-    # the run would refuse.
+    # The spectrum is built as the run builds it, so validation refuses
+    # exactly what the run would refuse.
     try:
-        guard.check_epsilons([_max_epsilon(kind, params)])
+        if kind == "ion-spectroscopy":
+            guard.check_epsilons([params["transition_energy"]])
+        else:
+            run_spectrum(kind, params, guard)
     except RegimeError as exc:
         raise ConfigError(f"{where}: RegimeGuard: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     boost = _max_boost(kind, params)
     _require(
         boost <= guard.kappa_max,

@@ -22,7 +22,7 @@ class ConsistencyError(RuntimeError):
 
 
 class WraparoundError(RuntimeError):
-    """Grid-state support reached the periodic box or momentum-lattice edge."""
+    """Grid-state support reached the edge of the periodic box."""
 
 
 class IntegrationError(RuntimeError):

@@ -7,8 +7,9 @@ two) in a periodic box of length L centered on the origin:
 
     x_j = (j - D/2) L / D            p_k = 2 pi k / L  (signed FFT order)
 
-The position <-> momentum map is the unitary DFT with the physical origin
-phases included, so momentum-domain amplitudes mean what they say:
+States always hold position amplitudes.  Momentum amplitudes are a
+measurement on the state, not a second representation of it: the unitary
+DFT with the physical origin phases included, so they mean what they say:
 
     psi~(p) = (1/sqrt D) sum_j e^{-i p x_j} psi(x_j)
 
@@ -23,21 +24,17 @@ import numpy as np
 
 from .spectrum import InternalSpectrum
 
-# Fraction of probability allowed within EDGE_SITES of a lattice boundary
-# before the state is flagged as touching the edge.
+# Lattice sites on each side of the box whose probability counts as edge mass.
 EDGE_SITES = 4
-EDGE_MASS_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
 class GridState:
-    """Per-level amplitudes over a periodic position or momentum lattice."""
+    """Per-level position amplitudes over a periodic lattice."""
 
     spectrum: InternalSpectrum
     box_length: float
     amplitudes: np.ndarray  # shape (levels, D), unit total norm
-    domain: str = "position"  # "position" | "momentum"
-    boundary_warning: bool = False
 
     def __post_init__(self):
         self.amplitudes.flags.writeable = False
@@ -46,8 +43,6 @@ class GridState:
             raise ValueError(f"lattice size {d} must be a power of two")
         if self.amplitudes.shape[0] != self.spectrum.dim:
             raise ValueError("amplitude rows must match the spectrum dimension")
-        if self.domain not in ("position", "momentum"):
-            raise ValueError(f"unknown domain {self.domain!r}")
         n = float(np.linalg.norm(self.amplitudes))
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"grid state norm {n} deviates from 1 beyond 1e-12")
@@ -72,50 +67,22 @@ class GridState:
     def momentum_spacing(self) -> float:
         return 2.0 * np.pi / self.box_length
 
+    def momentum_amplitudes(self) -> np.ndarray:
+        """Per-level amplitudes on the momentum lattice, in FFT order."""
+        phases = np.exp(-1j * self.momenta * self.positions[0])
+        return np.fft.fft(self.amplitudes, axis=1) / np.sqrt(self.size) * phases[None, :]
+
     def edge_mass(self) -> float:
-        """Probability within EDGE_SITES of the current lattice's boundary."""
-        if self.domain == "position":
-            band = np.r_[0:EDGE_SITES, self.size - EDGE_SITES:self.size]
-        else:
-            # FFT ordering puts the largest |p| in the middle of the array.
-            half = self.size // 2
-            band = np.arange(half - EDGE_SITES, half + EDGE_SITES)
+        """Probability within EDGE_SITES of the box edge."""
+        band = np.r_[0:EDGE_SITES, self.size - EDGE_SITES:self.size]
         return float(np.sum(np.abs(self.amplitudes[:, band]) ** 2))
 
-    def with_amplitudes(self, amplitudes: np.ndarray, domain: str | None = None,
-                        boundary_warning: bool | None = None) -> "GridState":
+    def with_amplitudes(self, amplitudes: np.ndarray) -> "GridState":
         return GridState(
             spectrum=self.spectrum,
             box_length=self.box_length,
             amplitudes=np.ascontiguousarray(amplitudes, dtype=complex),
-            domain=self.domain if domain is None else domain,
-            boundary_warning=self.boundary_warning if boundary_warning is None else boundary_warning,
         )
-
-
-def momentum_position_transform(state: GridState, target: str) -> GridState:
-    """Unitary change of representation; round trip is the identity to 1e-12.
-
-    The result carries a boundary warning flag when more than EDGE_MASS_TOL
-    of probability sits within EDGE_SITES of the target lattice's edge
-    (wraparound is about to corrupt the representation).
-    """
-    if target not in ("position", "momentum"):
-        raise ValueError(f"unknown target domain {target!r}")
-    if target == state.domain:
-        raise ValueError(f"state is already in the {target} domain")
-    d = state.size
-    x0 = state.positions[0]
-    p = state.momenta
-    if target == "momentum":
-        amps = np.fft.fft(state.amplitudes, axis=1) / np.sqrt(d)
-        amps = amps * np.exp(-1j * p * x0)[None, :]
-    else:
-        amps = np.fft.ifft(state.amplitudes * np.exp(1j * p * x0)[None, :], axis=1) * np.sqrt(d)
-    out = state.with_amplitudes(amps, domain=target)
-    if out.edge_mass() > EDGE_MASS_TOL:
-        out = out.with_amplitudes(amps, boundary_warning=True)
-    return out
 
 
 def gaussian_grid_state(

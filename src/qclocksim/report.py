@@ -28,23 +28,6 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _plain(value):
-    """Recursively convert numpy containers to JSON-friendly builtins."""
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """One named tolerance check inside a scenario run."""
@@ -102,14 +85,14 @@ class RunReport:
             "schema_version": 1,
             "scenario": self.scenario,
             "name": self.name,
-            "parameters": _plain(self.parameters),
-            "rows": _plain(self.rows),
+            "parameters": self.parameters,
+            "rows": self.rows,
             "checks": [
                 {
                     "name": c.name,
                     "passed": c.passed,
-                    "value": _plain(c.value),
-                    "tolerance": _plain(c.tolerance),
+                    "value": c.value,
+                    "tolerance": c.tolerance,
                     "detail": c.detail,
                 }
                 for c in self.checks

@@ -17,11 +17,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, run_spectrum
 from .errors import ConfigError
 from .grid import gaussian_grid_state
 from .gridops import accelerated_frame_trotter, impulsive_boost_limit
-from .ionclock import TrapModel, branch_spectrum_oracle, spectroscopy_scan
+from .ionclock import TrapModel, spectroscopy_scan
 from .report import RunReport
 from .sequences import (
     SequenceKind,
@@ -29,7 +29,8 @@ from .sequences import (
     entanglement_frame_demo,
     run_sequence,
 )
-from .spectrum import ladder_spectrum, make_spectrum
+# Not called here; perfbench/tracer.py looks these names up in this module.
+from .spectrum import ladder_spectrum, make_spectrum  # noqa: F401
 from .swp import DilationProfile, SWPClock, find_effective_ticks
 from .units import DEFAULT_GUARD, RegimeGuard
 
@@ -40,14 +41,8 @@ _SEQUENCE_KINDS = {
 }
 
 
-def _spectrum_from(params: dict, guard: RegimeGuard):
-    if params.get("epsilons") is not None:
-        return make_spectrum(params["epsilons"], guard=guard)
-    return ladder_spectrum(params["levels"], params["spacing"], guard=guard)
-
-
 def _run_twin(kind: str, name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    spectrum = _spectrum_from(params, guard)
+    spectrum = run_spectrum(kind, params, guard)
     probe = default_probe(
         spectrum,
         momenta=params["probe_momenta"],
@@ -114,8 +109,9 @@ def _run_swp(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunRepor
     elif profile_kind == "observer-classical":
         profile = DilationProfile.observer_classical(clock.dim, params["boost"])
     else:
-        spectrum = ladder_spectrum(clock.dim, params["spacing"], guard=guard)
-        profile = DilationProfile.momentum_nonclassical(params["boost"], spectrum)
+        profile = DilationProfile.momentum_nonclassical(
+            params["boost"], run_spectrum("swp", params, guard)
+        )
     tau = clock.tau
     window = tuple(w * tau for w in params["window_in_tau"])
     scan = find_effective_ticks(
@@ -239,9 +235,8 @@ def _run_ion(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunRepor
 
 
 def _run_trotter(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    spectrum = ladder_spectrum(params["levels"], params["spacing"], guard=guard)
     state = gaussian_grid_state(
-        spectrum,
+        run_spectrum("trotter-accel", params, guard),
         size=params["grid_size"],
         box_length=params["box_length"],
         sigma=params["sigma"],
@@ -286,9 +281,8 @@ def _run_trotter(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunR
 
 
 def _run_impulse(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    spectrum = ladder_spectrum(params["levels"], params["spacing"], guard=guard)
     state = gaussian_grid_state(
-        spectrum,
+        run_spectrum("impulse-boost", params, guard),
         size=params["grid_size"],
         box_length=params["box_length"],
         sigma=params["sigma"],
@@ -340,7 +334,7 @@ def _run_impulse(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunR
 
 
 def _run_entanglement(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    spectrum = ladder_spectrum(params["levels"], params["spacing"], guard=guard)
+    spectrum = run_spectrum("entanglement-demo", params, guard)
     demo = entanglement_frame_demo(
         spectrum, momentum=params["momentum"], v_b=params["boost"], guard=guard
     )

@@ -47,6 +47,7 @@ from .operators import (
 )
 from .spectrum import InternalSpectrum
 from .states import (
+    MERGE_TOL,
     PlaneWaveState,
     inner_product,
     internal_superposition,
@@ -123,12 +124,12 @@ def closed_dilation_factor(
     kind: SequenceKind,
     spectrum: InternalSpectrum,
     boost: float,
-    level: int,
+    level,
     state_dependent_translation: bool = False,
-) -> float:
-    """Internal dilation factor d_n predicted for one level."""
+):
+    """Internal dilation factor d_n predicted for a level or an array of levels."""
     if kind is SequenceKind.MOMENTUM:
-        correction = boost * boost / (2.0 * spectrum.mass(level))
+        correction = boost * boost / (2.0 * spectrum.masses[level])
         return 1.0 + correction if state_dependent_translation else 1.0 - correction
     if kind is SequenceKind.VELOCITY_CLOCK:
         return 1.0 - 0.5 * boost * boost
@@ -158,16 +159,16 @@ def closed_form_phase(
     spectrum: InternalSpectrum,
     boost: float,
     duration: float,
-    level: int,
-    momentum: float,
+    level,
+    momentum,
     translation_level: int | None = None,
     state_dependent_translation: bool = False,
-) -> float:
-    """Unwrapped phase a |level, momentum> component acquires in the sequence."""
+):
+    """Unwrapped phase |level, momentum> acquires; level and momentum broadcast."""
     motional = -2.0 * duration * kinetic_energy(spectrum, level, momentum)
     g = closed_global_phase(kind, spectrum, boost, duration, translation_level)
     d = closed_dilation_factor(kind, spectrum, boost, level, state_dependent_translation)
-    return motional + g - 2.0 * duration * spectrum.epsilons[level] * d
+    return motional + g - 2.0 * duration * np.asarray(spectrum.epsilons)[level] * d
 
 
 @dataclass(frozen=True)
@@ -237,20 +238,17 @@ def run_sequence(
     final, phases = trace_chain(probe, ops, guard=guard)
 
     momentum_err = float(np.max(np.abs(final.momenta - probe.momenta)))
-    if momentum_err > probe.merge_tol:
+    if momentum_err > MERGE_TOL:
         raise SequencingError(
             f"sequence did not return momenta (max error {momentum_err:.3e})"
         )
     if float(np.max(np.abs(phases))) > MAX_TOTAL_PHASE:
         raise ValueError("accumulated phase exceeds the mod-2pi safety cap; shorten the run")
 
-    closed = np.array([
-        closed_form_phase(
-            kind, spectrum, boost, duration, int(n), float(p),
-            translation_level, state_dependent_translation,
-        )
-        for n, p in zip(probe.levels, probe.momenta)
-    ])
+    closed = closed_form_phase(
+        kind, spectrum, boost, duration, probe.levels, probe.momenta,
+        translation_level, state_dependent_translation,
+    )
     residuals = np.abs(np.exp(1j * (phases - closed)) - 1.0)
     residual_max = float(np.max(residuals))
     rhs_state = probe.with_amplitudes(probe.amplitudes * np.exp(1j * closed))

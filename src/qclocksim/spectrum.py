@@ -33,12 +33,6 @@ class InternalSpectrum:
     def mass(self, level: int) -> float:
         return 1.0 + self.epsilons[level]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InternalSpectrum) and self.epsilons == other.epsilons
-
-    def __hash__(self) -> int:
-        return hash(self.epsilons)
-
 
 def make_spectrum(epsilons, guard: RegimeGuard | None = None) -> InternalSpectrum:
     """Validate a list of dimensionless level energies into a spectrum.

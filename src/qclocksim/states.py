@@ -12,7 +12,7 @@ makes them safe to share across threads in parameter sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class PlaneWaveState:
     levels: np.ndarray
     momenta: np.ndarray
     amplitudes: np.ndarray
-    merge_tol: float = MERGE_TOL
 
     def __post_init__(self):
         for arr in (self.levels, self.momenta, self.amplitudes):
@@ -54,11 +53,10 @@ class PlaneWaveState:
         spectrum: InternalSpectrum,
         components,
         normalize: bool = True,
-        merge_tol: float = MERGE_TOL,
     ) -> "PlaneWaveState":
         """Build a state from (level, momentum, amplitude) triples.
 
-        Duplicate components (same level, momenta within merge_tol) are
+        Duplicate components (same level, momenta within MERGE_TOL) are
         summed; the result is sorted by (level, momentum) and, unless
         normalize=False, rescaled to unit norm.
         """
@@ -68,7 +66,7 @@ class PlaneWaveState:
         triples.sort(key=lambda c: (c[0], c[1]))
         merged: list[list] = []
         for n, p, a in triples:
-            if merged and merged[-1][0] == n and p - merged[-1][1] <= merge_tol:
+            if merged and merged[-1][0] == n and p - merged[-1][1] <= MERGE_TOL:
                 merged[-1][2] += a
             else:
                 merged.append([n, p, a])
@@ -80,7 +78,7 @@ class PlaneWaveState:
         amps = np.array([c[2] for c in merged], dtype=complex)
         if normalize:
             amps = amps / np.linalg.norm(amps)
-        return cls(spectrum, levels, momenta, amps, merge_tol)
+        return cls(spectrum, levels, momenta, amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -99,7 +97,7 @@ class PlaneWaveState:
         momenta = self.momenta if momenta is None else np.asarray(momenta, dtype=float)
         return PlaneWaveState(
             self.spectrum, self.levels.copy(), momenta.copy(),
-            np.asarray(amplitudes, dtype=complex).copy(), self.merge_tol,
+            np.asarray(amplitudes, dtype=complex).copy(),
         )
 
 
@@ -131,13 +129,12 @@ def inner_product(bra: PlaneWaveState, ket: PlaneWaveState) -> complex:
     """
     if bra.spectrum != ket.spectrum:
         raise ValueError("states live on different internal spectra")
-    tol = max(bra.merge_tol, ket.merge_tol)
     total = 0.0 + 0.0j
     i = j = 0
     while i < len(bra.levels) and j < len(ket.levels):
         key_b = (int(bra.levels[i]), float(bra.momenta[i]))
         key_k = (int(ket.levels[j]), float(ket.momenta[j]))
-        if key_b[0] == key_k[0] and abs(key_b[1] - key_k[1]) <= tol:
+        if key_b[0] == key_k[0] and abs(key_b[1] - key_k[1]) <= MERGE_TOL:
             total += np.conj(bra.amplitudes[i]) * ket.amplitudes[j]
             i += 1
             j += 1
@@ -153,18 +150,11 @@ def fidelity_deviation(reference: PlaneWaveState, state: PlaneWaveState) -> floa
     return abs(inner_product(reference, state) - 1.0)
 
 
-def _momentum_clusters(momenta: np.ndarray, tol: float) -> np.ndarray:
-    """Assign a cluster id to each momentum; values within tol share an id."""
+def _momentum_clusters(momenta: np.ndarray) -> np.ndarray:
+    """Cluster id per momentum: a sorted gap above MERGE_TOL starts a new id."""
     order = np.argsort(momenta)
     ids = np.empty(len(momenta), dtype=np.int64)
-    current = 0
-    prev = None
-    for idx in order:
-        p = momenta[idx]
-        if prev is not None and p - prev > tol:
-            current += 1
-        ids[idx] = current
-        prev = p
+    ids[order] = np.concatenate(([0], np.cumsum(np.diff(momenta[order]) > MERGE_TOL)))
     return ids
 
 
@@ -175,7 +165,7 @@ def reduced_internal_entropy(state: PlaneWaveState) -> float:
     momentum (within the merge tolerance, across levels), the reduced density
     matrix rho[n, m] = sum_p a_np conj(a_mp) is assembled and diagonalized.
     """
-    ids = _momentum_clusters(state.momenta, state.merge_tol)
+    ids = _momentum_clusters(state.momenta)
     n_clusters = int(ids.max()) + 1
     amp = np.zeros((state.spectrum.dim, n_clusters), dtype=complex)
     amp[state.levels, ids] = state.amplitudes

@@ -191,6 +191,23 @@ def test_epsilon_at_the_guard_limit_is_refused_at_validation(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"epsilons": [0.0, 0.1, 0.05]}, {"spacing": -0.1}, {"levels": 0}],
+    ids=["unsorted-epsilons", "negative-spacing", "no-levels"],
+)
+def test_a_spectrum_the_engine_refuses_is_refused_at_validation(tmp_path, capsys, params):
+    config = {
+        "schema_version": 1,
+        "scenarios": [{"kind": "twin-momentum", "name": "bad", "params": params}],
+    }
+    path = _write_config(tmp_path / "bad.json", config)
+    assert main(["validate", path]) == 2
+    assert "scenarios[0] (run 'bad')" in capsys.readouterr().err
+    assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_kind_is_a_config_error(tmp_path, capsys):
     config = {
         "schema_version": 1,

@@ -1,9 +1,9 @@
-"""Lattice wavepackets and the position-momentum transform."""
+"""Lattice wavepackets and their momentum amplitudes."""
 
 import numpy as np
 import pytest
 
-from qclocksim.grid import GridState, gaussian_grid_state, momentum_position_transform
+from qclocksim.grid import GridState, gaussian_grid_state
 from qclocksim.spectrum import ladder_spectrum, make_spectrum
 
 SPEC = ladder_spectrum(2, 0.1)
@@ -33,23 +33,19 @@ def test_lattice_geometry():
     assert state.momenta[64] == pytest.approx(-64 * state.momentum_spacing, rel=1e-15)
 
 
-def test_transform_round_trip_is_identity():
+def test_momentum_amplitudes_match_the_explicit_dft():
+    # psi~(p) = (1/sqrt D) sum_j e^{-i p x_j} psi(x_j), summed term by term.
     state = gaussian_grid_state(SPEC, size=128, box_length=32.0, sigma=2.0, momentum=0.2)
-    there = momentum_position_transform(state, "momentum")
-    back = momentum_position_transform(there, "position")
-    np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-12)
-
-
-def test_transform_rejects_noop_target():
-    state = gaussian_grid_state(SPEC, size=64, box_length=32.0, sigma=2.0)
-    with pytest.raises(ValueError):
-        momentum_position_transform(state, "position")
+    kernel = np.exp(-1j * np.outer(state.momenta, state.positions)) / np.sqrt(state.size)
+    np.testing.assert_allclose(
+        state.momentum_amplitudes(), state.amplitudes @ kernel.T, atol=1e-12
+    )
 
 
 def test_transform_preserves_norm():
     state = gaussian_grid_state(SPEC, size=256, box_length=64.0, sigma=3.5, momentum=0.1)
-    tilde = momentum_position_transform(state, "momentum")
-    assert np.linalg.norm(tilde.amplitudes) == pytest.approx(1.0, abs=1e-13)
+    tilde = state.momentum_amplitudes()
+    assert np.linalg.norm(tilde) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_position_delta_spreads_flat_over_momentum():
@@ -57,10 +53,10 @@ def test_position_delta_spreads_flat_over_momentum():
     amps = np.zeros((1, 64), dtype=complex)
     amps[0, 0] = 1.0  # delta sitting exactly on the box edge
     state = GridState(spectrum=spec1, box_length=32.0, amplitudes=amps)
-    tilde = momentum_position_transform(state, "momentum")
-    np.testing.assert_allclose(np.abs(tilde.amplitudes[0]), 1.0 / 8.0, atol=1e-14)
-    # A delta at the edge is flagged: wraparound would corrupt any evolution.
-    assert tilde.boundary_warning is True
+    tilde = state.momentum_amplitudes()
+    np.testing.assert_allclose(np.abs(tilde[0]), 1.0 / 8.0, atol=1e-14)
+    # A delta at the edge is all edge mass: wraparound would corrupt any evolution.
+    assert state.edge_mass() == 1.0
 
 
 def test_gaussian_moments():
@@ -73,9 +69,8 @@ def test_gaussian_moments():
     assert mean_x == pytest.approx(0.0, abs=1e-10)
     assert np.sqrt(var_x) == pytest.approx(sigma, rel=1e-6)
 
-    tilde = momentum_position_transform(state, "momentum")
-    prob_p = np.sum(np.abs(tilde.amplitudes) ** 2, axis=0)
-    p = tilde.momenta
+    prob_p = np.sum(np.abs(state.momentum_amplitudes()) ** 2, axis=0)
+    p = state.momenta
     mean_p = float(prob_p @ p)
     var_p = float(prob_p @ (p - mean_p) ** 2)
     assert mean_p == pytest.approx(0.25, rel=1e-8)

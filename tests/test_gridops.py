@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qclocksim.errors import WraparoundError
-from qclocksim.grid import GridState, gaussian_grid_state, momentum_position_transform
+from qclocksim.grid import GridState, gaussian_grid_state
 from qclocksim.gridops import (
     LinearPotentialEvolution,
     accelerated_frame_trotter,
@@ -42,11 +42,10 @@ def _plane_wave_state(indices, size=64, box_length=32.0):
 def _level_moments(state, which):
     """Per-level mean of x or p, from the normalized level distribution."""
     if which == "x":
-        grid, working = state.positions, state
+        grid, amps = state.positions, state.amplitudes
     else:
-        working = momentum_position_transform(state, "momentum")
-        grid = working.momenta
-    prob = np.abs(working.amplitudes) ** 2
+        grid, amps = state.momenta, state.momentum_amplitudes()
+    prob = np.abs(amps) ** 2
     weights = prob.sum(axis=1)
     return (prob @ grid) / weights
 
@@ -61,17 +60,6 @@ def test_free_evolution_phases_plane_waves_by_the_dispersion():
         np.testing.assert_allclose(
             out.amplitudes[n], expected * state.amplitudes[n], atol=1e-13
         )
-
-
-def test_free_evolution_requires_position_domain():
-    state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0)
-    tilde = momentum_position_transform(state, "momentum")
-    with pytest.raises(ValueError):
-        free_evolution_grid(tilde, 1.0)
-    with pytest.raises(ValueError):
-        velocity_boost_grid(tilde, 0.01)
-    with pytest.raises(ValueError):
-        momentum_boost_grid(tilde, 0.01)
 
 
 def test_velocity_boost_shifts_each_level_by_its_mass():

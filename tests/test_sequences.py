@@ -230,6 +230,25 @@ def test_pairwise_factor_matches_energy_difference_oracle():
             assert pair.factors[n, m] == pytest.approx(oracle, abs=1e-14)
 
 
+@pytest.mark.parametrize("boost", [0.02, 0.1])
+@pytest.mark.parametrize(
+    "spec",
+    [ladder_spectrum(4, 0.05), make_spectrum([0.0, 0.03, 0.11, 0.189])],
+    ids=["ladder", "uneven"],
+)
+def test_measured_pair_factors_equal_the_pairwise_closed_form(spec, boost):
+    # The run reads pair factors off the executed chain's phases; the closed
+    # form 1 - p_b^2 / (2 M_n M_m) never sees those phases.
+    levels = tuple(range(spec.dim))
+    probe = default_probe(spec, momenta=(0.0, 0.05, 0.1), levels=levels)
+    result = run_sequence(SequenceKind.MOMENTUM, spec, boost, 2.0, probe=probe)
+    closed = pairwise_dilation(spec, boost).factors
+    expected_pairs = [(n, m) for n in levels for m in levels if n < m]
+    assert sorted(result.pair_factors) == expected_pairs
+    for (n, m), factor in result.pair_factors.items():
+        assert factor == pytest.approx(closed[n, m], rel=0, abs=1e-12)
+
+
 # Four gaps of at most this size keep the top level below eps_max, which
 # make_spectrum (correctly) refuses to reach.
 MAX_GAP = DEFAULT_GUARD.eps_max / 4 - 1e-4
