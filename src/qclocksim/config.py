@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RegimeError
+from .sequences import require_two_levels
 from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
 from .units import (
     DEFAULT_GUARD,
@@ -46,6 +47,9 @@ class ParamSpec:
     default: object
     sweepable: bool = False
     choices: tuple = ()
+
+
+_NUMBER = ParamSpec(_FLOAT, None)
 
 
 PARAM_SCHEMAS = {
@@ -234,28 +238,10 @@ def _coerce(value, spec: ParamSpec, where: str):
             f"must be one of {list(spec.choices)}, got {value!r}",
         )
         return value
-    if spec.kind == _FLOAT_LIST:
+    if spec.kind in (_FLOAT_LIST, _INT_LIST):
         _require(isinstance(value, (list, tuple)), where, f"expected a list, got {value!r}")
-        out = []
-        for i, item in enumerate(value):
-            _require(
-                isinstance(item, (int, float)) and not isinstance(item, bool),
-                f"{where}[{i}]",
-                f"expected a number, got {item!r}",
-            )
-            out.append(float(item))
-        return tuple(out)
-    if spec.kind == _INT_LIST:
-        _require(isinstance(value, (list, tuple)), where, f"expected a list, got {value!r}")
-        out = []
-        for i, item in enumerate(value):
-            _require(
-                isinstance(item, int) and not isinstance(item, bool),
-                f"{where}[{i}]",
-                f"expected an integer, got {item!r}",
-            )
-            out.append(int(item))
-        return tuple(out)
+        item = _NUMBER if spec.kind == _FLOAT_LIST else ParamSpec(_INT, None)
+        return tuple(_coerce(v, item, f"{where}[{i}]") for i, v in enumerate(value))
     raise AssertionError(f"unhandled param kind {spec.kind}")
 
 
@@ -263,25 +249,14 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
     _require(isinstance(si, dict), where, "si block must be an object")
     unknown = set(si) - set(_SI_TARGETS) - {"mass_kg"}
     _require(not unknown, where, f"unknown si keys: {sorted(unknown)}")
-    needs_mass = set(si) & {
-        "internal_energy_joule",
-        "transition_frequency_hz",
-        "trap_frequency_hz",
-    }
-    if needs_mass:
-        _require(
-            "mass_kg" in si,
-            where,
-            f"mass_kg is required to convert {sorted(needs_mass)}",
-        )
+    needs_mass = sorted(set(si) - {"velocity_m_per_s", "mass_kg"})
+    _require(
+        not needs_mass or "mass_kg" in si, where, f"mass_kg is required to convert {needs_mass}"
+    )
     for key, raw in si.items():
         if key == "mass_kg":
             continue
-        _require(
-            isinstance(raw, (int, float)) and not isinstance(raw, bool),
-            f"{where}.{key}",
-            f"expected a number, got {raw!r}",
-        )
+        value = _coerce(raw, _NUMBER, f"{where}.{key}")
         target = _SI_TARGETS[key]
         _require(
             target in PARAM_SCHEMAS[kind],
@@ -289,11 +264,11 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
             f"scenario kind {kind!r} has no parameter {target!r} to convert into",
         )
         if key == "velocity_m_per_s":
-            params[target] = beta_from_velocity(float(raw))
+            params[target] = beta_from_velocity(value)
         elif key == "internal_energy_joule":
-            params[target] = epsilon_from_energy(float(raw), float(si["mass_kg"]))
+            params[target] = epsilon_from_energy(value, float(si["mass_kg"]))
         else:
-            params[target] = epsilon_from_frequency(float(raw), float(si["mass_kg"]))
+            params[target] = epsilon_from_frequency(value, float(si["mass_kg"]))
     return params
 
 
@@ -326,23 +301,34 @@ def _max_boost(kind: str, params: dict) -> float:
     return 0.0
 
 
-def _static_regime_check(kind: str, params: dict, where: str) -> None:
-    guard = DEFAULT_GUARD
-    # The spectrum is built as the run builds it, so validation refuses
-    # exactly what the run would refuse.
+def _engine_check(where: str, check, *args):
+    """Apply one of the engine's own checks; a refusal names the JSON path."""
     try:
-        if kind == "ion-spectroscopy":
-            guard.check_epsilons([params["transition_energy"]])
-        else:
-            run_spectrum(kind, params, guard)
+        return check(*args)
     except RegimeError as exc:
         raise ConfigError(f"{where}: RegimeGuard: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _static_regime_check(kind: str, params: dict, where: str, run_name: str) -> None:
+    guard = DEFAULT_GUARD
+    run = f"(run {run_name!r})"
+    # Every rule below is the one the engine applies, so validation refuses
+    # exactly what the run would refuse.
+    if kind == "ion-spectroscopy":
+        _engine_check(f"{where} {run}", guard.check_epsilons, [params["transition_energy"]])
+    spectrum = _engine_check(f"{where} {run}", run_spectrum, kind, params, guard)
+    if params.get("translation_level") is not None:
+        _engine_check(
+            f"{where}.params.translation_level {run}", spectrum.mass, params["translation_level"]
+        )
+    if kind == "entanglement-demo":
+        _engine_check(f"{where}.params.levels {run}", require_two_levels, spectrum)
     boost = _max_boost(kind, params)
     _require(
         boost <= guard.kappa_max,
-        where,
+        f"{where} {run}",
         f"boost magnitude {boost!r} exceeds the RegimeGuard limit "
         f"kappa_max={guard.kappa_max!r}; the weak-relativistic model does not apply",
     )
@@ -387,12 +373,7 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
             f"{where}.tolerances.{key}",
             f"unknown tolerance for kind {kind!r}; valid: {sorted(tolerances)}",
         )
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{where}.tolerances.{key}",
-            f"expected a number, got {value!r}",
-        )
-        tolerances[key] = float(value)
+        tolerances[key] = _coerce(value, _NUMBER, f"{where}.tolerances.{key}")
 
     sweep = None
     if "sweep" in data:
@@ -415,22 +396,12 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
             f"{where}.sweep.count",
             f"expected an integer >= 2, got {count!r}",
         )
-        for bound in ("start", "stop"):
-            _require(
-                isinstance(raw[bound], (int, float)) and not isinstance(raw[bound], bool),
-                f"{where}.sweep.{bound}",
-                f"expected a number, got {raw[bound]!r}",
-            )
-        sweep = Sweep(
-            parameter=parameter,
-            start=float(raw["start"]),
-            stop=float(raw["stop"]),
-            count=count,
-        )
+        start, stop = (_coerce(raw[b], _NUMBER, f"{where}.sweep.{b}") for b in ("start", "stop"))
+        sweep = Sweep(parameter=parameter, start=start, stop=stop, count=count)
 
     spec = ScenarioSpec(name=name, kind=kind, params=params, tolerances=tolerances, sweep=sweep)
     for run_name, run_params in spec.expand():
-        _static_regime_check(kind, run_params, f"{where} (run {run_name!r})")
+        _static_regime_check(kind, run_params, where, run_name)
     return spec
 
 

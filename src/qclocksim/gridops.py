@@ -20,8 +20,12 @@ GridState wavepackets rather than plane-wave components:
   is kicked the other way.
 
 Evolution under a static H on the grid is done exactly (up to the lattice)
-by Hermitian eigendecomposition, never by further splitting, so the measured
-deviations contain nothing but the operator difference under test.
+by eigendecomposition, never by further splitting, so the measured
+deviations contain nothing but the operator difference under test.  Each
+branch H is real symmetric: on a uniform periodic grid the kinetic operator
+is a real symmetric circulant, as in the Fourier grid Hamiltonian (Marston &
+Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)), because E(n, p) is even in p
+and the unpaired Nyquist momentum adds the real term (-1)^(j - j').
 """
 
 from __future__ import annotations
@@ -91,23 +95,30 @@ def momentum_boost_grid(state: GridState, p_b: float) -> GridState:
 
 
 def _branch_hamiltonian(state: GridState, level: int, potential: np.ndarray) -> np.ndarray:
-    """Dense position-representation H_n = kinetic(level) + diag(potential)."""
+    """Dense real symmetric H_n = kinetic(level) + diag(potential) on the position grid."""
     d = state.size
-    x = state.positions
-    p = state.momenta
-    dft = np.exp(-1j * np.outer(p, x)) / np.sqrt(d)
-    kin = total_energy(state.spectrum, level, p) - state.spectrum.epsilons[level]
-    h = dft.conj().T @ (kin[:, None] * dft) + np.diag(potential + state.spectrum.epsilons[level])
-    return 0.5 * (h + h.conj().T)
+    kin = total_energy(state.spectrum, level, state.momenta) - state.spectrum.epsilons[level]
+    # Circulant c[j - j']: kin is even in p, so c = ifft(kin) is real with
+    # c[k] = c[d - k], and indexing by min(k, d - k) keeps h symmetric to the bit.
+    c = np.fft.ifft(kin).real
+    j = np.arange(d)
+    k = np.abs(j[:, None] - j)
+    h = c[np.minimum(k, d - k)]
+    h[j, j] += potential + state.spectrum.epsilons[level]
+    return h
 
 
 def _evolve_static(state: GridState, potentials: np.ndarray, duration: float) -> GridState:
-    """Exact evolution under per-level static Hamiltonians via eigh."""
+    """Exact evolution under per-level static Hamiltonians via eigh.
+
+    Each H_n is real symmetric, its kinetic part a circulant as in the Fourier
+    grid Hamiltonian (Marston & Balint-Kurti, J. Chem. Phys. 91, 3571 (1989)),
+    so its eigenvectors are real and v.T inverts v.
+    """
     amps = np.empty_like(state.amplitudes)
     for n in range(state.spectrum.dim):
-        h = _branch_hamiltonian(state, n, potentials[n])
-        w, v = np.linalg.eigh(h)
-        amps[n] = v @ (np.exp(-1j * w * duration) * (v.conj().T @ state.amplitudes[n]))
+        w, v = np.linalg.eigh(_branch_hamiltonian(state, n, potentials[n]))
+        amps[n] = v @ (np.exp(-1j * w * duration) * (v.T @ state.amplitudes[n]))
     return state.with_amplitudes(amps)
 
 

@@ -20,10 +20,16 @@ and extracts the peak, which must land on the static-branch oracle.
 
 The drive Hamiltonian is time independent in that frame, so each detuning
 costs one eigendecomposition and the pulse is applied spectrally; the
-decomposition is checked against the matrix it came from.  The peak is the
-vertex of the parabola through the three samples around the maximum, so the
-cutoff check recomputes only those three at twice the Fock cutoff, and
-rescans the whole grid only if they no longer bracket a maximum there.
+decomposition is checked against the matrix it came from.  That matrix is
+real symmetric in the gauge |n> -> i^n |n> on both branch blocks: the Fock
+elements of the recoil e^{ikx} are i^|m-n| times real numbers (Wineland et
+al., J. Res. NIST 103, 259 (1998)), so the gauged recoil is real orthogonal,
+and the gauge only flips the sign of the x^2 and p^2 elements at n +- 2.
+It changes phases only, so the excited-branch population is unchanged.  The
+peak is the vertex of the parabola through the three samples around the
+maximum, so the cutoff check recomputes only those three at twice the Fock
+cutoff, and rescans the whole grid only if they no longer bracket a maximum
+there.
 
 Physical clock parameters put the shift twenty orders of magnitude below
 double-precision resolution, so simulations must run with exaggerated u and
@@ -202,26 +208,32 @@ def branch_spectrum_oracle(model: TrapModel) -> BranchOracle:
     )
 
 
+def _fock_gauge(dim: int) -> np.ndarray:
+    """Exact elements i^(n - m) that conjugate a Fock matrix by |n> -> i^n |n>."""
+    return np.array([1, 1j, -1, -1j])[(np.arange(dim) - np.arange(dim)[:, None]) % 4]
+
+
 def _excitation_probabilities(
     model: TrapModel, detunings: np.ndarray, dim: int
 ) -> np.ndarray:
     """Excited-branch population after the pulse, one value per detuning.
 
-    Basis: ground-branch Fock block first, excited-branch block second.
-    The laser frequency is u + detuning; the optical rotating-wave
-    approximation leaves the recoil displacement e^{i k x} on the raised
-    coupling.  Only the excited-block diagonal depends on the detuning, so
-    the block matrix H0 is built once per call.
+    Basis: ground-branch Fock block first, excited-branch block second, both
+    gauged by |n> -> i^n |n>.  The laser frequency is u + detuning; the
+    optical rotating-wave approximation leaves the recoil displacement
+    e^{i k x} on the raised coupling.  Only the excited-block diagonal depends
+    on the detuning, so the real block matrix H0 is built once per call.
     """
     u = model.transition_energy
     half_rabi = 0.5 * model.rabi_frequency
     h_ground, h_excited = static_hamiltonians(replace(model, fock_cutoff=dim))
-    recoil = displacement_operator(dim, model.trap_frequency, model.wavevector)
-    h0 = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    gauge = _fock_gauge(dim)
+    recoil = (gauge * displacement_operator(dim, model.trap_frequency, model.wavevector)).real
+    h0 = np.zeros((2 * dim, 2 * dim))
     h0[:dim, :dim] = h_ground
-    h0[dim:, dim:] = h_excited
+    h0[dim:, dim:] = (gauge * h_excited).real
     h0[dim:, :dim] = half_rabi * recoil
-    h0[:dim, dim:] = half_rabi * recoil.conj().T
+    h0[:dim, dim:] = half_rabi * recoil.T
     excited = np.arange(dim, 2 * dim)
     probabilities = np.empty(len(detunings))
     for i, detuning in enumerate(detunings):
@@ -234,7 +246,7 @@ def _excitation_probabilities(
             raise IntegrationError(
                 f"eigendecomposition residual {eig_defect:.3e} at detuning {detuning!r}"
             )
-        psi = vecs @ (np.exp(-1j * vals * model.pulse_time) * vecs[model.fock_index].conj())
+        psi = vecs @ (np.exp(-1j * vals * model.pulse_time) * vecs[model.fock_index])
         norm_defect = abs(np.linalg.norm(psi) - 1.0)
         if norm_defect > UNITARITY_TOL:
             raise IntegrationError(

@@ -389,23 +389,17 @@ def run_config(
 ) -> list:
     """Run every scenario (sweeps expanded) and return reports in config order."""
     overrides = dict(tolerance_overrides or {})
-    if overrides:
-        known = set()
-        for spec in config.scenarios:
-            known.update(spec.tolerances)
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(
-                f"tolerance overrides {sorted(unknown)} match no scenario in this "
-                f"config; known keys: {sorted(known)}"
-            )
+    known = {key for spec in config.scenarios for key in spec.tolerances}
+    unknown = set(overrides) - known
+    if unknown:
+        raise ConfigError(
+            f"tolerance overrides {sorted(unknown)} match no scenario in this "
+            f"config; known keys: {sorted(known)}"
+        )
     guard = RegimeGuard(strict=True) if strict_regime else DEFAULT_GUARD
     jobs = []
     for spec in config.scenarios:
-        tolerances = dict(spec.tolerances)
-        for key, value in overrides.items():
-            if key in tolerances:
-                tolerances[key] = value
+        tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
         for run_name, run_params in spec.expand():
             jobs.append((spec.kind, run_name, run_params, tolerances))
 

@@ -349,6 +349,11 @@ class FrameEntanglement:
     state_after: PlaneWaveState = field(repr=False)
 
 
+def require_two_levels(spectrum: InternalSpectrum) -> None:
+    if spectrum.dim < 2:
+        raise ValueError("frame-dependent entanglement needs at least two levels")
+
+
 def entanglement_frame_demo(
     spectrum: InternalSpectrum,
     momentum: float,
@@ -363,8 +368,7 @@ def entanglement_frame_demo(
     M_n v_b, so the same state seen from a moving frame is entangled: with
     k equally weighted levels the entropy lands on ln k.
     """
-    if spectrum.dim < 2:
-        raise ValueError("frame-dependent entanglement needs at least two levels")
+    require_two_levels(spectrum)
     before = internal_superposition(spectrum, momentum, levels=levels)
     after = apply_operator(before, VelocityBoost(v_b), guard=guard)
     return FrameEntanglement(

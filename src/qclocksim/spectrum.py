@@ -31,6 +31,8 @@ class InternalSpectrum:
         return 1.0 + np.asarray(self.epsilons, dtype=float)
 
     def mass(self, level: int) -> float:
+        if not 0 <= level < self.dim:
+            raise ValueError(f"level {level} is outside the spectrum (levels 0..{self.dim - 1})")
         return 1.0 + self.epsilons[level]
 
 

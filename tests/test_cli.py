@@ -27,7 +27,9 @@ def _env_without_blas_settings(**extra):
 
 # Level factors and trotter errors that configs/full-suite.json produces,
 # pinned so that any engine change that moves them shows.  The trotter errors
-# are those of one BLAS thread, the setting `import qclocksim` makes.
+# are those of one BLAS thread, the setting `import qclocksim` makes, and of
+# the real symmetric grid eigenproblem, which tests/test_gridops.py holds to
+# a complex Hermitian reference amplitude by amplitude.
 FROZEN_FULL_SUITE = {
     "twin-momentum": ("dilation_factor", [0.9954545454545455]),
     "twin-velocity": ("dilation_factor", [0.99995]),
@@ -35,11 +37,11 @@ FROZEN_FULL_SUITE = {
     "trotter": (
         "error",
         [
-            0.00018053487971774027,
-            9.025739966925262e-05,
-            4.5126199273865e-05,
-            2.2562475684607195e-05,
-            1.1281082005867784e-05,
+            0.00018053487971972593,
+            9.025739967123136e-05,
+            4.512619927584027e-05,
+            2.2562475686580724e-05,
+            1.1281082007840437e-05,
         ],
     ),
 }
@@ -205,6 +207,26 @@ def test_a_spectrum_the_engine_refuses_is_refused_at_validation(tmp_path, capsys
     assert main(["validate", path]) == 2
     assert "scenarios[0] (run 'bad')" in capsys.readouterr().err
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, params, path",
+    [
+        ("twin-momentum", {"translation_level": 5}, "scenarios[0].params.translation_level"),
+        ("twin-momentum", {"translation_level": -1}, "scenarios[0].params.translation_level"),
+        ("entanglement-demo", {"levels": 1}, "scenarios[0].params.levels"),
+    ],
+    ids=["translation-level-above", "translation-level-negative", "entanglement-one-level"],
+)
+def test_a_level_choice_the_engine_refuses_is_refused_at_validation(
+    tmp_path, capsys, kind, params, path
+):
+    config = {"schema_version": 1, "scenarios": [{"kind": kind, "name": "bad", "params": params}]}
+    config_path = _write_config(tmp_path / "bad.json", config)
+    assert main(["validate", config_path]) == 2
+    assert path in capsys.readouterr().err
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 
 

@@ -2,17 +2,24 @@
 
 Oracles used here are independent of the implementation paths they check:
 plane-wave eigenphases against the closed-form dispersion, the Fourier shift
-theorem for boosts, Ehrenfest trajectories for the accelerated frame, and the
-FFT free-evolution path against the dense eigendecomposition path.
+theorem for boosts, Ehrenfest trajectories for the accelerated frame, the
+FFT free-evolution path against the dense eigendecomposition path, and the
+real symmetric branch Hamiltonians against a term-by-term DFT sum and a dense
+complex Hermitian construction of the same evolutions.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qclocksim import load_config
+from qclocksim.config import run_spectrum
 from qclocksim.errors import WraparoundError
 from qclocksim.grid import GridState, gaussian_grid_state
 from qclocksim.gridops import (
     LinearPotentialEvolution,
+    _branch_hamiltonian,
     accelerated_frame_trotter,
     evolve_linear_potential,
     exact_accelerated_evolution,
@@ -185,3 +192,86 @@ def test_packet_driven_into_the_edge_aborts():
     state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0)
     with pytest.raises(WraparoundError):
         exact_accelerated_evolution(state, 2.0, 3.0)
+
+
+def _full_suite_params(kind):
+    config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "full-suite.json"))
+    [spec] = [s for s in config.scenarios if s.kind == kind]
+    [(_, params)] = spec.expand()
+    return params
+
+
+def _full_suite_state(kind):
+    params = _full_suite_params(kind)
+    return gaussian_grid_state(
+        run_spectrum(kind, params),
+        size=params["grid_size"],
+        box_length=params["box_length"],
+        sigma=params["sigma"],
+        momentum=params.get("momentum", 0.0),
+    )
+
+
+def _explicit_kinetic(state, level):
+    """Kinetic matrix (1/D) sum_k kin(p_k) e^{i p_k (x_j - x_j')}, term by term."""
+    kin = total_energy(state.spectrum, level, state.momenta) - state.spectrum.epsilons[level]
+    separation = state.positions[:, None] - state.positions[None, :]
+    out = np.zeros((state.size, state.size), dtype=complex)
+    for p, k in zip(state.momenta, kin):
+        out += k * np.exp(1j * p * separation)
+    return out / state.size
+
+
+def _complex_evolve_static(state, potentials, duration):
+    """Per-level evolution with the complex Hermitian H_n: the kinetic part
+    conjugated by the dense DFT matrix, symmetrized, one complex eigh each."""
+    dft = np.exp(-1j * np.outer(state.momenta, state.positions)) / np.sqrt(state.size)
+    amps = np.empty_like(state.amplitudes)
+    for n, eps in enumerate(state.spectrum.epsilons):
+        kin = total_energy(state.spectrum, n, state.momenta) - eps
+        h = dft.conj().T @ (kin[:, None] * dft) + np.diag(potentials[n] + eps)
+        w, v = np.linalg.eigh(0.5 * (h + h.conj().T))
+        amps[n] = v @ (np.exp(-1j * w * duration) * (v.conj().T @ state.amplitudes[n]))
+    return amps
+
+
+@pytest.mark.parametrize("kind", ["trotter-accel", "impulse-boost"])
+def test_branch_hamiltonian_is_the_symmetric_fourier_grid_sum(kind):
+    state = _full_suite_state(kind)
+    potential = 0.01 * state.positions
+    for level in range(state.spectrum.dim):
+        h = _branch_hamiltonian(state, level, potential)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        expected = _explicit_kinetic(state, level) + np.diag(
+            potential + state.spectrum.epsilons[level]
+        )
+        np.testing.assert_allclose(h, expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_accelerated_evolution_equals_the_complex_reference():
+    params = _full_suite_params("trotter-accel")
+    state = _full_suite_state("trotter-accel")
+    a, t = params["acceleration"], params["duration"]
+    potentials = np.stack([a * m * state.positions for m in state.spectrum.masses])
+    np.testing.assert_allclose(
+        exact_accelerated_evolution(state, a, t).amplitudes,
+        _complex_evolve_static(state, potentials, t),
+        rtol=0.0,
+        atol=1e-13,
+    )
+
+
+def test_linear_potential_evolutions_equal_the_complex_reference():
+    params = _full_suite_params("impulse-boost")
+    state = _full_suite_state("impulse-boost")
+    for dt in params["dt_schedule"]:
+        slope = params["boost"] / dt
+        potentials = np.stack([-slope * m * state.positions for m in state.spectrum.masses])
+        op = LinearPotentialEvolution(strength=slope, duration=dt)
+        np.testing.assert_allclose(
+            evolve_linear_potential(state, op).amplitudes,
+            _complex_evolve_static(state, potentials, dt),
+            rtol=0.0,
+            atol=1e-13,
+        )

@@ -6,6 +6,7 @@ the shipped formulas shows up against an independent computation.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from qclocksim.errors import GridTooNarrowError, IntegrationError
 from qclocksim.ionclock import (
     TrapModel,
     _doubled_cutoff_vertex,
+    _excitation_probabilities,
+    _fock_gauge,
     _p_squared,
     _scan_peak,
     _x_operator,
@@ -278,3 +281,43 @@ def test_wrong_eigenvectors_fail_the_decomposition_check(monkeypatch):
     monkeypatch.setattr(ionclock.np.linalg, "eigh", rotated_eigh)
     with pytest.raises(IntegrationError, match="eigendecomposition residual"):
         spectroscopy_scan(TrapModel(transition_energy=U, trap_frequency=W), points=21)
+
+
+def _complex_excitation_probabilities(model, detunings, dim):
+    """The lineshape without the Fock gauge: the complex Hermitian H0 built
+    from the physical blocks, one complex eigh per detuning."""
+    h_ground, h_excited = static_hamiltonians(replace(model, fock_cutoff=dim))
+    coupling = 0.5 * model.rabi_frequency * displacement_operator(
+        dim, model.trap_frequency, model.wavevector
+    )
+    h0 = np.block([[h_ground, coupling.conj().T], [coupling, h_excited]])
+    out = np.empty(len(detunings))
+    for i, detuning in enumerate(detunings):
+        h = h0.copy()
+        h[range(dim, 2 * dim), range(dim, 2 * dim)] -= model.transition_energy + detuning
+        vals, vecs = np.linalg.eigh(h)
+        psi = vecs @ (np.exp(-1j * vals * model.pulse_time) * vecs[model.fock_index].conj())
+        out[i] = np.linalg.norm(psi[dim:]) ** 2
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("cutoff_factor", [1, 2])
+def test_real_gauged_lineshape_equals_the_complex_reference(n, cutoff_factor):
+    model = TrapModel(transition_energy=U, trap_frequency=W, fock_index=n)
+    dim = cutoff_factor * model.fock_cutoff
+    detunings = spectroscopy_scan(model, check_cutoff=False).detunings
+    np.testing.assert_allclose(
+        _excitation_probabilities(model, detunings, dim),
+        _complex_excitation_probabilities(model, detunings, dim),
+        rtol=0.0,
+        atol=1e-13,
+    )
+
+
+@pytest.mark.parametrize("dim", [32, 64, 128])
+def test_gauged_recoil_is_real_orthogonal(dim):
+    model = TrapModel(transition_energy=U, trap_frequency=W)
+    gauged = _fock_gauge(dim) * displacement_operator(dim, W, model.wavevector)
+    assert np.max(np.abs(gauged.imag)) <= 1e-14
+    np.testing.assert_allclose(gauged.real @ gauged.real.T, np.eye(dim), rtol=0.0, atol=1e-13)

@@ -16,6 +16,13 @@ def test_ladder_spectrum_values():
     assert spec.mass(2) == 1.0 + spec.epsilons[2]
 
 
+@pytest.mark.parametrize("level", [-1, 4])
+def test_mass_refuses_a_level_outside_the_spectrum(level):
+    # A negative index must not alias the top level.
+    with pytest.raises(ValueError, match="outside"):
+        ladder_spectrum(4, 0.05).mass(level)
+
+
 def test_ground_level_must_sit_at_zero():
     with pytest.raises(ValueError):
         make_spectrum([0.1, 0.2])
