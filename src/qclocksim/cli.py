@@ -69,9 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads for independent runs (default: 1); BLAS runs on "
-        "one thread per process, so each worker uses one core and result "
-        "files do not depend on the thread or core count",
+        help="worker threads for independent runs (default: 1); each twin or "
+        "entanglement sweep runs as one batch, split into N contiguous chunks; "
+        "BLAS runs on one thread per process, so each worker uses one core and "
+        "result files do not depend on the thread or core count",
     )
     run.add_argument(
         "--strict-regime",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RegimeError
-from .sequences import require_two_levels
+from .sequences import SequenceKind, build_sequence, require_two_levels
 from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
 from .units import (
     DEFAULT_GUARD,
@@ -52,33 +52,25 @@ class ParamSpec:
 _NUMBER = ParamSpec(_FLOAT, None)
 
 
-PARAM_SCHEMAS = {
-    "twin-momentum": {
+def _twin_schema(boost: float) -> dict:
+    return {
         "levels": ParamSpec(_INT, 2),
         "spacing": ParamSpec(_FLOAT, 0.1, sweepable=True),
         "epsilons": ParamSpec(_FLOAT_LIST, None),
-        "boost": ParamSpec(_FLOAT, 0.1, sweepable=True),
+        "boost": ParamSpec(_FLOAT, boost, sweepable=True),
         "duration": ParamSpec(_FLOAT, 2.0, sweepable=True),
         "probe_momenta": ParamSpec(_FLOAT_LIST, (0.0, 0.1)),
+    }
+
+
+PARAM_SCHEMAS = {
+    "twin-momentum": {
+        **_twin_schema(boost=0.1),
         "translation_level": ParamSpec(_INT, None),
         "state_dependent_translation": ParamSpec(_BOOL, False),
     },
-    "twin-velocity": {
-        "levels": ParamSpec(_INT, 2),
-        "spacing": ParamSpec(_FLOAT, 0.1, sweepable=True),
-        "epsilons": ParamSpec(_FLOAT_LIST, None),
-        "boost": ParamSpec(_FLOAT, 0.01, sweepable=True),
-        "duration": ParamSpec(_FLOAT, 2.0, sweepable=True),
-        "probe_momenta": ParamSpec(_FLOAT_LIST, (0.0, 0.1)),
-    },
-    "twin-observer": {
-        "levels": ParamSpec(_INT, 2),
-        "spacing": ParamSpec(_FLOAT, 0.1, sweepable=True),
-        "epsilons": ParamSpec(_FLOAT_LIST, None),
-        "boost": ParamSpec(_FLOAT, 0.01, sweepable=True),
-        "duration": ParamSpec(_FLOAT, 2.0, sweepable=True),
-        "probe_momenta": ParamSpec(_FLOAT_LIST, (0.0, 0.1)),
-    },
+    "twin-velocity": _twin_schema(boost=0.01),
+    "twin-observer": _twin_schema(boost=0.01),
     "swp": {
         "dim": ParamSpec(_INT, 8),
         "omega0": ParamSpec(_FLOAT, 1.0, sweepable=True),
@@ -319,9 +311,13 @@ def _static_regime_check(kind: str, params: dict, where: str, run_name: str) -> 
     if kind == "ion-spectroscopy":
         _engine_check(f"{where} {run}", guard.check_epsilons, [params["transition_energy"]])
     spectrum = _engine_check(f"{where} {run}", run_spectrum, kind, params, guard)
-    if params.get("translation_level") is not None:
+    if kind == "twin-momentum":
+        # The sequence builder refuses a translation level outside the
+        # spectrum, and one combined with the state-dependent translation.
         _engine_check(
-            f"{where}.params.translation_level {run}", spectrum.mass, params["translation_level"]
+            f"{where}.params.translation_level {run}", build_sequence, SequenceKind.MOMENTUM,
+            params["boost"], params["duration"], params["translation_level"], spectrum,
+            params["state_dependent_translation"],
         )
     if kind == "entanglement-demo":
         _engine_check(f"{where}.params.levels {run}", require_two_levels, spectrum)

@@ -23,7 +23,8 @@ inspected and replayed as data.  Each operator acts on whole component arrays:
 ``momentum_after`` and ``phase_increment`` take level and momentum arrays
 (scalars broadcast) and return the new momenta and the real phase increments,
 which lets sequence runners accumulate unwrapped phase without ever touching
-mod-2pi arithmetic.
+mod-2pi arithmetic.  A batch of runs adds a leading run axis: operator
+parameters become (runs, 1) columns and momenta (runs, components) arrays.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def kinetic_energy(spectrum: InternalSpectrum, level, p):
     level and p may be arrays of equal or broadcastable shape.
     """
     half_psq = 0.5 * np.asarray(p) * p
-    eps = np.asarray(spectrum.epsilons)[level]
+    eps = np.asarray(spectrum.epsilons)[..., level]
     return half_psq - eps * (half_psq / (1.0 + eps))
 
 
@@ -97,7 +98,7 @@ def total_energy(spectrum: InternalSpectrum, level, p):
     energy times its motional dilation factor.  level and p broadcast.
     """
     half_psq = 0.5 * np.asarray(p) * p
-    eps = np.asarray(spectrum.epsilons)[level]
+    eps = np.asarray(spectrum.epsilons)[..., level]
     return half_psq + eps * (1.0 - half_psq / (1.0 + eps))
 
 
@@ -106,7 +107,7 @@ def momentum_after(op: OperatorSpec, spectrum: InternalSpectrum, level, p):
     if isinstance(op, MomentumBoost):
         return p + op.magnitude
     if isinstance(op, VelocityBoost):
-        return p + spectrum.masses[level] * op.magnitude
+        return p + spectrum.masses[..., level] * op.magnitude
     return p
 
 
@@ -116,7 +117,7 @@ def phase_increment(op: OperatorSpec, spectrum: InternalSpectrum, level, p):
     if isinstance(op, Translation):
         return -p * op.shift
     if isinstance(op, BranchTranslation):
-        return -p * (op.shift / spectrum.masses[level])
+        return -p * (op.shift / spectrum.masses[..., level])
     if isinstance(op, FreeEvolution):
         return -op.duration * total_energy(spectrum, level, p)
     return np.zeros_like(p)
@@ -127,11 +128,11 @@ def trace_chain(
 ) -> tuple[PlaneWaveState, np.ndarray]:
     """Apply a chain and also return per-component unwrapped phase totals.
 
-    Each operator is one array map on (levels, momenta, amplitudes).  The
-    phase array sums the same ``phase_increment`` values the amplitudes are
-    rotated by, as plain real numbers, so it is free of mod-2pi ambiguity and
-    can be differenced across components safely.  The output state is built
-    (and validated) once, after the last operator.
+    Each operator is one array map on (levels, momenta, amplitudes), for all
+    runs of a batch.  The phase array sums the same ``phase_increment``
+    values the amplitudes are rotated by, as plain real numbers, so it is
+    free of mod-2pi ambiguity and can be differenced across components
+    safely.  The guard and the output state's validation run once, at the end.
     """
     guard = guard or DEFAULT_GUARD
     spectrum = state.spectrum
@@ -139,15 +140,18 @@ def trace_chain(
     momenta = state.momenta
     amps = state.amplitudes
     phases = np.zeros(len(levels))
+    kicks = []
     for op in ops:
         increment = phase_increment(op, spectrum, levels, momenta)
-        phases += increment
+        phases = phases + increment
         # One rotation per operator, as the operators act; a single
         # exp(1j * phases) at the end rounds differently in the last bits.
         amps = amps * np.exp(1j * increment)
         momenta = momentum_after(op, spectrum, levels, momenta)
         if isinstance(op, (MomentumBoost, VelocityBoost)):
-            guard.check_momenta(momenta, context=type(op).__name__)
+            kicks.append((type(op).__name__, momenta))
+    if kicks:
+        guard.check_kicks(kicks)
     return state.with_amplitudes(amps, momenta=momenta), phases
 
 

@@ -65,6 +65,10 @@ class RunReport:
             )
         )
 
+    def add_bound(self, name: str, value, tolerance, detail: str = "") -> None:
+        """A check that passes while value stays at or below tolerance."""
+        self.add_check(name, value <= tolerance, value, tolerance, detail)
+
     def summary_lines(self) -> list:
         lines = [f"[{self.scenario}] {self.name}: {len(self.rows)} rows"]
         for check in self.checks:

@@ -3,10 +3,13 @@
 Each scenario kind has one runner that builds the physical objects, runs
 the engine, fills a RunReport with rows, and applies that kind's tolerance
 checks.  Runners never print and never write files; the CLI layer owns all
-I/O.  Sweep points are independent runs and may execute on a thread pool
-(the heavy lifting is numpy linear algebra, which releases the GIL).
-`import qclocksim` sets BLAS to one thread per process, so N workers use N
-cores, and results are bit-identical whatever N or the core count; they are
+I/O.  A twin or entanglement sweep runs as one batch, as arrays with a
+leading run axis, and its runner builds one report per run from the result
+arrays; other sweep points are independent runs.  Jobs may execute on a
+thread pool (the heavy lifting is numpy, which releases the GIL), and
+--threads N splits each batch into N contiguous chunks.  `import qclocksim`
+sets BLAS to one thread per process, so N workers use N cores, and results
+are bit-identical whatever N, the chunking or the core count; they are
 always returned in config order regardless of thread timing.
 """
 
@@ -31,6 +34,7 @@ from .sequences import (
 )
 # Not called here; perfbench/tracer.py looks these names up in this module.
 from .spectrum import ladder_spectrum, make_spectrum  # noqa: F401
+from .spectrum import stack_spectra
 from .swp import DilationProfile, SWPClock, find_effective_ticks
 from .units import DEFAULT_GUARD, RegimeGuard
 
@@ -41,62 +45,73 @@ _SEQUENCE_KINDS = {
 }
 
 
-def _run_twin(kind: str, name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    spectrum = run_spectrum(kind, params, guard)
-    probe = default_probe(
-        spectrum,
-        momenta=params["probe_momenta"],
-        levels=tuple(range(spectrum.dim)),
-    )
+def _sweep_spectrum(kind: str, runs: list, guard: RegimeGuard):
+    """The batch's spectrum, stacked per run; each distinct level set is built once."""
+    keys = [(p["levels"], p["spacing"], p.get("epsilons")) for p in runs]
+    built = {key: run_spectrum(kind, p, guard) for key, p in dict(zip(keys, runs)).items()}
+    return stack_spectra([built[key] for key in keys])
+
+
+def _run_twin(kind: str, names: list, runs: list, tol: dict, guard: RegimeGuard) -> list:
+    # The runs of one sweep differ only in the swept parameter.
+    spectrum = _sweep_spectrum(kind, runs, guard)
+    params = runs[0]
     result = run_sequence(
         _SEQUENCE_KINDS[kind],
         spectrum,
-        boost=params["boost"],
-        duration=params["duration"],
-        probe=probe,
+        boost=np.array([p["boost"] for p in runs]),
+        duration=np.array([p["duration"] for p in runs]),
+        probe=default_probe(spectrum, params["probe_momenta"], tuple(range(spectrum.dim))),
         translation_level=params.get("translation_level"),
         state_dependent_translation=params.get("state_dependent_translation", False),
         guard=guard,
         identity_tol=float("inf"),
     )
-    report = RunReport(scenario=kind, name=name, parameters=dict(params))
-    for level in sorted(result.level_factors):
-        report.rows.append(
-            {
-                "level": level,
-                "epsilon": spectrum.epsilons[level],
-                "mass": spectrum.masses[level],
-                "dilation_factor": result.level_factors[level],
-                "closed_form_factor": result.level_factors_closed[level],
-                "gamma": result.gammas[level],
-            }
+    shape = (len(runs), spectrum.dim)
+    epsilons = np.broadcast_to(spectrum.epsilons, shape).tolist()
+    masses = np.broadcast_to(spectrum.masses, shape).tolist()
+    levels = sorted(result.level_factors)
+    factors, closed, gammas = (
+        {n: values[n].tolist() for n in levels}
+        for values in (result.level_factors, result.level_factors_closed, result.gammas)
+    )
+    reports = []
+    for r, name in enumerate(names):
+        report = RunReport(scenario=kind, name=name, parameters=dict(runs[r]))
+        for level in levels:
+            report.rows.append(
+                {
+                    "level": level,
+                    "epsilon": epsilons[r][level],
+                    "mass": masses[r][level],
+                    "dilation_factor": factors[level][r],
+                    "closed_form_factor": closed[level][r],
+                    "gamma": gammas[level][r],
+                }
+            )
+        report.add_bound(
+            "identity_residual", float(result.residual_max[r]), tol["identity_residual"],
+            "max phase residual against the closed form, per component",
         )
-    report.add_check(
-        "identity_residual",
-        result.residual_max <= tol["identity_residual"],
-        result.residual_max,
-        tol["identity_residual"],
-        detail="max phase residual against the closed form, per component",
-    )
-    report.add_check(
-        "closed_form_fidelity",
-        result.fidelity_deviation <= tol["closed_form_fidelity"],
-        result.fidelity_deviation,
-        tol["closed_form_fidelity"],
-        detail="|<closed form|sequence output> - 1|",
-    )
-    if kind == "twin-observer":
-        report.add_check(
-            "observer_global_phase_negative",
-            result.global_phase < 0.0 and result.global_phase_closed < 0.0,
-            result.global_phase,
-            0.0,
-            detail="moving-observer sequences must flip the global phase sign",
+        report.add_bound(
+            "closed_form_fidelity", float(result.fidelity_deviation[r]),
+            tol["closed_form_fidelity"], "|<closed form|sequence output> - 1|",
         )
-    report.notes.append(
-        f"global phase {result.global_phase!r} (closed form {result.global_phase_closed!r})"
-    )
-    return report
+        global_phase = float(result.global_phase[r])
+        global_phase_closed = float(result.global_phase_closed[r])
+        if kind == "twin-observer":
+            report.add_check(
+                "observer_global_phase_negative",
+                global_phase < 0.0 and global_phase_closed < 0.0,
+                global_phase,
+                0.0,
+                detail="moving-observer sequences must flip the global phase sign",
+            )
+        report.notes.append(
+            f"global phase {global_phase!r} (closed form {global_phase_closed!r})"
+        )
+        reports.append(report)
+    return reports
 
 
 def _run_swp(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
@@ -138,21 +153,15 @@ def _run_swp(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunRepor
     )
     if profile.is_uniform:
         worst = float(np.max(scan.tick_variances / (tau * tau))) if enough else float("inf")
-        report.add_check(
-            "tick_variance_in_tau2",
-            worst <= tol["tick_variance_in_tau2"],
-            worst,
-            tol["tick_variance_in_tau2"],
-            detail="uniform dilation must rephase the pointer completely",
+        report.add_bound(
+            "tick_variance_in_tau2", worst, tol["tick_variance_in_tau2"],
+            "uniform dilation must rephase the pointer completely",
         )
         d = float(profile.factors[0])
         rescaled = abs(scan.mean_spacing * d / tau - 1.0) if enough else float("inf")
-        report.add_check(
-            "classical_spacing_deviation",
-            rescaled <= tol["classical_spacing_deviation"],
-            rescaled,
-            tol["classical_spacing_deviation"],
-            detail="tick spacing times the uniform factor must equal tau",
+        report.add_bound(
+            "classical_spacing_deviation", rescaled, tol["classical_spacing_deviation"],
+            "tick spacing times the uniform factor must equal tau",
         )
     else:
         floor = float(np.min(scan.tick_variances / (tau * tau))) if enough else float("-inf")
@@ -198,38 +207,26 @@ def _run_ion(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunRepor
             "transition energy is zero: no relative shift defined, checking the "
             "absolute peak stays at zero instead"
         )
-        report.add_check(
-            "null_shift_bound",
-            abs(scan.peak_detuning) <= tol["null_shift_bound"],
-            abs(scan.peak_detuning),
-            tol["null_shift_bound"],
-            detail="a massless internal gap must not shift the line",
+        report.add_bound(
+            "null_shift_bound", abs(scan.peak_detuning), tol["null_shift_bound"],
+            "a massless internal gap must not shift the line",
         )
     else:
         mismatch = abs(scan.relative_shift / oracle.relative_shift - 1.0)
-        report.add_check(
-            "scan_vs_oracle",
-            mismatch <= tol["scan_vs_oracle"],
-            mismatch,
-            tol["scan_vs_oracle"],
-            detail="relative shift from the lineshape peak vs the branch oracle",
+        report.add_bound(
+            "scan_vs_oracle", mismatch, tol["scan_vs_oracle"],
+            "relative shift from the lineshape peak vs the branch oracle",
         )
         expansion = abs(
             oracle.relative_shift / oracle.first_order_relative - 1.0
         )
-        report.add_check(
-            "oracle_vs_first_order",
-            expansion <= tol["oracle_vs_first_order"],
-            expansion,
-            tol["oracle_vs_first_order"],
-            detail="oracle against the leading-order shift formula",
+        report.add_bound(
+            "oracle_vs_first_order", expansion, tol["oracle_vs_first_order"],
+            "oracle against the leading-order shift formula",
         )
-    report.add_check(
-        "cutoff_change",
-        scan.cutoff_shift_change <= tol["cutoff_change"],
-        scan.cutoff_shift_change,
-        tol["cutoff_change"],
-        detail="peak movement when the Fock cutoff doubles",
+    report.add_bound(
+        "cutoff_change", scan.cutoff_shift_change, tol["cutoff_change"],
+        "peak movement when the Fock cutoff doubles",
     )
     return report
 
@@ -270,12 +267,9 @@ def _run_trotter(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunR
         )
     else:
         report.notes.append("steps are not a doubling schedule; ratio range not checked")
-    report.add_check(
-        "terminal_error",
-        result.terminal_error <= tol["terminal_error"],
-        result.terminal_error,
-        tol["terminal_error"],
-        detail=f"product-formula error at {int(result.steps[-1])} steps",
+    report.add_bound(
+        "terminal_error", result.terminal_error, tol["terminal_error"],
+        f"product-formula error at {int(result.steps[-1])} steps",
     )
     return report
 
@@ -333,41 +327,48 @@ def _run_impulse(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunR
     return report
 
 
-def _run_entanglement(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    spectrum = run_spectrum("entanglement-demo", params, guard)
+def _run_entanglement(kind: str, names: list, runs: list, tol: dict, guard: RegimeGuard) -> list:
+    spectrum = _sweep_spectrum(kind, runs, guard)
     demo = entanglement_frame_demo(
-        spectrum, momentum=params["momentum"], v_b=params["boost"], guard=guard
+        spectrum,
+        momentum=runs[0]["momentum"],
+        v_b=np.array([p["boost"] for p in runs]),
+        guard=guard,
     )
     max_entropy = math.log(spectrum.dim)
-    report = RunReport(scenario="entanglement-demo", name=name, parameters=dict(params))
-    report.rows.append(
-        {"stage": "before-boost", "entropy": demo.entropy_before, "ceiling": max_entropy}
-    )
-    report.rows.append(
-        {"stage": "after-boost", "entropy": demo.entropy_after, "ceiling": max_entropy}
-    )
-    report.add_check(
-        "entropy_before_zero",
-        abs(demo.entropy_before) <= tol["entropy_abs"],
-        abs(demo.entropy_before),
-        tol["entropy_abs"],
-        detail="a product state has zero internal-motional entanglement",
-    )
-    report.add_check(
-        "entropy_after_maximal",
-        abs(demo.entropy_after - max_entropy) <= tol["entropy_abs"],
-        abs(demo.entropy_after - max_entropy),
-        tol["entropy_abs"],
-        detail="a velocity boost correlates momentum with every internal level",
-    )
-    return report
+    before = demo.entropy_before
+    reports = []
+    for name, params, after in zip(names, runs, demo.entropy_after.tolist()):
+        report = RunReport(scenario=kind, name=name, parameters=dict(params))
+        report.rows.append({"stage": "before-boost", "entropy": before, "ceiling": max_entropy})
+        report.rows.append({"stage": "after-boost", "entropy": after, "ceiling": max_entropy})
+        report.add_bound(
+            "entropy_before_zero", abs(before), tol["entropy_abs"],
+            "a product state has zero internal-motional entanglement",
+        )
+        report.add_bound(
+            "entropy_after_maximal", abs(after - max_entropy), tol["entropy_abs"],
+            "a velocity boost correlates momentum with every internal level",
+        )
+        reports.append(report)
+    return reports
 
 
-def run_scenario(kind: str, name: str, params: dict, tolerances: dict, guard=None) -> RunReport:
-    """Run one expanded scenario instance and return its report."""
+# Kinds whose sweeps run as one batch.
+_BATCH_RUNNERS = dict.fromkeys(_SEQUENCE_KINDS, _run_twin) | {"entanglement-demo": _run_entanglement}
+
+
+def run_scenario(kind: str, name, params, tolerances: dict, guard=None):
+    """Run one expanded scenario instance and return its report.
+
+    Twin and entanglement kinds also take a batch: lists of run names and
+    params, runs of one sweep, give a list of their reports in that order.
+    """
     guard = DEFAULT_GUARD if guard is None else guard
-    if kind in _SEQUENCE_KINDS:
-        return _run_twin(kind, name, params, tolerances, guard)
+    if kind in _BATCH_RUNNERS:
+        if isinstance(name, str):
+            return _BATCH_RUNNERS[kind](kind, [name], [params], tolerances, guard)[0]
+        return _BATCH_RUNNERS[kind](kind, name, params, tolerances, guard)
     if kind == "swp":
         return _run_swp(name, params, tolerances, guard)
     if kind == "ion-spectroscopy":
@@ -376,8 +377,6 @@ def run_scenario(kind: str, name: str, params: dict, tolerances: dict, guard=Non
         return _run_trotter(name, params, tolerances, guard)
     if kind == "impulse-boost":
         return _run_impulse(name, params, tolerances, guard)
-    if kind == "entanglement-demo":
-        return _run_entanglement(name, params, tolerances, guard)
     raise ConfigError(f"unknown scenario kind {kind!r}")
 
 
@@ -387,7 +386,11 @@ def run_config(
     tolerance_overrides: dict | None = None,
     strict_regime: bool = False,
 ) -> list:
-    """Run every scenario (sweeps expanded) and return reports in config order."""
+    """Run every scenario (sweeps expanded) and return reports in config order.
+
+    A twin or entanglement sweep is one job, split into `threads`
+    contiguous chunks; every other run is a job of its own.
+    """
     overrides = dict(tolerance_overrides or {})
     known = {key for spec in config.scenarios for key in spec.tolerances}
     unknown = set(overrides) - known
@@ -400,14 +403,24 @@ def run_config(
     jobs = []
     for spec in config.scenarios:
         tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
-        for run_name, run_params in spec.expand():
-            jobs.append((spec.kind, run_name, run_params, tolerances))
+        runs = spec.expand()
+        if spec.kind not in _BATCH_RUNNERS:
+            jobs += [(spec.kind, name, params, tolerances) for name, params in runs]
+            continue
+        chunks = min(max(threads, 1), len(runs))
+        bounds = [len(runs) * i // chunks for i in range(chunks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            names, params = zip(*runs[lo:hi])
+            jobs.append((spec.kind, list(names), list(params), tolerances))
 
     def one(job):
-        kind, run_name, run_params, tolerances = job
-        return run_scenario(kind, run_name, run_params, tolerances, guard=guard)
+        kind, name, params, tolerances = job
+        return run_scenario(kind, name, params, tolerances, guard=guard)
 
     if threads <= 1 or len(jobs) <= 1:
-        return [one(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, jobs))
+        results = [one(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(one, jobs))
+    return [report for result in results
+            for report in (result if isinstance(result, list) else [result])]

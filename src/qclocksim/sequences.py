@@ -23,7 +23,9 @@ state runs fast rather than slow and the global phase flips sign.
 
 ``run_sequence`` executes the operator chain step by step and extracts
 G and d_n from the accumulated phases; the closed forms above are evaluated
-independently and used as the oracle the run must reproduce.
+independently and used as the oracle the run must reproduce.  A sweep runs
+as one batch: boost, duration and the levels carry a leading run axis, and
+every run goes through the same array passes.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .spectrum import InternalSpectrum
 from .states import (
     MERGE_TOL,
     PlaneWaveState,
-    inner_product,
+    fidelity_deviation,
     internal_superposition,
     reduced_internal_entropy,
 )
@@ -83,7 +85,9 @@ def build_sequence(
     spectrum: InternalSpectrum | None = None,
     state_dependent_translation: bool = False,
 ) -> list[OperatorSpec]:
-    """Operator chain for one round trip, in application order."""
+    """Operator chain for one round trip, in application order (per run for columns)."""
+    if translation_level is not None and state_dependent_translation:
+        raise ValueError("choose either a translation level or the state-dependent variant")
     t = duration
     if kind is SequenceKind.MOMENTUM:
         drift = boost * t
@@ -129,7 +133,7 @@ def closed_dilation_factor(
 ):
     """Internal dilation factor d_n predicted for a level or an array of levels."""
     if kind is SequenceKind.MOMENTUM:
-        correction = boost * boost / (2.0 * spectrum.masses[level])
+        correction = boost * boost / (2.0 * spectrum.masses[..., level])
         return 1.0 + correction if state_dependent_translation else 1.0 - correction
     if kind is SequenceKind.VELOCITY_CLOCK:
         return 1.0 - 0.5 * boost * boost
@@ -168,12 +172,13 @@ def closed_form_phase(
     motional = -2.0 * duration * kinetic_energy(spectrum, level, momentum)
     g = closed_global_phase(kind, spectrum, boost, duration, translation_level)
     d = closed_dilation_factor(kind, spectrum, boost, level, state_dependent_translation)
-    return motional + g - 2.0 * duration * np.asarray(spectrum.epsilons)[level] * d
+    return motional + g - 2.0 * duration * np.asarray(spectrum.epsilons)[..., level] * d
 
 
 @dataclass(frozen=True)
 class SequenceResult:
-    """Everything extracted from one executed round trip."""
+    """Everything extracted from executed round trips: per-run fields are
+    floats for a single run and arrays along the run axis for a batch."""
 
     kind: SequenceKind
     boost: float
@@ -196,22 +201,35 @@ class SequenceResult:
 
     def __post_init__(self):
         for n, d in self.level_factors.items():
-            if not 0.0 < d < 2.0:
-                raise ValueError(f"extracted dilation factor {d} for level {n} outside (0, 2)")
+            d = np.ravel(d)[~((0.0 < np.ravel(d)) & (np.ravel(d) < 2.0))]
+            if len(d):
+                raise ValueError(f"extracted dilation factor {d[0]} for level {n} outside (0, 2)")
+
+
+def _run_columns(spectrum: InternalSpectrum, *values):
+    """The run shape, and per-run values as (runs, 1) columns (as given if there are no runs)."""
+    runs = np.broadcast_shapes(*(np.shape(v) for v in values), spectrum.masses.shape[:-1])
+    if runs:
+        values = tuple(np.broadcast_to(np.asarray(v, float), runs)[..., None] for v in values)
+    return runs, values
 
 
 def run_sequence(
     kind: SequenceKind,
     spectrum: InternalSpectrum,
-    boost: float,
-    duration: float,
+    boost,
+    duration,
     probe: PlaneWaveState | None = None,
     translation_level: int | None = None,
     state_dependent_translation: bool = False,
     guard: RegimeGuard | None = None,
     identity_tol: float = 1e-12,
 ) -> SequenceResult:
-    """Execute one round-trip sequence and verify it against its closed form.
+    """Execute round-trip sequences and verify them against their closed form.
+
+    boost and duration may hold one value per run and spectrum may be a stack
+    (``stack_spectra``): the runs then share the probe's levels and momenta
+    and go through the chain, and each check, as one batch.
 
     The probe must occupy level 0: the ground branch carries no internal
     phase and anchors the global-phase extraction.  Dilation factors are read
@@ -219,97 +237,105 @@ def run_sequence(
     evaluated independently and any component whose phase disagrees beyond
     identity_tol raises IdentityViolationError.
     """
-    if duration <= 0.0:
+    if np.any(np.asarray(duration) <= 0.0):
         raise ValueError("duration must be positive")
-    if translation_level is not None and state_dependent_translation:
-        raise ValueError("choose either a translation level or the state-dependent variant")
     probe = probe if probe is not None else default_probe(spectrum)
     if probe.spectrum != spectrum:
         raise ValueError("probe was built on a different spectrum")
     if 0 not in probe.levels:
         raise ValueError("probe must occupy level 0 to anchor phase extraction")
+    runs, (b, t) = _run_columns(spectrum, boost, duration)
+
+    def per_run(x):
+        return np.reshape(x, runs) if runs else float(np.reshape(x, ()))
 
     ops = build_sequence(
-        kind, boost, duration,
+        kind, b, t,
         translation_level=translation_level,
         spectrum=spectrum,
         state_dependent_translation=state_dependent_translation,
     )
     final, phases = trace_chain(probe, ops, guard=guard)
 
-    momentum_err = float(np.max(np.abs(final.momenta - probe.momenta)))
-    if momentum_err > MERGE_TOL:
+    momentum_err = np.max(np.abs(final.momenta - probe.momenta), axis=-1, keepdims=True)
+    if np.max(momentum_err) > MERGE_TOL:
         raise SequencingError(
-            f"sequence did not return momenta (max error {momentum_err:.3e})"
+            f"sequence did not return momenta (max error {np.max(momentum_err):.3e})"
         )
     if float(np.max(np.abs(phases))) > MAX_TOTAL_PHASE:
         raise ValueError("accumulated phase exceeds the mod-2pi safety cap; shorten the run")
 
     closed = closed_form_phase(
-        kind, spectrum, boost, duration, probe.levels, probe.momenta,
+        kind, spectrum, b, t, probe.levels, probe.momenta,
         translation_level, state_dependent_translation,
     )
     residuals = np.abs(np.exp(1j * (phases - closed)) - 1.0)
-    residual_max = float(np.max(residuals))
+    residual_max = np.max(residuals, axis=-1, keepdims=True)
     rhs_state = probe.with_amplitudes(probe.amplitudes * np.exp(1j * closed))
-    fid_dev = abs(inner_product(rhs_state, final) - 1.0)
-    if residual_max > identity_tol:
+    fid_dev = fidelity_deviation(rhs_state, final)
+    if np.max(residual_max) > identity_tol:
         raise IdentityViolationError(
-            f"sequence disagrees with closed form: max residual {residual_max:.3e} "
+            f"sequence disagrees with closed form: max residual {np.max(residual_max):.3e} "
             f"(tol {identity_tol:.1e})"
         )
 
     # Strip the motional part; what is left must be momentum-independent
     # within each level: G - 2 t epsilon_n d_n.
-    internal = phases + 2.0 * duration * kinetic_energy(spectrum, probe.levels, probe.momenta)
-    occupied = sorted(set(int(n) for n in probe.levels))
-    level_phase: dict[int, float] = {}
+    internal = phases + 2.0 * t * kinetic_energy(spectrum, probe.levels, probe.momenta)
+    epsilons = np.asarray(spectrum.epsilons)
+    occupied = sorted(set(probe.levels.tolist()))
+    level_phase = {}
     spread_max = 0.0
     for n in occupied:
-        vals = internal[probe.levels == n]
-        level_phase[n] = float(np.mean(vals))
-        spread_max = max(spread_max, float(np.max(vals) - np.min(vals)))
+        vals = internal[..., probe.levels == n]
+        level_phase[n] = np.mean(vals, axis=-1, keepdims=True)
+        spread_max = np.maximum(
+            spread_max,
+            np.max(vals, axis=-1, keepdims=True) - np.min(vals, axis=-1, keepdims=True),
+        )
 
+    # Level 0 anchors G; every level above it has epsilon_n > 0, and any two
+    # levels differ in energy (make_spectrum).
     g_extracted = level_phase[0]
-    factors: dict[int, float] = {}
-    for n in occupied:
-        eps = spectrum.epsilons[n]
-        if eps > 0.0:
-            factors[n] = (g_extracted - level_phase[n]) / (2.0 * duration * eps)
-    pair_factors: dict[tuple[int, int], float] = {}
-    for i, n in enumerate(occupied):
-        for m in occupied[i + 1:]:
-            gap = spectrum.epsilons[m] - spectrum.epsilons[n]
-            if gap != 0.0:
-                pair_factors[(n, m)] = (level_phase[n] - level_phase[m]) / (2.0 * duration * gap)
-
-    if kind is SequenceKind.MOMENTUM:
-        gammas = {n: float(np.sqrt(1.0 + boost**2 / spectrum.mass(n) ** 2)) for n in occupied}
-    else:
-        # A velocity kick gives branch n momentum M_n v, i.e. the same speed.
-        gammas = {n: float(np.sqrt(1.0 + boost**2)) for n in occupied}
+    factors = {n: (g_extracted - level_phase[n]) / (2.0 * t * epsilons[..., [n]])
+               for n in occupied[1:]}
+    pair_factors = {
+        (n, m): (level_phase[n] - level_phase[m])
+        / (2.0 * t * (epsilons[..., [m]] - epsilons[..., [n]]))
+        for i, n in enumerate(occupied) for m in occupied[i + 1:]
+    }
+    # A velocity kick gives branch n momentum M_n v, i.e. the same speed.
+    # float_power is libm pow, as a float's ** is; numpy's ** 2 squares.
+    gammas = {
+        n: np.sqrt(1.0 + np.float_power(b, 2) / (
+            np.float_power(spectrum.mass(n), 2) if kind is SequenceKind.MOMENTUM else 1.0
+        ))
+        for n in occupied
+    }
 
     return SequenceResult(
         kind=kind,
-        boost=boost,
-        duration=duration,
+        boost=per_run(b),
+        duration=per_run(t),
         levels=probe.levels.copy(),
         momenta=probe.momenta.copy(),
         phases=phases,
         residuals=residuals,
-        residual_max=residual_max,
-        fidelity_deviation=fid_dev,
-        global_phase=g_extracted,
-        global_phase_closed=closed_global_phase(kind, spectrum, boost, duration, translation_level),
-        level_factors=factors,
+        residual_max=per_run(residual_max),
+        fidelity_deviation=per_run(fid_dev),
+        global_phase=per_run(g_extracted),
+        global_phase_closed=per_run(
+            closed_global_phase(kind, spectrum, b, t, translation_level)
+        ),
+        level_factors={n: per_run(d) for n, d in factors.items()},
         level_factors_closed={
-            n: closed_dilation_factor(kind, spectrum, boost, n, state_dependent_translation)
+            n: per_run(closed_dilation_factor(kind, spectrum, b, [n], state_dependent_translation))
             for n in factors
         },
-        pair_factors=pair_factors,
-        gammas=gammas,
-        momentum_error_max=momentum_err,
-        level_phase_spread_max=spread_max,
+        pair_factors={pair: per_run(f) for pair, f in pair_factors.items()},
+        gammas={n: per_run(g) for n, g in gammas.items()},
+        momentum_error_max=per_run(momentum_err),
+        level_phase_spread_max=per_run(spread_max),
         final_state=final,
     )
 
@@ -341,7 +367,11 @@ def pairwise_dilation(spectrum: InternalSpectrum, boost: float) -> PairwiseDilat
 
 @dataclass(frozen=True)
 class FrameEntanglement:
-    """Internal-motional entanglement before and after a velocity boost."""
+    """Internal-motional entanglement before and after a velocity boost.
+
+    entropy_after has one entry per run for a batch; the runs share the
+    unboosted state and so its entropy.
+    """
 
     entropy_before: float
     entropy_after: float
@@ -357,7 +387,7 @@ def require_two_levels(spectrum: InternalSpectrum) -> None:
 def entanglement_frame_demo(
     spectrum: InternalSpectrum,
     momentum: float,
-    v_b: float,
+    v_b,
     levels=None,
     guard: RegimeGuard | None = None,
 ) -> FrameEntanglement:
@@ -366,9 +396,11 @@ def entanglement_frame_demo(
     A single plane wave times an internal superposition is a product state
     (entropy 0).  A velocity boost sends each branch to its own momentum
     M_n v_b, so the same state seen from a moving frame is entangled: with
-    k equally weighted levels the entropy lands on ln k.
+    k equally weighted levels the entropy lands on ln k.  v_b may hold one
+    boost per run and spectrum may be a stack, as in ``run_sequence``.
     """
     require_two_levels(spectrum)
+    _, (v_b,) = _run_columns(spectrum, v_b)
     before = internal_superposition(spectrum, momentum, levels=levels)
     after = apply_operator(before, VelocityBoost(v_b), guard=guard)
     return FrameEntanglement(

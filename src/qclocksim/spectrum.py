@@ -17,23 +17,32 @@ from .units import DEFAULT_GUARD, RegimeGuard
 
 @dataclass(frozen=True)
 class InternalSpectrum:
-    """Sorted internal energies (as fractions of the rest-mass energy)."""
+    """Sorted internal energies (as fractions of the rest-mass energy); a stack
+    (``stack_spectra``) holds one tuple per run, and masses gain a run axis."""
 
-    epsilons: tuple[float, ...]
+    epsilons: tuple
 
     @property
     def dim(self) -> int:
-        return len(self.epsilons)
+        return np.shape(self.epsilons)[-1]
 
     @property
     def masses(self) -> np.ndarray:
         """Per-branch masses M_n = 1 + epsilon_n (ground-state mass = 1)."""
         return 1.0 + np.asarray(self.epsilons, dtype=float)
 
-    def mass(self, level: int) -> float:
+    def mass(self, level: int):
+        """M_level; for a stack, one per run as a column that broadcasts per component."""
         if not 0 <= level < self.dim:
             raise ValueError(f"level {level} is outside the spectrum (levels 0..{self.dim - 1})")
-        return 1.0 + self.epsilons[level]
+        return self.masses[level] if np.ndim(self.epsilons) == 1 else self.masses[:, level, None]
+
+
+def stack_spectra(spectra) -> InternalSpectrum:
+    """One spectrum for a batch of runs: shared when every run has the same levels."""
+    if all(s == spectra[0] for s in spectra):
+        return spectra[0]
+    return InternalSpectrum(tuple(s.epsilons for s in spectra))
 
 
 def make_spectrum(epsilons, guard: RegimeGuard | None = None) -> InternalSpectrum:

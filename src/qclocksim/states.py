@@ -27,7 +27,8 @@ _DROP_TOL = 1e-30
 
 @dataclass(frozen=True, eq=False)
 class PlaneWaveState:
-    """Normalized superposition of (level, momentum) plane-wave components."""
+    """Normalized superposition of (level, momentum) plane-wave components;
+    momenta and amplitudes may carry a leading run axis (runs share levels)."""
 
     spectrum: InternalSpectrum
     levels: np.ndarray
@@ -37,15 +38,17 @@ class PlaneWaveState:
     def __post_init__(self):
         for arr in (self.levels, self.momenta, self.amplitudes):
             arr.flags.writeable = False
-        if not (len(self.levels) == len(self.momenta) == len(self.amplitudes)):
+        if not (self.levels.ndim == 1
+                and self.momenta.shape[-1] == self.amplitudes.shape[-1] == len(self.levels)):
             raise ValueError("component arrays must have equal length")
         if len(self.levels) == 0:
             raise ValueError("state needs at least one component")
         if self.levels.min() < 0 or self.levels.max() >= self.spectrum.dim:
             raise ValueError("component level outside the spectrum")
-        n = self.norm()
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"state norm {n} deviates from 1 beyond 1e-12")
+        norms = np.ravel(self.norm())
+        worst = norms[np.argmax(np.abs(norms - 1.0))]
+        if abs(worst - 1.0) > 1e-12:
+            raise ValueError(f"state norm {worst} deviates from 1 beyond 1e-12")
 
     @classmethod
     def from_components(
@@ -80,8 +83,8 @@ class PlaneWaveState:
             amps = amps / np.linalg.norm(amps)
         return cls(spectrum, levels, momenta, amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self):
+        return np.linalg.norm(self.amplitudes, axis=-1)
 
     def components(self):
         """Iterate (level, momentum, amplitude) triples."""
@@ -121,55 +124,69 @@ def internal_superposition(
     )
 
 
-def inner_product(bra: PlaneWaveState, ket: PlaneWaveState) -> complex:
+def inner_product(bra: PlaneWaveState, ket: PlaneWaveState):
     """<bra|ket> with components matched by (level, momentum within tolerance).
 
     Distinct momenta are exactly orthogonal, so unmatched components simply
-    contribute nothing.
+    contribute nothing.  States with a run axis give one product per run,
+    each rounded as the scalar sum 0 + c_0 + c_1 + ... in component order.
     """
     if bra.spectrum != ket.spectrum:
         raise ValueError("states live on different internal spectra")
-    total = 0.0 + 0.0j
-    i = j = 0
-    while i < len(bra.levels) and j < len(ket.levels):
-        key_b = (int(bra.levels[i]), float(bra.momenta[i]))
-        key_k = (int(ket.levels[j]), float(ket.momenta[j]))
-        if key_b[0] == key_k[0] and abs(key_b[1] - key_k[1]) <= MERGE_TOL:
-            total += np.conj(bra.amplitudes[i]) * ket.amplitudes[j]
-            i += 1
-            j += 1
-        elif key_b < key_k:
-            i += 1
-        else:
-            j += 1
-    return complex(total)
+    match = (bra.levels[:, None] == ket.levels) & (
+        np.abs(bra.momenta[..., :, None] - ket.momenta[..., None, :]) <= MERGE_TOL
+    )
+    # A bra component meets at most one ket component, its first match.  The
+    # product is written out, as numpy's complex array multiply rounds otherwise.
+    a = np.conj(bra.amplitudes)
+    ket_amps = np.broadcast_to(ket.amplitudes, match.shape[:-2] + ket.amplitudes.shape[-1:])
+    b = np.take_along_axis(ket_amps, np.argmax(match, axis=-1), axis=-1)
+    found = match.any(axis=-1)
+    real = np.add.accumulate(np.where(found, a.real * b.real - a.imag * b.imag, 0.0), axis=-1)
+    imag = np.add.accumulate(np.where(found, a.real * b.imag + a.imag * b.real, 0.0), axis=-1)
+    return real[..., -1] + 1j * imag[..., -1]
 
 
-def fidelity_deviation(reference: PlaneWaveState, state: PlaneWaveState) -> float:
-    """|<reference|state> - 1|: zero iff the states agree including phase."""
-    return abs(inner_product(reference, state) - 1.0)
+def fidelity_deviation(reference: PlaneWaveState, state: PlaneWaveState):
+    """|<reference|state> - 1|, one per run: zero iff the states agree including phase."""
+    overlap = inner_product(reference, state) - 1.0
+    return np.hypot(overlap.real, overlap.imag)
 
 
 def _momentum_clusters(momenta: np.ndarray) -> np.ndarray:
-    """Cluster id per momentum: a sorted gap above MERGE_TOL starts a new id."""
-    order = np.argsort(momenta)
-    ids = np.empty(len(momenta), dtype=np.int64)
-    ids[order] = np.concatenate(([0], np.cumsum(np.diff(momenta[order]) > MERGE_TOL)))
+    """Cluster id per momentum, per run: a sorted gap above MERGE_TOL starts a new id."""
+    order = np.argsort(momenta, axis=-1)
+    gaps = np.diff(np.take_along_axis(momenta, order, axis=-1), axis=-1) > MERGE_TOL
+    ids = np.empty(momenta.shape, dtype=np.int64)
+    np.put_along_axis(ids, order, np.cumsum(np.insert(gaps, 0, False, axis=-1), axis=-1), -1)
     return ids
 
 
-def reduced_internal_entropy(state: PlaneWaveState) -> float:
+def reduced_internal_entropy(state: PlaneWaveState):
     """Von Neumann entropy (nats) of the internal state after tracing momentum.
 
     Momentum values act as orthogonal flags: components are grouped by
     momentum (within the merge tolerance, across levels), the reduced density
     matrix rho[n, m] = sum_p a_np conj(a_mp) is assembled and diagonalized.
+    A state with a run axis gives one entropy per run, from one batched
+    eigvalsh per cluster count.
     """
-    ids = _momentum_clusters(state.momenta)
-    n_clusters = int(ids.max()) + 1
-    amp = np.zeros((state.spectrum.dim, n_clusters), dtype=complex)
-    amp[state.levels, ids] = state.amplitudes
-    rho = amp @ amp.conj().T
-    eigs = np.linalg.eigvalsh(rho)
-    eigs = eigs[eigs > 1e-18]
-    return float(-np.sum(eigs * np.log(eigs)))
+    momenta, amps = np.broadcast_arrays(state.momenta, state.amplitudes)
+    runs = momenta.shape[:-1]
+    momenta, amps = momenta.reshape(-1, len(state.levels)), amps.reshape(-1, len(state.levels))
+    ids = _momentum_clusters(momenta)
+    n_clusters = ids.max(axis=-1) + 1
+    dim = state.spectrum.dim
+    entropy = np.empty(len(ids))
+    for k in set(n_clusters.tolist()):
+        group = np.flatnonzero(n_clusters == k)
+        amp = np.zeros((len(group), dim, k), dtype=complex)
+        amp[np.arange(len(group))[:, None], state.levels, ids[group]] = amps[group]
+        eigs = np.linalg.eigvalsh(amp @ amp.conj().swapaxes(-1, -2))
+        # Ascending eigenvalues: those above the cutoff are a tail of each
+        # row, summed as one contiguous row of their own length.
+        kept = np.count_nonzero(eigs > 1e-18, axis=-1)
+        for n in set(kept.tolist()):
+            tail = eigs[kept == n, dim - n:]
+            entropy[group[kept == n]] = -np.sum(tail * np.log(tail), axis=-1)
+    return entropy.reshape(runs) if runs else float(entropy[0])

@@ -62,17 +62,27 @@ class RegimeGuard:
 
         Returns True when everything is in regime.
         """
-        worst = float(np.max(np.square(np.asarray(momenta, dtype=float)), initial=0.0))
-        if worst < self.kappa_max:
-            return True
-        msg = (
-            f"{context}: squared momentum ratio {worst:.6g} >= kappa_max = "
-            f"{self.kappa_max}; results are outside the model's validity regime"
-        )
-        if self.strict:
-            raise RegimeError(msg)
-        warnings.warn(msg, RegimeWarning, stacklevel=3)
-        return False
+        return self.check_kicks([(context, momenta)])
+
+    def check_kicks(self, kicks) -> bool:
+        """check_momenta for the (context, momenta) after each kick of a chain.
+
+        momenta may carry a leading run axis: each run that leaves the regime
+        is reported once per such kick, in run order, then chain order.
+        """
+        worst = np.stack(np.broadcast_arrays(*(
+            np.max(np.square(np.asarray(m, dtype=float)), axis=-1, initial=0.0) for _, m in kicks
+        )), axis=-1)
+        offending = np.argwhere(worst >= self.kappa_max)
+        for index in offending:
+            msg = (
+                f"{kicks[index[-1]][0]}: squared momentum ratio {worst[tuple(index)]:.6g} >= "
+                f"kappa_max = {self.kappa_max}; results are outside the model's validity regime"
+            )
+            if self.strict:
+                raise RegimeError(msg)
+            warnings.warn(msg, RegimeWarning, stacklevel=3)
+        return len(offending) == 0
 
 
 DEFAULT_GUARD = RegimeGuard()

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file output, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from qclocksim import load_config, run_scenario
 from qclocksim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DATA = Path(__file__).resolve().parent / "data"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -230,6 +232,21 @@ def test_a_level_choice_the_engine_refuses_is_refused_at_validation(
     assert not (tmp_path / "out").exists()
 
 
+def test_exclusive_translation_options_are_refused_at_validation(tmp_path, capsys):
+    # The sequence builder refuses a translation level together with the
+    # state-dependent translation; validation must refuse the pair too.
+    params = {"translation_level": 1, "state_dependent_translation": True}
+    scenario = {"kind": "twin-momentum", "name": "both", "params": params}
+    config = {"schema_version": 1, "scenarios": [scenario]}
+    config_path = _write_config(tmp_path / "both.json", config)
+    assert main(["validate", config_path]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[0].params" in err
+    assert "state-dependent" in err
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_kind_is_a_config_error(tmp_path, capsys):
     config = {
         "schema_version": 1,
@@ -396,3 +413,15 @@ def test_import_sets_one_blas_thread_unless_the_user_set_a_count(user_setting, e
 def test_every_exported_name_resolves():
     missing = [name for name in qclocksim.__all__ if not hasattr(qclocksim, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_boost_sweep_files_match_the_frozen_digests(tmp_path, threads):
+    # SHA-256 of every result file configs/boost-sweep.json wrote before its
+    # sweeps ran as batches.  Two 7-run sweeps split 3 ways give uneven chunks.
+    expected = json.loads((DATA / "boost_sweep_digests.json").read_text())
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / "boost-sweep.json"), "--out-dir", str(out),
+                 "--threads", threads]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == expected

@@ -8,13 +8,14 @@ the closed-form algebra both implement the same physics.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclocksim.errors import IdentityViolationError
+from qclocksim.errors import IdentityViolationError, RegimeWarning
 from qclocksim.sequences import (
     SequenceKind,
     build_sequence,
@@ -34,8 +35,8 @@ from qclocksim.operators import (
     VelocityBoost,
     total_energy,
 )
-from qclocksim.spectrum import ladder_spectrum, make_spectrum
-from qclocksim.states import PlaneWaveState
+from qclocksim.spectrum import ladder_spectrum, make_spectrum, stack_spectra
+from qclocksim.states import PlaneWaveState, reduced_internal_entropy
 from qclocksim.units import DEFAULT_GUARD
 
 mp.mp.dps = 50
@@ -283,3 +284,111 @@ def test_boost_entangles_an_internal_superposition():
 def test_entanglement_demo_needs_two_levels():
     with pytest.raises(ValueError):
         entanglement_frame_demo(make_spectrum([0.0]), momentum=0.0, v_b=0.01)
+
+
+def _same_bits(batch_value, single_value, single_index):
+    """A batch entry against one run's value; a scalar call has no run axis."""
+    return np.array_equal(np.asarray(batch_value), np.asarray(single_value)[single_index])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from([None, "translation_level", "state_dependent_translation"]),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-0.1, max_value=0.1),
+            st.floats(min_value=0.1, max_value=5.0),
+            st.floats(min_value=0.01, max_value=0.06),
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    st.booleans(),
+)
+def test_a_batch_equals_its_runs_one_by_one_bit_for_bit(kind, translation, runs, sweep_spacing):
+    # A sweep runs as one batch; each of its runs must come out exactly as
+    # that run alone (a batch of one) and as a plain scalar call.  With
+    # sweep_spacing every run has its own spectrum, stacked along the batch.
+    spectra = [ladder_spectrum(3, s if sweep_spacing else 0.05) for _, _, s in runs]
+    options = {}
+    if kind is SequenceKind.MOMENTUM and translation == "translation_level":
+        options["translation_level"] = 1
+    elif kind is SequenceKind.MOMENTUM and translation is not None:
+        options["state_dependent_translation"] = True
+    if kind is not SequenceKind.MOMENTUM:
+        runs = [(b / 5.0, t, s) for b, t, s in runs]  # velocities stay small
+
+    def probe(spectrum):
+        return default_probe(spectrum, momenta=(0.0, 0.03, 0.05), levels=(0, 1, 2))
+
+    stack = stack_spectra(spectra)
+    boosts = np.array([b for b, _, _ in runs])
+    durations = np.array([t for _, t, _ in runs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        batch = run_sequence(kind, stack, boosts, durations, probe=probe(stack), **options)
+        for r, spec in enumerate(spectra):
+            one = run_sequence(kind, spec, boosts[r:r + 1], durations[r:r + 1],
+                               probe=probe(spec), **options)
+            scalar = run_sequence(kind, spec, float(boosts[r]), float(durations[r]),
+                                  probe=probe(spec), **options)
+            for single, i in ((one, 0), (scalar, ())):
+                for field in ("phases", "residuals", "fidelity_deviation", "global_phase",
+                              "global_phase_closed"):
+                    assert _same_bits(getattr(batch, field)[r], getattr(single, field), i), field
+                for field in ("level_factors", "level_factors_closed", "pair_factors", "gammas"):
+                    ours, theirs = getattr(batch, field), getattr(single, field)
+                    assert ours.keys() == theirs.keys()
+                    for key in ours:
+                        assert _same_bits(ours[key][r], theirs[key], i), (field, key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(min_value=-0.05, max_value=0.05)),
+            st.floats(min_value=0.01, max_value=0.06),
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    st.integers(min_value=2, max_value=4),
+    st.booleans(),
+)
+def test_batched_entanglement_entropies_equal_the_runs_one_by_one(runs, levels, sweep_spacing):
+    # A zero boost leaves one momentum cluster where the others have one per
+    # level, so a batch can mix cluster counts.
+    spectra = [ladder_spectrum(levels, s if sweep_spacing else 0.04) for _, s in runs]
+    boosts = np.array([b for b, _ in runs])
+    batch = entanglement_frame_demo(stack_spectra(spectra), momentum=0.05, v_b=boosts)
+    for r, spec in enumerate(spectra):
+        one = entanglement_frame_demo(spec, momentum=0.05, v_b=boosts[r:r + 1])
+        scalar = entanglement_frame_demo(spec, momentum=0.05, v_b=float(boosts[r]))
+        assert _same_bits(batch.entropy_before, one.entropy_before, ())
+        assert _same_bits(batch.entropy_after[r], one.entropy_after, 0)
+        assert _same_bits(batch.entropy_after[r], scalar.entropy_after, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=6),
+)
+def test_batched_entropy_equals_the_entropy_of_each_run_alone(seed, distinct_momenta):
+    # Random complex amplitudes, one component per level, each run on its own
+    # number of distinct momenta: the runs of one batch differ in cluster
+    # count (one cluster rounds differently from padded ones) and in how
+    # many of the five eigenvalues clear the cutoff.
+    rng = np.random.default_rng(seed)
+    runs = len(distinct_momenta)
+    spec = ladder_spectrum(5, 0.04)
+    levels = np.arange(5)
+    momenta = np.array([rng.choice([0.0, 0.01, 0.02][:m], size=5) for m in distinct_momenta])
+    amps = rng.normal(size=(runs, 5)) + 1j * rng.normal(size=(runs, 5))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    batch = reduced_internal_entropy(PlaneWaveState(spec, levels, momenta, amps))
+    for r in range(runs):
+        alone = reduced_internal_entropy(PlaneWaveState(spec, levels, momenta[r], amps[r]))
+        assert _same_bits(batch[r], alone, ())

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qclocksim.operators import VelocityBoost, apply_operator
 from qclocksim.spectrum import ladder_spectrum, make_spectrum
@@ -132,3 +133,62 @@ def test_entropy_is_basis_independent_for_unboosted_states():
     # Unequal amplitudes alone do not entangle anything.
     state = internal_superposition(SPEC4, 0.1, amplitudes=[1.0, 2.0, 0.5, 1.5])
     assert abs(reduced_internal_entropy(state)) <= 1e-12
+
+
+def _loop_inner_product(bra, ket):
+    """Reference: merge the sorted component lists one pair at a time."""
+    total = 0.0 + 0.0j
+    i = j = 0
+    while i < len(bra.levels) and j < len(ket.levels):
+        key_b = (int(bra.levels[i]), float(bra.momenta[i]))
+        key_k = (int(ket.levels[j]), float(ket.momenta[j]))
+        if key_b[0] == key_k[0] and abs(key_b[1] - key_k[1]) <= 1e-12:
+            total += np.conj(bra.amplitudes[i]) * ket.amplitudes[j]
+            i += 1
+            j += 1
+        elif key_b < key_k:
+            i += 1
+        else:
+            j += 1
+    return complex(total)
+
+
+def _loop_entropy(state):
+    """Reference: one run's reduced density matrix, built and diagonalized alone."""
+    order = np.argsort(state.momenta)
+    ids = np.empty(len(state.momenta), dtype=np.int64)
+    ids[order] = np.concatenate(([0], np.cumsum(np.diff(state.momenta[order]) > 1e-12)))
+    amp = np.zeros((state.spectrum.dim, int(ids.max()) + 1), dtype=complex)
+    amp[state.levels, ids] = state.amplitudes
+    eigs = np.linalg.eigvalsh(amp @ amp.conj().T)
+    eigs = eigs[eigs > 1e-18]
+    return float(-np.sum(eigs * np.log(eigs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=5))
+def test_batched_inner_product_and_entropy_equal_the_loop_references_bit_for_bit(seed, runs):
+    # Nine components over four levels, sorted and distinct within a level as
+    # from_components leaves them.  The ket moves some components off the
+    # bra's momenta, so they find no partner, and runs differ in how many
+    # momenta coincide across levels, hence in cluster count.
+    rng = np.random.default_rng(seed)
+    levels = np.repeat(np.arange(4), [3, 2, 2, 2])
+    grid = np.arange(6) * 0.01
+    bra_momenta = np.array([
+        np.concatenate([np.sort(rng.choice(grid, size=k, replace=False)) for k in (3, 2, 2, 2)])
+        for _ in range(runs)
+    ])
+    ket_momenta = bra_momenta + 0.005 * rng.integers(0, 2, size=bra_momenta.shape)
+    amps = rng.normal(size=(2, runs, 9)) + 1j * rng.normal(size=(2, runs, 9))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    products = inner_product(
+        PlaneWaveState(SPEC4, levels, bra_momenta, amps[0]),
+        PlaneWaveState(SPEC4, levels, ket_momenta, amps[1]),
+    )
+    entropies = reduced_internal_entropy(PlaneWaveState(SPEC4, levels, ket_momenta, amps[1]))
+    for r in range(runs):
+        bra = PlaneWaveState(SPEC4, levels, bra_momenta[r], amps[0, r])
+        ket = PlaneWaveState(SPEC4, levels, ket_momenta[r], amps[1, r])
+        assert complex(products[r]) == _loop_inner_product(bra, ket)
+        assert entropies[r] == _loop_entropy(ket)
