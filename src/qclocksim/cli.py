@@ -135,8 +135,7 @@ def _cmd_run(args) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     for report in reports:
-        for line in report.summary_lines():
-            print(line)
+        print("\n".join(report.summary_lines()))
         if out_dir is not None:
             if args.format in ("csv", "both"):
                 report.write_csv(out_dir / f"{report.name}.csv")

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError
+from .errors import ConfigError, RegimeError, WraparoundError
+from .grid import GridState, gaussian_grid_state
+from .gridops import _require_inside
 from .sequences import SequenceKind, build_sequence, require_two_levels
 from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
 from .units import (
@@ -283,6 +285,14 @@ def run_spectrum(
     return ladder_spectrum(params["levels"], params["spacing"], guard=guard)
 
 
+def run_grid_state(spectrum: InternalSpectrum, params: dict) -> GridState:
+    """The initial wavepacket of a trotter-accel or impulse-boost run."""
+    return gaussian_grid_state(
+        spectrum, size=params["grid_size"], box_length=params["box_length"],
+        sigma=params["sigma"], momentum=params.get("momentum", 0.0),
+    )
+
+
 def _max_boost(kind: str, params: dict) -> float:
     if kind == "trotter-accel":
         return abs(params["acceleration"]) * params["duration"]
@@ -299,7 +309,7 @@ def _engine_check(where: str, check, *args):
         return check(*args)
     except RegimeError as exc:
         raise ConfigError(f"{where}: RegimeGuard: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, WraparoundError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -321,6 +331,10 @@ def _static_regime_check(kind: str, params: dict, where: str, run_name: str) -> 
         )
     if kind == "entanglement-demo":
         _engine_check(f"{where}.params.levels {run}", require_two_levels, spectrum)
+    if kind in ("trotter-accel", "impulse-boost"):
+        # The grid engines refuse a packet that already reaches the box edge.
+        state = _engine_check(f"{where} {run}", run_grid_state, spectrum, params)
+        _engine_check(f"{where}.params.box_length {run}", _require_inside, state, "initial state")
     boost = _max_boost(kind, params)
     _require(
         boost <= guard.kappa_max,

@@ -16,7 +16,11 @@ the would-be ticks is strictly positive and the effective tick spacing
 drifts away from tau.
 
 Pointer probabilities are read with the inverse FFT, so clocks up to a few
-thousand levels stay cheap.
+thousand levels stay cheap.  One kernel reads a batch of times: exp(rate t)
+with rate = -i n omega0 d_n formed once, the inverse FFT and |.|^2 run on a
+(times, levels) array in chunks of SCAN_CHUNK_AMPLITUDES (4,096) amplitudes,
+which keeps a large clock's memory flat.  Moments stay one dot per row: a
+batched gemv, einsum or sum differs in the last bit from a read of one time.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from .spectrum import InternalSpectrum
 
 # Relative bracket width at which tick refinement stops, in units of tau.
 TICK_REFINE_TOL = 1e-9
+
+# Most amplitudes one batched pointer read holds at once.
+SCAN_CHUNK_AMPLITUDES = 4096
 
 
 @dataclass(frozen=True)
@@ -108,25 +115,44 @@ class DilationProfile:
         )
 
 
-def _check_pair(clock: SWPClock, profile: DilationProfile) -> None:
+def _rates(clock: SWPClock, profile: DilationProfile) -> np.ndarray:
+    """-i n omega0 d_n: the amplitude of level n at time t is e^{rate_n t}."""
     if profile.factors.size != clock.dim:
         raise ValueError(
             f"profile has {profile.factors.size} factors but the clock has "
             f"{clock.dim} levels"
         )
+    return -1j * np.arange(clock.dim) * clock.omega0 * profile.factors
 
 
 def clock_state_at(clock: SWPClock, profile: DilationProfile, t: float) -> np.ndarray:
     """Energy-basis amplitudes at time t, starting from pointer state w_0."""
-    _check_pair(clock, profile)
-    n = np.arange(clock.dim)
-    return np.exp(-1j * n * clock.omega0 * profile.factors * t) / np.sqrt(clock.dim)
+    return np.exp(_rates(clock, profile) * t) / np.sqrt(clock.dim)
 
 
 def pointer_probabilities(clock: SWPClock, amplitudes: np.ndarray) -> np.ndarray:
-    """P_k = |<w_k|state>|^2 for every pointer state at once."""
+    """P_k = |<w_k|state>|^2 for every pointer state at once (one row per state)."""
     overlaps = np.sqrt(clock.dim) * np.fft.ifft(amplitudes)
     return np.abs(overlaps) ** 2
+
+
+def _pointer_moments(clock: SWPClock, rates: np.ndarray, times: np.ndarray, circular=False):
+    """Mean, variance and (if asked) circular variance of k at each time, from
+    one row of pointer probabilities per time, read SCAN_CHUNK_AMPLITUDES at a time."""
+    k = np.arange(clock.dim)
+    phases = np.exp(2j * np.pi * k / clock.dim) if circular else None
+    step = max(1, SCAN_CHUNK_AMPLITUDES // clock.dim)
+    moments = np.zeros((len(times), 3))
+    for lo in range(0, len(times), step):
+        amplitudes = np.exp(rates * times[lo:lo + step, None]) / np.sqrt(clock.dim)
+        for i, row in enumerate(pointer_probabilities(clock, amplitudes), lo):
+            mean = row @ k
+            # Two-pass variance: E[k^2] - E[k]^2 cancels to one ulp of E[k^2] when
+            # the pointer sits on a single k, which is exactly the state at a tick.
+            moments[i, :2] = mean, row @ (k - mean) ** 2
+            if circular:
+                moments[i, 2] = 1.0 - abs(np.sum(row * phases))
+    return moments.T
 
 
 @dataclass(frozen=True)
@@ -139,18 +165,9 @@ class PointerReading:
 
 
 def read_pointer(clock: SWPClock, profile: DilationProfile, t: float) -> PointerReading:
-    probs = pointer_probabilities(clock, clock_state_at(clock, profile, t))
-    k = np.arange(clock.dim)
-    mean_k = float(probs @ k)
-    # Two-pass variance: E[k^2] - E[k]^2 cancels to one ulp of E[k^2] when
-    # the pointer sits on a single k, which is exactly the state at a tick.
-    var_k = float(probs @ (k - mean_k) ** 2)
-    circ = 1.0 - abs(np.sum(probs * np.exp(2j * np.pi * k / clock.dim)))
-    return PointerReading(
-        mean=clock.tau * mean_k,
-        variance=clock.tau * clock.tau * var_k,
-        circular_variance=float(circ),
-    )
+    series = variance_timeseries(clock, profile, [t])
+    moments = (series.mean, series.variance, series.circular_variance)
+    return PointerReading(*(float(m[0]) for m in moments))
 
 
 @dataclass(frozen=True)
@@ -168,13 +185,10 @@ def variance_timeseries(
     clock: SWPClock, profile: DilationProfile, times: np.ndarray
 ) -> VarianceSeries:
     times = np.asarray(times, dtype=float)
-    readings = [read_pointer(clock, profile, t) for t in times]
+    mean, var, circ = _pointer_moments(clock, _rates(clock, profile), times, circular=True)
+    tau = clock.tau
     return VarianceSeries(
-        times=times,
-        mean=np.asarray([r.mean for r in readings]),
-        variance=np.asarray([r.variance for r in readings]),
-        circular_variance=np.asarray([r.circular_variance for r in readings]),
-        tau=clock.tau,
+        times=times, mean=tau * mean, variance=tau * tau * var, circular_variance=circ, tau=tau
     )
 
 
@@ -236,7 +250,7 @@ def find_effective_ticks(
     and the scan grid must be finer than tau / 50, otherwise minima can slip
     between grid points.
     """
-    _check_pair(clock, profile)
+    rates = _rates(clock, profile)
     tau = clock.tau
     if window is None:
         window = (0.5 * tau, 3.5 * tau)
@@ -248,11 +262,13 @@ def find_effective_ticks(
     if not 0.0 < resolution <= tau / 50.0:
         raise ValueError("tick scan resolution must be positive and at most tau / 50")
 
+    tau2 = tau * tau
+
     def variance_at(t: float) -> float:
-        return read_pointer(clock, profile, t).variance
+        return float(tau2 * _pointer_moments(clock, rates, np.array([t]))[1, 0])
 
     grid = np.arange(lo, hi + 0.5 * resolution, resolution)
-    values = np.asarray([variance_at(t) for t in grid])
+    values = tau2 * _pointer_moments(clock, rates, grid)[1]
     ticks = []
     tick_vars = []
     for i in range(1, len(grid) - 1):

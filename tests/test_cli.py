@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qclocksim
-from qclocksim import load_config, run_scenario
+from qclocksim import load_config, run_config, run_scenario
 from qclocksim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -95,6 +95,10 @@ def test_run_without_out_dir_prints_summaries_only(tmp_path, base_config, capsys
     assert "round-trip" in stdout
     assert "PASS" in stdout
     assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+    # Byte for byte what printing every summary line on its own gives.
+    reports = run_config(load_config(base_config))
+    lines = [line for report in reports for line in report.summary_lines()]
+    assert stdout == "".join(f"{line}\n" for line in lines) + "all 2 run(s) passed\n"
 
 
 def test_result_files_are_byte_identical_across_runs_and_threads(tmp_path, base_config):
@@ -243,6 +247,24 @@ def test_exclusive_translation_options_are_refused_at_validation(tmp_path, capsy
     err = capsys.readouterr().err
     assert "scenarios[0].params" in err
     assert "state-dependent" in err
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["trotter-accel", "impulse-boost"])
+def test_a_box_too_small_for_the_packet_is_refused_at_validation(tmp_path, capsys, kind):
+    # The grid engines refuse an initial packet with mass at the box edge;
+    # validation must refuse it too, naming the box length.
+    scenarios = [
+        {"kind": "twin-velocity", "name": "fine"},
+        {"kind": kind, "name": "small-box", "params": {"box_length": 8}},
+    ]
+    config = {"schema_version": 1, "scenarios": scenarios}
+    config_path = _write_config(tmp_path / "box.json", config)
+    assert main(["validate", config_path]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[1].params.box_length (run 'small-box')" in err
+    assert "box edge" in err
     assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 
@@ -416,12 +438,15 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])
-def test_boost_sweep_files_match_the_frozen_digests(tmp_path, threads):
-    # SHA-256 of every result file configs/boost-sweep.json wrote before its
-    # sweeps ran as batches.  Two 7-run sweeps split 3 ways give uneven chunks.
-    expected = json.loads((DATA / "boost_sweep_digests.json").read_text())
+@pytest.mark.parametrize("config", ["boost-sweep", "swp-large-study"])
+def test_result_files_match_the_frozen_digests(tmp_path, config, threads):
+    # SHA-256 of every result file the config wrote: boost-sweep before its
+    # sweeps ran as batches, swp-large-study before the SWP scan read its
+    # grid in batches and the writers went to raw os.write calls.  The two
+    # 7-run sweeps of boost-sweep split 3 ways give uneven chunks.
+    expected = json.loads((DATA / f"{config.replace('-', '_')}_digests.json").read_text())
     out = tmp_path / "out"
-    assert main(["run", str(CONFIGS / "boost-sweep.json"), "--out-dir", str(out),
+    assert main(["run", str(CONFIGS / f"{config}.json"), "--out-dir", str(out),
                  "--threads", threads]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == expected

@@ -11,8 +11,12 @@ import pytest
 
 from qclocksim.spectrum import ladder_spectrum
 from qclocksim.swp import (
+    SCAN_CHUNK_AMPLITUDES,
+    TICK_REFINE_TOL,
     DilationProfile,
     SWPClock,
+    _golden_minimize,
+    _parabolic_vertex,
     clock_state_at,
     find_effective_ticks,
     pointer_probabilities,
@@ -212,3 +216,69 @@ def test_nonclassical_ticks_match_the_frozen_fixture():
     # Rephasing is genuinely imperfect: every minimum keeps strictly
     # positive variance, far above anything a uniform profile leaves.
     assert scan.tick_variances.min() > 1e-8 * clock.tau**2
+
+
+def _reference_reading(clock, profile, t):
+    """(mean, variance, circular variance) read at one time, as the scan did
+    before it read its grid in batches."""
+    n = np.arange(clock.dim)
+    amplitudes = np.exp(-1j * n * clock.omega0 * profile.factors * t) / np.sqrt(clock.dim)
+    probs = np.abs(np.sqrt(clock.dim) * np.fft.ifft(amplitudes)) ** 2
+    mean_k = float(probs @ n)
+    var_k = float(probs @ (n - mean_k) ** 2)
+    circ = 1.0 - abs(np.sum(probs * np.exp(2j * np.pi * n / clock.dim)))
+    return clock.tau * mean_k, clock.tau * clock.tau * var_k, float(circ)
+
+
+def _reference_ticks(clock, profile):
+    """The per-point tick scan over the default window: one read per grid
+    point, then golden-section and parabolic refinement of each minimum."""
+    tau = clock.tau
+
+    def variance_at(t):
+        return _reference_reading(clock, profile, t)[1]
+
+    resolution = tau / 64.0
+    grid = np.arange(0.5 * tau, 3.5 * tau + 0.5 * resolution, resolution)
+    values = [variance_at(t) for t in grid]
+    ticks = []
+    for i in range(1, len(grid) - 1):
+        if values[i] < values[i - 1] and values[i] <= values[i + 1]:
+            a, b = _golden_minimize(variance_at, grid[i - 1], grid[i + 1], tau * TICK_REFINE_TOL)
+            ticks.append(_parabolic_vertex(variance_at, a, b))
+    return len(grid), np.asarray(ticks), np.asarray([variance_at(t) for t in ticks])
+
+
+def _profiles(dim):
+    return [
+        DilationProfile.velocity_classical(dim, 0.1),
+        DilationProfile.momentum_nonclassical(0.1, ladder_spectrum(dim, 0.1 / dim)),
+    ]
+
+
+@pytest.mark.parametrize("dim", [8, 16, 256, 1024])
+def test_batched_tick_scan_equals_the_per_point_scan_bit_for_bit(dim):
+    clock = SWPClock(dim=dim, omega0=0.0005 if dim > 16 else 1.0)
+    for profile in _profiles(dim):
+        points, ticks, variances = _reference_ticks(clock, profile)
+        if dim == 1024:
+            assert points > 48 * (SCAN_CHUNK_AMPLITUDES // dim)  # the grid spans 49 chunks
+        scan = find_effective_ticks(clock, profile)
+        assert len(ticks) == 3
+        assert np.array_equal(scan.tick_times, ticks)
+        assert np.array_equal(scan.tick_variances, variances)
+        assert scan.diagnostic == "3 ticks located"
+
+
+@pytest.mark.parametrize("dim", [8, 16, 256, 1024])
+def test_batched_readings_equal_the_per_point_reads_bit_for_bit(dim):
+    clock = SWPClock(dim=dim, omega0=0.0005 if dim > 16 else 1.0)
+    times = np.linspace(0.0, 4.0 * clock.tau, 41)
+    for profile in _profiles(dim):
+        series = variance_timeseries(clock, profile, times)
+        reference = np.array([_reference_reading(clock, profile, t) for t in times])
+        assert np.array_equal(series.mean, reference[:, 0])
+        assert np.array_equal(series.variance, reference[:, 1])
+        assert np.array_equal(series.circular_variance, reference[:, 2])
+        reading = read_pointer(clock, profile, times[7])
+        assert (reading.mean, reading.variance, reading.circular_variance) == tuple(reference[7])
