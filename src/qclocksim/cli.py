@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from pathlib import Path
 
 from .config import PARAM_SCHEMAS, TOLERANCE_DEFAULTS, load_config
 from .errors import ConfigError
@@ -130,17 +130,16 @@ def _cmd_run(args) -> int:
     )
     elapsed = time.perf_counter() - started
 
-    out_dir = None
-    if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = args.out_dir
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     for report in reports:
         print("\n".join(report.summary_lines()))
         if out_dir is not None:
             if args.format in ("csv", "both"):
-                report.write_csv(out_dir / f"{report.name}.csv")
+                report.write_csv(os.path.join(out_dir, f"{report.name}.csv"))
             if args.format in ("json", "both"):
-                report.write_json(out_dir / f"{report.name}.json")
+                report.write_json(os.path.join(out_dir, f"{report.name}.json"))
 
     failed = sum(1 for r in reports if not r.passed)
     if failed:

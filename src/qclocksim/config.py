@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RegimeError, WraparoundError
-from .grid import GridState, gaussian_grid_state
+from .grid import gaussian_grid_state
 from .gridops import _require_inside
 from .sequences import SequenceKind, build_sequence, require_two_levels
 from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
@@ -285,12 +285,10 @@ def run_spectrum(
     return ladder_spectrum(params["levels"], params["spacing"], guard=guard)
 
 
-def run_grid_state(spectrum: InternalSpectrum, params: dict) -> GridState:
-    """The initial wavepacket of a trotter-accel or impulse-boost run."""
-    return gaussian_grid_state(
-        spectrum, size=params["grid_size"], box_length=params["box_length"],
-        sigma=params["sigma"], momentum=params.get("momentum", 0.0),
-    )
+def grid_state_args(params: dict) -> dict:
+    """gaussian_grid_state's keywords for a trotter-accel or impulse-boost run's packet."""
+    return {"size": params["grid_size"], "box_length": params["box_length"],
+            "sigma": params["sigma"], "momentum": params.get("momentum", 0.0)}
 
 
 def _max_boost(kind: str, params: dict) -> float:
@@ -303,10 +301,10 @@ def _max_boost(kind: str, params: dict) -> float:
     return 0.0
 
 
-def _engine_check(where: str, check, *args):
+def _engine_check(where: str, check, *args, **kwargs):
     """Apply one of the engine's own checks; a refusal names the JSON path."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except RegimeError as exc:
         raise ConfigError(f"{where}: RegimeGuard: {exc}") from exc
     except (ValueError, WraparoundError) as exc:
@@ -333,7 +331,9 @@ def _static_regime_check(kind: str, params: dict, where: str, run_name: str) -> 
         _engine_check(f"{where}.params.levels {run}", require_two_levels, spectrum)
     if kind in ("trotter-accel", "impulse-boost"):
         # The grid engines refuse a packet that already reaches the box edge.
-        state = _engine_check(f"{where} {run}", run_grid_state, spectrum, params)
+        state = _engine_check(
+            f"{where} {run}", gaussian_grid_state, spectrum, **grid_state_args(params)
+        )
         _engine_check(f"{where}.params.box_length {run}", _require_inside, state, "initial state")
     boost = _max_boost(kind, params)
     _require(

@@ -7,38 +7,56 @@ round-trip form), JSON keys are sorted, and nothing time- or host-dependent
 ever goes into an output file.  Wall-clock timings belong on stderr, not in
 the artifacts.
 
-Each file is one UTF-8 buffer in raw os.write calls, with no file object.
-JSON stays on json.dumps(indent=2), though that picks the pure-Python
-encoder: the same bytes from the C encoder measured no faster.
+Each file is rendered whole and written as its UTF-8 bytes in one binary
+write.  json.dumps with indent=2 bypasses the C encoder, so `_json` writes
+the same bytes with it: one C encoder per indent depth, built once, renders
+each container that holds no non-empty container in one call.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
-import os
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
 
 def _write_file(path, text: str) -> None:
-    """Replace the file at path with text, UTF-8 encoded, in raw writes."""
-    data = memoryview(text.encode("utf-8"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
+    with open(path, "wb") as handle:
+        handle.write(text.encode("utf-8"))
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(depth: int):
+    """The C JSON encoder, keys sorted, items on new lines indented to depth."""
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * depth, True, False, True)
+
+
+def _json(value, depth: int = 1) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for data with string keys."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return "".join(_encoder(depth)(value, 0))
+    items = value.values() if isinstance(value, dict) else value
+    pad = "  " * depth
+    if not any(isinstance(item, (dict, list, tuple)) and item for item in items):
+        inner = "".join(_encoder(depth)(value, 0))[1:-1]
+    elif isinstance(value, dict):
+        inner = f",\n{pad}".join(f"{encode_basestring_ascii(key)}: {_json(item, depth + 1)}"
+                                 for key, item in sorted(value.items()))
+    else:
+        inner = f",\n{pad}".join(_json(item, depth + 1) for item in value)
+    left, right = "{}" if isinstance(value, dict) else "[]"
+    return f"{left}\n{pad}{inner}\n{pad[2:]}{right}"
 
 
 def format_value(value) -> str:
     """Shortest round-trip text for a cell value."""
-    if type(value) is float:
-        return repr(value)
-    if type(value) in (int, str):
+    if type(value) in (float, int, str):
         return str(value)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
@@ -76,15 +94,7 @@ class RunReport:
         return all(check.passed for check in self.checks)
 
     def add_check(self, name: str, passed: bool, value, tolerance, detail: str = "") -> None:
-        self.checks.append(
-            CheckResult(
-                name=name,
-                passed=bool(passed),
-                value=float(value),
-                tolerance=float(tolerance),
-                detail=detail,
-            )
-        )
+        self.checks.append(CheckResult(name, bool(passed), float(value), float(tolerance), detail))
 
     def add_bound(self, name: str, value, tolerance, detail: str = "") -> None:
         """A check that passes while value stays at or below tolerance."""
@@ -94,16 +104,10 @@ class RunReport:
         lines = [f"[{self.scenario}] {self.name}: {len(self.rows)} rows"]
         for check in self.checks:
             verdict = "PASS" if check.passed else "FAIL"
-            line = (
-                f"  {verdict} {check.name}: value={format_value(check.value)} "
-                f"tolerance={format_value(check.tolerance)}"
-            )
-            if check.detail:
-                line += f" ({check.detail})"
-            lines.append(line)
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        return lines
+            detail = f" ({check.detail})" if check.detail else ""
+            lines.append(f"  {verdict} {check.name}: value={format_value(check.value)} "
+                         f"tolerance={format_value(check.tolerance)}{detail}")
+        return lines + [f"  note: {note}" for note in self.notes]
 
     def to_json_dict(self) -> dict:
         return {
@@ -112,22 +116,13 @@ class RunReport:
             "name": self.name,
             "parameters": self.parameters,
             "rows": self.rows,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "value": c.value,
-                    "tolerance": c.tolerance,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [dict(vars(check)) for check in self.checks],
             "notes": list(self.notes),
             "passed": self.passed,
         }
 
     def write_json(self, path) -> None:
-        _write_file(path, json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        _write_file(path, _json(self.to_json_dict()) + "\n")
 
     def write_csv(self, path) -> None:
         """Emit the tabular rows; column order follows the first row."""

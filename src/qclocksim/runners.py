@@ -20,8 +20,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import RunConfig, run_grid_state, run_spectrum
+from .config import RunConfig, grid_state_args, run_spectrum
 from .errors import ConfigError
+from .grid import gaussian_grid_state
 from .gridops import accelerated_frame_trotter, impulsive_boost_limit
 from .ionclock import TrapModel, spectroscopy_scan
 from .report import RunReport
@@ -32,7 +33,6 @@ from .sequences import (
     run_sequence,
 )
 # Not called here; perfbench/tracer.py looks these names up in this module.
-from .grid import gaussian_grid_state  # noqa: F401
 from .spectrum import ladder_spectrum, make_spectrum  # noqa: F401
 from .spectrum import stack_spectra
 from .swp import DilationProfile, SWPClock, find_effective_ticks
@@ -232,7 +232,8 @@ def _run_ion(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunRepor
 
 
 def _run_trotter(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    state = run_grid_state(run_spectrum("trotter-accel", params, guard), params)
+    spectrum = run_spectrum("trotter-accel", params, guard)
+    state = gaussian_grid_state(spectrum, **grid_state_args(params))
     result = accelerated_frame_trotter(
         state, params["acceleration"], params["duration"], steps=params["steps"]
     )
@@ -269,7 +270,8 @@ def _run_trotter(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunR
 
 
 def _run_impulse(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    state = run_grid_state(run_spectrum("impulse-boost", params, guard), params)
+    spectrum = run_spectrum("impulse-boost", params, guard)
+    state = gaussian_grid_state(spectrum, **grid_state_args(params))
     result = impulsive_boost_limit(
         state,
         params["boost"],

@@ -21,10 +21,13 @@ with rate = -i n omega0 d_n formed once, the inverse FFT and |.|^2 run on a
 (times, levels) array in chunks of SCAN_CHUNK_AMPLITUDES (4,096) amplitudes,
 which keeps a large clock's memory flat.  Moments stay one dot per row: a
 batched gemv, einsum or sum differs in the last bit from a read of one time.
+Tick refinement reads one time per call through read_pointer, and the
+pointer phases e^{2 pi i k / N} are computed once per N.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,11 +139,17 @@ def pointer_probabilities(clock: SWPClock, amplitudes: np.ndarray) -> np.ndarray
     return np.abs(overlaps) ** 2
 
 
+@functools.lru_cache(maxsize=8)
+def _pointer_phases(dim: int) -> np.ndarray:
+    """e^{2 pi i k / dim}, the pointer positions on the unit circle."""
+    return np.exp(2j * np.pi * np.arange(dim) / dim)
+
+
 def _pointer_moments(clock: SWPClock, rates: np.ndarray, times: np.ndarray, circular=False):
     """Mean, variance and (if asked) circular variance of k at each time, from
     one row of pointer probabilities per time, read SCAN_CHUNK_AMPLITUDES at a time."""
     k = np.arange(clock.dim)
-    phases = np.exp(2j * np.pi * k / clock.dim) if circular else None
+    phases = _pointer_phases(clock.dim) if circular else None
     step = max(1, SCAN_CHUNK_AMPLITUDES // clock.dim)
     moments = np.zeros((len(times), 3))
     for lo in range(0, len(times), step):
@@ -165,9 +174,8 @@ class PointerReading:
 
 
 def read_pointer(clock: SWPClock, profile: DilationProfile, t: float) -> PointerReading:
-    series = variance_timeseries(clock, profile, [t])
-    moments = (series.mean, series.variance, series.circular_variance)
-    return PointerReading(*(float(m[0]) for m in moments))
+    mean, var, circ = _pointer_moments(clock, _rates(clock, profile), np.array([t]), True)[:, 0]
+    return PointerReading(clock.tau * float(mean), clock.tau * clock.tau * float(var), float(circ))
 
 
 @dataclass(frozen=True)
@@ -262,13 +270,11 @@ def find_effective_ticks(
     if not 0.0 < resolution <= tau / 50.0:
         raise ValueError("tick scan resolution must be positive and at most tau / 50")
 
-    tau2 = tau * tau
-
     def variance_at(t: float) -> float:
-        return float(tau2 * _pointer_moments(clock, rates, np.array([t]))[1, 0])
+        return read_pointer(clock, profile, t).variance
 
     grid = np.arange(lo, hi + 0.5 * resolution, resolution)
-    values = tau2 * _pointer_moments(clock, rates, grid)[1]
+    values = tau * tau * _pointer_moments(clock, rates, grid)[1]
     ticks = []
     tick_vars = []
     for i in range(1, len(grid) - 1):

@@ -437,16 +437,25 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-@pytest.mark.parametrize("config", ["boost-sweep", "swp-large-study"])
-def test_result_files_match_the_frozen_digests(tmp_path, config, threads):
-    # SHA-256 of every result file the config wrote: boost-sweep before its
-    # sweeps ran as batches, swp-large-study before the SWP scan read its
-    # grid in batches and the writers went to raw os.write calls.  The two
-    # 7-run sweeps of boost-sweep split 3 ways give uneven chunks.
+def _assert_frozen_digests(tmp_path, config, threads):
     expected = json.loads((DATA / f"{config.replace('-', '_')}_digests.json").read_text())
     out = tmp_path / "out"
     assert main(["run", str(CONFIGS / f"{config}.json"), "--out-dir", str(out),
                  "--threads", threads]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == expected
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_boost_sweep_files_match_the_frozen_digests(tmp_path, threads):
+    # SHA-256 of every result file configs/boost-sweep.json wrote before its
+    # sweeps ran as batches.  Two 7-run sweeps split 3 ways give uneven chunks.
+    _assert_frozen_digests(tmp_path, "boost-sweep", threads)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_swp_large_study_files_match_the_frozen_digests(tmp_path, threads):
+    # SHA-256 of every result file configs/swp-large-study.json wrote while
+    # the SWP scan still read one time per call and the writers used text
+    # file objects.
+    _assert_frozen_digests(tmp_path, "swp-large-study", threads)

@@ -4,8 +4,21 @@ import csv
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qclocksim.report import RunReport, format_value
+from qclocksim.report import RunReport, _json, format_value
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats() | st.floats().map(np.float64)
+)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
 
 
 def _text_file_json(report, path):
@@ -52,3 +65,9 @@ def test_format_value_fast_path_matches_the_general_forms():
     for value, text in ((0.1, "0.1"), (np.float64(0.1), "0.1"), (-3, "-3"), (np.int32(-3), "-3"),
                         (True, "true"), (np.bool_(False), "false"), ("ω", "ω"), (1e-300, "1e-300")):
         assert format_value(value) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS)
+def test_json_renderer_gives_the_bytes_of_json_dumps(document):
+    assert _json(document) == json.dumps(document, sort_keys=True, indent=2)

@@ -9,6 +9,7 @@ the shipped defaults and is pinned against regressions.
 import numpy as np
 import pytest
 
+from qclocksim import swp
 from qclocksim.spectrum import ladder_spectrum
 from qclocksim.swp import (
     SCAN_CHUNK_AMPLITUDES,
@@ -282,3 +283,13 @@ def test_batched_readings_equal_the_per_point_reads_bit_for_bit(dim):
         assert np.array_equal(series.circular_variance, reference[:, 2])
         reading = read_pointer(clock, profile, times[7])
         assert (reading.mean, reading.variance, reading.circular_variance) == tuple(reference[7])
+
+
+def test_tick_refinement_reads_through_the_module_read_pointer(monkeypatch):
+    # The benchmark tracer counts refinement by wrapping swp.read_pointer.
+    calls = []
+    read = swp.read_pointer
+    monkeypatch.setattr(swp, "read_pointer", lambda *args: calls.append(args) or read(*args))
+    clock = SWPClock(dim=16, omega0=1.0)
+    scan = find_effective_ticks(clock, _profiles(16)[1])
+    assert len(scan.tick_times) == 3 and len(calls) > 3 * 30
