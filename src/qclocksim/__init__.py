@@ -38,11 +38,9 @@ from .errors import (
 from .grid import GridState, gaussian_grid_state
 from .gridops import (
     ImpulseReport,
-    LinearPotentialEvolution,
     TrotterReport,
     accelerated_frame_trotter,
     evolve_linear_potential,
-    exact_accelerated_evolution,
     free_evolution_grid,
     impulsive_boost_limit,
     momentum_boost_grid,
@@ -65,7 +63,6 @@ from .operators import (
     MomentumBoost,
     Translation,
     VelocityBoost,
-    apply_chain,
     apply_operator,
     conjugate_velocity_boost_by_translation,
     kinetic_energy,

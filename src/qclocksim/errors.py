@@ -26,7 +26,8 @@ class WraparoundError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Step-halving error control did not converge."""
+    """A pulse propagation failed its own check: the eigendecomposition
+    residual or the norm defect of the propagated state exceeded tolerance."""
 
 
 class GridTooNarrowError(RuntimeError):

@@ -1,20 +1,21 @@
 """Grid evolutions: impulsive-boost limits and the accelerated-frame product.
 
 Two claims about boosts need position-dependent Hamiltonians, so they run on
-GridState wavepackets rather than plane-wave components:
+GridState wavepackets rather than plane-wave components.  Both Hamiltonians
+are one linear potential coupled to the mass operator,
+    H = p^2/2M + H_0 + slope (m + H_0/c^2) x,
+and one function, evolve_linear_potential, evolves both:
 
-* A velocity boost is the impulsive limit of a linear potential that couples
-  to the full mass operator: evolving under
-      H = p^2/2M + H_0 - alpha (m + H_0/c^2) x
-  for a duration dt with alpha dt = v_b held fixed converges to B_v(v_b) as
+* A velocity boost is the impulsive limit, slope -alpha: evolving for a
+  duration dt with alpha dt = v_b held fixed converges to B_v(v_b) as
   dt -> 0, with the deviation shrinking linearly in dt.  If the potential
   couples only to the bare mass (-alpha m x), the limit is the plain momentum
   kick B_p(m v_b) instead, and the deviation from B_v stalls at a floor set
   by the internal energies.
 
 * Free evolution interleaved with small velocity kicks, (U(dt) B_v(-a dt))^n,
-  converges to evolution under the static accelerated-frame Hamiltonian
-      H_acc = p^2/2M + H_0 + a M x,
+  converges to evolution under the static accelerated-frame Hamiltonian,
+  slope a: H_acc = p^2/2M + H_0 + a M x,
   with first-order product-formula error (halves when n doubles).  Note the
   per-step kick is -a dt: the frame accelerates one way, so everything in it
   is kicked the other way.
@@ -40,21 +41,6 @@ from .operators import total_energy
 
 # Probability near the box edge that aborts a grid evolution.
 ABORT_EDGE_MASS = 1e-12
-
-
-@dataclass(frozen=True)
-class LinearPotentialEvolution:
-    """Evolve for `duration` under a linear potential of slope `strength`.
-
-    internal_coupled selects whether the potential multiplies the full mass
-    operator m + H_0/c^2 (velocity-boost physics) or only the bare mass m
-    (momentum-kick physics).
-    """
-
-    strength: float
-    duration: float
-    center: float = 0.0
-    internal_coupled: bool = True
 
 
 def _require_inside(state: GridState, context: str) -> None:
@@ -122,13 +108,16 @@ def _evolve_static(state: GridState, potentials: np.ndarray, duration: float) ->
     return state.with_amplitudes(amps)
 
 
-def evolve_linear_potential(state: GridState, op: LinearPotentialEvolution) -> GridState:
-    """Exact finite-duration evolution with the linear-potential Hamiltonian."""
+def evolve_linear_potential(
+    state: GridState, slope: float, duration: float, internal_coupled: bool = True
+) -> GridState:
+    """Exact evolution for `duration` under the potential slope m_n x, with m_n the
+    full mass M_n of branch n when internal_coupled (velocity-boost and
+    accelerated-frame physics), else the bare mass 1 (momentum-kick physics)."""
     _require_inside(state, "linear-potential evolution (initial state)")
-    x = state.positions - op.center
-    masses = state.spectrum.masses if op.internal_coupled else np.ones(state.spectrum.dim)
-    potentials = np.stack([-op.strength * m * x for m in masses])
-    out = _evolve_static(state, potentials, op.duration)
+    masses = state.spectrum.masses if internal_coupled else np.ones(state.spectrum.dim)
+    potentials = np.stack([slope * m * state.positions for m in masses])
+    out = _evolve_static(state, potentials, duration)
     _require_inside(out, "linear-potential evolution (final state)")
     return out
 
@@ -158,7 +147,7 @@ def impulsive_boost_limit(
     """Drive alpha -> infinity at fixed alpha dt = v_b and watch B_v emerge.
 
     For each duration dt the state is evolved exactly under the linear
-    potential Hamiltonian with slope alpha = v_b / dt and compared against
+    potential Hamiltonian with slope -alpha = -v_b / dt and compared against
     the ideal velocity boost and the ideal momentum kick.
     """
     durations = np.asarray([float(dt) for dt in dt_schedule])
@@ -169,10 +158,7 @@ def impulsive_boost_limit(
     dev_v = np.empty(len(durations))
     dev_p = np.empty(len(durations))
     for i, dt in enumerate(durations):
-        op = LinearPotentialEvolution(
-            strength=v_b / dt, duration=dt, internal_coupled=internal_coupled
-        )
-        evolved = evolve_linear_potential(state, op)
+        evolved = evolve_linear_potential(state, -v_b / dt, dt, internal_coupled)
         dev_v[i] = float(np.linalg.norm(evolved.amplitudes - reference_v.amplitudes))
         dev_p[i] = float(np.linalg.norm(evolved.amplitudes - reference_p.amplitudes))
     return ImpulseReport(
@@ -199,16 +185,6 @@ class TrotterReport:
         return self.errors[:-1] / self.errors[1:]
 
 
-def exact_accelerated_evolution(state: GridState, acceleration: float, duration: float) -> GridState:
-    """e^{-i t (p^2/2M + H_0 + a M x)} psi via per-level eigendecomposition."""
-    _require_inside(state, "accelerated-frame evolution (initial state)")
-    x = state.positions
-    potentials = np.stack([acceleration * m * x for m in state.spectrum.masses])
-    out = _evolve_static(state, potentials, duration)
-    _require_inside(out, "accelerated-frame evolution (final state)")
-    return out
-
-
 def accelerated_frame_trotter(
     state: GridState,
     acceleration: float,
@@ -223,7 +199,7 @@ def accelerated_frame_trotter(
     steps = np.asarray([int(s) for s in steps])
     if np.any(steps <= 0) or np.any(np.diff(steps) <= 0):
         raise ValueError("steps must be positive and strictly increasing")
-    exact = exact_accelerated_evolution(state, acceleration, duration)
+    exact = evolve_linear_potential(state, acceleration, duration)
     errors = np.empty(len(steps))
     for i, n in enumerate(steps):
         dt = duration / n

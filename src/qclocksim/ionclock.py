@@ -316,7 +316,6 @@ def spectroscopy_scan(
     model: TrapModel,
     points: int = 61,
     span_factor: float = 4.0,
-    check_cutoff: bool = True,
 ) -> SpectroscopyResult:
     """Scan the drive detuning across the line and locate the peak.
 
@@ -333,9 +332,7 @@ def spectroscopy_scan(
     half_span = span_factor * max(abs(center), 1e-3 * model.rabi_frequency)
     detunings = np.linspace(center - half_span, center + half_span, points)
     vertex, idx, residual, excitation = _scan_peak(model, detunings, model.fock_cutoff)
-    cutoff_change = float("nan")
-    if check_cutoff:
-        cutoff_change = abs(_doubled_cutoff_vertex(model, detunings, idx) - vertex)
+    cutoff_change = abs(_doubled_cutoff_vertex(model, detunings, idx) - vertex)
     u = model.transition_energy
     return SpectroscopyResult(
         detunings=detunings,

@@ -155,18 +155,13 @@ def trace_chain(
     return state.with_amplitudes(amps, momenta=momenta), phases
 
 
-def apply_chain(state: PlaneWaveState, ops, guard: RegimeGuard | None = None) -> PlaneWaveState:
-    """Apply operators in order, returning a new state (input never mutated)."""
-    return trace_chain(state, ops, guard=guard)[0]
-
-
 def apply_operator(
     state: PlaneWaveState,
     op: OperatorSpec,
     guard: RegimeGuard | None = None,
 ) -> PlaneWaveState:
     """Apply one operator, returning a new state (input never mutated)."""
-    return apply_chain(state, [op], guard=guard)
+    return trace_chain(state, [op], guard=guard)[0]
 
 
 def conjugate_velocity_boost_by_translation(
@@ -182,9 +177,9 @@ def conjugate_velocity_boost_by_translation(
     multiplies each branch by e^{i M_n v_b s}.  Both paths are computed; if
     any component's phase disagrees beyond tol a ConsistencyError is raised.
     """
-    conjugated = apply_chain(
+    conjugated = trace_chain(
         state, [Translation(shift), VelocityBoost(v_b), Translation(-shift)], guard=guard
-    )
+    )[0]
     boosted = apply_operator(state, VelocityBoost(v_b), guard=guard)
     masses = state.spectrum.masses[state.levels]
     predicted = boosted.amplitudes * np.exp(1j * masses * v_b * shift)

@@ -100,6 +100,11 @@ class RunReport:
         """A check that passes while value stays at or below tolerance."""
         self.add_check(name, value <= tolerance, value, tolerance, detail)
 
+    def add_range(self, name: str, values, low, high, detail: str = "") -> None:
+        """A check that passes while every value lies in [low, high]; reports the minimum."""
+        lowest = np.min(values)
+        self.add_check(name, low <= lowest and np.max(values) <= high, lowest, low, detail)
+
     def summary_lines(self) -> list:
         lines = [f"[{self.scenario}] {self.name}: {len(self.rows)} rows"]
         for check in self.checks:

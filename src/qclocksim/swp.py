@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sequences import SequenceKind, closed_dilation_factor
 from .spectrum import InternalSpectrum
 
 # Relative bracket width at which tick refinement stops, in units of tau.
@@ -76,7 +77,6 @@ class DilationProfile:
     """Per-level frequency multipliers d_n applied to the clock spectrum."""
 
     factors: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
         factors = np.asarray(self.factors, dtype=float)
@@ -93,17 +93,19 @@ class DilationProfile:
 
     @classmethod
     def none(cls, dim: int) -> "DilationProfile":
-        return cls(factors=np.ones(dim), kind="none")
+        return cls(np.ones(dim))
 
     @classmethod
     def velocity_classical(cls, dim: int, v_b: float) -> "DilationProfile":
         """Clock flown at velocity v_b: every level slows by 1 - v_b^2/2."""
-        return cls(factors=np.full(dim, 1.0 - 0.5 * v_b * v_b), kind="velocity-classical")
+        factor = closed_dilation_factor(SequenceKind.VELOCITY_CLOCK, None, v_b, None)
+        return cls(np.full(dim, factor))
 
     @classmethod
     def observer_classical(cls, dim: int, v_b: float) -> "DilationProfile":
         """Observer flown instead: every level speeds up by 1 + v_b^2/2."""
-        return cls(factors=np.full(dim, 1.0 + 0.5 * v_b * v_b), kind="observer-classical")
+        factor = closed_dilation_factor(SequenceKind.VELOCITY_OBSERVER, None, v_b, None)
+        return cls(np.full(dim, factor))
 
     @classmethod
     def momentum_nonclassical(cls, p_b: float, spectrum: InternalSpectrum) -> "DilationProfile":
@@ -112,10 +114,8 @@ class DilationProfile:
         The factor depends on the level through the mass M_n = 1 + eps_n,
         which is what makes the profile nonclassical.
         """
-        return cls(
-            factors=1.0 - 0.5 * p_b * p_b / spectrum.masses,
-            kind="momentum-nonclassical",
-        )
+        levels = np.arange(spectrum.dim)
+        return cls(closed_dilation_factor(SequenceKind.MOMENTUM, spectrum, p_b, levels))
 
 
 def _rates(clock: SWPClock, profile: DilationProfile) -> np.ndarray:

@@ -57,18 +57,13 @@ class RegimeGuard:
                 "the first-order mass-energy expansion is not valid there"
             )
 
-    def check_momenta(self, momenta, context: str = "state") -> bool:
-        """Warn (or raise when strict) if any momentum leaves the regime.
-
-        Returns True when everything is in regime.
-        """
-        return self.check_kicks([(context, momenta)])
-
     def check_kicks(self, kicks) -> bool:
-        """check_momenta for the (context, momenta) after each kick of a chain.
+        """Warn (or raise when strict) if the momenta after any kick leave the regime.
 
-        momenta may carry a leading run axis: each run that leaves the regime
-        is reported once per such kick, in run order, then chain order.
+        kicks holds one (context, momenta) pair per kick of a chain.  momenta
+        may carry a leading run axis: each run that leaves the regime is
+        reported once per such kick, in run order, then chain order.
+        Returns True when everything is in regime.
         """
         worst = np.stack(np.broadcast_arrays(*(
             np.max(np.square(np.asarray(m, dtype=float)), axis=-1, initial=0.0) for _, m in kicks

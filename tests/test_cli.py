@@ -46,6 +46,15 @@ FROZEN_FULL_SUITE = {
             1.1281082007840437e-05,
         ],
     ),
+    "impulse": (
+        "deviation_velocity",
+        [
+            0.007883859902479699,
+            0.0007883901618143808,
+            7.883902035304246e-05,
+            7.883902039467627e-06,
+        ],
+    ),
 }
 
 BASE_CONFIG = {

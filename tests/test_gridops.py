@@ -18,11 +18,9 @@ from qclocksim.config import run_spectrum
 from qclocksim.errors import WraparoundError
 from qclocksim.grid import GridState, gaussian_grid_state
 from qclocksim.gridops import (
-    LinearPotentialEvolution,
     _branch_hamiltonian,
     accelerated_frame_trotter,
     evolve_linear_potential,
-    exact_accelerated_evolution,
     free_evolution_grid,
     impulsive_boost_limit,
     momentum_boost_grid,
@@ -99,8 +97,7 @@ def test_momentum_boost_shifts_all_levels_equally():
 def test_zero_slope_potential_matches_fft_free_evolution():
     # Cross-validates the dense eigendecomposition path against the FFT path.
     state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0, momentum=0.15)
-    op = LinearPotentialEvolution(strength=0.0, duration=1.5)
-    via_eigh = evolve_linear_potential(state, op)
+    via_eigh = evolve_linear_potential(state, 0.0, 1.5)
     via_fft = free_evolution_grid(state, 1.5)
     np.testing.assert_allclose(via_eigh.amplitudes, via_fft.amplitudes, atol=1e-12)
 
@@ -113,7 +110,7 @@ def test_accelerated_evolution_follows_ehrenfest_trajectories():
     state = gaussian_grid_state(SPEC, size=256, box_length=64.0, sigma=3.5, momentum=p0)
     x0 = _level_moments(state, "x")
     p_init = _level_moments(state, "p")
-    out = exact_accelerated_evolution(state, a, t)
+    out = evolve_linear_potential(state, a, t)
     x_mean = _level_moments(out, "x")
     p_mean = _level_moments(out, "p")
     for n in range(SPEC.dim):
@@ -183,7 +180,7 @@ def test_trotter_steps_validation():
 def test_packet_near_the_edge_aborts():
     state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0, center=12.0)
     with pytest.raises(WraparoundError):
-        evolve_linear_potential(state, LinearPotentialEvolution(strength=0.1, duration=0.1))
+        evolve_linear_potential(state, -0.1, 0.1)
 
 
 def test_packet_driven_into_the_edge_aborts():
@@ -191,7 +188,7 @@ def test_packet_driven_into_the_edge_aborts():
     # boundary band by the end of the window.
     state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0)
     with pytest.raises(WraparoundError):
-        exact_accelerated_evolution(state, 2.0, 3.0)
+        evolve_linear_potential(state, 2.0, 3.0)
 
 
 def _full_suite_params(kind):
@@ -255,7 +252,7 @@ def test_accelerated_evolution_equals_the_complex_reference():
     a, t = params["acceleration"], params["duration"]
     potentials = np.stack([a * m * state.positions for m in state.spectrum.masses])
     np.testing.assert_allclose(
-        exact_accelerated_evolution(state, a, t).amplitudes,
+        evolve_linear_potential(state, a, t).amplitudes,
         _complex_evolve_static(state, potentials, t),
         rtol=0.0,
         atol=1e-13,
@@ -266,11 +263,10 @@ def test_linear_potential_evolutions_equal_the_complex_reference():
     params = _full_suite_params("impulse-boost")
     state = _full_suite_state("impulse-boost")
     for dt in params["dt_schedule"]:
-        slope = params["boost"] / dt
-        potentials = np.stack([-slope * m * state.positions for m in state.spectrum.masses])
-        op = LinearPotentialEvolution(strength=slope, duration=dt)
+        slope = -params["boost"] / dt
+        potentials = np.stack([slope * m * state.positions for m in state.spectrum.masses])
         np.testing.assert_allclose(
-            evolve_linear_potential(state, op).amplitudes,
+            evolve_linear_potential(state, slope, dt).amplitudes,
             _complex_evolve_static(state, potentials, dt),
             rtol=0.0,
             atol=1e-13,

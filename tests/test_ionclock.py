@@ -306,7 +306,7 @@ def _complex_excitation_probabilities(model, detunings, dim):
 def test_real_gauged_lineshape_equals_the_complex_reference(n, cutoff_factor):
     model = TrapModel(transition_energy=U, trap_frequency=W, fock_index=n)
     dim = cutoff_factor * model.fock_cutoff
-    detunings = spectroscopy_scan(model, check_cutoff=False).detunings
+    detunings = spectroscopy_scan(model).detunings
     np.testing.assert_allclose(
         _excitation_probabilities(model, detunings, dim),
         _complex_excitation_probabilities(model, detunings, dim),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qclocksim import swp
+from qclocksim.sequences import SequenceKind, closed_dilation_factor
 from qclocksim.spectrum import ladder_spectrum
 from qclocksim.swp import (
     SCAN_CHUNK_AMPLITUDES,
@@ -106,29 +107,36 @@ def test_profile_constructors():
     assert DilationProfile.none(4).is_uniform
     np.testing.assert_allclose(DilationProfile.none(4).factors, 1.0)
 
+    # Each profile is, bit for bit, the twin sequences' closed-form factor.
     slowed = DilationProfile.velocity_classical(4, 0.1)
     assert slowed.is_uniform
     np.testing.assert_allclose(slowed.factors, 1.0 - 0.005, rtol=1e-15)
+    closed = closed_dilation_factor(SequenceKind.VELOCITY_CLOCK, None, 0.1, None)
+    assert np.array_equal(slowed.factors, np.full(4, closed))
 
     sped = DilationProfile.observer_classical(4, 0.1)
     np.testing.assert_allclose(sped.factors, 1.0 + 0.005, rtol=1e-15)
+    closed = closed_dilation_factor(SequenceKind.VELOCITY_OBSERVER, None, 0.1, None)
+    assert np.array_equal(sped.factors, np.full(4, closed))
 
     spectrum = ladder_spectrum(4, 0.05)
     branchy = DilationProfile.momentum_nonclassical(0.2, spectrum)
     expected = 1.0 - 0.5 * 0.2**2 / np.asarray(spectrum.masses)
     np.testing.assert_allclose(branchy.factors, expected, rtol=1e-15)
+    closed = closed_dilation_factor(SequenceKind.MOMENTUM, spectrum, 0.2, np.arange(4))
+    assert np.array_equal(branchy.factors, closed)
     assert not branchy.is_uniform
 
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        DilationProfile(np.array([0.9]), kind="custom")  # a single level is not a clock
+        DilationProfile(np.array([0.9]))  # a single level is not a clock
     with pytest.raises(ValueError):
-        DilationProfile(np.array([1.0, 2.0]), kind="custom")  # factor at the open boundary
+        DilationProfile(np.array([1.0, 2.0]))  # factor at the open boundary
     with pytest.raises(ValueError):
-        DilationProfile(np.array([1.0, -0.1]), kind="custom")
+        DilationProfile(np.array([1.0, -0.1]))
     with pytest.raises(ValueError):
-        DilationProfile(np.ones((2, 2)), kind="custom")
+        DilationProfile(np.ones((2, 2)))
 
 
 def test_clock_validation():
@@ -175,7 +183,7 @@ def test_tick_finder_reports_when_ticks_are_missing():
     # A clock running at half rate ticks every 2 tau; the default window
     # contains just one such tick, so no spacing can be formed.
     clock = SWPClock(dim=8, omega0=1.0)
-    halved = DilationProfile(np.full(8, 0.5), kind="custom")
+    halved = DilationProfile(np.full(8, 0.5))
     scan = find_effective_ticks(clock, halved)
     assert scan.tick_times.shape[0] < 2
     assert np.isnan(scan.mean_spacing)

@@ -64,16 +64,16 @@ def test_guard_rejects_large_internal_energies():
 
 def test_guard_warns_on_large_momenta_by_default():
     guard = RegimeGuard(kappa_max=0.1)
-    assert guard.check_momenta([0.0, 0.1, -0.3]) is True
+    assert guard.check_kicks([("state", [0.0, 0.1, -0.3])]) is True
     with pytest.warns(RegimeWarning):
-        ok = guard.check_momenta([0.4])
+        ok = guard.check_kicks([("state", [0.4])])
     assert ok is False
 
 
 def test_strict_guard_escalates_momentum_warning():
     guard = RegimeGuard(kappa_max=0.1, strict=True)
     with pytest.raises(RegimeError):
-        guard.check_momenta([0.5], context="test")
+        guard.check_kicks([("test", [0.5])])
 
 
 def test_default_guard_bounds():
