@@ -163,5 +163,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # engine failures: report, do not traceback-spam
-        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        runs = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        print(f"engine error: {type(exc).__name__}: {exc}{runs}", file=sys.stderr)
         return EXIT_ENGINE

@@ -23,8 +23,10 @@ import numpy as np
 from .errors import ConfigError, RegimeError, WraparoundError
 from .grid import gaussian_grid_state
 from .gridops import _require_inside
+from .ionclock import TrapModel
 from .sequences import SequenceKind, build_sequence, require_two_levels
 from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
+from .swp import DilationProfile, SWPClock
 from .units import (
     DEFAULT_GUARD,
     RegimeGuard,
@@ -285,6 +287,49 @@ def run_spectrum(
     return ladder_spectrum(params["levels"], params["spacing"], guard=guard)
 
 
+# Every parameter run_spectrum reads.
+_SPECTRUM_PARAMS = ("profile", "dim", "levels", "spacing", "epsilons")
+
+
+def spectrum_builder(kind: str, guard: RegimeGuard = DEFAULT_GUARD):
+    """run_spectrum for the runs of one scenario; runs that read the same
+    parameters share one spectrum, built once."""
+    built = {}
+
+    def spectrum(params: dict) -> InternalSpectrum | None:
+        key = tuple(map(params.get, _SPECTRUM_PARAMS))
+        if key not in built:
+            built[key] = run_spectrum(kind, params, guard)
+        return built[key]
+
+    return spectrum
+
+
+def swp_clock(params: dict, spectrum: InternalSpectrum | None) -> tuple:
+    """The pointer clock and dilation profile of an SWP run, given its run_spectrum."""
+    clock = SWPClock(dim=params["dim"], omega0=params["omega0"])
+    profile = params["profile"]
+    if profile == "none":
+        return clock, DilationProfile.none(clock.dim)
+    if profile == "velocity-classical":
+        return clock, DilationProfile.velocity_classical(clock.dim, params["boost"])
+    if profile == "observer-classical":
+        return clock, DilationProfile.observer_classical(clock.dim, params["boost"])
+    return clock, DilationProfile.momentum_nonclassical(params["boost"], spectrum)
+
+
+def trap_model(params: dict) -> TrapModel:
+    """The trapped ion of an ion-spectroscopy run."""
+    return TrapModel.with_lamb_dicke(
+        transition_energy=params["transition_energy"],
+        trap_frequency=params["trap_frequency"],
+        lamb_dicke=params["lamb_dicke"],
+        fock_index=params["fock_index"],
+        rabi_frequency=params.get("rabi_frequency"),
+        fock_cutoff=params.get("fock_cutoff"),
+    )
+
+
 def grid_state_args(params: dict) -> dict:
     """gaussian_grid_state's keywords for a trotter-accel or impulse-boost run's packet."""
     return {"size": params["grid_size"], "box_length": params["box_length"],
@@ -301,47 +346,49 @@ def _max_boost(kind: str, params: dict) -> float:
     return 0.0
 
 
-def _engine_check(where: str, check, *args, **kwargs):
-    """Apply one of the engine's own checks; a refusal names the JSON path."""
+def _engine_check(where: str, run_name: str, check, *args, **kwargs):
+    """Apply one of the engine's own checks; a refusal names the JSON path and run."""
     try:
         return check(*args, **kwargs)
     except RegimeError as exc:
-        raise ConfigError(f"{where}: RegimeGuard: {exc}") from exc
+        raise ConfigError(f"{where} (run {run_name!r}): RegimeGuard: {exc}") from exc
     except (ValueError, WraparoundError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where} (run {run_name!r}): {exc}") from exc
 
 
-def _static_regime_check(kind: str, params: dict, where: str, run_name: str) -> None:
+def _static_regime_check(kind: str, params: dict, where: str, run_name: str, spectrum_of) -> None:
     guard = DEFAULT_GUARD
-    run = f"(run {run_name!r})"
     # Every rule below is the one the engine applies, so validation refuses
     # exactly what the run would refuse.
     if kind == "ion-spectroscopy":
-        _engine_check(f"{where} {run}", guard.check_epsilons, [params["transition_energy"]])
-    spectrum = _engine_check(f"{where} {run}", run_spectrum, kind, params, guard)
+        _engine_check(where, run_name, guard.check_epsilons, [params["transition_energy"]])
+        _engine_check(where, run_name, trap_model, params)
+    spectrum = _engine_check(where, run_name, spectrum_of, params)
+    if kind == "swp":
+        _engine_check(where, run_name, swp_clock, params, spectrum)
     if kind == "twin-momentum":
         # The sequence builder refuses a translation level outside the
         # spectrum, and one combined with the state-dependent translation.
         _engine_check(
-            f"{where}.params.translation_level {run}", build_sequence, SequenceKind.MOMENTUM,
+            f"{where}.params.translation_level", run_name, build_sequence, SequenceKind.MOMENTUM,
             params["boost"], params["duration"], params["translation_level"], spectrum,
             params["state_dependent_translation"],
         )
     if kind == "entanglement-demo":
-        _engine_check(f"{where}.params.levels {run}", require_two_levels, spectrum)
+        _engine_check(f"{where}.params.levels", run_name, require_two_levels, spectrum)
     if kind in ("trotter-accel", "impulse-boost"):
         # The grid engines refuse a packet that already reaches the box edge.
         state = _engine_check(
-            f"{where} {run}", gaussian_grid_state, spectrum, **grid_state_args(params)
+            where, run_name, gaussian_grid_state, spectrum, **grid_state_args(params)
         )
-        _engine_check(f"{where}.params.box_length {run}", _require_inside, state, "initial state")
+        _engine_check(f"{where}.params.box_length", run_name, _require_inside, state,
+                      "initial state")
     boost = _max_boost(kind, params)
-    _require(
-        boost <= guard.kappa_max,
-        f"{where} {run}",
-        f"boost magnitude {boost!r} exceeds the RegimeGuard limit "
-        f"kappa_max={guard.kappa_max!r}; the weak-relativistic model does not apply",
-    )
+    if boost > guard.kappa_max:
+        raise ConfigError(
+            f"{where} (run {run_name!r}): boost magnitude {boost!r} exceeds the RegimeGuard "
+            f"limit kappa_max={guard.kappa_max!r}; the weak-relativistic model does not apply"
+        )
 
 
 def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
@@ -410,8 +457,9 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
         sweep = Sweep(parameter=parameter, start=start, stop=stop, count=count)
 
     spec = ScenarioSpec(name=name, kind=kind, params=params, tolerances=tolerances, sweep=sweep)
+    spectrum_of = spectrum_builder(kind)
     for run_name, run_params in spec.expand():
-        _static_regime_check(kind, run_params, where, run_name)
+        _static_regime_check(kind, run_params, where, run_name, spectrum_of)
     return spec
 
 

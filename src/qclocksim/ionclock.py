@@ -107,6 +107,8 @@ class TrapModel:
         lamb_dicke: float,
         **kwargs,
     ) -> "TrapModel":
+        if not trap_frequency > 0.0:  # refused before its square root is taken
+            raise ValueError("trap frequency must be positive")
         return cls(
             transition_energy=transition_energy,
             trap_frequency=trap_frequency,

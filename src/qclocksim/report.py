@@ -7,10 +7,11 @@ round-trip form), JSON keys are sorted, and nothing time- or host-dependent
 ever goes into an output file.  Wall-clock timings belong on stderr, not in
 the artifacts.
 
-Each file is rendered whole and written as its UTF-8 bytes in one binary
-write.  json.dumps with indent=2 bypasses the C encoder, so `_json` writes
-the same bytes with it: one C encoder per indent depth, built once, renders
-each container that holds no non-empty container in one call.
+Each file is rendered whole and written as its UTF-8 bytes with os.write.
+json.dumps with indent=2 bypasses the C encoder, so `_json` writes the same
+bytes with it: one C encoder per indent depth, built once, renders each
+container that holds no non-empty container in one call, and each list of
+flat records (rows, checks) in one call too.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import functools
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
@@ -26,8 +28,14 @@ import numpy as np
 
 
 def _write_file(path, text: str) -> None:
-    with open(path, "wb") as handle:
-        handle.write(text.encode("utf-8"))
+    """Write text as UTF-8, replacing the file; mode bits as open(path, "w") gives them."""
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,6 +43,13 @@ def _encoder(depth: int):
     """The C JSON encoder, keys sorted, items on new lines indented to depth."""
     return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
                           ": ", ",\n" + "  " * depth, True, False, True)
+
+
+def _is_record(item) -> bool:
+    """A non-empty dict that holds no non-empty container."""
+    return isinstance(item, dict) and bool(item) and not any(
+        isinstance(v, (dict, list, tuple)) and v for v in item.values()
+    )
 
 
 def _json(value, depth: int = 1) -> str:
@@ -45,6 +60,14 @@ def _json(value, depth: int = 1) -> str:
     pad = "  " * depth
     if not any(isinstance(item, (dict, list, tuple)) and item for item in items):
         inner = "".join(_encoder(depth)(value, 0))[1:-1]
+    elif not isinstance(value, dict) and all(map(_is_record, value)):
+        # One call renders every record, with the records' own item break
+        # between them too.  The encoder escapes each newline inside a
+        # string, so "}," + break + "{" occurs only between two records.
+        field = "\n" + pad + "  "
+        opening, closing = "{" + field, f"\n{pad}}}"
+        records = "".join(_encoder(depth + 1)(value, 0))[2:-2]
+        inner = opening + records.replace("}," + field + "{", f"{closing},\n{pad}{opening}") + closing
     elif isinstance(value, dict):
         inner = f",\n{pad}".join(f"{encode_basestring_ascii(key)}: {_json(item, depth + 1)}"
                                  for key, item in sorted(value.items()))
@@ -54,9 +77,12 @@ def _json(value, depth: int = 1) -> str:
     return f"{left}\n{pad}{inner}\n{pad[2:]}{right}"
 
 
+_PLAIN_TYPES = frozenset({float, int, str})
+
+
 def format_value(value) -> str:
     """Shortest round-trip text for a cell value."""
-    if type(value) in (float, int, str):
+    if type(value) in _PLAIN_TYPES:
         return str(value)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
@@ -127,16 +153,29 @@ class RunReport:
         }
 
     def write_json(self, path) -> None:
-        _write_file(path, _json(self.to_json_dict()) + "\n")
+        """The bytes of json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + newline."""
+        _write_file(path, (
+            f'{{\n  "checks": {_json([vars(check) for check in self.checks], 2)},'
+            f'\n  "name": {_json(self.name, 2)},'
+            f'\n  "notes": {_json(list(self.notes), 2)},'
+            f'\n  "parameters": {_json(self.parameters, 2)},'
+            f'\n  "passed": {"true" if self.passed else "false"},'
+            f'\n  "rows": {_json(self.rows, 2)},'
+            f'\n  "scenario": {_json(self.scenario, 2)},'
+            f'\n  "schema_version": 1\n}}\n'
+        ))
 
     def write_csv(self, path) -> None:
         """Emit the tabular rows; column order follows the first row."""
-        columns = list(self.rows[0].keys()) if self.rows else []
-        for row in self.rows:
-            if list(row.keys()) != columns:
-                raise ValueError("all report rows must share one column layout")
+        columns = list(self.rows[0]) if self.rows else []
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([format_value(row[c]) for c in columns] for row in self.rows)
+        for row in self.rows:
+            if list(row) != columns:
+                raise ValueError("all report rows must share one column layout")
+            cells = list(row.values())
+            # csv renders float, int and str cells as format_value does.
+            writer.writerow(cells if _PLAIN_TYPES.issuperset(map(type, cells))
+                            else map(format_value, cells))
         _write_file(path, buffer.getvalue())

@@ -20,11 +20,18 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import RunConfig, grid_state_args, run_spectrum
+from .config import (
+    RunConfig,
+    grid_state_args,
+    run_spectrum,
+    spectrum_builder,
+    swp_clock,
+    trap_model,
+)
 from .errors import ConfigError
 from .grid import gaussian_grid_state
 from .gridops import accelerated_frame_trotter, impulsive_boost_limit
-from .ionclock import TrapModel, shift_comparison, spectroscopy_scan
+from .ionclock import shift_comparison, spectroscopy_scan
 from .report import RunReport
 from .sequences import (
     SequenceKind,
@@ -35,7 +42,7 @@ from .sequences import (
 # Not called here; perfbench/tracer.py looks these names up in this module.
 from .spectrum import ladder_spectrum, make_spectrum  # noqa: F401
 from .spectrum import stack_spectra
-from .swp import DilationProfile, SWPClock, find_effective_ticks
+from .swp import find_effective_ticks
 from .units import DEFAULT_GUARD, RegimeGuard
 
 _SEQUENCE_KINDS = {
@@ -47,9 +54,7 @@ _SEQUENCE_KINDS = {
 
 def _sweep_spectrum(kind: str, runs: list, guard: RegimeGuard):
     """The batch's spectrum, stacked per run; each distinct level set is built once."""
-    keys = [(p["levels"], p["spacing"], p.get("epsilons")) for p in runs]
-    built = {key: run_spectrum(kind, p, guard) for key, p in dict(zip(keys, runs)).items()}
-    return stack_spectra([built[key] for key in keys])
+    return stack_spectra(list(map(spectrum_builder(kind, guard), runs)))
 
 
 def _run_twin(kind: str, names: list, runs: list, tol: dict, guard: RegimeGuard) -> list:
@@ -115,18 +120,7 @@ def _run_twin(kind: str, names: list, runs: list, tol: dict, guard: RegimeGuard)
 
 
 def _run_swp(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    clock = SWPClock(dim=params["dim"], omega0=params["omega0"])
-    profile_kind = params["profile"]
-    if profile_kind == "none":
-        profile = DilationProfile.none(clock.dim)
-    elif profile_kind == "velocity-classical":
-        profile = DilationProfile.velocity_classical(clock.dim, params["boost"])
-    elif profile_kind == "observer-classical":
-        profile = DilationProfile.observer_classical(clock.dim, params["boost"])
-    else:
-        profile = DilationProfile.momentum_nonclassical(
-            params["boost"], run_spectrum("swp", params, guard)
-        )
+    clock, profile = swp_clock(params, run_spectrum("swp", params, guard))
     tau = clock.tau
     window = tuple(w * tau for w in params["window_in_tau"])
     scan = find_effective_ticks(
@@ -180,14 +174,7 @@ def _run_swp(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunRepor
 
 
 def _run_ion(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    model = TrapModel.with_lamb_dicke(
-        transition_energy=params["transition_energy"],
-        trap_frequency=params["trap_frequency"],
-        lamb_dicke=params["lamb_dicke"],
-        fock_index=params["fock_index"],
-        rabi_frequency=params.get("rabi_frequency"),
-        fock_cutoff=params.get("fock_cutoff"),
-    )
+    model = trap_model(params)
     scan = spectroscopy_scan(
         model, points=params["points"], span_factor=params["span_factor"]
     )
@@ -384,7 +371,16 @@ def run_config(
 
     def one(job):
         kind, name, params, tolerances = job
-        return run_scenario(kind, name, params, tolerances, guard=guard)
+        try:
+            return run_scenario(kind, name, params, tolerances, guard=guard)
+        except Exception as exc:
+            # A PEP 678 note (add_note is Python 3.11+): the error keeps its
+            # type and text, and the CLI names the failing run from it.
+            names = [name] if isinstance(name, str) else name
+            runs = (f"run {names[0]!r}" if len(names) == 1
+                    else f"runs {names[0]!r} to {names[-1]!r}")
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), runs]
+            raise
 
     if threads <= 1 or len(jobs) <= 1:
         results = [one(job) for job in jobs]

@@ -245,6 +245,32 @@ def test_a_level_choice_the_engine_refuses_is_refused_at_validation(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("swp", {"dim": 1}, "at least two levels"),
+        ("swp", {"omega0": 0.0}, "omega0 must be positive"),
+        ("ion-spectroscopy", {"fock_cutoff": 5}, "fock cutoff"),
+        ("ion-spectroscopy", {"trap_frequency": -1e-5}, "trap frequency must be positive"),
+    ],
+    ids=["swp-one-level", "swp-zero-omega0", "ion-low-cutoff", "ion-negative-trap"],
+)
+def test_a_clock_the_engine_refuses_is_refused_at_validation(
+    tmp_path, capsys, kind, params, message
+):
+    # The runners build these with config.swp_clock and config.trap_model;
+    # validation builds them too, so the run never starts.
+    config = {"schema_version": 1, "scenarios": [{"kind": kind, "name": "bad", "params": params}]}
+    config_path = _write_config(tmp_path / "bad.json", config)
+    assert main(["validate", config_path]) == 2
+    err = capsys.readouterr().err
+    assert "scenarios[0] (run 'bad')" in err
+    assert message in err
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_exclusive_translation_options_are_refused_at_validation(tmp_path, capsys):
     # The sequence builder refuses a translation level together with the
     # state-dependent translation; validation must refuse the pair too.
@@ -330,7 +356,27 @@ def test_runtime_failure_maps_to_engine_exit_code(tmp_path, capsys):
     }
     path = _write_config(tmp_path / "narrow.json", config)
     assert main(["run", path]) == 3
-    assert "engine error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "engine error: ValueError: tick window must span at least 3 resolution times" in err
+    assert "(run 'narrow-window')" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_runtime_failure_of_a_batch_names_its_first_and_last_run(tmp_path, capsys, threads):
+    # Probe momenta of 0.31 leave the regime at the first kick; --strict-regime
+    # makes that an engine error of the whole sweep batch, or of each chunk.
+    scenario = {
+        "kind": "twin-momentum",
+        "name": "strict",
+        "params": {"probe_momenta": [0.0, 0.31]},
+        "sweep": {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 4},
+    }
+    path = _write_config(tmp_path / "strict.json", {"schema_version": 1, "scenarios": [scenario]})
+    assert main(["run", path, "--strict-regime", "--threads", threads]) == 3
+    err = capsys.readouterr().err
+    assert "engine error: RegimeError: " in err
+    assert ("(runs 'strict-0' to 'strict-3')" if threads == "1"
+            else "(runs 'strict-0' to 'strict-1')") in err
 
 
 def test_validate_reports_scenario_and_run_counts(tmp_path, capsys):

@@ -4,21 +4,45 @@ import csv
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qclocksim.report import RunReport, _json, format_value
 
+# Text that holds what a renderer splicing records by their breaks could
+# confuse: braces, commas, quotes, raw and Unicode line breaks, non-ASCII.
+_TEXT = st.text(st.sampled_from('}{,"\n\u2028 :aé∆') | st.characters(codec="utf-8"), max_size=8)
 _SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.text()
+    st.none() | st.booleans() | st.integers() | _TEXT
     | st.floats() | st.floats().map(np.float64)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, np.float64(-0.0)])
 )
+_CELLS = _SCALARS | st.sampled_from([[], {}, ()])
+# Lists of flat records: non-empty dicts of scalars and empty containers.
+_RECORDS = st.lists(st.dictionaries(_TEXT, _CELLS, min_size=1, max_size=5), min_size=1, max_size=4)
 _DOCUMENTS = st.recursive(
     _SCALARS,
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    | st.dictionaries(_TEXT, inner, max_size=4) | _RECORDS
+    | st.lists(_RECORDS | inner, max_size=3),
     max_leaves=30,
 )
+
+
+@st.composite
+def _report_documents(draw):
+    """A report whose rows share one column layout, with tricky keys, text and values."""
+    columns = draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True))
+    report = RunReport(
+        scenario=draw(_TEXT), name="hypothesis", parameters=draw(st.dictionaries(_TEXT, _CELLS))
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        report.rows.append({column: draw(_CELLS) for column in columns})
+    for _ in range(draw(st.integers(0, 3))):
+        report.add_check(draw(_TEXT), draw(st.booleans()), draw(st.floats()),
+                         draw(st.floats()), draw(_TEXT))
+    report.notes.extend(draw(st.lists(_TEXT, max_size=3)))
+    return report
 
 
 def _text_file_json(report, path):
@@ -71,3 +95,18 @@ def test_format_value_fast_path_matches_the_general_forms():
 @given(_DOCUMENTS)
 def test_json_renderer_gives_the_bytes_of_json_dumps(document):
     assert _json(document) == json.dumps(document, sort_keys=True, indent=2)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_report_documents())
+def test_writers_give_the_reference_bytes_over_longer_files(tmp_path, report):
+    for write, reference, suffix in (
+        (report.write_json, _text_file_json, "json"),
+        (report.write_csv, _text_file_csv, "csv"),
+    ):
+        new, old = tmp_path / f"new.{suffix}", tmp_path / f"old.{suffix}"
+        reference(report, old)
+        new.write_bytes(b"stale bytes longer than the report " + old.read_bytes() * 2)
+        write(new)
+        assert new.read_bytes() == old.read_bytes()
