@@ -5,8 +5,12 @@ scenarios.  Each scenario names one of the built-in kinds, optionally
 overrides that kind's default parameters and tolerances, and may attach a
 one-parameter sweep.  Validation is strict and front-loaded: unknown keys,
 wrong types, and physically out-of-regime parameters are all rejected here
-with the offending JSON path in the message, so the engine never starts on
-a config that cannot finish.
+with the offending JSON path in the message.
+
+Loading also plans every run: it builds the run's engine objects (spectrum,
+SWP clock and profile, trap, grid packet) with the engine's own constructors
+and checks, and the runners execute those objects.  A run can still fail at
+runtime, as with an SWP tick window too narrow for the tick finder.
 
 SI inputs are supported through a scenario-level "si" block; they are
 converted to the dimensionless ratios the engine uses and override the
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, RegimeError, WraparoundError
-from .grid import gaussian_grid_state
+from .grid import GridState, gaussian_grid_state
 from .gridops import _require_inside
 from .ionclock import TrapModel
 from .sequences import SequenceKind, build_sequence, require_two_levels
@@ -29,7 +33,6 @@ from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
 from .swp import DilationProfile, SWPClock
 from .units import (
     DEFAULT_GUARD,
-    RegimeGuard,
     beta_from_velocity,
     epsilon_from_energy,
     epsilon_from_frequency,
@@ -184,18 +187,16 @@ class ScenarioSpec:
     params: dict
     tolerances: dict
     sweep: Sweep | None = None
+    # Each run's engine objects, in expand() order, built when the config is parsed.
+    plans: list = field(default_factory=list)
 
     def expand(self) -> list:
         """(run_name, params) pairs: one per sweep value, or the bare run."""
         if self.sweep is None:
             return [(self.name, dict(self.params))]
-        runs = []
         width = len(str(self.sweep.count - 1))
-        for i, value in enumerate(self.sweep.values()):
-            params = dict(self.params)
-            params[self.sweep.parameter] = value
-            runs.append((f"{self.name}-{i:0{width}d}", params))
-        return runs
+        return [(f"{self.name}-{i:0{width}d}", {**self.params, self.sweep.parameter: value})
+                for i, value in enumerate(self.sweep.values())]
 
 
 @dataclass
@@ -268,127 +269,117 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
     return params
 
 
-def run_spectrum(
-    kind: str, params: dict, guard: RegimeGuard = DEFAULT_GUARD
-) -> InternalSpectrum | None:
-    """The internal spectrum one expanded run evolves.
-
-    None for runs without one: ion spectroscopy (a single transition energy)
-    and SWP scans with a classical dilation profile.
-    """
-    if kind == "ion-spectroscopy":
-        return None
-    if kind == "swp":
-        if params["profile"] != "momentum-nonclassical":
-            return None
-        return ladder_spectrum(params["dim"], params["spacing"], guard=guard)
+# Each plan function builds one run's engine objects with the engine's own
+# constructors and checks.  `at(field, check, *args)` applies one of them; a
+# refusal becomes a ConfigError at the scenario's JSON path plus field.
+def _plan_spectrum(params: dict, at) -> InternalSpectrum:
     if params.get("epsilons") is not None:
-        return make_spectrum(params["epsilons"], guard=guard)
-    return ladder_spectrum(params["levels"], params["spacing"], guard=guard)
+        return at("", make_spectrum, params["epsilons"])
+    return at("", ladder_spectrum, params["levels"], params["spacing"])
 
 
-# Every parameter run_spectrum reads.
-_SPECTRUM_PARAMS = ("profile", "dim", "levels", "spacing", "epsilons")
-
-
-def spectrum_builder(kind: str, guard: RegimeGuard = DEFAULT_GUARD):
-    """run_spectrum for the runs of one scenario; runs that read the same
-    parameters share one spectrum, built once."""
-    built = {}
-
-    def spectrum(params: dict) -> InternalSpectrum | None:
-        key = tuple(map(params.get, _SPECTRUM_PARAMS))
-        if key not in built:
-            built[key] = run_spectrum(kind, params, guard)
-        return built[key]
-
+def _plan_twin_momentum(params: dict, at) -> InternalSpectrum:
+    spectrum = _plan_spectrum(params, at)
+    # The sequence builder refuses a translation level outside the spectrum,
+    # and one combined with the state-dependent translation; neither refusal
+    # depends on the boost or the duration.
+    at(".params.translation_level", build_sequence, SequenceKind.MOMENTUM, 0.0, 1.0,
+       params["translation_level"], spectrum, params["state_dependent_translation"])
     return spectrum
 
 
-def swp_clock(params: dict, spectrum: InternalSpectrum | None) -> tuple:
-    """The pointer clock and dilation profile of an SWP run, given its run_spectrum."""
-    clock = SWPClock(dim=params["dim"], omega0=params["omega0"])
-    profile = params["profile"]
+def _plan_entanglement(params: dict, at) -> InternalSpectrum:
+    spectrum = _plan_spectrum(params, at)
+    at(".params.levels", require_two_levels, spectrum)
+    return spectrum
+
+
+def _swp_profile(params: dict, spectrum: InternalSpectrum | None) -> DilationProfile:
+    dim, profile, boost = params["dim"], params["profile"], params["boost"]
     if profile == "none":
-        return clock, DilationProfile.none(clock.dim)
+        return DilationProfile.none(dim)
     if profile == "velocity-classical":
-        return clock, DilationProfile.velocity_classical(clock.dim, params["boost"])
+        return DilationProfile.velocity_classical(dim, boost)
     if profile == "observer-classical":
-        return clock, DilationProfile.observer_classical(clock.dim, params["boost"])
-    return clock, DilationProfile.momentum_nonclassical(params["boost"], spectrum)
+        return DilationProfile.observer_classical(dim, boost)
+    return DilationProfile.momentum_nonclassical(boost, spectrum)
 
 
-def trap_model(params: dict) -> TrapModel:
-    """The trapped ion of an ion-spectroscopy run."""
-    return TrapModel.with_lamb_dicke(
-        transition_energy=params["transition_energy"],
-        trap_frequency=params["trap_frequency"],
-        lamb_dicke=params["lamb_dicke"],
-        fock_index=params["fock_index"],
-        rabi_frequency=params.get("rabi_frequency"),
-        fock_cutoff=params.get("fock_cutoff"),
-    )
+def _plan_swp(params: dict, at) -> tuple:
+    """The pointer clock and its dilation profile."""
+    spectrum = None
+    if params["profile"] == "momentum-nonclassical":
+        spectrum = at("", ladder_spectrum, params["dim"], params["spacing"])
+    clock = at("", SWPClock, dim=params["dim"], omega0=params["omega0"])
+    return clock, at("", _swp_profile, params, spectrum)
 
 
-def grid_state_args(params: dict) -> dict:
-    """gaussian_grid_state's keywords for a trotter-accel or impulse-boost run's packet."""
-    return {"size": params["grid_size"], "box_length": params["box_length"],
-            "sigma": params["sigma"], "momentum": params.get("momentum", 0.0)}
+def _plan_ion(params: dict, at) -> TrapModel:
+    at("", DEFAULT_GUARD.check_epsilons, [params["transition_energy"]])
+    return at("", TrapModel.with_lamb_dicke,
+              transition_energy=params["transition_energy"],
+              trap_frequency=params["trap_frequency"], lamb_dicke=params["lamb_dicke"],
+              fock_index=params["fock_index"], rabi_frequency=params["rabi_frequency"],
+              fock_cutoff=params["fock_cutoff"])
 
 
-def _max_boost(kind: str, params: dict) -> float:
-    if kind == "trotter-accel":
-        return abs(params["acceleration"]) * params["duration"]
-    if kind == "swp" and params["profile"] == "none":
-        return 0.0
-    if "boost" in params:
-        return abs(params["boost"])
-    return 0.0
+def _plan_grid(params: dict, at) -> GridState:
+    """The initial wavepacket of a trotter-accel or impulse-boost run."""
+    state = at("", gaussian_grid_state, _plan_spectrum(params, at), size=params["grid_size"],
+               box_length=params["box_length"], sigma=params["sigma"],
+               momentum=params.get("momentum", 0.0))
+    # The grid engines refuse a packet that already reaches the box edge.
+    at(".params.box_length", _require_inside, state, "initial state")
+    return state
 
 
-def _engine_check(where: str, run_name: str, check, *args, **kwargs):
-    """Apply one of the engine's own checks; a refusal names the JSON path and run."""
-    try:
-        return check(*args, **kwargs)
-    except RegimeError as exc:
-        raise ConfigError(f"{where} (run {run_name!r}): RegimeGuard: {exc}") from exc
-    except (ValueError, WraparoundError) as exc:
-        raise ConfigError(f"{where} (run {run_name!r}): {exc}") from exc
+def _boost(params: dict) -> float:
+    return abs(params["boost"])
 
 
-def _static_regime_check(kind: str, params: dict, where: str, run_name: str, spectrum_of) -> None:
-    guard = DEFAULT_GUARD
-    # Every rule below is the one the engine applies, so validation refuses
-    # exactly what the run would refuse.
-    if kind == "ion-spectroscopy":
-        _engine_check(where, run_name, guard.check_epsilons, [params["transition_energy"]])
-        _engine_check(where, run_name, trap_model, params)
-    spectrum = _engine_check(where, run_name, spectrum_of, params)
-    if kind == "swp":
-        _engine_check(where, run_name, swp_clock, params, spectrum)
-    if kind == "twin-momentum":
-        # The sequence builder refuses a translation level outside the
-        # spectrum, and one combined with the state-dependent translation.
-        _engine_check(
-            f"{where}.params.translation_level", run_name, build_sequence, SequenceKind.MOMENTUM,
-            params["boost"], params["duration"], params["translation_level"], spectrum,
-            params["state_dependent_translation"],
-        )
-    if kind == "entanglement-demo":
-        _engine_check(f"{where}.params.levels", run_name, require_two_levels, spectrum)
-    if kind in ("trotter-accel", "impulse-boost"):
-        # The grid engines refuse a packet that already reaches the box edge.
-        state = _engine_check(
-            where, run_name, gaussian_grid_state, spectrum, **grid_state_args(params)
-        )
-        _engine_check(f"{where}.params.box_length", run_name, _require_inside, state,
-                      "initial state")
-    boost = _max_boost(kind, params)
-    if boost > guard.kappa_max:
-        raise ConfigError(
-            f"{where} (run {run_name!r}): boost magnitude {boost!r} exceeds the RegimeGuard "
-            f"limit kappa_max={guard.kappa_max!r}; the weak-relativistic model does not apply"
-        )
+# Per kind: its plan function; the sweepable parameters that function reads;
+# and the boost magnitude of a run, held to kappa_max.
+PLANS = {
+    "twin-momentum": (_plan_twin_momentum, ("spacing",), _boost),
+    "twin-velocity": (_plan_spectrum, ("spacing",), _boost),
+    "twin-observer": (_plan_spectrum, ("spacing",), _boost),
+    "swp": (_plan_swp, ("omega0", "boost", "spacing"),
+            lambda p: 0.0 if p["profile"] == "none" else _boost(p)),
+    "ion-spectroscopy": (_plan_ion, ("transition_energy", "trap_frequency"), lambda p: 0.0),
+    "trotter-accel": (_plan_grid, (), lambda p: abs(p["acceleration"]) * p["duration"]),
+    "impulse-boost": (_plan_grid, (), _boost),
+    "entanglement-demo": (_plan_entanglement, ("spacing",), _boost),
+}
+
+
+def _plan_runs(spec: ScenarioSpec, where: str) -> list:
+    """Each run's plan, in expand() order.  The runs of a sweep differ only in
+    the swept parameter, so runs share a plan unless the plan reads it."""
+    build, reads, max_boost = PLANS[spec.kind]
+    swept = spec.sweep.parameter if spec.sweep and spec.sweep.parameter in reads else None
+    built, plans = {}, []
+    for run_name, params in spec.expand():
+
+        def at(field, check, *args, **kwargs):
+            try:
+                return check(*args, **kwargs)
+            except RegimeError as exc:
+                raise ConfigError(f"{where}{field} (run {run_name!r}): RegimeGuard: {exc}") from exc
+            except (ValueError, WraparoundError) as exc:
+                raise ConfigError(f"{where}{field} (run {run_name!r}): {exc}") from exc
+
+        key = params[swept] if swept else None
+        if key not in built:
+            built[key] = build(params, at)
+        plans.append(built[key])
+        boost = max_boost(params)
+        if boost > DEFAULT_GUARD.kappa_max:
+            raise ConfigError(
+                f"{where} (run {run_name!r}): boost magnitude {boost!r} exceeds the RegimeGuard "
+                f"limit kappa_max={DEFAULT_GUARD.kappa_max!r}; the weak-relativistic model "
+                "does not apply"
+            )
+    return plans
 
 
 def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
@@ -406,6 +397,12 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
     )
     name = data.get("name", f"{kind}-{index}")
     _require(isinstance(name, str) and name != "", f"{where}.name", "must be a nonempty string")
+    # Result files are named after the runs, inside --out-dir.
+    _require(
+        not name.startswith(".") and not {"/", "\\", "\0"} & set(name),
+        f"{where}.name",
+        f"must be a plain file name without '/', '\\', NUL or a leading '.', got {name!r}",
+    )
 
     schema = PARAM_SCHEMAS[kind]
     params = {key: spec.default for key, spec in schema.items()}
@@ -457,14 +454,12 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
         sweep = Sweep(parameter=parameter, start=start, stop=stop, count=count)
 
     spec = ScenarioSpec(name=name, kind=kind, params=params, tolerances=tolerances, sweep=sweep)
-    spectrum_of = spectrum_builder(kind)
-    for run_name, run_params in spec.expand():
-        _static_regime_check(kind, run_params, where, run_name, spectrum_of)
+    spec.plans = _plan_runs(spec, where)
     return spec
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a decoded JSON object and return the run configuration."""
+    """Validate a decoded JSON object and return the run configuration, planned."""
     _require(isinstance(data, dict), "config", "top level must be a JSON object")
     unknown = set(data) - {"schema_version", "scenarios"}
     _require(not unknown, "config", f"unknown keys: {sorted(unknown)}")
@@ -487,6 +482,12 @@ def parse_config(data: dict) -> RunConfig:
         "config.scenarios",
         f"scenario names must be unique, got {names}",
     )
+    owner = {}  # run name -> index of the scenario it belongs to
+    for i, spec in enumerate(specs):
+        for run_name, _ in spec.expand():
+            _require(owner.setdefault(run_name, i) == i, f"scenarios[{i}].name",
+                     f"run name {run_name!r} is already a run of scenarios[{owner[run_name]}]; "
+                     "each run writes result files named after it")
     return RunConfig(scenarios=specs)
 
 

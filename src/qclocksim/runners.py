@@ -1,11 +1,12 @@
 """Scenario execution: from validated config entries to result reports.
 
-Each scenario kind has one runner that builds the physical objects, runs
-the engine, fills a RunReport with rows, and applies that kind's tolerance
-checks.  Runners never print and never write files; the CLI layer owns all
-I/O.  A twin or entanglement sweep runs as one batch, as arrays with a
-leading run axis, and its runner builds one report per run from the result
-arrays; other sweep points are independent runs.  Jobs may execute on a
+Each scenario kind has one runner that runs the engine on the objects its
+runs were planned with at load time (config.PLANS), fills a RunReport with
+rows, and applies that kind's tolerance checks.  Runners never print and
+never write files; the CLI layer owns all I/O.  A twin or entanglement
+sweep runs as one batch, as arrays with a leading run axis, and its runner
+builds one report per run from the result arrays; other sweep points are
+independent runs.  Jobs may execute on a
 thread pool (the heavy lifting is numpy, which releases the GIL), and
 --threads N splits each batch into N contiguous chunks.  `import qclocksim`
 sets BLAS to one thread per process, so N workers use N cores, and results
@@ -20,16 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import (
-    RunConfig,
-    grid_state_args,
-    run_spectrum,
-    spectrum_builder,
-    swp_clock,
-    trap_model,
-)
+from .config import RunConfig
 from .errors import ConfigError
-from .grid import gaussian_grid_state
 from .gridops import accelerated_frame_trotter, impulsive_boost_limit
 from .ionclock import shift_comparison, spectroscopy_scan
 from .report import RunReport
@@ -40,6 +33,7 @@ from .sequences import (
     run_sequence,
 )
 # Not called here; perfbench/tracer.py looks these names up in this module.
+from .grid import gaussian_grid_state  # noqa: F401
 from .spectrum import ladder_spectrum, make_spectrum  # noqa: F401
 from .spectrum import stack_spectra
 from .swp import find_effective_ticks
@@ -52,14 +46,10 @@ _SEQUENCE_KINDS = {
 }
 
 
-def _sweep_spectrum(kind: str, runs: list, guard: RegimeGuard):
-    """The batch's spectrum, stacked per run; each distinct level set is built once."""
-    return stack_spectra(list(map(spectrum_builder(kind, guard), runs)))
-
-
-def _run_twin(kind: str, names: list, runs: list, tol: dict, guard: RegimeGuard) -> list:
+def _run_twin(kind: str, names: list, runs: list, spectra: list, tol: dict,
+              guard: RegimeGuard) -> list:
     # The runs of one sweep differ only in the swept parameter.
-    spectrum = _sweep_spectrum(kind, runs, guard)
+    spectrum = stack_spectra(spectra)
     params = runs[0]
     result = run_sequence(
         _SEQUENCE_KINDS[kind],
@@ -119,8 +109,8 @@ def _run_twin(kind: str, names: list, runs: list, tol: dict, guard: RegimeGuard)
     return reports
 
 
-def _run_swp(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    clock, profile = swp_clock(params, run_spectrum("swp", params, guard))
+def _run_swp(name: str, params: dict, plan: tuple, tol: dict) -> RunReport:
+    clock, profile = plan
     tau = clock.tau
     window = tuple(w * tau for w in params["window_in_tau"])
     scan = find_effective_ticks(
@@ -173,8 +163,7 @@ def _run_swp(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunRepor
     return report
 
 
-def _run_ion(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    model = trap_model(params)
+def _run_ion(name: str, params: dict, model, tol: dict) -> RunReport:
     scan = spectroscopy_scan(
         model, points=params["points"], span_factor=params["span_factor"]
     )
@@ -216,9 +205,7 @@ def _run_ion(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunRepor
     return report
 
 
-def _run_trotter(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    spectrum = run_spectrum("trotter-accel", params, guard)
-    state = gaussian_grid_state(spectrum, **grid_state_args(params))
+def _run_trotter(name: str, params: dict, state, tol: dict) -> RunReport:
     result = accelerated_frame_trotter(
         state, params["acceleration"], params["duration"], steps=params["steps"]
     )
@@ -247,9 +234,7 @@ def _run_trotter(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunR
     return report
 
 
-def _run_impulse(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunReport:
-    spectrum = run_spectrum("impulse-boost", params, guard)
-    state = gaussian_grid_state(spectrum, **grid_state_args(params))
+def _run_impulse(name: str, params: dict, state, tol: dict) -> RunReport:
     result = impulsive_boost_limit(
         state,
         params["boost"],
@@ -286,8 +271,9 @@ def _run_impulse(name: str, params: dict, tol: dict, guard: RegimeGuard) -> RunR
     return report
 
 
-def _run_entanglement(kind: str, names: list, runs: list, tol: dict, guard: RegimeGuard) -> list:
-    spectrum = _sweep_spectrum(kind, runs, guard)
+def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: dict,
+                      guard: RegimeGuard) -> list:
+    spectrum = stack_spectra(spectra)
     demo = entanglement_frame_demo(
         spectrum,
         momentum=runs[0]["momentum"],
@@ -313,27 +299,34 @@ def _run_entanglement(kind: str, names: list, runs: list, tol: dict, guard: Regi
     return reports
 
 
-# Kinds whose sweeps run as one batch.
-_BATCH_RUNNERS = dict.fromkeys(_SEQUENCE_KINDS, _run_twin) | {"entanglement-demo": _run_entanglement}
-# Kinds whose every run is a job of its own.
-_SINGLE_RUNNERS = {"swp": _run_swp, "ion-spectroscopy": _run_ion,
-                   "trotter-accel": _run_trotter, "impulse-boost": _run_impulse}
+# Each kind's runner, and whether the runs of one sweep go to it as one
+# batch; a kind that does not batch makes every run a job of its own.
+_RUNNERS = {
+    **dict.fromkeys(_SEQUENCE_KINDS, (_run_twin, True)),
+    "entanglement-demo": (_run_entanglement, True),
+    "swp": (_run_swp, False),
+    "ion-spectroscopy": (_run_ion, False),
+    "trotter-accel": (_run_trotter, False),
+    "impulse-boost": (_run_impulse, False),
+}
 
 
-def run_scenario(kind: str, name, params, tolerances: dict, guard=None):
-    """Run one expanded scenario instance and return its report.
+def run_scenario(kind: str, name, params, plan, tolerances: dict, guard=None):
+    """Run one expanded scenario instance on its plan and return its report.
 
-    Twin and entanglement kinds also take a batch: lists of run names and
-    params, runs of one sweep, give a list of their reports in that order.
+    Twin and entanglement kinds also take a batch: lists of run names,
+    params and plans, runs of one sweep, give a list of their reports in
+    that order.  The guard only affects those two kinds.
     """
+    if kind not in _RUNNERS:
+        raise ConfigError(f"unknown scenario kind {kind!r}")
+    runner, batches = _RUNNERS[kind]
+    if not batches:
+        return runner(name, params, plan, tolerances)
     guard = DEFAULT_GUARD if guard is None else guard
-    if kind in _BATCH_RUNNERS:
-        if isinstance(name, str):
-            return _BATCH_RUNNERS[kind](kind, [name], [params], tolerances, guard)[0]
-        return _BATCH_RUNNERS[kind](kind, name, params, tolerances, guard)
-    if kind in _SINGLE_RUNNERS:
-        return _SINGLE_RUNNERS[kind](name, params, tolerances, guard)
-    raise ConfigError(f"unknown scenario kind {kind!r}")
+    if isinstance(name, str):
+        return runner(kind, [name], [params], [plan], tolerances, guard)[0]
+    return runner(kind, name, params, plan, tolerances, guard)
 
 
 def run_config(
@@ -342,10 +335,11 @@ def run_config(
     tolerance_overrides: dict | None = None,
     strict_regime: bool = False,
 ) -> list:
-    """Run every scenario (sweeps expanded) and return reports in config order.
+    """Run every scenario's planned runs and return reports in config order.
 
     A twin or entanglement sweep is one job, split into `threads`
-    contiguous chunks; every other run is a job of its own.
+    contiguous chunks; every other run is a job of its own.  Jobs and
+    threads share the plans, which the engine only reads.
     """
     overrides = dict(tolerance_overrides or {})
     known = {key for spec in config.scenarios for key in spec.tolerances}
@@ -359,20 +353,22 @@ def run_config(
     jobs = []
     for spec in config.scenarios:
         tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
-        runs = spec.expand()
-        if spec.kind not in _BATCH_RUNNERS:
-            jobs += [(spec.kind, name, params, tolerances) for name, params in runs]
+        runs = [(name, params, plan)
+                for (name, params), plan in zip(spec.expand(), spec.plans, strict=True)]
+        _, batches = _RUNNERS[spec.kind]
+        if not batches:
+            jobs += [(spec.kind, *run, tolerances) for run in runs]
             continue
         chunks = min(max(threads, 1), len(runs))
         bounds = [len(runs) * i // chunks for i in range(chunks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
-            names, params = zip(*runs[lo:hi])
-            jobs.append((spec.kind, list(names), list(params), tolerances))
+            names, params, plans = map(list, zip(*runs[lo:hi]))
+            jobs.append((spec.kind, names, params, plans, tolerances))
 
     def one(job):
-        kind, name, params, tolerances = job
+        kind, name, params, plan, tolerances = job
         try:
-            return run_scenario(kind, name, params, tolerances, guard=guard)
+            return run_scenario(kind, name, params, plan, tolerances, guard=guard)
         except Exception as exc:
             # A PEP 678 note (add_note is Python 3.11+): the error keeps its
             # type and text, and the CLI names the failing run from it.

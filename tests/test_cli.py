@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import qclocksim
-from qclocksim import load_config, run_config, run_scenario
+from qclocksim import config as config_module
+from qclocksim import load_config, parse_config, run_config, run_scenario
 from qclocksim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -259,8 +261,8 @@ def test_a_level_choice_the_engine_refuses_is_refused_at_validation(
 def test_a_clock_the_engine_refuses_is_refused_at_validation(
     tmp_path, capsys, kind, params, message
 ):
-    # The runners build these with config.swp_clock and config.trap_model;
-    # validation builds them too, so the run never starts.
+    # Loading the config builds the clock and the trap that the runners
+    # execute, so the constructors' refusals stop the run before it starts.
     config = {"schema_version": 1, "scenarios": [{"kind": kind, "name": "bad", "params": params}]}
     config_path = _write_config(tmp_path / "bad.json", config)
     assert main(["validate", config_path]) == 2
@@ -302,6 +304,101 @@ def test_a_box_too_small_for_the_packet_is_refused_at_validation(tmp_path, capsy
     assert "box edge" in err
     assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["../escaped", "ABSOLUTE", ".hidden", "back\\slash", "nul\0byte"],
+    ids=["parent-dir", "absolute", "leading-dot", "backslash", "nul"],
+)
+def test_a_scenario_name_that_is_not_a_plain_file_name_is_refused(tmp_path, capsys, name):
+    # Result files are written to --out-dir/<run name>.csv and .json, so a
+    # name with a path in it would write outside the output directory.
+    if name == "ABSOLUTE":
+        name = str(tmp_path / "escaped")
+    config = {"schema_version": 1, "scenarios": [{"kind": "twin-velocity", "name": name}]}
+    config_path = _write_config(tmp_path / "names.json", config)
+    assert main(["validate", config_path]) == 2
+    assert "scenarios[0].name" in capsys.readouterr().err
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["names.json"]
+
+
+@pytest.mark.parametrize(
+    "second, path",
+    [({"kind": "twin-observer", "name": "a-0"}, "scenarios[1].name"),
+     ({"kind": "twin-observer", "name": "a"}, "config.scenarios")],
+    ids=["run-name", "scenario-name"],
+)
+def test_colliding_run_names_are_refused(tmp_path, capsys, second, path):
+    # Each run writes <run name>.csv and .json, so a second run of the same
+    # name would overwrite the first one's files.
+    sweep = {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 2}
+    scenarios = [{"kind": "twin-velocity", "name": "a", "sweep": sweep}, second]
+    config_path = _write_config(tmp_path / "names.json", {"schema_version": 1,
+                                                          "scenarios": scenarios})
+    assert main(["validate", config_path]) == 2
+    assert path in capsys.readouterr().err
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, parameter",
+    [(kind, key) for kind, schema in config_module.PARAM_SCHEMAS.items()
+     for key, spec in schema.items() if spec.sweepable],
+)
+def test_the_runs_of_a_sweep_get_the_plans_they_would_get_alone(kind, parameter):
+    # Runs of one sweep share a plan unless the plan reads the swept
+    # parameter; each shared plan must equal the one its run builds alone.
+    default = config_module.PARAM_SCHEMAS[kind][parameter].default
+    sweep = {"parameter": parameter, "start": default, "stop": 0.5 * default, "count": 2}
+    [spec] = parse_config({"schema_version": 1,
+                           "scenarios": [{"kind": kind, "sweep": sweep}]}).scenarios
+    for (_, params), plan in zip(spec.expand(), spec.plans, strict=True):
+        scenario = {"kind": kind, "params": {parameter: params[parameter]}}
+        [alone] = parse_config({"schema_version": 1, "scenarios": [scenario]}).scenarios
+        assert pickle.dumps(plan) == pickle.dumps(alone.plans[0])
+
+
+@pytest.mark.parametrize(("parameter", "builds"), [("boost", 1), ("spacing", 5)])
+def test_a_sweep_checks_its_translation_options_once_per_spectrum(
+    monkeypatch, parameter, builds
+):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return build_sequence(*args, **kwargs)
+
+    build_sequence = config_module.build_sequence
+    monkeypatch.setattr(config_module, "build_sequence", counted)
+    sweep = {"parameter": parameter, "start": 0.01, "stop": 0.05, "count": 5}
+    scenario = {"kind": "twin-momentum", "params": {"translation_level": 1}, "sweep": sweep}
+    config = parse_config({"schema_version": 1, "scenarios": [scenario]})
+    assert len(calls) == builds
+    assert len(config.scenarios[0].plans) == 5
+
+
+@pytest.mark.parametrize("config_name", ["full-suite", "boost-sweep"])
+def test_one_loaded_config_runs_twice_with_the_same_bytes(tmp_path, config_name):
+    # Plans are built once at load and shared by every job and worker
+    # thread; executing them must leave them as they were.
+    config = load_config(str(CONFIGS / f"{config_name}.json"))
+    plans = pickle.dumps([spec.plans for spec in config.scenarios])
+    rendered = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        reports = run_config(config, threads=threads)
+        for report in reports:
+            report.write_json(out / f"{report.name}.json")
+            report.write_csv(out / f"{report.name}.csv")
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(files) == 2 * sum(len(spec.expand()) for spec in config.scenarios)
+        rendered.append(([line for r in reports for line in r.summary_lines()], files))
+    assert rendered[0] == rendered[1]
+    assert pickle.dumps([spec.plans for spec in config.scenarios]) == plans
 
 
 def test_unknown_kind_is_a_config_error(tmp_path, capsys):
@@ -436,7 +533,8 @@ def test_full_suite_values_match_the_frozen_fixture():
             continue
         column, expected = FROZEN_FULL_SUITE[spec.name]
         [(run_name, params)] = spec.expand()
-        report = run_scenario(spec.kind, run_name, params, spec.tolerances)
+        [plan] = spec.plans
+        report = run_scenario(spec.kind, run_name, params, plan, spec.tolerances)
         np.testing.assert_allclose([row[column] for row in report.rows], expected, rtol=1e-12)
         checked.add(spec.name)
     assert checked == set(FROZEN_FULL_SUITE)

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from qclocksim import load_config
-from qclocksim.config import run_spectrum
 from qclocksim.errors import WraparoundError
 from qclocksim.grid import GridState, gaussian_grid_state
 from qclocksim.gridops import (
@@ -191,22 +190,21 @@ def test_packet_driven_into_the_edge_aborts():
         evolve_linear_potential(state, 2.0, 3.0)
 
 
-def _full_suite_params(kind):
+def _full_suite_spec(kind):
     config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "full-suite.json"))
     [spec] = [s for s in config.scenarios if s.kind == kind]
-    [(_, params)] = spec.expand()
+    return spec
+
+
+def _full_suite_params(kind):
+    [(_, params)] = _full_suite_spec(kind).expand()
     return params
 
 
 def _full_suite_state(kind):
-    params = _full_suite_params(kind)
-    return gaussian_grid_state(
-        run_spectrum(kind, params),
-        size=params["grid_size"],
-        box_length=params["box_length"],
-        sigma=params["sigma"],
-        momentum=params.get("momentum", 0.0),
-    )
+    """The initial packet the config load planned for the full-suite run."""
+    [state] = _full_suite_spec(kind).plans
+    return state
 
 
 def _explicit_kinetic(state, level):
