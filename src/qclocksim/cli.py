@@ -10,6 +10,9 @@ Exit codes: 0 all checks passed, 1 at least one tolerance check failed,
 2 configuration problem, 3 engine failure.  Result files are byte-stable
 across repeated runs; anything nondeterministic (wall-clock timings) goes
 to stderr only.
+
+Emission follows the runs, WRITE_GROUP_REPORTS reports at a time: their
+summaries are printed and their files rendered, then written back to back.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_ENGINE = 3
+
+# Reports whose files are rendered before any of them is written; it bounds
+# the text held in memory at once.
+WRITE_GROUP_REPORTS = 64
 
 
 def _parse_tolerance(text: str) -> tuple:
@@ -133,13 +140,18 @@ def _cmd_run(args) -> int:
     out_dir = args.out_dir
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    for report in reports:
-        print("\n".join(report.summary_lines()))
-        if out_dir is not None:
-            if args.format in ("csv", "both"):
-                report.write_csv(os.path.join(out_dir, f"{report.name}.csv"))
-            if args.format in ("json", "both"):
-                report.write_json(os.path.join(out_dir, f"{report.name}.json"))
+    for start in range(0, len(reports), WRITE_GROUP_REPORTS):
+        files = []
+        for report in reports[start:start + WRITE_GROUP_REPORTS]:
+            print("\n".join(report.summary_lines()))
+            if out_dir is not None:
+                path = os.path.join(out_dir, report.name)
+                if args.format in ("csv", "both"):
+                    files.append((report.write_csv, f"{path}.csv", report.csv_text()))
+                if args.format in ("json", "both"):
+                    files.append((report.write_json, f"{path}.json", report.json_text()))
+        for write, path, text in files:
+            write(path, text)
 
     failed = sum(1 for r in reports if not r.passed)
     if failed:

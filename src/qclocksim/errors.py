@@ -6,7 +6,14 @@ class RegimeWarning(UserWarning):
 
 
 class RegimeError(ValueError):
-    """Regime violation escalated to an error (strict mode, or a hard bound)."""
+    """Regime violation escalated to an error (strict mode, or a hard bound).
+
+    `run` is the index of the offending run within its batch, when known.
+    """
+
+    def __init__(self, message: str, run: int | None = None):
+        super().__init__(message)
+        self.run = run
 
 
 class SequencingError(RuntimeError):

@@ -7,7 +7,10 @@ round-trip form), JSON keys are sorted, and nothing time- or host-dependent
 ever goes into an output file.  Wall-clock timings belong on stderr, not in
 the artifacts.
 
-Each file is rendered whole and written as its UTF-8 bytes with os.write.
+Each file is rendered whole, by `RunReport.csv_text` or `json_text`, and
+written as its UTF-8 bytes with os.write.  A writer renders only when it is
+given no text, so a caller can render many files first and then write them
+back to back; either way the file is whole when the writer returns.
 json.dumps with indent=2 bypasses the C encoder, so `_json` writes the same
 bytes with it: one C encoder per indent depth, built once, renders each
 container that holds no non-empty container in one call, and each list of
@@ -152,9 +155,9 @@ class RunReport:
             "passed": self.passed,
         }
 
-    def write_json(self, path) -> None:
-        """The bytes of json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + newline."""
-        _write_file(path, (
+    def json_text(self) -> str:
+        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + newline."""
+        return (
             f'{{\n  "checks": {_json([vars(check) for check in self.checks], 2)},'
             f'\n  "name": {_json(self.name, 2)},'
             f'\n  "notes": {_json(list(self.notes), 2)},'
@@ -163,10 +166,10 @@ class RunReport:
             f'\n  "rows": {_json(self.rows, 2)},'
             f'\n  "scenario": {_json(self.scenario, 2)},'
             f'\n  "schema_version": 1\n}}\n'
-        ))
+        )
 
-    def write_csv(self, path) -> None:
-        """Emit the tabular rows; column order follows the first row."""
+    def csv_text(self) -> str:
+        """The tabular rows as CSV; column order follows the first row."""
         columns = list(self.rows[0]) if self.rows else []
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -178,4 +181,12 @@ class RunReport:
             # csv renders float, int and str cells as format_value does.
             writer.writerow(cells if _PLAIN_TYPES.issuperset(map(type, cells))
                             else map(format_value, cells))
-        _write_file(path, buffer.getvalue())
+        return buffer.getvalue()
+
+    def write_json(self, path, text: str | None = None) -> None:
+        """Write the file whole: text, or json_text() when no text is given."""
+        _write_file(path, self.json_text() if text is None else text)
+
+    def write_csv(self, path, text: str | None = None) -> None:
+        """Write the file whole: text, or csv_text() when no text is given."""
+        _write_file(path, self.csv_text() if text is None else text)

@@ -7,11 +7,12 @@ never write files; the CLI layer owns all I/O.  A twin or entanglement
 sweep runs as one batch, as arrays with a leading run axis, and its runner
 builds one report per run from the result arrays; other sweep points are
 independent runs.  Jobs may execute on a
-thread pool (the heavy lifting is numpy, which releases the GIL), and
---threads N splits each batch into N contiguous chunks.  `import qclocksim`
-sets BLAS to one thread per process, so N workers use N cores, and results
-are bit-identical whatever N, the chunking or the core count; they are
-always returned in config order regardless of thread timing.
+thread pool, and --threads N splits each batch into N contiguous chunks.
+Only `eigh`-bound runs (ion lineshapes, grid evolutions) scale with N: the
+Python loops of grid split steps, SWP tick refinement and report building
+hold the GIL.  `import qclocksim` sets BLAS to one thread per process, and
+results are bit-identical whatever N, the chunking or the core count; they
+are always returned in config order regardless of thread timing.
 """
 
 from __future__ import annotations
@@ -371,8 +372,11 @@ def run_config(
             return run_scenario(kind, name, params, plan, tolerances, guard=guard)
         except Exception as exc:
             # A PEP 678 note (add_note is Python 3.11+): the error keeps its
-            # type and text, and the CLI names the failing run from it.
+            # type and text, and the CLI names the failing run from it, or
+            # the batch's range when the error does not say which run.
             names = [name] if isinstance(name, str) else name
+            if getattr(exc, "run", None) is not None:
+                names = [names[exc.run]]
             runs = (f"run {names[0]!r}" if len(names) == 1
                     else f"runs {names[0]!r} to {names[-1]!r}")
             exc.__notes__ = [*getattr(exc, "__notes__", ()), runs]

@@ -62,7 +62,8 @@ class RegimeGuard:
 
         kicks holds one (context, momenta) pair per kick of a chain.  momenta
         may carry a leading run axis: each run that leaves the regime is
-        reported once per such kick, in run order, then chain order.
+        reported once per such kick, in run order, then chain order; in
+        strict mode the error carries the first such run's index.
         Returns True when everything is in regime.
         """
         worst = np.stack(np.broadcast_arrays(*(
@@ -75,7 +76,7 @@ class RegimeGuard:
                 f"kappa_max = {self.kappa_max}; results are outside the model's validity regime"
             )
             if self.strict:
-                raise RegimeError(msg)
+                raise RegimeError(msg, run=int(index[0]) if worst.ndim > 1 else None)
             warnings.warn(msg, RegimeWarning, stacklevel=3)
         return len(offending) == 0
 

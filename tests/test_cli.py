@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qclocksim
+from qclocksim import cli as cli_module
 from qclocksim import config as config_module
 from qclocksim import load_config, parse_config, run_config, run_scenario
 from qclocksim.cli import main
@@ -121,6 +122,51 @@ def test_result_files_are_byte_identical_across_runs_and_threads(tmp_path, base_
         first = (dirs[0] / name).read_bytes()
         assert (dirs[1] / name).read_bytes() == first
         assert (dirs[2] / name).read_bytes() == first
+
+
+MANY_GROUPS_CONFIG = {
+    "schema_version": 1,
+    "scenarios": [
+        {
+            "kind": "twin-velocity",
+            "name": "many",
+            "params": {"probe_momenta": [0.0, 0.05]},
+            "sweep": {"parameter": "boost", "start": 0.001, "stop": 0.05, "count": 150},
+        },
+        {"kind": "swp", "name": "swp", "params": {}},
+        {"kind": "entanglement-demo", "name": "entangle", "params": {"boost": 0.01}},
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_emission_across_many_write_groups_matches_writing_report_by_report(
+    tmp_path, capsys, threads, fmt
+):
+    path = _write_config(tmp_path / "many.json", MANY_GROUPS_CONFIG)
+    reports = run_config(load_config(path))
+    # Two full groups and a partial last one.
+    assert 2 * cli_module.WRITE_GROUP_REPORTS < len(reports) < 3 * cli_module.WRITE_GROUP_REPORTS
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for report in reports:
+        if fmt in ("csv", "both"):
+            report.write_csv(expected / f"{report.name}.csv")
+        if fmt in ("json", "both"):
+            report.write_json(expected / f"{report.name}.json")
+    lines = [line for report in reports for line in report.summary_lines()]
+
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out), "--threads", threads, "--format", fmt]) == 0
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines) + (
+        f"all {len(reports)} run(s) passed\n"
+    )
+    names = sorted(p.name for p in expected.iterdir())
+    assert len(names) == len(reports) * (2 if fmt == "both" else 1)
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 def test_timings_stay_out_of_stdout_and_files(tmp_path, base_config, capsys):
@@ -458,22 +504,26 @@ def test_runtime_failure_maps_to_engine_exit_code(tmp_path, capsys):
     assert "(run 'narrow-window')" in err
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_runtime_failure_of_a_batch_names_its_first_and_last_run(tmp_path, capsys, threads):
-    # Probe momenta of 0.31 leave the regime at the first kick; --strict-regime
-    # makes that an engine error of the whole sweep batch, or of each chunk.
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize(("momentum", "first"), [(0.31, "strict-0"), (0.3, "strict-2")])
+def test_strict_failure_of_a_batch_names_its_first_offending_run(
+    tmp_path, capsys, momentum, first, threads
+):
+    # A probe momentum of 0.31 leaves the regime at the first kick in every
+    # run; 0.3 only in runs 2 and 3 (p^2 = 0.1003 and 0.1024).  --strict-regime
+    # makes that an engine error, named by the first such run in config order
+    # whatever the chunking.
     scenario = {
         "kind": "twin-momentum",
         "name": "strict",
-        "params": {"probe_momenta": [0.0, 0.31]},
+        "params": {"probe_momenta": [0.0, momentum]},
         "sweep": {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 4},
     }
     path = _write_config(tmp_path / "strict.json", {"schema_version": 1, "scenarios": [scenario]})
     assert main(["run", path, "--strict-regime", "--threads", threads]) == 3
     err = capsys.readouterr().err
     assert "engine error: RegimeError: " in err
-    assert ("(runs 'strict-0' to 'strict-3')" if threads == "1"
-            else "(runs 'strict-0' to 'strict-1')") in err
+    assert err.endswith(f"(run {first!r})\n")
 
 
 def test_validate_reports_scenario_and_run_counts(tmp_path, capsys):

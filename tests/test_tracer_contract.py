@@ -6,6 +6,7 @@ in the package would otherwise show only when the benchmark itself runs.
 
 import ast
 import inspect
+import os
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,22 @@ def test_wrapped_function_exists(module, name):
 @pytest.mark.parametrize("method", ["write_json", "write_csv"])
 def test_report_writers_take_a_path(method):
     assert "path" in inspect.signature(getattr(RunReport, method)).parameters
+
+
+@pytest.mark.parametrize("prerendered", [False, True])
+@pytest.mark.parametrize("method, render", [("write_json", "json_text"), ("write_csv", "csv_text")])
+def test_each_writer_has_written_its_whole_file_when_it_returns(tmp_path, method, render,
+                                                                 prerendered):
+    # The tracer reads os.path.getsize(path) right after each writer call.
+    report = RunReport(scenario="swp", name="r", parameters={"label": "\u00b5-clock"})
+    for i in range(5000):
+        report.rows.append({"index": i, "label": "\u00e9t\u00e9", "value": i / 7})
+    report.add_bound("bound", 0.5, 1.0, "d\u00e9tail")
+    report.notes.append("\u00fc" * 100)
+    text = getattr(report, render)()
+    path = tmp_path / f"r.{render}"
+    if prerendered:
+        getattr(report, method)(path, text)
+    else:
+        getattr(report, method)(path)
+    assert os.path.getsize(path) == len(text.encode()) > 100_000
