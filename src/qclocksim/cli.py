@@ -23,9 +23,9 @@ import os
 import sys
 import time
 
-from .config import PARAM_SCHEMAS, TOLERANCE_DEFAULTS, load_config
+from .config import load_config
 from .errors import ConfigError
-from .runners import run_config
+from .runners import KINDS, run_config
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,13 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_kinds() -> int:
     listing = {}
-    for kind in sorted(PARAM_SCHEMAS):
-        listing[kind] = {
+    for name, kind in sorted(KINDS.items()):
+        listing[name] = {
             "parameters": {
                 key: {"default": spec.default, "sweepable": spec.sweepable}
-                for key, spec in sorted(PARAM_SCHEMAS[kind].items())
+                for key, spec in sorted(kind.params.items())
             },
-            "tolerances": dict(sorted(TOLERANCE_DEFAULTS[kind].items())),
+            "tolerances": dict(sorted(kind.tolerances.items())),
         }
     print(json.dumps(listing, sort_keys=True, indent=2))
     return EXIT_OK

@@ -138,6 +138,15 @@ class ImpulseReport:
         return dev[:-1] / dev[1:]
 
 
+def impulse_durations(dt_schedule) -> np.ndarray:
+    """The pulse durations of an impulse schedule; a shrink ratio needs two."""
+    durations = np.asarray([float(dt) for dt in dt_schedule])
+    if len(durations) < 2 or np.any(durations <= 0.0) or np.any(np.diff(durations) >= 0.0):
+        raise ValueError("dt_schedule must hold at least two durations, positive and "
+                         "strictly decreasing")
+    return durations
+
+
 def impulsive_boost_limit(
     state: GridState,
     v_b: float,
@@ -150,9 +159,7 @@ def impulsive_boost_limit(
     potential Hamiltonian with slope -alpha = -v_b / dt and compared against
     the ideal velocity boost and the ideal momentum kick.
     """
-    durations = np.asarray([float(dt) for dt in dt_schedule])
-    if np.any(durations <= 0.0) or np.any(np.diff(durations) >= 0.0):
-        raise ValueError("dt_schedule must be positive and strictly decreasing")
+    durations = impulse_durations(dt_schedule)
     reference_v = velocity_boost_grid(state, v_b)
     reference_p = momentum_boost_grid(state, v_b)
     dev_v = np.empty(len(durations))
@@ -185,6 +192,14 @@ class TrotterReport:
         return self.errors[:-1] / self.errors[1:]
 
 
+def trotter_steps(steps) -> np.ndarray:
+    """The step counts of a trotter schedule; a halving ratio needs two."""
+    steps = np.asarray([int(n) for n in steps])
+    if len(steps) < 2 or np.any(steps <= 0) or np.any(np.diff(steps) <= 0):
+        raise ValueError("steps must hold at least two counts, positive and strictly increasing")
+    return steps
+
+
 def accelerated_frame_trotter(
     state: GridState,
     acceleration: float,
@@ -196,9 +211,7 @@ def accelerated_frame_trotter(
     The returned errors should fall like 1/n (first-order product formula);
     halving_ratios() exposes error(n)/error(2n), ideally 2.
     """
-    steps = np.asarray([int(s) for s in steps])
-    if np.any(steps <= 0) or np.any(np.diff(steps) <= 0):
-        raise ValueError("steps must be positive and strictly increasing")
+    steps = trotter_steps(steps)
     exact = evolve_linear_potential(state, acceleration, duration)
     errors = np.empty(len(steps))
     for i, n in enumerate(steps):

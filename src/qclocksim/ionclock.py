@@ -314,6 +314,16 @@ def _doubled_cutoff_vertex(model: TrapModel, detunings: np.ndarray, idx: int) ->
     return _scan_peak(model, detunings, dim)[0]
 
 
+def require_scan_points(points: int) -> None:
+    if points < 5:
+        raise ValueError("a peak extraction needs at least 5 scan points")
+
+
+def require_span_factor(span_factor: float) -> None:
+    if not span_factor > 0.0:
+        raise ValueError(f"span factor must be positive, got {span_factor!r}")
+
+
 def spectroscopy_scan(
     model: TrapModel,
     points: int = 61,
@@ -327,8 +337,8 @@ def spectroscopy_scan(
     itself never consults the oracle beyond this centering, so landing on
     the predicted value is a genuine check.
     """
-    if points < 5:
-        raise ValueError("a peak extraction needs at least 5 scan points")
+    require_scan_points(points)
+    require_span_factor(span_factor)
     oracle = branch_spectrum_oracle(model)
     center = oracle.carrier_shift
     half_span = span_factor * max(abs(center), 1e-3 * model.rabi_frequency)

@@ -1,12 +1,13 @@
-"""Scenario execution: from validated config entries to result reports.
+"""Scenario kinds and their execution: from validated config entries to reports.
 
-Each scenario kind has one runner that runs the engine on the objects its
-runs were planned with at load time (config.PLANS), fills a RunReport with
-rows, and applies that kind's tolerance checks.  Runners never print and
-never write files; the CLI layer owns all I/O.  A twin or entanglement
-sweep runs as one batch, as arrays with a leading run axis, and its runner
-builds one report per run from the result arrays; other sweep points are
-independent runs.  Jobs may execute on a
+Each scenario kind is one `Kind` record in KINDS: its parameter schema and
+default tolerances, the plan function that builds a run's engine objects
+when the config is loaded, and the runner that executes them, fills a
+RunReport with rows, and applies that kind's tolerance checks.  Runners
+never print and never write files; the CLI layer owns all I/O.  A twin or
+entanglement sweep runs as one batch, as arrays with a leading run axis,
+and its runner builds one report per run from the result arrays; other
+sweep points are independent runs.  Jobs may execute on a
 thread pool, and --threads N splits each batch into N contiguous chunks.
 Only `eigh`-bound runs (ion lineshapes, grid evolutions) scale with N: the
 Python loops of grid split steps, SWP tick refinement and report building
@@ -19,41 +20,117 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import ConfigError
-from .gridops import accelerated_frame_trotter, impulsive_boost_limit
-from .ionclock import shift_comparison, spectroscopy_scan
+from .grid import GridState, gaussian_grid_state
+from .gridops import (
+    _require_inside,
+    accelerated_frame_trotter,
+    impulse_durations,
+    impulsive_boost_limit,
+    trotter_steps,
+)
+from .ionclock import (
+    TrapModel,
+    require_scan_points,
+    require_span_factor,
+    shift_comparison,
+    spectroscopy_scan,
+)
 from .report import RunReport
 from .sequences import (
     SequenceKind,
+    build_sequence,
     default_probe,
     entanglement_frame_demo,
+    require_two_levels,
     run_sequence,
 )
-# Not called here; perfbench/tracer.py looks these names up in this module.
-from .grid import gaussian_grid_state  # noqa: F401
-from .spectrum import ladder_spectrum, make_spectrum  # noqa: F401
-from .spectrum import stack_spectra
-from .swp import find_effective_ticks
+from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum, stack_spectra
+from .swp import (
+    DilationProfile,
+    SWPClock,
+    find_effective_ticks,
+    require_tick_resolution,
+    require_tick_window,
+)
 from .units import DEFAULT_GUARD, RegimeGuard
 
-_SEQUENCE_KINDS = {
-    "twin-momentum": SequenceKind.MOMENTUM,
-    "twin-velocity": SequenceKind.VELOCITY_CLOCK,
-    "twin-observer": SequenceKind.VELOCITY_OBSERVER,
-}
+
+@dataclass(frozen=True)
+class ParamSpec:
+    """One parameter: its type (float, int, bool, str, list[float] or
+    list[int]), its default, whether a sweep may vary it, and for a string
+    the values it may take."""
+
+    type: object
+    default: object
+    sweepable: bool = False
+    choices: tuple = ()
 
 
-def _run_twin(kind: str, names: list, runs: list, spectra: list, tol: dict,
-              guard: RegimeGuard) -> list:
+def _boost(params: dict) -> float:
+    return abs(params["boost"])
+
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything that defines one scenario kind.
+
+    `plan(params, at)` builds one run's engine objects with the engine's own
+    constructors and checks; `at(field, check, *args)` applies one of them,
+    and a refusal becomes a ConfigError at the scenario's JSON path plus
+    field.  The runs of a sweep share a plan unless the swept parameter is
+    one of `plan_reads`.  `boost(params)` is the run's boost magnitude, held
+    to kappa_max.  `run` executes the plans; a kind that `batches` gets the
+    runs of one sweep as lists, any other kind one run at a time.
+    """
+
+    params: dict
+    tolerances: dict
+    plan: Callable
+    run: Callable
+    plan_reads: tuple = ()
+    boost: Callable = _boost
+    batches: bool = False
+
+
+def _plan_spectrum(params: dict, at) -> InternalSpectrum:
+    if params.get("epsilons") is not None:
+        return at("", make_spectrum, params["epsilons"])
+    return at("", ladder_spectrum, params["levels"], params["spacing"])
+
+
+def _plan_twin(params: dict, at) -> InternalSpectrum:
+    spectrum = _plan_spectrum(params, at)
+    # The probe the runner builds must have a component.
+    at(".params.probe_momenta", default_probe, spectrum, params["probe_momenta"],
+       tuple(range(spectrum.dim)))
+    return spectrum
+
+
+def _plan_twin_momentum(params: dict, at) -> InternalSpectrum:
+    spectrum = _plan_twin(params, at)
+    # The sequence builder refuses a translation level outside the spectrum,
+    # and one combined with the state-dependent translation; neither refusal
+    # depends on the boost or the duration.
+    at(".params.translation_level", build_sequence, SequenceKind.MOMENTUM, 0.0, 1.0,
+       params["translation_level"], spectrum, params["state_dependent_translation"])
+    return spectrum
+
+
+def _run_twin(sequence: SequenceKind, kind: str, names: list, runs: list, spectra: list,
+              tol: dict, guard: RegimeGuard) -> list:
     # The runs of one sweep differ only in the swept parameter.
     spectrum = stack_spectra(spectra)
     params = runs[0]
     result = run_sequence(
-        _SEQUENCE_KINDS[kind],
+        sequence,
         spectrum,
         boost=np.array([p["boost"] for p in runs]),
         duration=np.array([p["duration"] for p in runs]),
@@ -95,7 +172,7 @@ def _run_twin(kind: str, names: list, runs: list, spectra: list, tol: dict,
         )
         global_phase = float(result.global_phase[r])
         global_phase_closed = float(result.global_phase_closed[r])
-        if kind == "twin-observer":
+        if sequence is SequenceKind.VELOCITY_OBSERVER:
             report.add_check(
                 "observer_global_phase_negative",
                 global_phase < 0.0 and global_phase_closed < 0.0,
@@ -110,13 +187,52 @@ def _run_twin(kind: str, names: list, runs: list, spectra: list, tol: dict,
     return reports
 
 
-def _run_swp(name: str, params: dict, plan: tuple, tol: dict) -> RunReport:
-    clock, profile = plan
-    tau = clock.tau
-    window = tuple(w * tau for w in params["window_in_tau"])
-    scan = find_effective_ticks(
-        clock, profile, window=window, resolution=params["resolution_in_tau"] * tau
+def _twin(sequence: SequenceKind, boost: float, plan=_plan_twin, **params) -> Kind:
+    return Kind(
+        params={
+            "levels": ParamSpec(int, 2),
+            "spacing": ParamSpec(float, 0.1, sweepable=True),
+            "epsilons": ParamSpec(list[float], None),
+            "boost": ParamSpec(float, boost, sweepable=True),
+            "duration": ParamSpec(float, 2.0, sweepable=True),
+            "probe_momenta": ParamSpec(list[float], (0.0, 0.1)),
+            **params,
+        },
+        tolerances={"identity_residual": 1e-12, "closed_form_fidelity": 1e-12},
+        plan=plan, plan_reads=("spacing",), run=partial(_run_twin, sequence), batches=True,
     )
+
+
+def _swp_profile(params: dict, spectrum: InternalSpectrum | None) -> DilationProfile:
+    dim, profile, boost = params["dim"], params["profile"], params["boost"]
+    if profile == "none":
+        return DilationProfile.none(dim)
+    if profile == "velocity-classical":
+        return DilationProfile.velocity_classical(dim, boost)
+    if profile == "observer-classical":
+        return DilationProfile.observer_classical(dim, boost)
+    return DilationProfile.momentum_nonclassical(boost, spectrum)
+
+
+def _plan_swp(params: dict, at) -> tuple:
+    """The pointer clock, its dilation profile, and the tick scan's window
+    and resolution in time units."""
+    spectrum = None
+    if params["profile"] == "momentum-nonclassical":
+        spectrum = at("", ladder_spectrum, params["dim"], params["spacing"])
+    clock = at("", SWPClock, dim=params["dim"], omega0=params["omega0"])
+    profile = at("", _swp_profile, params, spectrum)
+    window = tuple(w * clock.tau for w in params["window_in_tau"])
+    resolution = params["resolution_in_tau"] * clock.tau
+    at(".params.window_in_tau", require_tick_window, window, clock.tau)
+    at(".params.resolution_in_tau", require_tick_resolution, resolution, clock.tau)
+    return clock, profile, window, resolution
+
+
+def _run_swp(name: str, params: dict, plan: tuple, tol: dict) -> RunReport:
+    clock, profile, window, resolution = plan
+    tau = clock.tau
+    scan = find_effective_ticks(clock, profile, window=window, resolution=resolution)
     report = RunReport(scenario="swp", name=name, parameters=dict(params))
     for i, (t, v) in enumerate(zip(scan.tick_times, scan.tick_variances)):
         report.rows.append(
@@ -164,6 +280,18 @@ def _run_swp(name: str, params: dict, plan: tuple, tol: dict) -> RunReport:
     return report
 
 
+def _plan_ion(params: dict, at) -> TrapModel:
+    at("", DEFAULT_GUARD.check_epsilons, [params["transition_energy"]])
+    model = at("", TrapModel.with_lamb_dicke,
+               transition_energy=params["transition_energy"],
+               trap_frequency=params["trap_frequency"], lamb_dicke=params["lamb_dicke"],
+               fock_index=params["fock_index"], rabi_frequency=params["rabi_frequency"],
+               fock_cutoff=params["fock_cutoff"])
+    at(".params.points", require_scan_points, params["points"])
+    at(".params.span_factor", require_span_factor, params["span_factor"])
+    return model
+
+
 def _run_ion(name: str, params: dict, model, tol: dict) -> RunReport:
     scan = spectroscopy_scan(
         model, points=params["points"], span_factor=params["span_factor"]
@@ -204,6 +332,18 @@ def _run_ion(name: str, params: dict, model, tol: dict) -> RunReport:
         "peak movement when the Fock cutoff doubles",
     )
     return report
+
+
+def _plan_grid(schedule: str, check, params: dict, at) -> GridState:
+    """The initial wavepacket of a trotter-accel or impulse-boost run; the
+    engine's `check` of its `schedule` parameter."""
+    state = at("", gaussian_grid_state, _plan_spectrum(params, at), size=params["grid_size"],
+               box_length=params["box_length"], sigma=params["sigma"],
+               momentum=params.get("momentum", 0.0))
+    # The grid engines refuse a packet that already reaches the box edge.
+    at(".params.box_length", _require_inside, state, "initial state")
+    at(f".params.{schedule}", check, params[schedule])
+    return state
 
 
 def _run_trotter(name: str, params: dict, state, tol: dict) -> RunReport:
@@ -272,6 +412,22 @@ def _run_impulse(name: str, params: dict, state, tol: dict) -> RunReport:
     return report
 
 
+def _grid_params(**params) -> dict:
+    return {
+        **params,
+        "box_length": ParamSpec(float, 64.0),
+        "sigma": ParamSpec(float, 3.5),
+        "levels": ParamSpec(int, 2),
+        "spacing": ParamSpec(float, 0.1),
+    }
+
+
+def _plan_entanglement(params: dict, at) -> InternalSpectrum:
+    spectrum = _plan_spectrum(params, at)
+    at(".params.levels", require_two_levels, spectrum)
+    return spectrum
+
+
 def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: dict,
                       guard: RegimeGuard) -> list:
     spectrum = stack_spectra(spectra)
@@ -300,15 +456,87 @@ def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: di
     return reports
 
 
-# Each kind's runner, and whether the runs of one sweep go to it as one
-# batch; a kind that does not batch makes every run a job of its own.
-_RUNNERS = {
-    **dict.fromkeys(_SEQUENCE_KINDS, (_run_twin, True)),
-    "entanglement-demo": (_run_entanglement, True),
-    "swp": (_run_swp, False),
-    "ion-spectroscopy": (_run_ion, False),
-    "trotter-accel": (_run_trotter, False),
-    "impulse-boost": (_run_impulse, False),
+KINDS = {
+    "twin-momentum": _twin(
+        SequenceKind.MOMENTUM, boost=0.1, plan=_plan_twin_momentum,
+        translation_level=ParamSpec(int, None),
+        state_dependent_translation=ParamSpec(bool, False),
+    ),
+    "twin-velocity": _twin(SequenceKind.VELOCITY_CLOCK, boost=0.01),
+    "twin-observer": _twin(SequenceKind.VELOCITY_OBSERVER, boost=0.01),
+    "swp": Kind(
+        params={
+            "dim": ParamSpec(int, 8),
+            "omega0": ParamSpec(float, 1.0, sweepable=True),
+            "profile": ParamSpec(str, "momentum-nonclassical", choices=(
+                "none", "velocity-classical", "observer-classical", "momentum-nonclassical")),
+            "boost": ParamSpec(float, 0.1, sweepable=True),
+            "spacing": ParamSpec(float, 0.01, sweepable=True),
+            "window_in_tau": ParamSpec(list[float], (0.5, 3.5)),
+            "resolution_in_tau": ParamSpec(float, 1.0 / 64.0),
+        },
+        tolerances={
+            "tick_variance_in_tau2": 1e-20,
+            # Tick locations are refined to a bracket of 1e-9 tau
+            # (swp.TICK_REFINE_TOL); the nonclassical drift this check
+            # discriminates against is several orders of magnitude larger.
+            "classical_spacing_deviation": 1e-7,
+        },
+        plan=_plan_swp, plan_reads=("omega0", "boost", "spacing"), run=_run_swp,
+        boost=lambda p: 0.0 if p["profile"] == "none" else _boost(p),
+    ),
+    "ion-spectroscopy": Kind(
+        params={
+            "transition_energy": ParamSpec(float, 1e-3, sweepable=True),
+            "trap_frequency": ParamSpec(float, 1e-5, sweepable=True),
+            "fock_index": ParamSpec(int, 0),
+            "points": ParamSpec(int, 61),
+            "span_factor": ParamSpec(float, 4.0),
+            "rabi_frequency": ParamSpec(float, None),
+            "lamb_dicke": ParamSpec(float, 0.05),
+            "fock_cutoff": ParamSpec(int, None),
+        },
+        tolerances={
+            "scan_vs_oracle": 1e-2,
+            "oracle_vs_first_order": 1e-3,
+            "cutoff_change": 1e-10,
+            "null_shift_bound": 1e-10,
+        },
+        plan=_plan_ion, plan_reads=("transition_energy", "trap_frequency"), run=_run_ion,
+        boost=lambda p: 0.0,
+    ),
+    "trotter-accel": Kind(
+        params=_grid_params(
+            acceleration=ParamSpec(float, 0.02, sweepable=True),
+            duration=ParamSpec(float, 2.0, sweepable=True),
+            steps=ParamSpec(list[int], (32, 64, 128, 256, 512)),
+            grid_size=ParamSpec(int, 256),
+            momentum=ParamSpec(float, 0.0),
+        ),
+        tolerances={"halving_ratio_low": 1.6, "halving_ratio_high": 2.4, "terminal_error": 1e-4},
+        plan=partial(_plan_grid, "steps", trotter_steps), run=_run_trotter,
+        boost=lambda p: abs(p["acceleration"]) * p["duration"],
+    ),
+    "impulse-boost": Kind(
+        params=_grid_params(
+            boost=ParamSpec(float, 0.01, sweepable=True),
+            dt_schedule=ParamSpec(list[float], (1e-1, 1e-2, 1e-3, 1e-4)),
+            internal_coupled=ParamSpec(bool, True),
+            grid_size=ParamSpec(int, 128),
+        ),
+        tolerances={"decade_ratio_low": 8.0, "decade_ratio_high": 12.0},
+        plan=partial(_plan_grid, "dt_schedule", impulse_durations), run=_run_impulse,
+    ),
+    "entanglement-demo": Kind(
+        params={
+            "levels": ParamSpec(int, 2),
+            "spacing": ParamSpec(float, 0.1, sweepable=True),
+            "momentum": ParamSpec(float, 0.1),
+            "boost": ParamSpec(float, 0.01, sweepable=True),
+        },
+        tolerances={"entropy_abs": 1e-10},
+        plan=_plan_entanglement, plan_reads=("spacing",), run=_run_entanglement, batches=True,
+    ),
 }
 
 
@@ -319,9 +547,9 @@ def run_scenario(kind: str, name, params, plan, tolerances: dict, guard=None):
     params and plans, runs of one sweep, give a list of their reports in
     that order.  The guard only affects those two kinds.
     """
-    if kind not in _RUNNERS:
+    if kind not in KINDS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
-    runner, batches = _RUNNERS[kind]
+    runner, batches = KINDS[kind].run, KINDS[kind].batches
     if not batches:
         return runner(name, params, plan, tolerances)
     guard = DEFAULT_GUARD if guard is None else guard
@@ -331,12 +559,13 @@ def run_scenario(kind: str, name, params, plan, tolerances: dict, guard=None):
 
 
 def run_config(
-    config: RunConfig,
+    config,
     threads: int = 1,
     tolerance_overrides: dict | None = None,
     strict_regime: bool = False,
 ) -> list:
-    """Run every scenario's planned runs and return reports in config order.
+    """Run every scenario's planned runs of a loaded config and return
+    reports in config order.
 
     A twin or entanglement sweep is one job, split into `threads`
     contiguous chunks; every other run is a job of its own.  Jobs and
@@ -356,8 +585,7 @@ def run_config(
         tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
         runs = [(name, params, plan)
                 for (name, params), plan in zip(spec.expand(), spec.plans, strict=True)]
-        _, batches = _RUNNERS[spec.kind]
-        if not batches:
+        if not KINDS[spec.kind].batches:
             jobs += [(spec.kind, *run, tolerances) for run in runs]
             continue
         chunks = min(max(threads, 1), len(runs))

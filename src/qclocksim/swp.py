@@ -244,6 +244,18 @@ def _parabolic_vertex(f, lo: float, hi: float) -> float:
     return vertex
 
 
+def require_tick_window(window, tau: float) -> None:
+    if len(window) != 2:
+        raise ValueError(f"tick window must be a (start, stop) pair, got {len(window)} entries")
+    if not window[1] - window[0] >= 3.0 * tau:
+        raise ValueError("tick window must span at least 3 tau")
+
+
+def require_tick_resolution(resolution: float, tau: float) -> None:
+    if not 0.0 < resolution <= tau / 50.0:
+        raise ValueError("tick scan resolution must be positive and at most tau / 50")
+
+
 def find_effective_ticks(
     clock: SWPClock,
     profile: DilationProfile,
@@ -254,9 +266,9 @@ def find_effective_ticks(
 
     Scans the window on a uniform grid, brackets every interior local
     minimum, then refines each with golden-section search followed by one
-    parabolic polish.  The window must span at least three resolution times
-    and the scan grid must be finer than tau / 50, otherwise minima can slip
-    between grid points.
+    parabolic polish.  The window must span at least 3 tau and the scan grid
+    must be finer than tau / 50, otherwise minima can slip between grid
+    points.
     """
     rates = _rates(clock, profile)
     tau = clock.tau
@@ -264,11 +276,9 @@ def find_effective_ticks(
         window = (0.5 * tau, 3.5 * tau)
     if resolution is None:
         resolution = tau / 64.0
+    require_tick_window(window, tau)
+    require_tick_resolution(resolution, tau)
     lo, hi = float(window[0]), float(window[1])
-    if not hi - lo >= 3.0 * tau:
-        raise ValueError("tick window must span at least 3 resolution times")
-    if not 0.0 < resolution <= tau / 50.0:
-        raise ValueError("tick scan resolution must be positive and at most tau / 50")
 
     def variance_at(t: float) -> float:
         return read_pointer(clock, profile, t).variance

@@ -13,7 +13,7 @@ import pytest
 
 import qclocksim
 from qclocksim import cli as cli_module
-from qclocksim import config as config_module
+from qclocksim import runners as runners_module
 from qclocksim import load_config, parse_config, run_config, run_scenario
 from qclocksim.cli import main
 
@@ -353,6 +353,46 @@ def test_a_box_too_small_for_the_packet_is_refused_at_validation(tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "kind, params, key, message",
+    [
+        ("trotter-accel", {"steps": [64, 32]}, "steps", "strictly increasing"),
+        ("trotter-accel", {"steps": [0, 32]}, "steps", "positive"),
+        ("trotter-accel", {"steps": []}, "steps", "at least two"),
+        ("trotter-accel", {"steps": [64]}, "steps", "at least two"),
+        ("impulse-boost", {"dt_schedule": [0.001, 0.01]}, "dt_schedule", "strictly decreasing"),
+        ("impulse-boost", {"dt_schedule": []}, "dt_schedule", "at least two"),
+        ("impulse-boost", {"dt_schedule": [0.01]}, "dt_schedule", "at least two"),
+        ("swp", {"window_in_tau": [0.5, 2.5]}, "window_in_tau", "at least 3 tau"),
+        ("swp", {"window_in_tau": [0.5]}, "window_in_tau", "(start, stop) pair"),
+        ("swp", {"window_in_tau": [0.5, 3.5, 9.0]}, "window_in_tau", "(start, stop) pair"),
+        ("swp", {"resolution_in_tau": 0.1}, "resolution_in_tau", "at most tau / 50"),
+        ("ion-spectroscopy", {"points": 3}, "points", "at least 5 scan points"),
+        ("ion-spectroscopy", {"span_factor": 0.0}, "span_factor", "must be positive"),
+        ("ion-spectroscopy", {"span_factor": -4.0}, "span_factor", "must be positive"),
+        ("twin-momentum", {"probe_momenta": []}, "probe_momenta", "at least one component"),
+        ("twin-velocity", {"probe_momenta": []}, "probe_momenta", "at least one component"),
+        ("twin-observer", {"probe_momenta": []}, "probe_momenta", "at least one component"),
+    ],
+)
+def test_an_input_the_engine_refuses_at_run_time_is_refused_at_validation(
+    tmp_path, capsys, kind, params, key, message
+):
+    # Each plan calls the check its engine entry point makes, so the run is
+    # refused before anything runs, at the parameter's JSON path.
+    scenarios = [{"kind": "twin-velocity", "name": "fine"},
+                 {"kind": kind, "name": "bad", "params": params}]
+    config_path = _write_config(tmp_path / "bad.json", {"schema_version": 1,
+                                                        "scenarios": scenarios})
+    assert main(["validate", config_path]) == 2
+    err = capsys.readouterr().err
+    assert f"scenarios[1].params.{key} (run 'bad'): " in err
+    assert message in err
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"scenarios[1].params.{key} (run 'bad'): " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "name",
     ["../escaped", "ABSOLUTE", ".hidden", "back\\slash", "nul\0byte"],
     ids=["parent-dir", "absolute", "leading-dot", "backslash", "nul"],
@@ -391,13 +431,13 @@ def test_colliding_run_names_are_refused(tmp_path, capsys, second, path):
 
 @pytest.mark.parametrize(
     "kind, parameter",
-    [(kind, key) for kind, schema in config_module.PARAM_SCHEMAS.items()
-     for key, spec in schema.items() if spec.sweepable],
+    [(kind, key) for kind, record in runners_module.KINDS.items()
+     for key, spec in record.params.items() if spec.sweepable],
 )
 def test_the_runs_of_a_sweep_get_the_plans_they_would_get_alone(kind, parameter):
     # Runs of one sweep share a plan unless the plan reads the swept
     # parameter; each shared plan must equal the one its run builds alone.
-    default = config_module.PARAM_SCHEMAS[kind][parameter].default
+    default = runners_module.KINDS[kind].params[parameter].default
     sweep = {"parameter": parameter, "start": default, "stop": 0.5 * default, "count": 2}
     [spec] = parse_config({"schema_version": 1,
                            "scenarios": [{"kind": kind, "sweep": sweep}]}).scenarios
@@ -417,8 +457,8 @@ def test_a_sweep_checks_its_translation_options_once_per_spectrum(
         calls.append(None)
         return build_sequence(*args, **kwargs)
 
-    build_sequence = config_module.build_sequence
-    monkeypatch.setattr(config_module, "build_sequence", counted)
+    build_sequence = runners_module.build_sequence
+    monkeypatch.setattr(runners_module, "build_sequence", counted)
     sweep = {"parameter": parameter, "start": 0.01, "stop": 0.05, "count": 5}
     scenario = {"kind": "twin-momentum", "params": {"translation_level": 1}, "sweep": sweep}
     config = parse_config({"schema_version": 1, "scenarios": [scenario]})
@@ -485,23 +525,24 @@ def test_tolerance_override_can_force_a_failure(base_config, capsys):
 
 
 def test_runtime_failure_maps_to_engine_exit_code(tmp_path, capsys):
-    # Window span below three ticks passes config validation (it is just a
-    # pair of numbers) but the tick finder rejects it at runtime.
+    # The accelerated packet starts well inside the box, so the config is
+    # valid, but it drifts to the box edge during the evolution.
     config = {
         "schema_version": 1,
         "scenarios": [
             {
-                "kind": "swp",
-                "name": "narrow-window",
-                "params": {"window_in_tau": [0.5, 2.5]},
+                "kind": "trotter-accel",
+                "name": "drifts-out",
+                "params": {"acceleration": 0.0002, "duration": 400.0, "grid_size": 128},
             }
         ],
     }
-    path = _write_config(tmp_path / "narrow.json", config)
+    path = _write_config(tmp_path / "drift.json", config)
+    assert main(["validate", path]) == 0
     assert main(["run", path]) == 3
     err = capsys.readouterr().err
-    assert "engine error: ValueError: tick window must span at least 3 resolution times" in err
-    assert "(run 'narrow-window')" in err
+    assert "engine error: WraparoundError: linear-potential evolution (final state)" in err
+    assert "(run 'drifts-out')" in err
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
@@ -548,7 +589,10 @@ def test_validate_reports_scenario_and_run_counts(tmp_path, capsys):
 
 def test_kinds_lists_every_scenario_kind(capsys):
     assert main(["kinds"]) == 0
-    listing = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    # Every kind's defaults, sweepable flags and tolerances, byte for byte.
+    assert out.encode() == (DATA / "kinds.json").read_bytes()
+    listing = json.loads(out)
     assert set(listing) == {
         "twin-momentum",
         "twin-velocity",

@@ -150,6 +150,10 @@ def test_impulse_schedule_validation():
         impulsive_boost_limit(state, 0.01, dt_schedule=(1e-2, 1e-2))
     with pytest.raises(ValueError):
         impulsive_boost_limit(state, 0.01, dt_schedule=(1e-2, -1.0))
+    # A shrink ratio compares two durations.
+    for schedule in ((), (1e-2,)):
+        with pytest.raises(ValueError, match="at least two"):
+            impulsive_boost_limit(state, 0.01, dt_schedule=schedule)
 
 
 def test_trotter_error_halves_when_steps_double():
@@ -174,6 +178,10 @@ def test_trotter_steps_validation():
         accelerated_frame_trotter(state, 0.02, 1.0, steps=(8, 8))
     with pytest.raises(ValueError):
         accelerated_frame_trotter(state, 0.02, 1.0, steps=(0, 4))
+    # A halving ratio compares two step counts.
+    for steps in ((), (64,)):
+        with pytest.raises(ValueError, match="at least two"):
+            accelerated_frame_trotter(state, 0.02, 1.0, steps=steps)
 
 
 def test_packet_near_the_edge_aborts():

@@ -195,6 +195,10 @@ def test_scan_point_count_validation():
     model = TrapModel(transition_energy=U, trap_frequency=W)
     with pytest.raises(ValueError):
         spectroscopy_scan(model, points=3)
+    # Zero collapses the detuning grid to a point; a negative factor reverses it.
+    for span_factor in (0.0, -4.0):
+        with pytest.raises(ValueError, match="span factor must be positive"):
+            spectroscopy_scan(model, span_factor=span_factor)
 
 
 def test_peak_outside_oracle_window_is_refused():

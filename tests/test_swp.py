@@ -177,6 +177,9 @@ def test_tick_finder_window_and_resolution_validation():
         find_effective_ticks(clock, profile, resolution=clock.tau / 10.0)
     with pytest.raises(ValueError):
         find_effective_ticks(clock, profile, resolution=0.0)
+    for window in ((0.5,), (0.5, 3.5, 9.0)):
+        with pytest.raises(ValueError, match="pair"):
+            find_effective_ticks(clock, profile, window=tuple(w * clock.tau for w in window))
 
 
 def test_tick_finder_reports_when_ticks_are_missing():
