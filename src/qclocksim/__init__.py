@@ -48,12 +48,10 @@ from .gridops import (
 )
 from .ionclock import (
     BranchOracle,
-    ShiftComparison,
     SpectroscopyResult,
     TrapModel,
     branch_spectrum_oracle,
     displacement_operator,
-    shift_comparison,
     spectroscopy_scan,
     static_hamiltonians,
 )

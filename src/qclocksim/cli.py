@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker threads for independent runs (default: 1); each twin or "
-        "entanglement sweep runs as one batch, split into N contiguous chunks; "
+        "entanglement sweep runs as one batch, on one thread; "
         "BLAS runs on one thread per process, so each worker uses one core and "
         "result files do not depend on the thread or core count",
     )

@@ -85,6 +85,11 @@ class GridState:
         )
 
 
+def require_positive_length(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def gaussian_grid_state(
     spectrum: InternalSpectrum,
     size: int = 256,
@@ -100,6 +105,8 @@ def gaussian_grid_state(
     a twelfth of the momentum lattice and its position support well inside
     the box, leaving room for boost kicks and drifts.
     """
+    require_positive_length("box_length", box_length)
+    require_positive_length("sigma", sigma)
     if weights is None:
         weights = np.ones(spectrum.dim)
     weights = np.asarray(weights, dtype=complex)

@@ -64,7 +64,7 @@ class TrapModel:
     trap_frequency: float
     fock_index: int = 0
     rabi_frequency: float | None = None
-    wavevector: float | None = None
+    lamb_dicke: float = 0.05
     pulse_time: float | None = None
     fock_cutoff: int | None = None
 
@@ -79,10 +79,6 @@ class TrapModel:
             object.__setattr__(self, "rabi_frequency", 0.03 * self.trap_frequency)
         if not self.rabi_frequency > 0.0:
             raise ValueError("Rabi frequency must be positive")
-        if self.wavevector is None:
-            object.__setattr__(
-                self, "wavevector", 0.05 * np.sqrt(2.0 * self.trap_frequency)
-            )
         if self.pulse_time is None:
             object.__setattr__(self, "pulse_time", np.pi / self.rabi_frequency)
         if not self.pulse_time > 0.0:
@@ -95,26 +91,9 @@ class TrapModel:
             )
 
     @property
-    def lamb_dicke(self) -> float:
-        """Recoil-to-trap length ratio eta = k / sqrt(2 w)."""
-        return self.wavevector / np.sqrt(2.0 * self.trap_frequency)
-
-    @classmethod
-    def with_lamb_dicke(
-        cls,
-        transition_energy: float,
-        trap_frequency: float,
-        lamb_dicke: float,
-        **kwargs,
-    ) -> "TrapModel":
-        if not trap_frequency > 0.0:  # refused before its square root is taken
-            raise ValueError("trap frequency must be positive")
-        return cls(
-            transition_energy=transition_energy,
-            trap_frequency=trap_frequency,
-            wavevector=lamb_dicke * np.sqrt(2.0 * trap_frequency),
-            **kwargs,
-        )
+    def wavevector(self) -> float:
+        """Recoil wavevector k = eta sqrt(2 w), eta the Lamb-Dicke parameter."""
+        return self.lamb_dicke * np.sqrt(2.0 * self.trap_frequency)
 
 
 def _x_squared(dim: int, w: float) -> np.ndarray:
@@ -271,6 +250,21 @@ class SpectroscopyResult:
     fit_residual: float  # lineshape vs local parabola, diagnostic only
     cutoff_shift_change: float  # |peak at N_F - peak at 2 N_F|
 
+    @property
+    def extracted_to_oracle_ratio(self) -> float:
+        """Relative shift from the peak over the oracle's; nan when u = 0."""
+        return _ratio(self.relative_shift, self.oracle.relative_shift)
+
+    @property
+    def oracle_to_first_order_ratio(self) -> float:
+        """Oracle relative shift over the leading-order -(n + 1/2) w / 2."""
+        return _ratio(self.oracle.relative_shift, self.oracle.first_order_relative)
+
+
+def _ratio(a: float, b: float) -> float:
+    """a / b, or nan when b is zero or nan."""
+    return a / b if b != 0.0 and not np.isnan(b) else float("nan")
+
 
 def _parabola_vertex(d: np.ndarray, p: np.ndarray) -> float:
     """Abscissa of the parabola through three equally spaced samples."""
@@ -355,46 +349,4 @@ def spectroscopy_scan(
         oracle=oracle,
         fit_residual=residual,
         cutoff_shift_change=cutoff_change,
-    )
-
-
-@dataclass(frozen=True)
-class ShiftComparison:
-    """Side-by-side of the dynamic extraction, the oracle, and expansions."""
-
-    fock_index: int
-    extracted_relative: float
-    oracle_relative: float
-    first_order_relative: float
-    extracted_to_oracle_ratio: float
-    oracle_to_first_order_ratio: float
-    second_order_term: float
-    second_order_variant: float
-
-
-def shift_comparison(model: TrapModel, scan: SpectroscopyResult | None = None) -> ShiftComparison:
-    """Assemble the shift budget for one motional level.
-
-    Runs a spectroscopy scan unless one is supplied.  Ratios are nan when
-    the corresponding denominator vanishes (u = 0 clocks have no relative
-    shift to compare).
-    """
-    if scan is None:
-        scan = spectroscopy_scan(model)
-    oracle = scan.oracle
-
-    def ratio(a: float, b: float) -> float:
-        return a / b if b not in (0.0,) and not np.isnan(b) else float("nan")
-
-    return ShiftComparison(
-        fock_index=model.fock_index,
-        extracted_relative=scan.relative_shift,
-        oracle_relative=oracle.relative_shift,
-        first_order_relative=oracle.first_order_relative,
-        extracted_to_oracle_ratio=ratio(scan.relative_shift, oracle.relative_shift),
-        oracle_to_first_order_ratio=ratio(
-            oracle.relative_shift, oracle.first_order_relative
-        ),
-        second_order_term=oracle.second_order_term,
-        second_order_variant=oracle.second_order_variant,
     )

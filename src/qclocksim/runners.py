@@ -6,14 +6,14 @@ when the config is loaded, and the runner that executes them, fills a
 RunReport with rows, and applies that kind's tolerance checks.  Runners
 never print and never write files; the CLI layer owns all I/O.  A twin or
 entanglement sweep runs as one batch, as arrays with a leading run axis,
-and its runner builds one report per run from the result arrays; other
-sweep points are independent runs.  Jobs may execute on a
-thread pool, and --threads N splits each batch into N contiguous chunks.
-Only `eigh`-bound runs (ion lineshapes, grid evolutions) scale with N: the
+and its runner builds one report per run from the result arrays.  Such a
+sweep is one job at every thread count, every other run is a job of its
+own, and --threads N runs the jobs on a pool of N threads.  Only
+`eigh`-bound runs (ion lineshapes, grid evolutions) scale with N: the
 Python loops of grid split steps, SWP tick refinement and report building
 hold the GIL.  `import qclocksim` sets BLAS to one thread per process, and
-results are bit-identical whatever N, the chunking or the core count; they
-are always returned in config order regardless of thread timing.
+results are bit-identical whatever N or the core count; they are always
+returned in config order regardless of thread timing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridState, gaussian_grid_state
+from .grid import GridState, gaussian_grid_state, require_positive_length
 from .gridops import (
     _require_inside,
     accelerated_frame_trotter,
@@ -39,7 +39,6 @@ from .ionclock import (
     TrapModel,
     require_scan_points,
     require_span_factor,
-    shift_comparison,
     spectroscopy_scan,
 )
 from .report import RunReport
@@ -282,8 +281,7 @@ def _run_swp(name: str, params: dict, plan: tuple, tol: dict) -> RunReport:
 
 def _plan_ion(params: dict, at) -> TrapModel:
     at("", DEFAULT_GUARD.check_epsilons, [params["transition_energy"]])
-    model = at("", TrapModel.with_lamb_dicke,
-               transition_energy=params["transition_energy"],
+    model = at("", TrapModel, transition_energy=params["transition_energy"],
                trap_frequency=params["trap_frequency"], lamb_dicke=params["lamb_dicke"],
                fock_index=params["fock_index"], rabi_frequency=params["rabi_frequency"],
                fock_cutoff=params["fock_cutoff"])
@@ -317,13 +315,12 @@ def _run_ion(name: str, params: dict, model, tol: dict) -> RunReport:
             "a massless internal gap must not shift the line",
         )
     else:
-        budget = shift_comparison(model, scan)
         report.add_bound(
-            "scan_vs_oracle", abs(budget.extracted_to_oracle_ratio - 1.0), tol["scan_vs_oracle"],
+            "scan_vs_oracle", abs(scan.extracted_to_oracle_ratio - 1.0), tol["scan_vs_oracle"],
             "relative shift from the lineshape peak vs the branch oracle",
         )
         report.add_bound(
-            "oracle_vs_first_order", abs(budget.oracle_to_first_order_ratio - 1.0),
+            "oracle_vs_first_order", abs(scan.oracle_to_first_order_ratio - 1.0),
             tol["oracle_vs_first_order"],
             "oracle against the leading-order shift formula",
         )
@@ -337,6 +334,8 @@ def _run_ion(name: str, params: dict, model, tol: dict) -> RunReport:
 def _plan_grid(schedule: str, check, params: dict, at) -> GridState:
     """The initial wavepacket of a trotter-accel or impulse-boost run; the
     engine's `check` of its `schedule` parameter."""
+    for length in ("box_length", "sigma"):
+        at(f".params.{length}", require_positive_length, length, params[length])
     state = at("", gaussian_grid_state, _plan_spectrum(params, at), size=params["grid_size"],
                box_length=params["box_length"], sigma=params["sigma"],
                momentum=params.get("momentum", 0.0))
@@ -567,9 +566,9 @@ def run_config(
     """Run every scenario's planned runs of a loaded config and return
     reports in config order.
 
-    A twin or entanglement sweep is one job, split into `threads`
-    contiguous chunks; every other run is a job of its own.  Jobs and
-    threads share the plans, which the engine only reads.
+    A twin or entanglement sweep is one job at every thread count; every
+    other run is a job of its own.  Jobs share the plans, which the engine
+    only reads.
     """
     overrides = dict(tolerance_overrides or {})
     known = {key for spec in config.scenarios for key in spec.tolerances}
@@ -585,14 +584,10 @@ def run_config(
         tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
         runs = [(name, params, plan)
                 for (name, params), plan in zip(spec.expand(), spec.plans, strict=True)]
-        if not KINDS[spec.kind].batches:
+        if KINDS[spec.kind].batches:
+            jobs.append((spec.kind, *map(list, zip(*runs)), tolerances))
+        else:
             jobs += [(spec.kind, *run, tolerances) for run in runs]
-            continue
-        chunks = min(max(threads, 1), len(runs))
-        bounds = [len(runs) * i // chunks for i in range(chunks + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            names, params, plans = map(list, zip(*runs[lo:hi]))
-            jobs.append((spec.kind, names, params, plans, tolerances))
 
     def one(job):
         kind, name, params, plan, tolerances = job

@@ -359,6 +359,10 @@ def test_a_box_too_small_for_the_packet_is_refused_at_validation(tmp_path, capsy
         ("trotter-accel", {"steps": [0, 32]}, "steps", "positive"),
         ("trotter-accel", {"steps": []}, "steps", "at least two"),
         ("trotter-accel", {"steps": [64]}, "steps", "at least two"),
+        ("trotter-accel", {"sigma": 0.0}, "sigma", "sigma must be positive"),
+        ("trotter-accel", {"box_length": -64.0}, "box_length", "box_length must be positive"),
+        ("impulse-boost", {"sigma": 0.0}, "sigma", "sigma must be positive"),
+        ("impulse-boost", {"sigma": -3.5}, "sigma", "sigma must be positive"),
         ("impulse-boost", {"dt_schedule": [0.001, 0.01]}, "dt_schedule", "strictly decreasing"),
         ("impulse-boost", {"dt_schedule": []}, "dt_schedule", "at least two"),
         ("impulse-boost", {"dt_schedule": [0.01]}, "dt_schedule", "at least two"),
@@ -553,7 +557,7 @@ def test_strict_failure_of_a_batch_names_its_first_offending_run(
     # A probe momentum of 0.31 leaves the regime at the first kick in every
     # run; 0.3 only in runs 2 and 3 (p^2 = 0.1003 and 0.1024).  --strict-regime
     # makes that an engine error, named by the first such run in config order
-    # whatever the chunking.
+    # at every thread count.
     scenario = {
         "kind": "twin-momentum",
         "name": "strict",
@@ -684,6 +688,39 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_a_batched_sweep_is_one_job_at_every_thread_count(monkeypatch, threads):
+    # A twin or entanglement sweep runs as one batch whatever the thread
+    # count; each run of any other kind is a job of its own.
+    calls = []
+    run_scenario = runners_module.run_scenario
+
+    def counted(kind, name, *args, **kwargs):
+        calls.append((kind, name))
+        return run_scenario(kind, name, *args, **kwargs)
+
+    monkeypatch.setattr(runners_module, "run_scenario", counted)
+    sweep = {"parameter": "boost", "start": 0.005, "stop": 0.01}
+    config = parse_config({"schema_version": 1, "scenarios": [
+        {"kind": "twin-velocity", "name": "t", "sweep": {**sweep, "count": 7}},
+        {"kind": "entanglement-demo", "name": "e", "sweep": {**sweep, "count": 5}},
+        {"kind": "swp", "name": "s", "sweep": {**sweep, "count": 2}},
+    ]})
+    assert len(run_config(config, threads=threads)) == 14
+    assert sorted(calls, key=repr) == [
+        ("entanglement-demo", [f"e-{i}" for i in range(5)]),
+        ("swp", "s-0"),
+        ("swp", "s-1"),
+        ("twin-velocity", [f"t-{i}" for i in range(7)]),
+    ]
+
+
+def test_public_names_match_the_pinned_list():
+    # A name added to or removed from the public API changes this file too,
+    # so the change shows up in review.
+    assert qclocksim.__all__ == json.loads((DATA / "public_api.json").read_text())
+
+
 def _assert_frozen_digests(tmp_path, config, threads):
     expected = json.loads((DATA / f"{config.replace('-', '_')}_digests.json").read_text())
     out = tmp_path / "out"
@@ -696,7 +733,7 @@ def _assert_frozen_digests(tmp_path, config, threads):
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_boost_sweep_files_match_the_frozen_digests(tmp_path, threads):
     # SHA-256 of every result file configs/boost-sweep.json wrote before its
-    # sweeps ran as batches.  Two 7-run sweeps split 3 ways give uneven chunks.
+    # sweeps ran as batches.  At --threads 3 its two 7-run sweeps share the pool.
     _assert_frozen_digests(tmp_path, "boost-sweep", threads)
 
 

@@ -91,6 +91,15 @@ def test_level_weights_follow_requested_weights():
     assert w[1] / w[0] == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "box_length, sigma, name",
+    [(32.0, 0.0, "sigma"), (32.0, -2.0, "sigma"), (-32.0, 2.0, "box_length")],
+)
+def test_a_packet_width_or_box_that_is_not_positive_is_refused(box_length, sigma, name):
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        gaussian_grid_state(SPEC, size=64, box_length=box_length, sigma=sigma)
+
+
 def test_weights_must_match_spectrum():
     with pytest.raises(ValueError):
         gaussian_grid_state(SPEC, size=64, box_length=32.0, sigma=2.0, weights=[1.0])

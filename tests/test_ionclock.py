@@ -26,7 +26,6 @@ from qclocksim.ionclock import (
     _x_squared,
     branch_spectrum_oracle,
     displacement_operator,
-    shift_comparison,
     spectroscopy_scan,
     static_hamiltonians,
 )
@@ -97,11 +96,12 @@ def test_displacement_operator_is_unitary():
 def test_default_drive_parameters():
     model = TrapModel(transition_energy=U, trap_frequency=W)
     assert model.rabi_frequency == pytest.approx(0.03 * W, rel=1e-15)
-    assert model.lamb_dicke == pytest.approx(0.05, rel=1e-12)
+    assert model.lamb_dicke == 0.05
+    assert model.wavevector == 0.05 * np.sqrt(2.0 * W)
     assert model.pulse_time == pytest.approx(np.pi / model.rabi_frequency, rel=1e-15)
     assert model.fock_cutoff == 32
-    custom = TrapModel.with_lamb_dicke(U, W, 0.12)
-    assert custom.lamb_dicke == pytest.approx(0.12, rel=1e-12)
+    custom = TrapModel(U, W, lamb_dicke=0.12)
+    assert custom.wavevector == 0.12 * np.sqrt(2.0 * W)
 
 
 def test_model_validation():
@@ -178,6 +178,8 @@ def test_null_transition_clock_has_no_shift():
     assert np.isnan(oracle.relative_shift)
     scan = spectroscopy_scan(model, points=21)
     assert np.isnan(scan.relative_shift)
+    assert np.isnan(scan.extracted_to_oracle_ratio)
+    assert np.isnan(scan.oracle_to_first_order_ratio)
     assert abs(scan.peak_detuning) < 1e-10
     assert scan.peak_excitation > 0.99
 
@@ -205,25 +207,18 @@ def test_peak_outside_oracle_window_is_refused():
     # A deep-Lamb-Dicke violation with a strong drive drags the line far
     # enough off the static prediction that it leaves the oracle-centered
     # grid; the scan must refuse rather than report the edge sample.
-    model = TrapModel.with_lamb_dicke(U, W, 0.3, rabi_frequency=5e-6)
+    model = TrapModel(U, W, lamb_dicke=0.3, rabi_frequency=5e-6)
     with pytest.raises(GridTooNarrowError):
         spectroscopy_scan(model)
 
 
-def test_shift_comparison_assembles_the_budget():
+def test_scan_carries_the_shift_ratios():
     model = TrapModel(transition_energy=U, trap_frequency=W)
     scan = spectroscopy_scan(model, points=31)
-    budget = shift_comparison(model, scan)
-    assert budget.fock_index == 0
-    assert budget.extracted_relative == scan.relative_shift
-    assert budget.oracle_relative == scan.oracle.relative_shift
-    assert budget.first_order_relative == scan.oracle.first_order_relative
-    assert budget.extracted_to_oracle_ratio == pytest.approx(1.0, abs=1e-2)
-    assert budget.oracle_to_first_order_ratio == pytest.approx(
+    assert scan.extracted_to_oracle_ratio == pytest.approx(1.0, abs=1e-2)
+    assert scan.oracle_to_first_order_ratio == pytest.approx(
         0.99925062445361673675, rel=1e-11
     )
-    assert budget.second_order_term == scan.oracle.second_order_term
-    assert budget.second_order_variant == scan.oracle.second_order_variant
 
 
 @pytest.mark.parametrize("n", [0, 1])
