@@ -168,6 +168,8 @@ def _plan_runs(spec: ScenarioSpec, where: str) -> list:
         if key not in built:
             built[key] = kind.plan(params, at)
         plans.append(built[key])
+        for name, check in kind.run_checks:
+            at(f".params.{name}", check, params[name])
         boost = kind.boost(params)
         if boost > DEFAULT_GUARD.kappa_max:
             raise ConfigError(

@@ -38,9 +38,7 @@ class GridState:
 
     def __post_init__(self):
         self.amplitudes.flags.writeable = False
-        d = self.amplitudes.shape[1]
-        if d & (d - 1) or d == 0:
-            raise ValueError(f"lattice size {d} must be a power of two")
+        require_lattice_size(self.amplitudes.shape[1])
         if self.amplitudes.shape[0] != self.spectrum.dim:
             raise ValueError("amplitude rows must match the spectrum dimension")
         n = float(np.linalg.norm(self.amplitudes))
@@ -85,6 +83,11 @@ class GridState:
         )
 
 
+def require_lattice_size(size: int) -> None:
+    if size <= 0 or size & (size - 1):
+        raise ValueError(f"lattice size {size!r} must be a positive power of two")
+
+
 def require_positive_length(name: str, value: float) -> None:
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
@@ -105,6 +108,7 @@ def gaussian_grid_state(
     a twelfth of the momentum lattice and its position support well inside
     the box, leaving room for boost kicks and drifts.
     """
+    require_lattice_size(size)
     require_positive_length("box_length", box_length)
     require_positive_length("sigma", sigma)
     if weights is None:

@@ -210,17 +210,28 @@ def accelerated_frame_trotter(
 
     The returned errors should fall like 1/n (first-order product formula);
     halving_ratios() exposes error(n)/error(2n), ideally 2.
+
+    The products for all n run in lockstep, one row block per n in one array.
+    The steps increase, so after n rounds the leading block is finished and
+    leaves; each row sees the same operations as a product run on its own.
     """
     steps = trotter_steps(steps)
     exact = evolve_linear_potential(state, acceleration, duration)
+    levels = state.spectrum.dim
+    kicks = np.concatenate([_kick_table(state, -acceleration * (duration / n)) for n in steps])
+    drifts = np.concatenate([_drift_table(state, duration / n) for n in steps])
+    live = np.tile(state.amplitudes, (len(steps), 1))
+    products, rounds = [], 0
+    for n in steps:
+        for _ in range(n - rounds):
+            live *= kicks
+            tilde = np.fft.fft(live, axis=1)
+            tilde *= drifts
+            live = np.fft.ifft(tilde, axis=1)
+        products.append(live[:levels])
+        live, kicks, drifts, rounds = live[levels:], kicks[levels:], drifts[levels:], n
     errors = np.empty(len(steps))
-    for i, n in enumerate(steps):
-        dt = duration / n
-        kick = _kick_table(state, -acceleration * dt)
-        drift = _drift_table(state, dt)
-        amps = state.amplitudes
-        for _ in range(int(n)):
-            amps = np.fft.ifft(np.fft.fft(amps * kick, axis=1) * drift, axis=1)
+    for i, (n, amps) in enumerate(zip(steps, products)):
         current = state.with_amplitudes(amps)
         _require_inside(current, f"trotter product (n = {n})")
         errors[i] = float(np.linalg.norm(current.amplitudes - exact.amplitudes))

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridState, gaussian_grid_state, require_positive_length
+from .grid import GridState, gaussian_grid_state, require_lattice_size, require_positive_length
 from .gridops import (
     _require_inside,
     accelerated_frame_trotter,
@@ -47,6 +47,7 @@ from .sequences import (
     build_sequence,
     default_probe,
     entanglement_frame_demo,
+    require_positive_duration,
     require_two_levels,
     run_sequence,
 )
@@ -85,9 +86,10 @@ class Kind:
     constructors and checks; `at(field, check, *args)` applies one of them,
     and a refusal becomes a ConfigError at the scenario's JSON path plus
     field.  The runs of a sweep share a plan unless the swept parameter is
-    one of `plan_reads`.  `boost(params)` is the run's boost magnitude, held
-    to kappa_max.  `run` executes the plans; a kind that `batches` gets the
-    runs of one sweep as lists, any other kind one run at a time.
+    one of `plan_reads`, so each (parameter, check) of `run_checks` and the
+    boost rule see every run: `boost(params)` is the run's boost magnitude,
+    held to kappa_max.  `run` executes the plans; a kind that `batches` gets
+    the runs of one sweep as lists, any other kind one run at a time.
     """
 
     params: dict
@@ -95,6 +97,7 @@ class Kind:
     plan: Callable
     run: Callable
     plan_reads: tuple = ()
+    run_checks: tuple = ()
     boost: Callable = _boost
     batches: bool = False
 
@@ -199,6 +202,7 @@ def _twin(sequence: SequenceKind, boost: float, plan=_plan_twin, **params) -> Ki
         },
         tolerances={"identity_residual": 1e-12, "closed_form_fidelity": 1e-12},
         plan=plan, plan_reads=("spacing",), run=partial(_run_twin, sequence), batches=True,
+        run_checks=(("duration", require_positive_duration),),
     )
 
 
@@ -334,6 +338,7 @@ def _run_ion(name: str, params: dict, model, tol: dict) -> RunReport:
 def _plan_grid(schedule: str, check, params: dict, at) -> GridState:
     """The initial wavepacket of a trotter-accel or impulse-boost run; the
     engine's `check` of its `schedule` parameter."""
+    at(".params.grid_size", require_lattice_size, params["grid_size"])
     for length in ("box_length", "sigma"):
         at(f".params.{length}", require_positive_length, length, params[length])
     state = at("", gaussian_grid_state, _plan_spectrum(params, at), size=params["grid_size"],

@@ -214,6 +214,11 @@ def _run_columns(spectrum: InternalSpectrum, *values):
     return runs, values
 
 
+def require_positive_duration(duration) -> None:
+    if np.any(np.asarray(duration) <= 0.0):
+        raise ValueError("duration must be positive")
+
+
 def run_sequence(
     kind: SequenceKind,
     spectrum: InternalSpectrum,
@@ -237,8 +242,7 @@ def run_sequence(
     evaluated independently and any component whose phase disagrees beyond
     identity_tol raises IdentityViolationError.
     """
-    if np.any(np.asarray(duration) <= 0.0):
-        raise ValueError("duration must be positive")
+    require_positive_duration(duration)
     probe = probe if probe is not None else default_probe(spectrum)
     if probe.spectrum != spectrum:
         raise ValueError("probe was built on a different spectrum")

@@ -21,7 +21,8 @@ with rate = -i n omega0 d_n formed once, the inverse FFT and |.|^2 run on a
 (times, levels) array in chunks of SCAN_CHUNK_AMPLITUDES (4,096) amplitudes,
 which keeps a large clock's memory flat.  Moments stay one dot per row: a
 batched gemv, einsum or sum differs in the last bit from a read of one time.
-Tick refinement reads one time per call through read_pointer, and the
+Tick refinement moves every bracketed minimum in lockstep: each round reads
+the new time of every open bracket in one call of read_pointer, and the
 pointer phases e^{2 pi i k / N} are computed once per N.
 """
 
@@ -148,34 +149,39 @@ def _pointer_phases(dim: int) -> np.ndarray:
 def _pointer_moments(clock: SWPClock, rates: np.ndarray, times: np.ndarray, circular=False):
     """Mean, variance and (if asked) circular variance of k at each time, from
     one row of pointer probabilities per time, read SCAN_CHUNK_AMPLITUDES at a time."""
-    k = np.arange(clock.dim)
+    k = np.arange(clock.dim, dtype=float)
     phases = _pointer_phases(clock.dim) if circular else None
     step = max(1, SCAN_CHUNK_AMPLITUDES // clock.dim)
     moments = np.zeros((len(times), 3))
     for lo in range(0, len(times), step):
         amplitudes = np.exp(rates * times[lo:lo + step, None]) / np.sqrt(clock.dim)
-        for i, row in enumerate(pointer_probabilities(clock, amplitudes), lo):
-            mean = row @ k
+        for row, out in zip(pointer_probabilities(clock, amplitudes), moments[lo:]):
+            out[0] = mean = row @ k
             # Two-pass variance: E[k^2] - E[k]^2 cancels to one ulp of E[k^2] when
             # the pointer sits on a single k, which is exactly the state at a tick.
-            moments[i, :2] = mean, row @ (k - mean) ** 2
+            out[1] = row @ (k - mean) ** 2
             if circular:
-                moments[i, 2] = 1.0 - abs(np.sum(row * phases))
+                out[2] = 1.0 - abs((row * phases).sum())
     return moments.T
 
 
 @dataclass(frozen=True)
 class PointerReading:
-    """Moments of the pointer distribution at one instant."""
+    """Moments of the pointer distribution at one instant, or one array of
+    each over a batch of instants."""
 
-    mean: float
-    variance: float
-    circular_variance: float
+    mean: float | np.ndarray
+    variance: float | np.ndarray
+    circular_variance: float | np.ndarray
 
 
-def read_pointer(clock: SWPClock, profile: DilationProfile, t: float) -> PointerReading:
-    mean, var, circ = _pointer_moments(clock, _rates(clock, profile), np.array([t]), True)[:, 0]
-    return PointerReading(clock.tau * float(mean), clock.tau * clock.tau * float(var), float(circ))
+def read_pointer(clock: SWPClock, profile: DilationProfile, t) -> PointerReading:
+    """The pointer moments at time t, a float or a 1-D array of times."""
+    times = np.asarray(t, dtype=float)
+    mean, var, circ = _pointer_moments(clock, _rates(clock, profile), times.reshape(-1), True)
+    if times.ndim == 0:
+        mean, var, circ = float(mean[0]), float(var[0]), float(circ[0])
+    return PointerReading(clock.tau * mean, clock.tau * clock.tau * var, circ)
 
 
 @dataclass(frozen=True)
@@ -211,37 +217,31 @@ class TickScan:
     diagnostic: str
 
 
-def _golden_minimize(f, lo: float, hi: float, tol: float):
-    """Golden-section descent; returns the final (lo, hi) bracket."""
+def _refine_minima(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """The minimiser inside every bracket [a, b] at once, narrowing a and b in
+    place: golden-section descent until each bracket is narrower than tol, then
+    one parabolic interpolation through (a, mid, b) that falls back to mid.  f
+    reads an array of times; each round reads one new time per open bracket."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return a, b
-
-
-def _parabolic_vertex(f, lo: float, hi: float) -> float:
-    """One parabolic interpolation through (lo, mid, hi); falls back to mid."""
-    mid = 0.5 * (lo + hi)
-    f_lo, f_mid, f_hi = f(lo), f(mid), f(hi)
-    num = (mid - lo) ** 2 * (f_mid - f_hi) - (mid - hi) ** 2 * (f_mid - f_lo)
-    den = (mid - lo) * (f_mid - f_hi) - (mid - hi) * (f_mid - f_lo)
-    if den == 0.0:
-        return mid
-    vertex = mid - 0.5 * num / den
-    if not lo <= vertex <= hi:
-        return mid
-    return vertex
+    fc, fd = f(np.concatenate([c, d])).reshape(2, -1)
+    while (live := np.flatnonzero(b - a > tol)).size:
+        left = fc[live] < fd[live]
+        lo, hi = live[left], live[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        c[lo] = b[lo] - invphi * (b[lo] - a[lo])
+        d[hi] = a[hi] + invphi * (b[hi] - a[hi])
+        values = f(np.concatenate([c[lo], d[hi]]))
+        fc[lo], fd[hi] = values[:lo.size], values[lo.size:]
+    mid = 0.5 * (a + b)
+    f_lo, f_mid, f_hi = f(np.concatenate([a, mid, b])).reshape(3, -1)
+    num = (mid - a) ** 2 * (f_mid - f_hi) - (mid - b) ** 2 * (f_mid - f_lo)
+    den = (mid - a) * (f_mid - f_hi) - (mid - b) * (f_mid - f_lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = mid - 0.5 * num / den
+    return np.where((den != 0.0) & (a <= vertex) & (vertex <= b), vertex, mid)
 
 
 def require_tick_window(window, tau: float) -> None:
@@ -265,10 +265,10 @@ def find_effective_ticks(
     """Locate the times where the pointer variance dips (the actual ticks).
 
     Scans the window on a uniform grid, brackets every interior local
-    minimum, then refines each with golden-section search followed by one
-    parabolic polish.  The window must span at least 3 tau and the scan grid
-    must be finer than tau / 50, otherwise minima can slip between grid
-    points.
+    minimum, then refines all of them together with golden-section search
+    followed by one parabolic polish.  The window must span at least 3 tau
+    and the scan grid must be finer than tau / 50, otherwise minima can slip
+    between grid points.
     """
     rates = _rates(clock, profile)
     tau = clock.tau
@@ -280,30 +280,23 @@ def find_effective_ticks(
     require_tick_resolution(resolution, tau)
     lo, hi = float(window[0]), float(window[1])
 
-    def variance_at(t: float) -> float:
+    def variance_at(t: np.ndarray) -> np.ndarray:
         return read_pointer(clock, profile, t).variance
 
     grid = np.arange(lo, hi + 0.5 * resolution, resolution)
     values = tau * tau * _pointer_moments(clock, rates, grid)[1]
-    ticks = []
-    tick_vars = []
-    for i in range(1, len(grid) - 1):
-        if values[i] < values[i - 1] and values[i] <= values[i + 1]:
-            a, b = _golden_minimize(variance_at, grid[i - 1], grid[i + 1], tau * TICK_REFINE_TOL)
-            t_min = _parabolic_vertex(variance_at, a, b)
-            ticks.append(t_min)
-            tick_vars.append(variance_at(t_min))
-    tick_times = np.asarray(ticks)
-    tick_variances = np.asarray(tick_vars)
-    if len(ticks) >= 2:
+    dips = np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] <= values[2:]))
+    tick_times = _refine_minima(variance_at, grid[dips], grid[dips + 2], tau * TICK_REFINE_TOL)
+    tick_variances = variance_at(tick_times)
+    if len(tick_times) >= 2:
         mean_spacing = float(np.mean(np.diff(tick_times)))
         deviation = (mean_spacing - tau) / tau
-        diagnostic = f"{len(ticks)} ticks located"
+        diagnostic = f"{len(tick_times)} ticks located"
     else:
         mean_spacing = float("nan")
         deviation = float("nan")
         diagnostic = (
-            f"only {len(ticks)} variance minima inside ({lo:.6g}, {hi:.6g}); "
+            f"only {len(tick_times)} variance minima inside ({lo:.6g}, {hi:.6g}); "
             "spacing undefined, widen the window or check the profile"
         )
     return TickScan(

@@ -376,6 +376,10 @@ def test_a_box_too_small_for_the_packet_is_refused_at_validation(tmp_path, capsy
         ("twin-momentum", {"probe_momenta": []}, "probe_momenta", "at least one component"),
         ("twin-velocity", {"probe_momenta": []}, "probe_momenta", "at least one component"),
         ("twin-observer", {"probe_momenta": []}, "probe_momenta", "at least one component"),
+        ("twin-velocity", {"duration": -1.0}, "duration", "duration must be positive"),
+        ("impulse-boost", {"grid_size": 0}, "grid_size", "lattice size 0 must be"),
+        ("impulse-boost", {"grid_size": 100}, "grid_size", "lattice size 100 must be"),
+        ("impulse-boost", {"grid_size": -4}, "grid_size", "lattice size -4 must be"),
     ],
 )
 def test_an_input_the_engine_refuses_at_run_time_is_refused_at_validation(
@@ -393,6 +397,21 @@ def test_an_input_the_engine_refuses_at_run_time_is_refused_at_validation(
     assert message in err
     assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"scenarios[1].params.{key} (run 'bad'): " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["twin-momentum", "twin-velocity", "twin-observer"])
+def test_a_duration_sweep_that_reaches_zero_is_refused_at_the_run(tmp_path, capsys, kind):
+    # The runs of a sweep share one plan, which does not read the duration, so
+    # each run's duration is checked on its own; run 'sweep-1' has duration 0.
+    sweep = {"parameter": "duration", "start": 1.0, "stop": -1.0, "count": 3}
+    scenarios = [{"kind": kind, "name": "sweep", "sweep": sweep}]
+    config_path = _write_config(tmp_path / "sweep.json", {"schema_version": 1,
+                                                          "scenarios": scenarios})
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], config_path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "scenarios[0].params.duration (run 'sweep-1'): duration must be positive" in err
     assert not (tmp_path / "out").exists()
 
 

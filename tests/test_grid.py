@@ -12,8 +12,15 @@ SPEC = ladder_spectrum(2, 0.1)
 def test_grid_size_must_be_a_power_of_two():
     amps = np.ones((2, 48), dtype=complex)
     amps /= np.linalg.norm(amps)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lattice size 48 must be a positive power of two"):
         GridState(spectrum=SPEC, box_length=32.0, amplitudes=amps)
+
+
+@pytest.mark.parametrize("size", [0, -4, 100])
+def test_a_packet_on_a_lattice_size_that_is_not_a_power_of_two_is_refused(size):
+    # Refused before the lattice spacing box_length / size is formed.
+    with pytest.raises(ValueError, match=f"lattice size {size} must be a positive power of two"):
+        gaussian_grid_state(SPEC, size=size, box_length=32.0, sigma=2.0)
 
 
 def test_grid_state_must_be_normalized():

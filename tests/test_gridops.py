@@ -17,6 +17,7 @@ from qclocksim import load_config
 from qclocksim.errors import WraparoundError
 from qclocksim.grid import GridState, gaussian_grid_state
 from qclocksim.gridops import (
+    ABORT_EDGE_MASS,
     _branch_hamiltonian,
     accelerated_frame_trotter,
     evolve_linear_potential,
@@ -182,6 +183,53 @@ def test_trotter_steps_validation():
     for steps in ((), (64,)):
         with pytest.raises(ValueError, match="at least two"):
             accelerated_frame_trotter(state, 0.02, 1.0, steps=steps)
+
+
+def _sequential_trotter_errors(state, acceleration, duration, steps):
+    """One product per n, run to the end before the next starts, as
+    (U(dt) B_v(-a dt))^n with its own kick and drift tables."""
+    exact = evolve_linear_potential(state, acceleration, duration).amplitudes
+    levels = np.arange(state.spectrum.dim)[:, None]
+    errors = []
+    for n in steps:
+        dt = duration / n
+        kick = np.exp(1j * state.spectrum.masses[:, None] * (-acceleration * dt) * state.positions)
+        drift = np.exp(-1j * dt * total_energy(state.spectrum, levels, state.momenta))
+        amps = state.amplitudes
+        for _ in range(n):
+            amps = np.fft.ifft(np.fft.fft(amps * kick, axis=1) * drift, axis=1)
+        edge = state.with_amplitudes(amps).edge_mass()
+        if edge > ABORT_EDGE_MASS:
+            raise WraparoundError(f"trotter product (n = {n}): edge mass {edge:.3e}")
+        errors.append(float(np.linalg.norm(amps - exact)))
+    return errors
+
+
+@pytest.mark.parametrize(
+    "levels, steps, size",
+    [(2, (32, 64, 128, 256, 512), 256), (2, (3, 5, 8), 128), (3, (4, 8, 16, 32), 128)],
+    ids=["default-doubling", "not-doubling", "three-levels"],
+)
+def test_lockstep_trotter_errors_equal_the_sequential_products_bit_for_bit(levels, steps, size):
+    state = gaussian_grid_state(ladder_spectrum(levels, 0.05), size=size, box_length=64.0,
+                                sigma=3.5)
+    report = accelerated_frame_trotter(state, 0.02, 2.0, steps=steps)
+    assert report.steps.tolist() == list(steps)
+    assert report.errors.tolist() == _sequential_trotter_errors(state, 0.02, 2.0, steps)
+
+
+def test_a_drifting_trotter_product_names_the_first_n_that_reaches_the_edge():
+    # With a = 1 over T = 2 the product with n steps overshoots the exact
+    # packet by a T^2 / 2n toward the edge: the exact evolution and the n = 64
+    # product stay inside, the n = 3 and n = 5 products do not.
+    state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0, center=0.75)
+    with pytest.raises(WraparoundError, match=r"trotter product \(n = 3\)"):
+        _sequential_trotter_errors(state, 1.0, 2.0, (3, 5, 64))
+    with pytest.raises(WraparoundError, match=r"trotter product \(n = 3\)"):
+        accelerated_frame_trotter(state, 1.0, 2.0, steps=(3, 5, 64))
+    with pytest.raises(WraparoundError, match=r"trotter product \(n = 5\)"):
+        accelerated_frame_trotter(state, 1.0, 2.0, steps=(5, 64))
+    assert len(_sequential_trotter_errors(state, 1.0, 2.0, (64,))) == 1
 
 
 def test_packet_near_the_edge_aborts():

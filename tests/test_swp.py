@@ -17,8 +17,6 @@ from qclocksim.swp import (
     TICK_REFINE_TOL,
     DilationProfile,
     SWPClock,
-    _golden_minimize,
-    _parabolic_vertex,
     clock_state_at,
     find_effective_ticks,
     pointer_probabilities,
@@ -242,9 +240,41 @@ def _reference_reading(clock, profile, t):
     return clock.tau * mean_k, clock.tau * clock.tau * var_k, float(circ)
 
 
+def _golden_bracket(f, a, b, tol):
+    """Scalar golden-section descent on [a, b]; returns the final bracket."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return a, b
+
+
+def _parabola_vertex(f, a, b):
+    """Vertex of the parabola through (a, mid, b), or mid if there is none
+    inside [a, b]."""
+    mid = 0.5 * (a + b)
+    f_a, f_mid, f_b = f(a), f(mid), f(b)
+    num = (mid - a) ** 2 * (f_mid - f_b) - (mid - b) ** 2 * (f_mid - f_a)
+    den = (mid - a) * (f_mid - f_b) - (mid - b) * (f_mid - f_a)
+    if den == 0.0:
+        return mid
+    vertex = mid - 0.5 * num / den
+    return vertex if a <= vertex <= b else mid
+
+
 def _reference_ticks(clock, profile):
     """The per-point tick scan over the default window: one read per grid
-    point, then golden-section and parabolic refinement of each minimum."""
+    point, then a scalar golden-section and parabolic refinement of each
+    minimum, one after the other."""
     tau = clock.tau
 
     def variance_at(t):
@@ -256,8 +286,8 @@ def _reference_ticks(clock, profile):
     ticks = []
     for i in range(1, len(grid) - 1):
         if values[i] < values[i - 1] and values[i] <= values[i + 1]:
-            a, b = _golden_minimize(variance_at, grid[i - 1], grid[i + 1], tau * TICK_REFINE_TOL)
-            ticks.append(_parabolic_vertex(variance_at, a, b))
+            a, b = _golden_bracket(variance_at, grid[i - 1], grid[i + 1], tau * TICK_REFINE_TOL)
+            ticks.append(_parabola_vertex(variance_at, a, b))
     return len(grid), np.asarray(ticks), np.asarray([variance_at(t) for t in ticks])
 
 
@@ -297,10 +327,30 @@ def test_batched_readings_equal_the_per_point_reads_bit_for_bit(dim):
 
 
 def test_tick_refinement_reads_through_the_module_read_pointer(monkeypatch):
-    # The benchmark tracer counts refinement by wrapping swp.read_pointer.
+    # The benchmark tracer counts refinement rounds by wrapping swp.read_pointer:
+    # every read after the grid scan goes through it, one time per open bracket.
     calls = []
     read = swp.read_pointer
     monkeypatch.setattr(swp, "read_pointer", lambda *args: calls.append(args) or read(*args))
     clock = SWPClock(dim=16, omega0=1.0)
     scan = find_effective_ticks(clock, _profiles(16)[1])
-    assert len(scan.tick_times) == 3 and len(calls) > 3 * 30
+    assert len(scan.tick_times) == 3
+    sizes = [np.size(times) for _, _, times in calls]
+    # The first two golden points of each bracket, the rounds, the three points
+    # of the parabola and the final read of each tick.
+    assert sizes[:1] == [6] and sizes[-2:] == [9, 3]
+    rounds = sizes[1:-2]
+    assert len(rounds) >= 36 and all(1 <= n <= 3 for n in rounds)
+    assert rounds[0] == 3 and rounds == sorted(rounds, reverse=True)
+
+
+def test_read_pointer_reads_a_batch_of_times_as_the_single_reads():
+    clock = SWPClock(dim=16, omega0=1.0)
+    profile = _profiles(16)[1]
+    times = np.linspace(0.0, 3.0 * clock.tau, 7)
+    batch = read_pointer(clock, profile, times)
+    for i, t in enumerate(times):
+        single = read_pointer(clock, profile, t)
+        assert isinstance(single.variance, float)
+        assert (batch.mean[i], batch.variance[i], batch.circular_variance[i]) == (
+            single.mean, single.variance, single.circular_variance)
