@@ -26,7 +26,6 @@ del _name
 from .config import RunConfig, ScenarioSpec, Sweep, load_config, parse_config
 from .errors import (
     ConfigError,
-    ConsistencyError,
     GridTooNarrowError,
     IdentityViolationError,
     IntegrationError,
@@ -41,7 +40,6 @@ from .gridops import (
     TrotterReport,
     accelerated_frame_trotter,
     evolve_linear_potential,
-    free_evolution_grid,
     impulsive_boost_limit,
     momentum_boost_grid,
     velocity_boost_grid,
@@ -62,7 +60,6 @@ from .operators import (
     Translation,
     VelocityBoost,
     apply_operator,
-    conjugate_velocity_boost_by_translation,
     kinetic_energy,
     momentum_after,
     phase_increment,
@@ -73,7 +70,6 @@ from .report import CheckResult, RunReport
 from .runners import run_config, run_scenario
 from .sequences import (
     FrameEntanglement,
-    PairwiseDilation,
     SequenceKind,
     SequenceResult,
     build_sequence,
@@ -82,7 +78,6 @@ from .sequences import (
     closed_global_phase,
     default_probe,
     entanglement_frame_demo,
-    pairwise_dilation,
     run_sequence,
 )
 from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
@@ -91,20 +86,15 @@ from .states import (
     fidelity_deviation,
     inner_product,
     internal_superposition,
-    plane_wave,
     reduced_internal_entropy,
 )
 from .swp import (
     DilationProfile,
-    PointerReading,
     SWPClock,
     TickScan,
-    VarianceSeries,
-    clock_state_at,
     find_effective_ticks,
     pointer_probabilities,
     read_pointer,
-    variance_timeseries,
 )
 from .units import (
     DEFAULT_GUARD,
@@ -112,8 +102,6 @@ from .units import (
     beta_from_velocity,
     epsilon_from_energy,
     epsilon_from_frequency,
-    momentum_ratio,
-    theta_from_time,
 )
 
 __version__ = "0.1.0"

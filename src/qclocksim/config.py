@@ -23,6 +23,7 @@ corresponding parameters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,7 @@ def _coerce(value, spec: ParamSpec, where: str):
             where,
             f"expected a number, got {value!r}",
         )
+        _require(math.isfinite(value), where, f"expected a finite number, got {value!r}")
         return float(value)
     if spec.type is int:
         _require(
@@ -128,10 +130,10 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
     _require(
         not needs_mass or "mass_kg" in si, where, f"mass_kg is required to convert {needs_mass}"
     )
-    for key, raw in si.items():
-        if key == "mass_kg":
-            continue
-        value = _coerce(raw, _NUMBER, f"{where}.{key}")
+    values = {key: _coerce(raw, _NUMBER, f"{where}.{key}") for key, raw in si.items()}
+    mass = values.pop("mass_kg", None)
+    _require(mass is None or mass > 0.0, f"{where}.mass_kg", f"must be positive, got {mass!r}")
+    for key, value in values.items():
         target = _SI_TARGETS[key]
         _require(
             target in KINDS[kind].params,
@@ -141,9 +143,9 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
         if key == "velocity_m_per_s":
             params[target] = beta_from_velocity(value)
         elif key == "internal_energy_joule":
-            params[target] = epsilon_from_energy(value, float(si["mass_kg"]))
+            params[target] = epsilon_from_energy(value, mass)
         else:
-            params[target] = epsilon_from_frequency(value, float(si["mass_kg"]))
+            params[target] = epsilon_from_frequency(value, mass)
     return params
 
 

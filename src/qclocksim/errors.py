@@ -24,10 +24,6 @@ class IdentityViolationError(RuntimeError):
     """A numerically evolved state disagrees with its closed-form prediction."""
 
 
-class ConsistencyError(RuntimeError):
-    """Two evaluation paths of the same quantity disagree beyond tolerance."""
-
-
 class WraparoundError(RuntimeError):
     """Grid-state support reached the edge of the periodic box."""
 

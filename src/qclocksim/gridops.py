@@ -38,6 +38,7 @@ import numpy as np
 from .errors import WraparoundError
 from .grid import EDGE_SITES, GridState
 from .operators import total_energy
+from .sequences import require_positive_duration
 
 # Probability near the box edge that aborts a grid evolution.
 ABORT_EDGE_MASS = 1e-12
@@ -61,12 +62,6 @@ def _drift_table(state: GridState, duration: float) -> np.ndarray:
     """Rows e^{-i t E(n, p)} on the momentum lattice: exact free evolution."""
     levels = np.arange(state.spectrum.dim)[:, None]
     return np.exp(-1j * duration * total_energy(state.spectrum, levels, state.momenta))
-
-
-def free_evolution_grid(state: GridState, duration: float) -> GridState:
-    """Exact free evolution: diagonal phases on the momentum lattice."""
-    tilde = np.fft.fft(state.amplitudes, axis=1) * _drift_table(state, duration)
-    return state.with_amplitudes(np.fft.ifft(tilde, axis=1))
 
 
 def velocity_boost_grid(state: GridState, v_b: float) -> GridState:
@@ -215,6 +210,7 @@ def accelerated_frame_trotter(
     The steps increase, so after n rounds the leading block is finished and
     leaves; each row sees the same operations as a product run on its own.
     """
+    require_positive_duration(duration)
     steps = trotter_steps(steps)
     exact = evolve_linear_potential(state, acceleration, duration)
     levels = state.spectrum.dim

@@ -247,7 +247,6 @@ class SpectroscopyResult:
     peak_excitation: float
     relative_shift: float  # peak_detuning / u; nan when u = 0
     oracle: BranchOracle
-    fit_residual: float  # lineshape vs local parabola, diagnostic only
     cutoff_shift_change: float  # |peak at N_F - peak at 2 N_F|
 
     @property
@@ -274,8 +273,8 @@ def _parabola_vertex(d: np.ndarray, p: np.ndarray) -> float:
     return float(d[1] + 0.5 * (d[1] - d[0]) * (p[0] - p[2]) / denom)
 
 
-def _scan_peak(model: TrapModel, detunings: np.ndarray, dim: int) -> tuple[float, int, float, np.ndarray]:
-    """Lineshape at cutoff dim: vertex, peak index, parabola residual, samples."""
+def _scan_peak(model: TrapModel, detunings: np.ndarray, dim: int) -> tuple[float, int, np.ndarray]:
+    """Lineshape at cutoff dim: vertex, peak index, samples."""
     excitation = _excitation_probabilities(model, detunings, dim)
     idx = int(np.argmax(excitation))
     if idx == 0 or idx == len(detunings) - 1:
@@ -284,17 +283,7 @@ def _scan_peak(model: TrapModel, detunings: np.ndarray, dim: int) -> tuple[float
             "detuning grid"
         )
     triplet = slice(idx - 1, idx + 2)
-    vertex = _parabola_vertex(detunings[triplet], excitation[triplet])
-    # Diagnostic: how far a pure parabola through the peak triplet misses
-    # the neighbors two grid points out.
-    coeffs = np.polyfit(detunings[triplet], excitation[triplet], 2)
-    residual = 0.0
-    for j in (idx - 2, idx + 2):
-        if 0 <= j < len(detunings):
-            residual = max(
-                residual, abs(float(np.polyval(coeffs, detunings[j])) - excitation[j])
-            )
-    return vertex, idx, float(residual), excitation
+    return _parabola_vertex(detunings[triplet], excitation[triplet]), idx, excitation
 
 
 def _doubled_cutoff_vertex(model: TrapModel, detunings: np.ndarray, idx: int) -> float:
@@ -337,7 +326,7 @@ def spectroscopy_scan(
     center = oracle.carrier_shift
     half_span = span_factor * max(abs(center), 1e-3 * model.rabi_frequency)
     detunings = np.linspace(center - half_span, center + half_span, points)
-    vertex, idx, residual, excitation = _scan_peak(model, detunings, model.fock_cutoff)
+    vertex, idx, excitation = _scan_peak(model, detunings, model.fock_cutoff)
     cutoff_change = abs(_doubled_cutoff_vertex(model, detunings, idx) - vertex)
     u = model.transition_energy
     return SpectroscopyResult(
@@ -347,6 +336,5 @@ def spectroscopy_scan(
         peak_excitation=float(excitation[idx]),
         relative_shift=vertex / u if u > 0.0 else float("nan"),
         oracle=oracle,
-        fit_residual=residual,
         cutoff_shift_change=cutoff_change,
     )

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .spectrum import InternalSpectrum
 from .states import PlaneWaveState
 from .units import DEFAULT_GUARD, RegimeGuard
@@ -162,30 +161,3 @@ def apply_operator(
 ) -> PlaneWaveState:
     """Apply one operator, returning a new state (input never mutated)."""
     return trace_chain(state, [op], guard=guard)[0]
-
-
-def conjugate_velocity_boost_by_translation(
-    state: PlaneWaveState,
-    v_b: float,
-    shift: float,
-    tol: float = 1e-12,
-    guard: RegimeGuard | None = None,
-) -> PlaneWaveState:
-    """T(-s) B_v(v_b) T(s) applied to state, verified against its closed form.
-
-    Conjugating a velocity boost by a translation leaves the boost intact and
-    multiplies each branch by e^{i M_n v_b s}.  Both paths are computed; if
-    any component's phase disagrees beyond tol a ConsistencyError is raised.
-    """
-    conjugated = trace_chain(
-        state, [Translation(shift), VelocityBoost(v_b), Translation(-shift)], guard=guard
-    )[0]
-    boosted = apply_operator(state, VelocityBoost(v_b), guard=guard)
-    masses = state.spectrum.masses[state.levels]
-    predicted = boosted.amplitudes * np.exp(1j * masses * v_b * shift)
-    worst = float(np.max(np.abs(conjugated.amplitudes - predicted)))
-    if worst > tol:
-        raise ConsistencyError(
-            f"translation-conjugated boost deviates from closed form by {worst:.3e} (tol {tol:.1e})"
-        )
-    return conjugated

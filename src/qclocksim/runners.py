@@ -519,6 +519,7 @@ KINDS = {
         ),
         tolerances={"halving_ratio_low": 1.6, "halving_ratio_high": 2.4, "terminal_error": 1e-4},
         plan=partial(_plan_grid, "steps", trotter_steps), run=_run_trotter,
+        run_checks=(("duration", require_positive_duration),),
         boost=lambda p: abs(p["acceleration"]) * p["duration"],
     ),
     "impulse-boost": Kind(

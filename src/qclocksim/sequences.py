@@ -186,7 +186,6 @@ class SequenceResult:
     levels: np.ndarray
     momenta: np.ndarray
     phases: np.ndarray
-    residuals: np.ndarray
     residual_max: float
     fidelity_deviation: float
     global_phase: float
@@ -197,7 +196,6 @@ class SequenceResult:
     gammas: dict[int, float]
     momentum_error_max: float
     level_phase_spread_max: float
-    final_state: PlaneWaveState = field(repr=False)
 
     def __post_init__(self):
         for n, d in self.level_factors.items():
@@ -273,8 +271,7 @@ def run_sequence(
         kind, spectrum, b, t, probe.levels, probe.momenta,
         translation_level, state_dependent_translation,
     )
-    residuals = np.abs(np.exp(1j * (phases - closed)) - 1.0)
-    residual_max = np.max(residuals, axis=-1, keepdims=True)
+    residual_max = np.max(np.abs(np.exp(1j * (phases - closed)) - 1.0), axis=-1, keepdims=True)
     rhs_state = probe.with_amplitudes(probe.amplitudes * np.exp(1j * closed))
     fid_dev = fidelity_deviation(rhs_state, final)
     if np.max(residual_max) > identity_tol:
@@ -324,7 +321,6 @@ def run_sequence(
         levels=probe.levels.copy(),
         momenta=probe.momenta.copy(),
         phases=phases,
-        residuals=residuals,
         residual_max=per_run(residual_max),
         fidelity_deviation=per_run(fid_dev),
         global_phase=per_run(g_extracted),
@@ -340,33 +336,7 @@ def run_sequence(
         gammas={n: per_run(g) for n, g in gammas.items()},
         momentum_error_max=per_run(momentum_err),
         level_phase_spread_max=per_run(spread_max),
-        final_state=final,
     )
-
-
-@dataclass(frozen=True)
-class PairwiseDilation:
-    """Dilation factors of the relative phase between every pair of branches."""
-
-    factors: np.ndarray  # F[n, m] = 1 - p_b^2 / (2 M_n M_m)
-    single_branch: np.ndarray  # F[n, n], the bounds of every mixed factor
-
-    def __post_init__(self):
-        self.factors.flags.writeable = False
-        self.single_branch.flags.writeable = False
-
-
-def pairwise_dilation(spectrum: InternalSpectrum, boost: float) -> PairwiseDilation:
-    """Relative-phase dilation between branch pairs after a momentum kick.
-
-    F[n, m] = 1 - p_b^2 / (2 M_n M_m): the phase between branches n and m
-    accumulates slower by exactly this factor.  Mixed factors always lie
-    strictly between the two single-branch values F[n, n] and F[m, m]
-    (M_n M_m sits strictly between M_n^2 and M_m^2 whenever M_n != M_m).
-    """
-    masses = spectrum.masses
-    factors = 1.0 - boost * boost / (2.0 * np.outer(masses, masses))
-    return PairwiseDilation(factors=factors, single_branch=np.diag(factors).copy())
 
 
 @dataclass(frozen=True)

@@ -104,11 +104,6 @@ class PlaneWaveState:
         )
 
 
-def plane_wave(spectrum: InternalSpectrum, level: int, momentum: float) -> PlaneWaveState:
-    """Single component |level> |momentum>."""
-    return PlaneWaveState.from_components(spectrum, [(level, momentum, 1.0)])
-
-
 def internal_superposition(
     spectrum: InternalSpectrum,
     momentum: float,

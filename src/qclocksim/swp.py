@@ -22,13 +22,11 @@ with rate = -i n omega0 d_n formed once, the inverse FFT and |.|^2 run on a
 which keeps a large clock's memory flat.  Moments stay one dot per row: a
 batched gemv, einsum or sum differs in the last bit from a read of one time.
 Tick refinement moves every bracketed minimum in lockstep: each round reads
-the new time of every open bracket in one call of read_pointer, and the
-pointer phases e^{2 pi i k / N} are computed once per N.
+the new time of every open bracket in one call of read_pointer.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,30 +127,18 @@ def _rates(clock: SWPClock, profile: DilationProfile) -> np.ndarray:
     return -1j * np.arange(clock.dim) * clock.omega0 * profile.factors
 
 
-def clock_state_at(clock: SWPClock, profile: DilationProfile, t: float) -> np.ndarray:
-    """Energy-basis amplitudes at time t, starting from pointer state w_0."""
-    return np.exp(_rates(clock, profile) * t) / np.sqrt(clock.dim)
-
-
 def pointer_probabilities(clock: SWPClock, amplitudes: np.ndarray) -> np.ndarray:
     """P_k = |<w_k|state>|^2 for every pointer state at once (one row per state)."""
     overlaps = np.sqrt(clock.dim) * np.fft.ifft(amplitudes)
     return np.abs(overlaps) ** 2
 
 
-@functools.lru_cache(maxsize=8)
-def _pointer_phases(dim: int) -> np.ndarray:
-    """e^{2 pi i k / dim}, the pointer positions on the unit circle."""
-    return np.exp(2j * np.pi * np.arange(dim) / dim)
-
-
-def _pointer_moments(clock: SWPClock, rates: np.ndarray, times: np.ndarray, circular=False):
-    """Mean, variance and (if asked) circular variance of k at each time, from
-    one row of pointer probabilities per time, read SCAN_CHUNK_AMPLITUDES at a time."""
+def _pointer_moments(clock: SWPClock, rates: np.ndarray, times: np.ndarray):
+    """Mean and variance of k at each time, from one row of pointer
+    probabilities per time, read SCAN_CHUNK_AMPLITUDES at a time."""
     k = np.arange(clock.dim, dtype=float)
-    phases = _pointer_phases(clock.dim) if circular else None
     step = max(1, SCAN_CHUNK_AMPLITUDES // clock.dim)
-    moments = np.zeros((len(times), 3))
+    moments = np.zeros((len(times), 2))
     for lo in range(0, len(times), step):
         amplitudes = np.exp(rates * times[lo:lo + step, None]) / np.sqrt(clock.dim)
         for row, out in zip(pointer_probabilities(clock, amplitudes), moments[lo:]):
@@ -160,50 +146,17 @@ def _pointer_moments(clock: SWPClock, rates: np.ndarray, times: np.ndarray, circ
             # Two-pass variance: E[k^2] - E[k]^2 cancels to one ulp of E[k^2] when
             # the pointer sits on a single k, which is exactly the state at a tick.
             out[1] = row @ (k - mean) ** 2
-            if circular:
-                out[2] = 1.0 - abs((row * phases).sum())
     return moments.T
 
 
-@dataclass(frozen=True)
-class PointerReading:
-    """Moments of the pointer distribution at one instant, or one array of
-    each over a batch of instants."""
-
-    mean: float | np.ndarray
-    variance: float | np.ndarray
-    circular_variance: float | np.ndarray
-
-
-def read_pointer(clock: SWPClock, profile: DilationProfile, t) -> PointerReading:
-    """The pointer moments at time t, a float or a 1-D array of times."""
+def read_pointer(clock: SWPClock, profile: DilationProfile, t):
+    """(mean, variance) of the pointer time at time t: floats for a float t,
+    arrays for a 1-D array of times."""
     times = np.asarray(t, dtype=float)
-    mean, var, circ = _pointer_moments(clock, _rates(clock, profile), times.reshape(-1), True)
+    mean, var = _pointer_moments(clock, _rates(clock, profile), times.reshape(-1))
     if times.ndim == 0:
-        mean, var, circ = float(mean[0]), float(var[0]), float(circ[0])
-    return PointerReading(clock.tau * mean, clock.tau * clock.tau * var, circ)
-
-
-@dataclass(frozen=True)
-class VarianceSeries:
-    """Pointer moments sampled on a grid of laboratory times."""
-
-    times: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    circular_variance: np.ndarray
-    tau: float
-
-
-def variance_timeseries(
-    clock: SWPClock, profile: DilationProfile, times: np.ndarray
-) -> VarianceSeries:
-    times = np.asarray(times, dtype=float)
-    mean, var, circ = _pointer_moments(clock, _rates(clock, profile), times, circular=True)
-    tau = clock.tau
-    return VarianceSeries(
-        times=times, mean=tau * mean, variance=tau * tau * var, circular_variance=circ, tau=tau
-    )
+        mean, var = float(mean[0]), float(var[0])
+    return clock.tau * mean, clock.tau * clock.tau * var
 
 
 @dataclass(frozen=True)
@@ -281,7 +234,7 @@ def find_effective_ticks(
     lo, hi = float(window[0]), float(window[1])
 
     def variance_at(t: np.ndarray) -> np.ndarray:
-        return read_pointer(clock, profile, t).variance
+        return read_pointer(clock, profile, t)[1]
 
     grid = np.arange(lo, hi + 0.5 * resolution, resolution)
     values = tau * tau * _pointer_moments(clock, rates, grid)[1]

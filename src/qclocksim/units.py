@@ -97,12 +97,3 @@ def epsilon_from_frequency(freq_hz: float, mass_kg: float) -> float:
 def beta_from_velocity(velocity_mps: float) -> float:
     return velocity_mps / SPEED_OF_LIGHT
 
-
-def momentum_ratio(momentum_si: float, mass_kg: float) -> float:
-    """Momentum in kg m/s -> pi = p / (m c)."""
-    return momentum_si / (mass_kg * SPEED_OF_LIGHT)
-
-
-def theta_from_time(time_s: float, mass_kg: float) -> float:
-    """Time in seconds -> theta = t m c^2 / hbar."""
-    return time_s * mass_kg * SPEED_OF_LIGHT**2 / HBAR

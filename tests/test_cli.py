@@ -377,6 +377,8 @@ def test_a_box_too_small_for_the_packet_is_refused_at_validation(tmp_path, capsy
         ("twin-velocity", {"probe_momenta": []}, "probe_momenta", "at least one component"),
         ("twin-observer", {"probe_momenta": []}, "probe_momenta", "at least one component"),
         ("twin-velocity", {"duration": -1.0}, "duration", "duration must be positive"),
+        ("trotter-accel", {"duration": -2.0}, "duration", "duration must be positive"),
+        ("trotter-accel", {"duration": 0.0}, "duration", "duration must be positive"),
         ("impulse-boost", {"grid_size": 0}, "grid_size", "lattice size 0 must be"),
         ("impulse-boost", {"grid_size": 100}, "grid_size", "lattice size 100 must be"),
         ("impulse-boost", {"grid_size": -4}, "grid_size", "lattice size -4 must be"),
@@ -400,7 +402,9 @@ def test_an_input_the_engine_refuses_at_run_time_is_refused_at_validation(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("kind", ["twin-momentum", "twin-velocity", "twin-observer"])
+@pytest.mark.parametrize(
+    "kind", ["twin-momentum", "twin-velocity", "twin-observer", "trotter-accel"]
+)
 def test_a_duration_sweep_that_reaches_zero_is_refused_at_the_run(tmp_path, capsys, kind):
     # The runs of a sweep share one plan, which does not read the duration, so
     # each run's duration is checked on its own; run 'sweep-1' has duration 0.
@@ -413,6 +417,51 @@ def test_a_duration_sweep_that_reaches_zero_is_refused_at_the_run(tmp_path, caps
         err = capsys.readouterr().err
         assert "scenarios[0].params.duration (run 'sweep-1'): duration must be positive" in err
     assert not (tmp_path / "out").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "scenario, path",
+    [
+        ({"params": {"boost": NAN}}, "params.boost"),
+        ({"params": {"duration": -INF}}, "params.duration"),
+        ({"params": {"probe_momenta": [0.0, INF]}}, "params.probe_momenta[1]"),
+        ({"tolerances": {"identity_residual": INF}}, "tolerances.identity_residual"),
+        ({"sweep": {"parameter": "boost", "start": NAN, "stop": 0.01, "count": 3}}, "sweep.start"),
+        ({"sweep": {"parameter": "boost", "start": 0.0, "stop": NAN, "count": 3}}, "sweep.stop"),
+        ({"si": {"velocity_m_per_s": INF}}, "si.velocity_m_per_s"),
+        ({"si": {"velocity_m_per_s": 1e6, "mass_kg": NAN}}, "si.mass_kg"),
+    ],
+)
+def test_a_non_finite_number_is_refused_at_its_json_path(tmp_path, capsys, scenario, path):
+    # JSON's NaN and Infinity parse to floats; no parameter, tolerance, sweep
+    # bound or si value may hold one.
+    scenarios = [{"kind": "twin-velocity", "name": "fine"},
+                 {"kind": "twin-velocity", "name": "bad", **scenario}]
+    config_path = _write_config(tmp_path / "bad.json", {"schema_version": 1,
+                                                        "scenarios": scenarios})
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], config_path, *command[1:]]) == 2
+        assert f"scenarios[1].{path}: expected a finite number, got " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "mass, message",
+    [(0.0, "must be positive, got 0.0"), (-1e-25, "must be positive"),
+     ("heavy", "expected a number, got 'heavy'")],
+)
+def test_an_si_mass_that_converts_to_no_ratio_is_refused_at_its_json_path(
+    tmp_path, capsys, mass, message
+):
+    si = {"transition_frequency_hz": 4e14, "mass_kg": mass}
+    scenarios = [{"kind": "ion-spectroscopy", "name": "ion", "si": si}]
+    config_path = _write_config(tmp_path / "si.json", {"schema_version": 1,
+                                                       "scenarios": scenarios})
+    assert main(["validate", config_path]) == 2
+    assert f"scenarios[0].si.mass_kg: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from qclocksim.gridops import (
     _branch_hamiltonian,
     accelerated_frame_trotter,
     evolve_linear_potential,
-    free_evolution_grid,
     impulsive_boost_limit,
     momentum_boost_grid,
     velocity_boost_grid,
@@ -44,6 +43,14 @@ def _plane_wave_state(indices, size=64, box_length=32.0):
     return GridState(spectrum=SPEC, box_length=box_length, amplitudes=amps)
 
 
+def _free_evolution_fft(state, t):
+    """Reference free evolution: each lattice momentum p of level n picks up
+    the phase e^{-i t E(n, p)} between a forward and an inverse FFT."""
+    levels = np.arange(state.spectrum.dim)[:, None]
+    phases = np.exp(-1j * t * total_energy(state.spectrum, levels, state.momenta))
+    return np.fft.ifft(np.fft.fft(state.amplitudes, axis=1) * phases, axis=1)
+
+
 def _level_moments(state, which):
     """Per-level mean of x or p, from the normalized level distribution."""
     if which == "x":
@@ -59,11 +66,11 @@ def test_free_evolution_phases_plane_waves_by_the_dispersion():
     state = _plane_wave_state([3, -5])
     dp = 2.0 * np.pi / state.box_length
     t = 1.7
-    out = free_evolution_grid(state, t)
+    out = _free_evolution_fft(state, t)
     for n, k in enumerate([3, -5]):
         expected = np.exp(-1j * t * total_energy(SPEC, n, k * dp))
         np.testing.assert_allclose(
-            out.amplitudes[n], expected * state.amplitudes[n], atol=1e-13
+            out[n], expected * state.amplitudes[n], atol=1e-13
         )
 
 
@@ -98,8 +105,8 @@ def test_zero_slope_potential_matches_fft_free_evolution():
     # Cross-validates the dense eigendecomposition path against the FFT path.
     state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0, momentum=0.15)
     via_eigh = evolve_linear_potential(state, 0.0, 1.5)
-    via_fft = free_evolution_grid(state, 1.5)
-    np.testing.assert_allclose(via_eigh.amplitudes, via_fft.amplitudes, atol=1e-12)
+    via_fft = _free_evolution_fft(state, 1.5)
+    np.testing.assert_allclose(via_eigh.amplitudes, via_fft, atol=1e-12)
 
 
 def test_accelerated_evolution_follows_ehrenfest_trajectories():
@@ -183,6 +190,15 @@ def test_trotter_steps_validation():
     for steps in ((), (64,)):
         with pytest.raises(ValueError, match="at least two"):
             accelerated_frame_trotter(state, 0.02, 1.0, steps=steps)
+
+
+@pytest.mark.parametrize("duration", [0.0, -2.0])
+def test_trotter_refuses_a_duration_that_does_not_run_forward(duration):
+    # A negative duration runs both the product and the exact evolution
+    # backward, where every convergence check still passes.
+    state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        accelerated_frame_trotter(state, 0.02, duration, steps=(2, 4))
 
 
 def _sequential_trotter_errors(state, acceleration, duration, steps):

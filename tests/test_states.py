@@ -13,12 +13,16 @@ from qclocksim.states import (
     fidelity_deviation,
     inner_product,
     internal_superposition,
-    plane_wave,
     reduced_internal_entropy,
 )
 
 SPEC2 = ladder_spectrum(2, 0.1)
 SPEC4 = ladder_spectrum(4, 0.04)
+
+
+def plane_wave(spectrum, level, momentum):
+    """The single component |level> |momentum>."""
+    return PlaneWaveState.from_components(spectrum, [(level, momentum, 1.0)])
 
 
 def test_plane_wave_is_a_single_unit_component():

@@ -17,12 +17,16 @@ from qclocksim.swp import (
     TICK_REFINE_TOL,
     DilationProfile,
     SWPClock,
-    clock_state_at,
     find_effective_ticks,
     pointer_probabilities,
     read_pointer,
-    variance_timeseries,
 )
+
+
+def _state_at(clock, profile, t):
+    """Energy-basis amplitudes at time t, started in pointer state w_0."""
+    n = np.arange(clock.dim)
+    return np.exp(-1j * n * clock.omega0 * profile.factors * t) / np.sqrt(clock.dim)
 
 
 def test_pointer_states_are_orthonormal():
@@ -39,12 +43,9 @@ def test_time_operator_spectrum_is_the_tick_grid():
 
 def test_clock_starts_in_the_zeroth_pointer_state():
     clock = SWPClock(dim=8, omega0=1.0)
-    state = clock_state_at(clock, DilationProfile.none(8), 0.0)
+    state = _state_at(clock, DilationProfile.none(8), 0.0)
     np.testing.assert_allclose(state, clock.pointer_states()[0], atol=1e-15)
-    reading = read_pointer(clock, DilationProfile.none(8), 0.0)
-    assert reading.mean == 0.0
-    assert reading.variance == 0.0
-    assert reading.circular_variance == pytest.approx(0.0, abs=1e-15)
+    assert read_pointer(clock, DilationProfile.none(8), 0.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("dim", [4, 16, 64])
@@ -52,26 +53,24 @@ def test_undilated_clock_rephases_at_every_tick(dim):
     clock = SWPClock(dim=dim, omega0=1.0)
     profile = DilationProfile.none(dim)
     for k in (1, 2, 3):
-        reading = read_pointer(clock, profile, k * clock.tau)
-        assert reading.variance < 1e-20 * clock.tau**2
-        assert reading.mean == pytest.approx(k * clock.tau, rel=1e-10)
+        mean, variance = read_pointer(clock, profile, k * clock.tau)
+        assert variance < 1e-20 * clock.tau**2
+        assert mean == pytest.approx(k * clock.tau, rel=1e-10)
 
 
 def test_half_tick_reading_matches_the_closed_form():
     # At t = tau/2 with N = 4 the pointer distribution is exactly
     # [(2+sqrt2)/8, (2+sqrt2)/8, (2-sqrt2)/8, (2-sqrt2)/8], which gives
-    # mean = tau (3 - sqrt2)/2, variance = 0.75 tau^2, and circular
-    # variance exactly 1/2.
+    # mean = tau (3 - sqrt2)/2 and variance = 0.75 tau^2.
     clock = SWPClock(dim=4, omega0=1.0)
     profile = DilationProfile.none(4)
-    probs = pointer_probabilities(clock, clock_state_at(clock, profile, clock.tau / 2))
+    probs = pointer_probabilities(clock, _state_at(clock, profile, clock.tau / 2))
     hi = (2.0 + np.sqrt(2.0)) / 8.0
     lo = (2.0 - np.sqrt(2.0)) / 8.0
     np.testing.assert_allclose(probs, [hi, hi, lo, lo], atol=1e-14)
-    reading = read_pointer(clock, profile, clock.tau / 2)
-    assert reading.variance == pytest.approx(0.75 * clock.tau**2, abs=1e-13)
-    assert reading.mean == pytest.approx(clock.tau * (3.0 - np.sqrt(2.0)) / 2.0, abs=1e-13)
-    assert reading.circular_variance == pytest.approx(0.5, abs=1e-14)
+    mean, variance = read_pointer(clock, profile, clock.tau / 2)
+    assert variance == pytest.approx(0.75 * clock.tau**2, abs=1e-13)
+    assert mean == pytest.approx(clock.tau * (3.0 - np.sqrt(2.0)) / 2.0, abs=1e-13)
 
 
 def test_fft_projection_matches_explicit_overlaps():
@@ -90,15 +89,10 @@ def test_uniform_dilation_is_a_time_reparametrization():
     slowed = DilationProfile.velocity_classical(8, 0.2)
     d = float(slowed.factors[0])
     times = np.linspace(0.0, 3.0 * clock.tau, 97)
-    dilated = variance_timeseries(clock, slowed, times)
-    reference = variance_timeseries(clock, DilationProfile.none(8), d * times)
-    np.testing.assert_allclose(
-        dilated.variance, reference.variance, atol=1e-12 * clock.tau**2
-    )
-    np.testing.assert_allclose(dilated.mean, reference.mean, atol=1e-12 * clock.tau)
-    np.testing.assert_allclose(
-        dilated.circular_variance, reference.circular_variance, atol=1e-12
-    )
+    dilated_mean, dilated_variance = read_pointer(clock, slowed, times)
+    mean, variance = read_pointer(clock, DilationProfile.none(8), d * times)
+    np.testing.assert_allclose(dilated_variance, variance, atol=1e-12 * clock.tau**2)
+    np.testing.assert_allclose(dilated_mean, mean, atol=1e-12 * clock.tau)
 
 
 def test_profile_constructors():
@@ -229,15 +223,13 @@ def test_nonclassical_ticks_match_the_frozen_fixture():
 
 
 def _reference_reading(clock, profile, t):
-    """(mean, variance, circular variance) read at one time, as the scan did
-    before it read its grid in batches."""
+    """(mean, variance) read at one time, as the scan did before it read its
+    grid in batches."""
     n = np.arange(clock.dim)
-    amplitudes = np.exp(-1j * n * clock.omega0 * profile.factors * t) / np.sqrt(clock.dim)
-    probs = np.abs(np.sqrt(clock.dim) * np.fft.ifft(amplitudes)) ** 2
+    probs = np.abs(np.sqrt(clock.dim) * np.fft.ifft(_state_at(clock, profile, t))) ** 2
     mean_k = float(probs @ n)
     var_k = float(probs @ (n - mean_k) ** 2)
-    circ = 1.0 - abs(np.sum(probs * np.exp(2j * np.pi * n / clock.dim)))
-    return clock.tau * mean_k, clock.tau * clock.tau * var_k, float(circ)
+    return clock.tau * mean_k, clock.tau * clock.tau * var_k
 
 
 def _golden_bracket(f, a, b, tol):
@@ -317,13 +309,11 @@ def test_batched_readings_equal_the_per_point_reads_bit_for_bit(dim):
     clock = SWPClock(dim=dim, omega0=0.0005 if dim > 16 else 1.0)
     times = np.linspace(0.0, 4.0 * clock.tau, 41)
     for profile in _profiles(dim):
-        series = variance_timeseries(clock, profile, times)
+        mean, variance = read_pointer(clock, profile, times)
         reference = np.array([_reference_reading(clock, profile, t) for t in times])
-        assert np.array_equal(series.mean, reference[:, 0])
-        assert np.array_equal(series.variance, reference[:, 1])
-        assert np.array_equal(series.circular_variance, reference[:, 2])
-        reading = read_pointer(clock, profile, times[7])
-        assert (reading.mean, reading.variance, reading.circular_variance) == tuple(reference[7])
+        assert np.array_equal(mean, reference[:, 0])
+        assert np.array_equal(variance, reference[:, 1])
+        assert read_pointer(clock, profile, times[7]) == tuple(reference[7])
 
 
 def test_tick_refinement_reads_through_the_module_read_pointer(monkeypatch):
@@ -348,9 +338,8 @@ def test_read_pointer_reads_a_batch_of_times_as_the_single_reads():
     clock = SWPClock(dim=16, omega0=1.0)
     profile = _profiles(16)[1]
     times = np.linspace(0.0, 3.0 * clock.tau, 7)
-    batch = read_pointer(clock, profile, times)
+    mean, variance = read_pointer(clock, profile, times)
     for i, t in enumerate(times):
         single = read_pointer(clock, profile, t)
-        assert isinstance(single.variance, float)
-        assert (batch.mean[i], batch.variance[i], batch.circular_variance[i]) == (
-            single.mean, single.variance, single.circular_variance)
+        assert all(isinstance(value, float) for value in single)
+        assert (mean[i], variance[i]) == single

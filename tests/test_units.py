@@ -8,15 +8,12 @@ from hypothesis import given, strategies as st
 from qclocksim.errors import RegimeError, RegimeWarning
 from qclocksim.units import (
     DEFAULT_GUARD,
-    HBAR,
     PLANCK,
     SPEED_OF_LIGHT,
     RegimeGuard,
     beta_from_velocity,
     epsilon_from_energy,
     epsilon_from_frequency,
-    momentum_ratio,
-    theta_from_time,
 )
 
 
@@ -35,14 +32,6 @@ def test_frequency_conversion_uses_planck():
     f = 4.0e14
     expected = PLANCK * f / (mass * SPEED_OF_LIGHT**2)
     assert epsilon_from_frequency(f, mass) == expected
-
-
-def test_momentum_and_time_conversions():
-    mass = 1.0e-25
-    assert momentum_ratio(mass * SPEED_OF_LIGHT, mass) == pytest.approx(1.0, rel=1e-15)
-    # One natural time unit is hbar / (m c^2).
-    t_unit = HBAR / (mass * SPEED_OF_LIGHT**2)
-    assert theta_from_time(t_unit, mass) == pytest.approx(1.0, rel=1e-15)
 
 
 @given(st.floats(min_value=1e-30, max_value=1e30), st.floats(min_value=2.0, max_value=10.0))
