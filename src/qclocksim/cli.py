@@ -1,15 +1,14 @@
 """Command-line interface.
 
     qclocksim run CONFIG [--out-dir DIR] [--format csv|json|both]
-                         [--threads N] [--strict-regime]
-                         [--tolerance KEY=VALUE ...]
+                         [--threads N] [--tolerance KEY=VALUE ...]
     qclocksim validate CONFIG
     qclocksim kinds
 
 Exit codes: 0 all checks passed, 1 at least one tolerance check failed,
-2 configuration problem, 3 engine failure.  Result files are byte-stable
-across repeated runs; anything nondeterministic (wall-clock timings) goes
-to stderr only.
+2 configuration problem (kicks out of the model's regime included), 3
+engine failure.  Result files are byte-stable across repeated runs;
+anything nondeterministic (wall-clock timings) goes to stderr only.
 
 Emission follows the runs, WRITE_GROUP_REPORTS reports at a time: their
 summaries are printed and their files rendered, then written back to back.
@@ -82,11 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "result files do not depend on the thread or core count",
     )
     run.add_argument(
-        "--strict-regime",
-        action="store_true",
-        help="escalate soft regime warnings during the run to hard errors",
-    )
-    run.add_argument(
         "--tolerance",
         action="append",
         default=[],
@@ -129,12 +123,7 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     overrides = dict(_parse_tolerance(item) for item in args.tolerance)
     started = time.perf_counter()
-    reports = run_config(
-        config,
-        threads=args.threads,
-        tolerance_overrides=overrides,
-        strict_regime=args.strict_regime,
-    )
+    reports = run_config(config, threads=args.threads, tolerance_overrides=overrides)
     elapsed = time.perf_counter() - started
 
     out_dir = args.out_dir

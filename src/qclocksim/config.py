@@ -23,15 +23,15 @@ corresponding parameters.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, RegimeError, WraparoundError
 from .runners import KINDS, ParamSpec
 from .units import (
-    DEFAULT_GUARD,
     beta_from_velocity,
     epsilon_from_energy,
     epsilon_from_frequency,
@@ -96,7 +96,9 @@ def _coerce(value, spec: ParamSpec, where: str):
             where,
             f"expected a number, got {value!r}",
         )
-        _require(math.isfinite(value), where, f"expected a finite number, got {value!r}")
+        # Refuses NaN, the infinities and an integer too large for a float.
+        _require(abs(value) <= sys.float_info.max, where,
+                 f"expected a finite number, got {value!r}")
         return float(value)
     if spec.type is int:
         _require(
@@ -151,34 +153,32 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
 
 def _plan_runs(spec: ScenarioSpec, where: str) -> list:
     """Each run's plan, in expand() order.  The runs of a sweep differ only in
-    the swept parameter, so runs share a plan unless the plan reads it."""
+    the swept parameter, so runs share a plan unless the plan reads it.  The
+    kicks of all runs are then checked as one batch."""
     kind = KINDS[spec.kind]
     swept = spec.sweep and spec.sweep.parameter
     swept = swept if swept in kind.plan_reads else None
+    runs = spec.expand()
+
+    def at(run, field, check, *args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except (ValueError, WraparoundError) as exc:
+            # A batched RegimeError says which run left the regime.
+            name = runs[run if getattr(exc, "run", None) is None else exc.run][0]
+            guard = "RegimeGuard: " if isinstance(exc, RegimeError) else ""
+            raise ConfigError(f"{where}{field} (run {name!r}): {guard}{exc}") from exc
+
     built, plans = {}, []
-    for run_name, params in spec.expand():
-
-        def at(field, check, *args, **kwargs):
-            try:
-                return check(*args, **kwargs)
-            except RegimeError as exc:
-                raise ConfigError(f"{where}{field} (run {run_name!r}): RegimeGuard: {exc}") from exc
-            except (ValueError, WraparoundError) as exc:
-                raise ConfigError(f"{where}{field} (run {run_name!r}): {exc}") from exc
-
+    for run, (_, params) in enumerate(runs):
         key = params[swept] if swept else None
         if key not in built:
-            built[key] = kind.plan(params, at)
+            built[key] = kind.plan(params, partial(at, run))
         plans.append(built[key])
         for name, check in kind.run_checks:
-            at(f".params.{name}", check, params[name])
-        boost = kind.boost(params)
-        if boost > DEFAULT_GUARD.kappa_max:
-            raise ConfigError(
-                f"{where} (run {run_name!r}): boost magnitude {boost!r} exceeds the RegimeGuard "
-                f"limit kappa_max={DEFAULT_GUARD.kappa_max!r}; the weak-relativistic model "
-                "does not apply"
-            )
+            at(run, f".params.{name}", check, params[name])
+    if kind.kicks is not None:
+        kind.kicks([params for _, params in runs], plans, partial(at, 0))
     return plans
 
 
@@ -298,6 +298,6 @@ def load_config(path) -> RunConfig:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return parse_config(data)

@@ -41,6 +41,7 @@ from .ionclock import (
     require_span_factor,
     spectroscopy_scan,
 )
+from .operators import VelocityBoost, apply_operator, trace_chain
 from .report import RunReport
 from .sequences import (
     SequenceKind,
@@ -52,6 +53,7 @@ from .sequences import (
     run_sequence,
 )
 from .spectrum import InternalSpectrum, ladder_spectrum, make_spectrum, stack_spectra
+from .states import internal_superposition
 from .swp import (
     DilationProfile,
     SWPClock,
@@ -74,10 +76,6 @@ class ParamSpec:
     choices: tuple = ()
 
 
-def _boost(params: dict) -> float:
-    return abs(params["boost"])
-
-
 @dataclass(frozen=True)
 class Kind:
     """Everything that defines one scenario kind.
@@ -86,10 +84,11 @@ class Kind:
     constructors and checks; `at(field, check, *args)` applies one of them,
     and a refusal becomes a ConfigError at the scenario's JSON path plus
     field.  The runs of a sweep share a plan unless the swept parameter is
-    one of `plan_reads`, so each (parameter, check) of `run_checks` and the
-    boost rule see every run: `boost(params)` is the run's boost magnitude,
-    held to kappa_max.  `run` executes the plans; a kind that `batches` gets
-    the runs of one sweep as lists, any other kind one run at a time.
+    one of `plan_reads`, so each (parameter, check) of `run_checks` sees
+    every run.  `kicks(runs, plans, at)` holds the momenta that all runs'
+    kicks reach to a strict RegimeGuard, as one batch.  `run` executes the
+    plans; a kind that `batches` gets the runs of one sweep as lists, any
+    other kind one run at a time.
     """
 
     params: dict
@@ -98,8 +97,24 @@ class Kind:
     run: Callable
     plan_reads: tuple = ()
     run_checks: tuple = ()
-    boost: Callable = _boost
+    kicks: Callable | None = None
     batches: bool = False
+
+
+# Validation holds every kick to the regime, so no run leaves it.
+_STRICT_GUARD = RegimeGuard(strict=True)
+
+
+def _drive_kicks(key: str, momenta: Callable, runs: list, plans: list, at) -> None:
+    """The kicks of a kind whose engine calls no guard: `momenta(params, plan)`
+    is what the drive parameter `key` kicks one run to, per branch."""
+    reached = np.array([momenta(params, plan) for params, plan in zip(runs, plans)])
+    at(f".params.{key}", _STRICT_GUARD.check_kicks, [(key, reached)])
+
+
+def _require_drive(value: float) -> None:
+    if value == 0.0:
+        raise ValueError("must be nonzero: with no drive the run's checks have nothing to measure")
 
 
 def _plan_spectrum(params: dict, at) -> InternalSpectrum:
@@ -108,26 +123,24 @@ def _plan_spectrum(params: dict, at) -> InternalSpectrum:
     return at("", ladder_spectrum, params["levels"], params["spacing"])
 
 
-def _plan_twin(params: dict, at) -> InternalSpectrum:
-    spectrum = _plan_spectrum(params, at)
-    # The probe the runner builds must have a component.
-    at(".params.probe_momenta", default_probe, spectrum, params["probe_momenta"],
-       tuple(range(spectrum.dim)))
-    return spectrum
-
-
-def _plan_twin_momentum(params: dict, at) -> InternalSpectrum:
-    spectrum = _plan_twin(params, at)
-    # The sequence builder refuses a translation level outside the spectrum,
-    # and one combined with the state-dependent translation; neither refusal
-    # depends on the boost or the duration.
-    at(".params.translation_level", build_sequence, SequenceKind.MOMENTUM, 0.0, 1.0,
-       params["translation_level"], spectrum, params["state_dependent_translation"])
-    return spectrum
+def _twin_kicks(sequence: SequenceKind, runs: list, spectra: list, at) -> None:
+    """Build the runner's probe and the operator chains of all runs as one
+    batch, and move the probe through them: `default_probe` refuses an empty
+    probe, `build_sequence` a bad translation option and the strict guard
+    any kick out of the regime."""
+    spectrum = stack_spectra(spectra)
+    params = runs[0]
+    probe = at(".params.probe_momenta", default_probe, spectrum, params["probe_momenta"],
+               tuple(range(spectrum.dim)))
+    boost, duration = (np.array([[p[key]] for p in runs]) for key in ("boost", "duration"))
+    ops = at(".params.translation_level", build_sequence, sequence, boost, duration,
+             params.get("translation_level"), spectrum,
+             params.get("state_dependent_translation", False))
+    at(".params.boost", trace_chain, probe, ops, guard=_STRICT_GUARD)
 
 
 def _run_twin(sequence: SequenceKind, kind: str, names: list, runs: list, spectra: list,
-              tol: dict, guard: RegimeGuard) -> list:
+              tol: dict) -> list:
     # The runs of one sweep differ only in the swept parameter.
     spectrum = stack_spectra(spectra)
     params = runs[0]
@@ -139,7 +152,6 @@ def _run_twin(sequence: SequenceKind, kind: str, names: list, runs: list, spectr
         probe=default_probe(spectrum, params["probe_momenta"], tuple(range(spectrum.dim))),
         translation_level=params.get("translation_level"),
         state_dependent_translation=params.get("state_dependent_translation", False),
-        guard=guard,
         identity_tol=float("inf"),
     )
     shape = (len(runs), spectrum.dim)
@@ -189,7 +201,7 @@ def _run_twin(sequence: SequenceKind, kind: str, names: list, runs: list, spectr
     return reports
 
 
-def _twin(sequence: SequenceKind, boost: float, plan=_plan_twin, **params) -> Kind:
+def _twin(sequence: SequenceKind, boost: float, run_checks=(), **params) -> Kind:
     return Kind(
         params={
             "levels": ParamSpec(int, 2),
@@ -201,8 +213,9 @@ def _twin(sequence: SequenceKind, boost: float, plan=_plan_twin, **params) -> Ki
             **params,
         },
         tolerances={"identity_residual": 1e-12, "closed_form_fidelity": 1e-12},
-        plan=plan, plan_reads=("spacing",), run=partial(_run_twin, sequence), batches=True,
-        run_checks=(("duration", require_positive_duration),),
+        plan=_plan_spectrum, plan_reads=("spacing",), run=partial(_run_twin, sequence),
+        run_checks=(("duration", require_positive_duration), *run_checks),
+        kicks=partial(_twin_kicks, sequence), batches=True,
     )
 
 
@@ -432,14 +445,20 @@ def _plan_entanglement(params: dict, at) -> InternalSpectrum:
     return spectrum
 
 
-def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: dict,
-                      guard: RegimeGuard) -> list:
+def _entanglement_kicks(runs: list, spectra: list, at) -> None:
+    """The runner's velocity boost of the internal superposition, as one batch."""
+    spectrum = stack_spectra(spectra)
+    kick = VelocityBoost(np.array([[p["boost"]] for p in runs]))
+    at(".params.boost", apply_operator, internal_superposition(spectrum, runs[0]["momentum"]),
+       kick, guard=_STRICT_GUARD)
+
+
+def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: dict) -> list:
     spectrum = stack_spectra(spectra)
     demo = entanglement_frame_demo(
         spectrum,
         momentum=runs[0]["momentum"],
         v_b=np.array([p["boost"] for p in runs]),
-        guard=guard,
     )
     max_entropy = math.log(spectrum.dim)
     before = demo.entropy_before
@@ -462,12 +481,14 @@ def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: di
 
 KINDS = {
     "twin-momentum": _twin(
-        SequenceKind.MOMENTUM, boost=0.1, plan=_plan_twin_momentum,
+        SequenceKind.MOMENTUM, boost=0.1,
         translation_level=ParamSpec(int, None),
         state_dependent_translation=ParamSpec(bool, False),
     ),
     "twin-velocity": _twin(SequenceKind.VELOCITY_CLOCK, boost=0.01),
-    "twin-observer": _twin(SequenceKind.VELOCITY_OBSERVER, boost=0.01),
+    # At zero boost the observer's global phase is zero: its sign shows nothing.
+    "twin-observer": _twin(SequenceKind.VELOCITY_OBSERVER, boost=0.01,
+                           run_checks=(("boost", _require_drive),)),
     "swp": Kind(
         params={
             "dim": ParamSpec(int, 8),
@@ -487,7 +508,9 @@ KINDS = {
             "classical_spacing_deviation": 1e-7,
         },
         plan=_plan_swp, plan_reads=("omega0", "boost", "spacing"), run=_run_swp,
-        boost=lambda p: 0.0 if p["profile"] == "none" else _boost(p),
+        # The clock's engine calls no guard: the profile's boost is its kick.
+        kicks=partial(_drive_kicks, "boost",
+                      lambda p, plan: [0.0 if p["profile"] == "none" else p["boost"]]),
     ),
     "ion-spectroscopy": Kind(
         params={
@@ -507,7 +530,6 @@ KINDS = {
             "null_shift_bound": 1e-10,
         },
         plan=_plan_ion, plan_reads=("transition_energy", "trap_frequency"), run=_run_ion,
-        boost=lambda p: 0.0,
     ),
     "trotter-accel": Kind(
         params=_grid_params(
@@ -519,8 +541,11 @@ KINDS = {
         ),
         tolerances={"halving_ratio_low": 1.6, "halving_ratio_high": 2.4, "terminal_error": 1e-4},
         plan=partial(_plan_grid, "steps", trotter_steps), run=_run_trotter,
-        run_checks=(("duration", require_positive_duration),),
-        boost=lambda p: abs(p["acceleration"]) * p["duration"],
+        # With no force the product is exact, and its halving ratios are roundoff.
+        run_checks=(("duration", require_positive_duration), ("acceleration", _require_drive)),
+        # The frame's kicks add up to -M_n a T on the packet's momentum.
+        kicks=partial(_drive_kicks, "acceleration", lambda p, state: p["momentum"]
+                      - state.spectrum.masses * p["acceleration"] * p["duration"]),
     ),
     "impulse-boost": Kind(
         params=_grid_params(
@@ -531,6 +556,8 @@ KINDS = {
         ),
         tolerances={"decade_ratio_low": 8.0, "decade_ratio_high": 12.0},
         plan=partial(_plan_grid, "dt_schedule", impulse_durations), run=_run_impulse,
+        # The pulse's ideal limit is a velocity boost: branch n ends at M_n v.
+        kicks=partial(_drive_kicks, "boost", lambda p, state: state.spectrum.masses * p["boost"]),
     ),
     "entanglement-demo": Kind(
         params={
@@ -541,34 +568,29 @@ KINDS = {
         },
         tolerances={"entropy_abs": 1e-10},
         plan=_plan_entanglement, plan_reads=("spacing",), run=_run_entanglement, batches=True,
+        kicks=_entanglement_kicks,
     ),
 }
 
 
-def run_scenario(kind: str, name, params, plan, tolerances: dict, guard=None):
+def run_scenario(kind: str, name, params, plan, tolerances: dict):
     """Run one expanded scenario instance on its plan and return its report.
 
     Twin and entanglement kinds also take a batch: lists of run names,
     params and plans, runs of one sweep, give a list of their reports in
-    that order.  The guard only affects those two kinds.
+    that order.
     """
     if kind not in KINDS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
     runner, batches = KINDS[kind].run, KINDS[kind].batches
     if not batches:
         return runner(name, params, plan, tolerances)
-    guard = DEFAULT_GUARD if guard is None else guard
     if isinstance(name, str):
-        return runner(kind, [name], [params], [plan], tolerances, guard)[0]
-    return runner(kind, name, params, plan, tolerances, guard)
+        return runner(kind, [name], [params], [plan], tolerances)[0]
+    return runner(kind, name, params, plan, tolerances)
 
 
-def run_config(
-    config,
-    threads: int = 1,
-    tolerance_overrides: dict | None = None,
-    strict_regime: bool = False,
-) -> list:
+def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None) -> list:
     """Run every scenario's planned runs of a loaded config and return
     reports in config order.
 
@@ -584,7 +606,6 @@ def run_config(
             f"tolerance overrides {sorted(unknown)} match no scenario in this "
             f"config; known keys: {sorted(known)}"
         )
-    guard = RegimeGuard(strict=True) if strict_regime else DEFAULT_GUARD
     jobs = []
     for spec in config.scenarios:
         tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
@@ -598,14 +619,11 @@ def run_config(
     def one(job):
         kind, name, params, plan, tolerances = job
         try:
-            return run_scenario(kind, name, params, plan, tolerances, guard=guard)
+            return run_scenario(kind, name, params, plan, tolerances)
         except Exception as exc:
             # A PEP 678 note (add_note is Python 3.11+): the error keeps its
-            # type and text, and the CLI names the failing run from it, or
-            # the batch's range when the error does not say which run.
+            # type and text, and the CLI names the failing run or batch.
             names = [name] if isinstance(name, str) else name
-            if getattr(exc, "run", None) is not None:
-                names = [names[exc.run]]
             runs = (f"run {names[0]!r}" if len(names) == 1
                     else f"runs {names[0]!r} to {names[-1]!r}")
             exc.__notes__ = [*getattr(exc, "__notes__", ()), runs]

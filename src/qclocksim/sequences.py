@@ -350,7 +350,6 @@ class FrameEntanglement:
     entropy_before: float
     entropy_after: float
     state_before: PlaneWaveState = field(repr=False)
-    state_after: PlaneWaveState = field(repr=False)
 
 
 def require_two_levels(spectrum: InternalSpectrum) -> None:
@@ -362,7 +361,6 @@ def entanglement_frame_demo(
     spectrum: InternalSpectrum,
     momentum: float,
     v_b,
-    levels=None,
     guard: RegimeGuard | None = None,
 ) -> FrameEntanglement:
     """Boost a product state and watch entanglement appear with the frame.
@@ -375,11 +373,10 @@ def entanglement_frame_demo(
     """
     require_two_levels(spectrum)
     _, (v_b,) = _run_columns(spectrum, v_b)
-    before = internal_superposition(spectrum, momentum, levels=levels)
+    before = internal_superposition(spectrum, momentum)
     after = apply_operator(before, VelocityBoost(v_b), guard=guard)
     return FrameEntanglement(
         entropy_before=reduced_internal_entropy(before),
         entropy_after=reduced_internal_entropy(after),
         state_before=before,
-        state_after=after,
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import DEFAULT_GUARD, RegimeGuard
+from .units import DEFAULT_GUARD
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,13 @@ def stack_spectra(spectra) -> InternalSpectrum:
     return InternalSpectrum(tuple(s.epsilons for s in spectra))
 
 
-def make_spectrum(epsilons, guard: RegimeGuard | None = None) -> InternalSpectrum:
+def make_spectrum(epsilons) -> InternalSpectrum:
     """Validate a list of dimensionless level energies into a spectrum.
 
     Levels must start at exactly 0, increase strictly, and stay below the
-    guard's eps_max (hard error: the expansion is a precondition, not a
-    diagnostic).
+    RegimeGuard's eps_max (hard error: the expansion is a precondition, not
+    a diagnostic).
     """
-    guard = guard or DEFAULT_GUARD
     eps = tuple(float(e) for e in epsilons)
     if not eps:
         raise ValueError("spectrum needs at least one level")
@@ -61,14 +60,14 @@ def make_spectrum(epsilons, guard: RegimeGuard | None = None) -> InternalSpectru
     for a, b in zip(eps, eps[1:]):
         if not b > a:
             raise ValueError(f"levels must increase strictly (got {a} then {b})")
-    guard.check_epsilons(eps)
+    DEFAULT_GUARD.check_epsilons(eps)
     return InternalSpectrum(eps)
 
 
-def ladder_spectrum(dim: int, spacing: float, guard: RegimeGuard | None = None) -> InternalSpectrum:
+def ladder_spectrum(dim: int, spacing: float) -> InternalSpectrum:
     """Equally spaced levels epsilon_n = n * spacing, n = 0 .. dim-1."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if spacing <= 0.0 and dim > 1:
         raise ValueError("spacing must be positive")
-    return make_spectrum([n * spacing for n in range(dim)], guard=guard)
+    return make_spectrum([n * spacing for n in range(dim)])

@@ -104,18 +104,12 @@ class PlaneWaveState:
         )
 
 
-def internal_superposition(
-    spectrum: InternalSpectrum,
-    momentum: float,
-    levels=None,
-    amplitudes=None,
-) -> PlaneWaveState:
-    """|momentum> times an internal superposition (equal weights by default)."""
-    levels = list(range(spectrum.dim)) if levels is None else list(levels)
-    if amplitudes is None:
-        amplitudes = [1.0] * len(levels)
+def internal_superposition(spectrum: InternalSpectrum, momentum: float,
+                           amplitudes=None) -> PlaneWaveState:
+    """|momentum> times a superposition of every level (equal weights by default)."""
+    amplitudes = [1.0] * spectrum.dim if amplitudes is None else amplitudes
     return PlaneWaveState.from_components(
-        spectrum, [(n, momentum, a) for n, a in zip(levels, amplitudes)]
+        spectrum, [(n, momentum, a) for n, a in enumerate(amplitudes)]
     )
 
 

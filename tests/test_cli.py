@@ -419,7 +419,34 @@ def test_a_duration_sweep_that_reaches_zero_is_refused_at_the_run(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, key, sweep",
+    [("twin-observer", "boost", None), ("trotter-accel", "acceleration", None),
+     ("twin-observer", "boost", (-0.01, 0.01)), ("trotter-accel", "acceleration", (0.02, -0.02))],
+    ids=["observer", "trotter", "observer-sweep", "trotter-sweep"],
+)
+def test_a_run_with_no_drive_is_refused_at_its_parameter(tmp_path, capsys, kind, key, sweep):
+    # With no boost the observer's global phase is 0 and its sign shows
+    # nothing; with no acceleration the product formula is exact and its
+    # halving ratios are roundoff.  A sweep through 0 is refused at that run.
+    scenario = {"kind": kind, "name": "idle", "params": {key: 0.0}}
+    run = "idle"
+    if sweep is not None:
+        start, stop = sweep
+        scenario = {"kind": kind, "name": "idle",
+                    "sweep": {"parameter": key, "start": start, "stop": stop, "count": 3}}
+        run = "idle-1"
+    config_path = _write_config(tmp_path / "idle.json", {"schema_version": 1,
+                                                         "scenarios": [scenario]})
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], config_path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"scenarios[0].params.{key} (run {run!r}): must be nonzero" in err
+    assert not (tmp_path / "out").exists()
+
+
 NAN, INF = float("nan"), float("inf")
+HUGE = 10 ** 400  # a JSON integer too large for a float
 
 
 @pytest.mark.parametrize(
@@ -433,11 +460,19 @@ NAN, INF = float("nan"), float("inf")
         ({"sweep": {"parameter": "boost", "start": 0.0, "stop": NAN, "count": 3}}, "sweep.stop"),
         ({"si": {"velocity_m_per_s": INF}}, "si.velocity_m_per_s"),
         ({"si": {"velocity_m_per_s": 1e6, "mass_kg": NAN}}, "si.mass_kg"),
+        ({"params": {"boost": HUGE}}, "params.boost"),
+        ({"params": {"probe_momenta": [0.0, -HUGE]}}, "params.probe_momenta[1]"),
+        ({"tolerances": {"identity_residual": HUGE}}, "tolerances.identity_residual"),
+        ({"sweep": {"parameter": "boost", "start": HUGE, "stop": 0.01, "count": 3}}, "sweep.start"),
+        ({"sweep": {"parameter": "boost", "start": 0.0, "stop": HUGE, "count": 3}}, "sweep.stop"),
+        ({"si": {"velocity_m_per_s": HUGE}}, "si.velocity_m_per_s"),
+        ({"si": {"velocity_m_per_s": 1e6, "mass_kg": HUGE}}, "si.mass_kg"),
     ],
 )
 def test_a_non_finite_number_is_refused_at_its_json_path(tmp_path, capsys, scenario, path):
-    # JSON's NaN and Infinity parse to floats; no parameter, tolerance, sweep
-    # bound or si value may hold one.
+    # JSON's NaN and Infinity parse to floats, and an integer may be too
+    # large for one; no parameter, tolerance, sweep bound or si value may
+    # hold either.
     scenarios = [{"kind": "twin-velocity", "name": "fine"},
                  {"kind": "twin-velocity", "name": "bad", **scenario}]
     config_path = _write_config(tmp_path / "bad.json", {"schema_version": 1,
@@ -519,10 +554,10 @@ def test_the_runs_of_a_sweep_get_the_plans_they_would_get_alone(kind, parameter)
         assert pickle.dumps(plan) == pickle.dumps(alone.plans[0])
 
 
-@pytest.mark.parametrize(("parameter", "builds"), [("boost", 1), ("spacing", 5)])
-def test_a_sweep_checks_its_translation_options_once_per_spectrum(
-    monkeypatch, parameter, builds
-):
+@pytest.mark.parametrize("parameter", ["boost", "spacing"])
+def test_a_sweep_checks_its_translation_options_once_per_scenario(monkeypatch, parameter):
+    # The translation options and the kicks of every run are checked on one
+    # batched operator chain, whichever parameter the sweep varies.
     calls = []
 
     def counted(*args, **kwargs):
@@ -534,7 +569,7 @@ def test_a_sweep_checks_its_translation_options_once_per_spectrum(
     sweep = {"parameter": parameter, "start": 0.01, "stop": 0.05, "count": 5}
     scenario = {"kind": "twin-momentum", "params": {"translation_level": 1}, "sweep": sweep}
     config = parse_config({"schema_version": 1, "scenarios": [scenario]})
-    assert len(calls) == builds
+    assert len(calls) == 1
     assert len(config.scenarios[0].plans) == 5
 
 
@@ -574,6 +609,15 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["run", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_an_integer_of_more_digits_than_python_converts_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text('{"schema_version": 1, "scenarios": [{"kind": "twin-velocity", '
+                    '"params": {"boost": 1' + "0" * 5000 + "}}]}")
+    # Python's limit on integer digits refuses it while the JSON is read.
+    assert main(["validate", str(path)]) == 2
+    assert "config error: " in capsys.readouterr().err
 
 
 def test_missing_file_is_a_config_error(tmp_path, capsys):
@@ -617,15 +661,14 @@ def test_runtime_failure_maps_to_engine_exit_code(tmp_path, capsys):
     assert "(run 'drifts-out')" in err
 
 
-@pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize(("momentum", "first"), [(0.31, "strict-0"), (0.3, "strict-2")])
-def test_strict_failure_of_a_batch_names_its_first_offending_run(
-    tmp_path, capsys, momentum, first, threads
+def test_a_batch_that_leaves_the_regime_is_refused_at_its_first_offending_run(
+    tmp_path, capsys, momentum, first
 ):
     # A probe momentum of 0.31 leaves the regime at the first kick in every
-    # run; 0.3 only in runs 2 and 3 (p^2 = 0.1003 and 0.1024).  --strict-regime
-    # makes that an engine error, named by the first such run in config order
-    # at every thread count.
+    # run; 0.3 only in runs 2 and 3 (p^2 = 0.1003 and 0.1024).  Validation
+    # checks the kicks of all runs as one batch and names the first such run
+    # in config order.
     scenario = {
         "kind": "twin-momentum",
         "name": "strict",
@@ -633,10 +676,12 @@ def test_strict_failure_of_a_batch_names_its_first_offending_run(
         "sweep": {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 4},
     }
     path = _write_config(tmp_path / "strict.json", {"schema_version": 1, "scenarios": [scenario]})
-    assert main(["run", path, "--strict-regime", "--threads", threads]) == 3
-    err = capsys.readouterr().err
-    assert "engine error: RegimeError: " in err
-    assert err.endswith(f"(run {first!r})\n")
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert (f"scenarios[0].params.boost (run {first!r}): RegimeGuard: MomentumBoost: "
+                "squared momentum ratio") in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_reports_scenario_and_run_counts(tmp_path, capsys):

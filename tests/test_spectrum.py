@@ -5,7 +5,6 @@ import pytest
 
 from qclocksim.errors import RegimeError
 from qclocksim.spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
-from qclocksim.units import RegimeGuard
 
 
 def test_ladder_spectrum_values():
@@ -38,8 +37,6 @@ def test_levels_must_strictly_increase():
 def test_guard_rejects_out_of_regime_spectrum():
     with pytest.raises(RegimeError):
         make_spectrum([0.0, 0.3])
-    # A custom guard moves the bound.
-    make_spectrum([0.0, 0.3], guard=RegimeGuard(eps_max=0.5))
 
 
 def test_spectra_compare_by_levels():
