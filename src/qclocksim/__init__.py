@@ -66,7 +66,7 @@ from .operators import (
     total_energy,
     trace_chain,
 )
-from .report import CheckResult, RunReport
+from .report import RunReport
 from .runners import run_config, run_scenario
 from .sequences import (
     FrameEntanglement,

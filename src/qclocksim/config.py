@@ -153,11 +153,11 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
 
 def _plan_runs(spec: ScenarioSpec, where: str) -> list:
     """Each run's plan, in expand() order.  The runs of a sweep differ only in
-    the swept parameter, so runs share a plan unless the plan reads it.  The
-    kicks of all runs are then checked as one batch."""
+    the swept parameter, so runs share a plan unless the plan reads it, and a
+    run check sees every run only when it names that parameter.  The kicks
+    of all runs are then checked as one batch."""
     kind = KINDS[spec.kind]
     swept = spec.sweep and spec.sweep.parameter
-    swept = swept if swept in kind.plan_reads else None
     runs = spec.expand()
 
     def at(run, field, check, *args, **kwargs):
@@ -171,12 +171,13 @@ def _plan_runs(spec: ScenarioSpec, where: str) -> list:
 
     built, plans = {}, []
     for run, (_, params) in enumerate(runs):
-        key = params[swept] if swept else None
+        key = params[swept] if swept in kind.plan_reads else None
         if key not in built:
             built[key] = kind.plan(params, partial(at, run))
         plans.append(built[key])
         for name, check in kind.run_checks:
-            at(run, f".params.{name}", check, params[name])
+            if run == 0 or name == swept:
+                at(run, f".params.{name}", check, params[name])
     if kind.kicks is not None:
         kind.kicks([params for _, params in runs], plans, partial(at, 0))
     return plans

@@ -61,10 +61,6 @@ class GridState:
         d = self.size
         return 2.0 * np.pi * np.fft.fftfreq(d, d=self.box_length / d)
 
-    @property
-    def momentum_spacing(self) -> float:
-        return 2.0 * np.pi / self.box_length
-
     def momentum_amplitudes(self) -> np.ndarray:
         """Per-level amplitudes on the momentum lattice, in FFT order."""
         phases = np.exp(-1j * self.momenta * self.positions[0])
@@ -100,9 +96,8 @@ def gaussian_grid_state(
     sigma: float = 4.0,
     center: float = 0.0,
     momentum: float = 0.0,
-    weights=None,
 ) -> GridState:
-    """Normalized Gaussian wavepacket, identical on every occupied level.
+    """Normalized Gaussian wavepacket, identical on every level.
 
     Defaults put the packet's momentum support (width 1/2 sigma) on roughly
     a twelfth of the momentum lattice and its position support well inside
@@ -111,13 +106,8 @@ def gaussian_grid_state(
     require_lattice_size(size)
     require_positive_length("box_length", box_length)
     require_positive_length("sigma", sigma)
-    if weights is None:
-        weights = np.ones(spectrum.dim)
-    weights = np.asarray(weights, dtype=complex)
-    if weights.shape != (spectrum.dim,):
-        raise ValueError("need one weight per internal level")
     x = (np.arange(size) - size // 2) * (box_length / size)
     packet = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x)
-    amps = weights[:, None] * packet[None, :]
+    amps = np.ones(spectrum.dim, dtype=complex)[:, None] * packet[None, :]
     amps = amps / np.linalg.norm(amps)
     return GridState(spectrum=spectrum, box_length=float(box_length), amplitudes=amps)

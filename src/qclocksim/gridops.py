@@ -121,8 +121,6 @@ def evolve_linear_potential(
 class ImpulseReport:
     """Deviation of a hard linear-potential kick from the ideal boosts."""
 
-    v_b: float
-    internal_coupled: bool
     durations: np.ndarray
     deviation_velocity: np.ndarray  # || U_impulse psi - B_v(v_b) psi ||
     deviation_momentum: np.ndarray  # || U_impulse psi - B_p(m v_b) psi ||
@@ -164,8 +162,6 @@ def impulsive_boost_limit(
         dev_v[i] = float(np.linalg.norm(evolved.amplitudes - reference_v.amplitudes))
         dev_p[i] = float(np.linalg.norm(evolved.amplitudes - reference_p.amplitudes))
     return ImpulseReport(
-        v_b=v_b,
-        internal_coupled=internal_coupled,
         durations=durations,
         deviation_velocity=dev_v,
         deviation_momentum=dev_p,
@@ -176,11 +172,8 @@ def impulsive_boost_limit(
 class TrotterReport:
     """Convergence of the kick-and-evolve product to the static H_acc."""
 
-    acceleration: float
-    duration: float
     steps: np.ndarray
     errors: np.ndarray
-    terminal_error: float
 
     def halving_ratios(self) -> np.ndarray:
         """error(n) / error(2n) for consecutive doubling entries (ideal: 2)."""
@@ -231,10 +224,4 @@ def accelerated_frame_trotter(
         current = state.with_amplitudes(amps)
         _require_inside(current, f"trotter product (n = {n})")
         errors[i] = float(np.linalg.norm(current.amplitudes - exact.amplitudes))
-    return TrotterReport(
-        acceleration=acceleration,
-        duration=duration,
-        steps=steps,
-        errors=errors,
-        terminal_error=float(errors[-1]),
-    )
+    return TrotterReport(steps=steps, errors=errors)

@@ -57,7 +57,7 @@ class TrapModel:
     is the internal gap u, trap_frequency the bare motional frequency w.
     Omitted drive parameters get conventional defaults: Rabi frequency
     0.03 w (strong enough to resolve the line, weak enough to keep probe
-    shifts small), Lamb-Dicke parameter 0.05, pulse time pi / Rabi.
+    shifts small), Lamb-Dicke parameter 0.05.
     """
 
     transition_energy: float
@@ -65,7 +65,6 @@ class TrapModel:
     fock_index: int = 0
     rabi_frequency: float | None = None
     lamb_dicke: float = 0.05
-    pulse_time: float | None = None
     fock_cutoff: int | None = None
 
     def __post_init__(self) -> None:
@@ -79,16 +78,17 @@ class TrapModel:
             object.__setattr__(self, "rabi_frequency", 0.03 * self.trap_frequency)
         if not self.rabi_frequency > 0.0:
             raise ValueError("Rabi frequency must be positive")
-        if self.pulse_time is None:
-            object.__setattr__(self, "pulse_time", np.pi / self.rabi_frequency)
-        if not self.pulse_time > 0.0:
-            raise ValueError("pulse time must be positive")
         if self.fock_cutoff is None:
             object.__setattr__(self, "fock_cutoff", max(self.fock_index + 10, 32))
         if self.fock_cutoff < self.fock_index + 10:
             raise ValueError(
                 "fock cutoff must exceed the occupied level by at least 10"
             )
+
+    @property
+    def pulse_time(self) -> float:
+        """The pi pulse: pi / Rabi frequency."""
+        return np.pi / self.rabi_frequency
 
     @property
     def wavevector(self) -> float:
@@ -154,7 +154,6 @@ def static_hamiltonians(model: TrapModel) -> tuple[np.ndarray, np.ndarray]:
 class BranchOracle:
     """Closed-form clock-shift predictions for one motional level."""
 
-    fock_index: int
     excited_trap_frequency: float  # w / sqrt(1 + u)
     carrier_shift: float  # (n + 1/2)(w_e - w), absolute
     relative_shift: float  # carrier_shift / u; nan when u = 0
@@ -179,7 +178,6 @@ def branch_spectrum_oracle(model: TrapModel) -> BranchOracle:
     carrier = n_half * (w_e - w)
     relative = carrier / u if u > 0.0 else float("nan")
     return BranchOracle(
-        fock_index=model.fock_index,
         excited_trap_frequency=w_e,
         carrier_shift=carrier,
         relative_shift=relative,
@@ -244,7 +242,6 @@ class SpectroscopyResult:
     detunings: np.ndarray
     excitation: np.ndarray
     peak_detuning: float  # quadratic-vertex estimate of the line center
-    peak_excitation: float
     relative_shift: float  # peak_detuning / u; nan when u = 0
     oracle: BranchOracle
     cutoff_shift_change: float  # |peak at N_F - peak at 2 N_F|
@@ -333,7 +330,6 @@ def spectroscopy_scan(
         detunings=detunings,
         excitation=excitation,
         peak_detuning=vertex,
-        peak_excitation=float(excitation[idx]),
         relative_shift=vertex / u if u > 0.0 else float("nan"),
         oracle=oracle,
         cutoff_shift_change=cutoff_change,

@@ -96,20 +96,10 @@ def format_value(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One named tolerance check inside a scenario run."""
-
-    name: str
-    passed: bool
-    value: float
-    tolerance: float
-    detail: str = ""
-
-
 @dataclass
 class RunReport:
-    """Everything a scenario run produced, ready to emit."""
+    """Everything a scenario run produced, ready to emit.  Each check is the
+    dict its JSON file holds: name, passed, value, tolerance and detail."""
 
     scenario: str
     name: str
@@ -120,10 +110,11 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+        return all(check["passed"] for check in self.checks)
 
     def add_check(self, name: str, passed: bool, value, tolerance, detail: str = "") -> None:
-        self.checks.append(CheckResult(name, bool(passed), float(value), float(tolerance), detail))
+        self.checks.append({"name": name, "passed": bool(passed), "value": float(value),
+                            "tolerance": float(tolerance), "detail": detail})
 
     def add_bound(self, name: str, value, tolerance, detail: str = "") -> None:
         """A check that passes while value stays at or below tolerance."""
@@ -137,10 +128,10 @@ class RunReport:
     def summary_lines(self) -> list:
         lines = [f"[{self.scenario}] {self.name}: {len(self.rows)} rows"]
         for check in self.checks:
-            verdict = "PASS" if check.passed else "FAIL"
-            detail = f" ({check.detail})" if check.detail else ""
-            lines.append(f"  {verdict} {check.name}: value={format_value(check.value)} "
-                         f"tolerance={format_value(check.tolerance)}{detail}")
+            verdict = "PASS" if check["passed"] else "FAIL"
+            detail = f" ({check['detail']})" if check["detail"] else ""
+            lines.append(f"  {verdict} {check['name']}: value={format_value(check['value'])} "
+                         f"tolerance={format_value(check['tolerance'])}{detail}")
         return lines + [f"  note: {note}" for note in self.notes]
 
     def to_json_dict(self) -> dict:
@@ -150,7 +141,7 @@ class RunReport:
             "name": self.name,
             "parameters": self.parameters,
             "rows": self.rows,
-            "checks": [dict(vars(check)) for check in self.checks],
+            "checks": self.checks,
             "notes": list(self.notes),
             "passed": self.passed,
         }
@@ -158,7 +149,7 @@ class RunReport:
     def json_text(self) -> str:
         """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + newline."""
         return (
-            f'{{\n  "checks": {_json([vars(check) for check in self.checks], 2)},'
+            f'{{\n  "checks": {_json(self.checks, 2)},'
             f'\n  "name": {_json(self.name, 2)},'
             f'\n  "notes": {_json(list(self.notes), 2)},'
             f'\n  "parameters": {_json(self.parameters, 2)},'

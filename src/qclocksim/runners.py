@@ -84,11 +84,12 @@ class Kind:
     constructors and checks; `at(field, check, *args)` applies one of them,
     and a refusal becomes a ConfigError at the scenario's JSON path plus
     field.  The runs of a sweep share a plan unless the swept parameter is
-    one of `plan_reads`, so each (parameter, check) of `run_checks` sees
-    every run.  `kicks(runs, plans, at)` holds the momenta that all runs'
-    kicks reach to a strict RegimeGuard, as one batch.  `run` executes the
-    plans; a kind that `batches` gets the runs of one sweep as lists, any
-    other kind one run at a time.
+    one of `plan_reads`; each (parameter, check) of `run_checks` sees the
+    first run, and every run when it names the swept parameter.
+    `kicks(runs, plans, at)` holds the momenta that all runs' kicks reach to
+    a strict RegimeGuard, as one batch.  `run` executes the plans; a kind
+    that `batches` gets the runs of one sweep as lists, any other kind one
+    run at a time.
     """
 
     params: dict
@@ -386,7 +387,7 @@ def _run_trotter(name: str, params: dict, state, tol: dict) -> RunReport:
     else:
         report.notes.append("steps are not a doubling schedule; ratio range not checked")
     report.add_bound(
-        "terminal_error", result.terminal_error, tol["terminal_error"],
+        "terminal_error", float(result.errors[-1]), tol["terminal_error"],
         f"product-formula error at {int(result.steps[-1])} steps",
     )
     return report
@@ -556,6 +557,9 @@ KINDS = {
         ),
         tolerances={"decade_ratio_low": 8.0, "decade_ratio_high": 12.0},
         plan=partial(_plan_grid, "dt_schedule", impulse_durations), run=_run_impulse,
+        # With no boost both references are the identity: the schedule measures
+        # only free evolution, whatever the coupling.
+        run_checks=(("boost", _require_drive),),
         # The pulse's ideal limit is a velocity boost: branch n ends at M_n v.
         kicks=partial(_drive_kicks, "boost", lambda p, state: state.spectrum.masses * p["boost"]),
     ),
@@ -568,7 +572,8 @@ KINDS = {
         },
         tolerances={"entropy_abs": 1e-10},
         plan=_plan_entanglement, plan_reads=("spacing",), run=_run_entanglement, batches=True,
-        kicks=_entanglement_kicks,
+        # With no boost the state stays a product: nothing becomes entangled.
+        run_checks=(("boost", _require_drive),), kicks=_entanglement_kicks,
     ),
 }
 

@@ -180,11 +180,6 @@ class SequenceResult:
     """Everything extracted from executed round trips: per-run fields are
     floats for a single run and arrays along the run axis for a batch."""
 
-    kind: SequenceKind
-    boost: float
-    duration: float
-    levels: np.ndarray
-    momenta: np.ndarray
     phases: np.ndarray
     residual_max: float
     fidelity_deviation: float
@@ -315,11 +310,6 @@ def run_sequence(
     }
 
     return SequenceResult(
-        kind=kind,
-        boost=per_run(b),
-        duration=per_run(t),
-        levels=probe.levels.copy(),
-        momenta=probe.momenta.copy(),
         phases=phases,
         residual_max=per_run(residual_max),
         fidelity_deviation=per_run(fid_dev),

@@ -51,17 +51,12 @@ class PlaneWaveState:
             raise ValueError(f"state norm {worst} deviates from 1 beyond 1e-12")
 
     @classmethod
-    def from_components(
-        cls,
-        spectrum: InternalSpectrum,
-        components,
-        normalize: bool = True,
-    ) -> "PlaneWaveState":
+    def from_components(cls, spectrum: InternalSpectrum, components) -> "PlaneWaveState":
         """Build a state from (level, momentum, amplitude) triples.
 
         Duplicate components (same level, momenta within MERGE_TOL) are
-        summed; the result is sorted by (level, momentum) and, unless
-        normalize=False, rescaled to unit norm.
+        summed; the result is sorted by (level, momentum) and rescaled to
+        unit norm.
         """
         triples = [(int(n), float(p), complex(a)) for n, p, a in components]
         if not triples:
@@ -79,22 +74,10 @@ class PlaneWaveState:
         levels = np.array([c[0] for c in merged], dtype=np.int64)
         momenta = np.array([c[1] for c in merged], dtype=float)
         amps = np.array([c[2] for c in merged], dtype=complex)
-        if normalize:
-            amps = amps / np.linalg.norm(amps)
-        return cls(spectrum, levels, momenta, amps)
+        return cls(spectrum, levels, momenta, amps / np.linalg.norm(amps))
 
     def norm(self):
         return np.linalg.norm(self.amplitudes, axis=-1)
-
-    def components(self):
-        """Iterate (level, momentum, amplitude) triples."""
-        return zip(self.levels.tolist(), self.momenta.tolist(), self.amplitudes.tolist())
-
-    def level_weights(self) -> np.ndarray:
-        """Probability of finding each internal level, summed over momenta."""
-        w = np.zeros(self.spectrum.dim)
-        np.add.at(w, self.levels, np.abs(self.amplitudes) ** 2)
-        return w
 
     def with_amplitudes(self, amplitudes: np.ndarray, momenta: np.ndarray | None = None) -> "PlaneWaveState":
         momenta = self.momenta if momenta is None else np.asarray(momenta, dtype=float)

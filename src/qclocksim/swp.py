@@ -64,12 +64,6 @@ class SWPClock:
         n = np.arange(self.dim)
         return np.exp(-2j * np.pi * np.outer(n, n) / self.dim) / np.sqrt(self.dim)
 
-    def time_operator(self) -> np.ndarray:
-        """sum_k (k tau) |w_k><w_k|; its spectrum is the tick grid."""
-        w = self.pointer_states()
-        ticks = self.tau * np.arange(self.dim)
-        return w.conj().T @ (ticks[:, None] * w)
-
 
 @dataclass(frozen=True)
 class DilationProfile:

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, file output, and determinism."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from qclocksim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DATA = Path(__file__).resolve().parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -419,16 +422,49 @@ def test_a_duration_sweep_that_reaches_zero_is_refused_at_the_run(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_a_run_check_sees_every_run_only_when_the_sweep_varies_its_parameter(monkeypatch):
+    # On the benchmark's fanout layout the three twin sweeps vary the boost:
+    # their one duration is checked once each, while the swept boosts of the
+    # observer and entanglement sweeps are checked run by run.
+    calls = {}
+
+    def counted(kind, name, check):
+        def wrapper(value):
+            calls[kind, name] = calls.get((kind, name), 0) + 1
+            return check(value)
+        return wrapper
+
+    for kind, record in runners_module.KINDS.items():
+        checks = tuple((name, counted(kind, name, check)) for name, check in record.run_checks)
+        monkeypatch.setitem(runners_module.KINDS, kind, replace(record, run_checks=checks))
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    parse_config(workloads.generate("fanout", 1))
+    assert calls == {
+        ("twin-momentum", "duration"): 1,
+        ("twin-velocity", "duration"): 1,
+        ("twin-observer", "duration"): 1,
+        ("twin-observer", "boost"): workloads.FANOUT_SWEEP_COUNT,
+        ("entanglement-demo", "boost"): workloads.FANOUT_SWEEP_COUNT,
+    }
+
+
 @pytest.mark.parametrize(
     "kind, key, sweep",
     [("twin-observer", "boost", None), ("trotter-accel", "acceleration", None),
-     ("twin-observer", "boost", (-0.01, 0.01)), ("trotter-accel", "acceleration", (0.02, -0.02))],
-    ids=["observer", "trotter", "observer-sweep", "trotter-sweep"],
+     ("impulse-boost", "boost", None), ("entanglement-demo", "boost", None),
+     ("twin-observer", "boost", (-0.01, 0.01)), ("trotter-accel", "acceleration", (0.02, -0.02)),
+     ("impulse-boost", "boost", (0.01, -0.01)), ("entanglement-demo", "boost", (-0.01, 0.01))],
+    ids=["observer", "trotter", "impulse", "entanglement",
+         "observer-sweep", "trotter-sweep", "impulse-sweep", "entanglement-sweep"],
 )
 def test_a_run_with_no_drive_is_refused_at_its_parameter(tmp_path, capsys, kind, key, sweep):
     # With no boost the observer's global phase is 0 and its sign shows
-    # nothing; with no acceleration the product formula is exact and its
-    # halving ratios are roundoff.  A sweep through 0 is refused at that run.
+    # nothing, the impulse's two reference boosts are the identity, and the
+    # entanglement demo's state stays a product; with no acceleration the
+    # product formula is exact and its halving ratios are roundoff.  A sweep
+    # through 0 is refused at that run.
     scenario = {"kind": kind, "name": "idle", "params": {key: 0.0}}
     run = "idle"
     if sweep is not None:

@@ -34,10 +34,10 @@ def test_lattice_geometry():
     assert state.positions[0] == -16.0
     assert state.positions[1] - state.positions[0] == pytest.approx(0.25)
     # Momentum lattice is in FFT order with spacing 2 pi / L.
+    spacing = 2.0 * np.pi / 32.0
     assert state.momenta[0] == 0.0
-    assert state.momentum_spacing == pytest.approx(2.0 * np.pi / 32.0, rel=1e-15)
-    assert state.momenta[1] == pytest.approx(state.momentum_spacing, rel=1e-15)
-    assert state.momenta[64] == pytest.approx(-64 * state.momentum_spacing, rel=1e-15)
+    assert state.momenta[1] == pytest.approx(spacing, rel=1e-15)
+    assert state.momenta[64] == pytest.approx(-64 * spacing, rel=1e-15)
 
 
 def test_momentum_amplitudes_match_the_explicit_dft():
@@ -92,10 +92,10 @@ def test_edge_mass_sees_an_offcenter_packet():
     assert shifted.edge_mass() > 1e-3
 
 
-def test_level_weights_follow_requested_weights():
-    state = gaussian_grid_state(SPEC, size=64, box_length=32.0, sigma=2.0, weights=[1.0, 2.0])
-    w = np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    assert w[1] / w[0] == pytest.approx(4.0, rel=1e-12)
+def test_the_packet_is_the_same_on_every_level():
+    state = gaussian_grid_state(SPEC, size=64, box_length=32.0, sigma=2.0, momentum=0.1)
+    assert np.array_equal(state.amplitudes[0], state.amplitudes[1])
+    assert np.sum(np.abs(state.amplitudes[0]) ** 2) == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -105,8 +105,3 @@ def test_level_weights_follow_requested_weights():
 def test_a_packet_width_or_box_that_is_not_positive_is_refused(box_length, sigma, name):
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         gaussian_grid_state(SPEC, size=64, box_length=box_length, sigma=sigma)
-
-
-def test_weights_must_match_spectrum():
-    with pytest.raises(ValueError):
-        gaussian_grid_state(SPEC, size=64, box_length=32.0, sigma=2.0, weights=[1.0])

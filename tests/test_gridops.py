@@ -170,7 +170,6 @@ def test_trotter_error_halves_when_steps_double():
     ratios = report.halving_ratios()
     assert ratios.shape == (2,)
     assert np.all(ratios > 1.6) and np.all(ratios < 2.4)
-    assert report.terminal_error == report.errors[-1]
     assert np.all(np.diff(report.errors) < 0.0)
 
 

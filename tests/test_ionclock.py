@@ -117,8 +117,6 @@ def test_model_validation():
         TrapModel(transition_energy=U, trap_frequency=W, fock_index=3, fock_cutoff=12)
     with pytest.raises(ValueError):
         TrapModel(transition_energy=U, trap_frequency=W, rabi_frequency=-1.0)
-    with pytest.raises(ValueError):
-        TrapModel(transition_energy=U, trap_frequency=W, pulse_time=0.0)
 
 
 def _extended_precision_oracle(u: float, w: float, n: int):
@@ -181,7 +179,7 @@ def test_null_transition_clock_has_no_shift():
     assert np.isnan(scan.extracted_to_oracle_ratio)
     assert np.isnan(scan.oracle_to_first_order_ratio)
     assert abs(scan.peak_detuning) < 1e-10
-    assert scan.peak_excitation > 0.99
+    assert scan.excitation.max() > 0.99
 
 
 def test_scan_recovers_the_oracle_shift():
@@ -189,7 +187,7 @@ def test_scan_recovers_the_oracle_shift():
     scan = spectroscopy_scan(model, points=31)
     assert abs(scan.relative_shift / scan.oracle.relative_shift - 1.0) < 1e-2
     assert scan.cutoff_shift_change < 1e-10
-    assert scan.peak_excitation > 0.9
+    assert scan.excitation.max() > 0.9
 
 
 def test_scan_point_count_validation():

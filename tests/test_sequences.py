@@ -79,7 +79,7 @@ def test_sequence_phases_match_extended_precision_oracle(kind, boost, duration):
     probe = default_probe(spec, momenta=(0.0, 0.1), levels=(0, 1, 2))
     result = run_sequence(kind, spec, boost=boost, duration=duration, probe=probe)
     ops = build_sequence(kind, boost, duration)
-    for (n, p), phase in zip(zip(result.levels, result.momenta), result.phases):
+    for n, p, phase in zip(probe.levels, probe.momenta, result.phases):
         oracle = float(_mp_chain_phase(ops, spec.epsilons[int(n)], float(p)))
         assert phase == pytest.approx(oracle, abs=1e-13 * (1.0 + abs(oracle)))
 

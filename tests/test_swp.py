@@ -35,12 +35,6 @@ def test_pointer_states_are_orthonormal():
         np.testing.assert_allclose(w @ w.conj().T, np.eye(dim), atol=1e-12)
 
 
-def test_time_operator_spectrum_is_the_tick_grid():
-    clock = SWPClock(dim=8, omega0=0.5)
-    eigenvalues = np.linalg.eigvalsh(clock.time_operator())
-    np.testing.assert_allclose(eigenvalues, np.arange(8) * clock.tau, atol=1e-12)
-
-
 def test_clock_starts_in_the_zeroth_pointer_state():
     clock = SWPClock(dim=8, omega0=1.0)
     state = _state_at(clock, DilationProfile.none(8), 0.0)

@@ -1,17 +1,31 @@
-"""The package names that perfbench/tracer.py wraps still exist.
+"""The package names that perfbench/tracer.py wraps, and what its hooks
+read from their arguments and results, still exist.
 
-The tracer replaces these names at run time to time each layer.  A rename
-in the package would otherwise show only when the benchmark itself runs.
+The tracer replaces these names at run time to time each layer, and its
+`_after_*` hooks count work from what the wrapped calls took and returned.
+A rename or deletion in the package would otherwise show only when the
+benchmark itself runs.
 """
 
 import ast
 import inspect
+import json
 import os
 from pathlib import Path
 
 import pytest
 
-from qclocksim import cli, runners, sequences, swp
+from qclocksim import (
+    accelerated_frame_trotter,
+    cli,
+    entanglement_frame_demo,
+    gaussian_grid_state,
+    ladder_spectrum,
+    load_config,
+    runners,
+    sequences,
+    swp,
+)
 from qclocksim.report import RunReport
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -65,3 +79,52 @@ def test_each_writer_has_written_its_whole_file_when_it_returns(tmp_path, method
     else:
         getattr(report, method)(path)
     assert os.path.getsize(path) == len(text.encode()) > 100_000
+
+
+def _hook_argument_keys(hook: str) -> set:
+    """The keys a tracer hook reads from its bound arguments, as args["key"]
+    or args.get("key")."""
+    [node] = [n for n in ast.walk(ast.parse(TRACER.read_text(encoding="utf-8")))
+              if isinstance(n, ast.FunctionDef) and n.name == hook]
+    keys = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Subscript) and getattr(n.value, "id", None) == "args":
+            keys.add(n.slice.value)
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and getattr(n.func.value, "id", None) == "args" and n.func.attr == "get"):
+            keys.add(n.args[0].value)
+    return keys
+
+
+def test_the_run_sequence_arguments_the_tracer_reads_are_its_parameters():
+    pinned = {"kind", "spectrum", "boost", "duration", "probe", "translation_level",
+              "state_dependent_translation"}
+    assert _hook_argument_keys("_after_run_sequence") <= pinned
+    assert pinned <= set(inspect.signature(sequences.run_sequence).parameters)
+
+
+def test_the_trotter_report_holds_the_step_counts():
+    state = gaussian_grid_state(ladder_spectrum(2, 0.1), size=128, box_length=48.0, sigma=3.0)
+    report = accelerated_frame_trotter(state, 0.02, 1.0, steps=(4, 8))
+    # The tracer adds up the steps of every product as split steps.
+    assert int(sum(int(n) for n in report.steps)) == 12
+
+
+@pytest.mark.parametrize("boost", [0.01, [0.01, 0.02]])
+def test_the_entanglement_demo_holds_the_unboosted_state(boost):
+    demo = entanglement_frame_demo(ladder_spectrum(3, 0.05), 0.1, boost)
+    # The tracer counts the components of the state the boost acts on.
+    assert len(demo.state_before.levels) == 3
+
+
+def test_a_loaded_config_expands_each_scenario_into_its_runs(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, "scenarios": [
+        {"kind": "twin-velocity", "name": "one"},
+        {"kind": "swp", "name": "many",
+         "sweep": {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 3}},
+    ]}))
+    config = load_config(path)
+    # The tracer counts a loaded config's runs this way.
+    assert [[name for name, _ in spec.expand()] for spec in config.scenarios] == [
+        ["one"], ["many-0", "many-1", "many-2"]]
