@@ -30,7 +30,6 @@ from .errors import (
     IdentityViolationError,
     IntegrationError,
     RegimeError,
-    RegimeWarning,
     SequencingError,
     WraparoundError,
 )
@@ -97,8 +96,6 @@ from .swp import (
     read_pointer,
 )
 from .units import (
-    DEFAULT_GUARD,
-    RegimeGuard,
     beta_from_velocity,
     epsilon_from_energy,
     epsilon_from_frequency,

@@ -41,9 +41,13 @@ def _parse_tolerance(text: str) -> tuple:
     if not sep or not key:
         raise ConfigError(f"--tolerance expects KEY=VALUE, got {text!r}")
     try:
-        return key, float(value)
+        number = float(value)
     except ValueError as exc:
         raise ConfigError(f"--tolerance {key}: {value!r} is not a number") from exc
+    # The rule of a config's tolerances block: no NaN, no infinity, no overflow.
+    if not abs(number) <= sys.float_info.max:
+        raise ConfigError(f"--tolerance {key}: expected a finite number, got {value!r}")
+    return key, number
 
 
 def _build_parser() -> argparse.ArgumentParser:

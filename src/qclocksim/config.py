@@ -166,8 +166,8 @@ def _plan_runs(spec: ScenarioSpec, where: str) -> list:
         except (ValueError, WraparoundError) as exc:
             # A batched RegimeError says which run left the regime.
             name = runs[run if getattr(exc, "run", None) is None else exc.run][0]
-            guard = "RegimeGuard: " if isinstance(exc, RegimeError) else ""
-            raise ConfigError(f"{where}{field} (run {name!r}): {guard}{exc}") from exc
+            regime = "RegimeGuard: " if isinstance(exc, RegimeError) else ""
+            raise ConfigError(f"{where}{field} (run {name!r}): {regime}{exc}") from exc
 
     built, plans = {}, []
     for run, (_, params) in enumerate(runs):
@@ -253,6 +253,14 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
         )
         start, stop = (_coerce(raw[b], _NUMBER, f"{where}.sweep.{b}") for b in ("start", "stop"))
         sweep = Sweep(parameter=parameter, start=start, stop=stop, count=count)
+    if "epsilons" in raw_params:
+        # epsilons fixes every level, so nothing else may set them.
+        si = data.get("si", {})
+        for path, given in ((".params.levels", "levels" in raw_params),
+                            (".params.spacing", "spacing" in raw_params),
+                            (".sweep.parameter", sweep and sweep.parameter == "spacing"),
+                            (".si.internal_energy_joule", "internal_energy_joule" in si)):
+            _require(not given, f"{where}{path}", "cannot be set together with params.epsilons")
 
     spec = ScenarioSpec(name=name, kind=kind, params=params, tolerances=tolerances, sweep=sweep)
     spec.plans = _plan_runs(spec, where)

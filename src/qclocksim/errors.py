@@ -1,12 +1,8 @@
-"""Exception and warning types shared across the package."""
-
-
-class RegimeWarning(UserWarning):
-    """A state or boost left the low-energy regime the model is valid in."""
+"""Exception types shared across the package."""
 
 
 class RegimeError(ValueError):
-    """Regime violation escalated to an error (strict mode, or a hard bound).
+    """A level or a boost kick left the low-energy regime the model is valid in.
 
     `run` is the index of the offending run within its batch, when known.
     """

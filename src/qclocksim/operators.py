@@ -35,7 +35,7 @@ import numpy as np
 
 from .spectrum import InternalSpectrum
 from .states import PlaneWaveState
-from .units import DEFAULT_GUARD, RegimeGuard
+from .units import check_kicks
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,16 @@ def phase_increment(op: OperatorSpec, spectrum: InternalSpectrum, level, p):
     return np.zeros_like(p)
 
 
-def trace_chain(
-    state: PlaneWaveState, ops, guard: RegimeGuard | None = None
-) -> tuple[PlaneWaveState, np.ndarray]:
+def trace_chain(state: PlaneWaveState, ops) -> tuple[PlaneWaveState, np.ndarray]:
     """Apply a chain and also return per-component unwrapped phase totals.
 
     Each operator is one array map on (levels, momenta, amplitudes), for all
     runs of a batch.  The phase array sums the same ``phase_increment``
     values the amplitudes are rotated by, as plain real numbers, so it is
     free of mod-2pi ambiguity and can be differenced across components
-    safely.  The guard and the output state's validation run once, at the end.
+    safely.  The regime check of the kicks and the output state's validation
+    run once, at the end.
     """
-    guard = guard or DEFAULT_GUARD
     spectrum = state.spectrum
     levels = state.levels
     momenta = state.momenta
@@ -150,14 +148,10 @@ def trace_chain(
         if isinstance(op, (MomentumBoost, VelocityBoost)):
             kicks.append((type(op).__name__, momenta))
     if kicks:
-        guard.check_kicks(kicks)
+        check_kicks(kicks)
     return state.with_amplitudes(amps, momenta=momenta), phases
 
 
-def apply_operator(
-    state: PlaneWaveState,
-    op: OperatorSpec,
-    guard: RegimeGuard | None = None,
-) -> PlaneWaveState:
+def apply_operator(state: PlaneWaveState, op: OperatorSpec) -> PlaneWaveState:
     """Apply one operator, returning a new state (input never mutated)."""
-    return trace_chain(state, [op], guard=guard)[0]
+    return trace_chain(state, [op])[0]

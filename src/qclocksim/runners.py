@@ -61,7 +61,7 @@ from .swp import (
     require_tick_resolution,
     require_tick_window,
 )
-from .units import DEFAULT_GUARD, RegimeGuard
+from .units import check_epsilons, check_kicks
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class Kind:
     one of `plan_reads`; each (parameter, check) of `run_checks` sees the
     first run, and every run when it names the swept parameter.
     `kicks(runs, plans, at)` holds the momenta that all runs' kicks reach to
-    a strict RegimeGuard, as one batch.  `run` executes the plans; a kind
+    the engine's regime check, as one batch.  `run` executes the plans; a kind
     that `batches` gets the runs of one sweep as lists, any other kind one
     run at a time.
     """
@@ -102,15 +102,11 @@ class Kind:
     batches: bool = False
 
 
-# Validation holds every kick to the regime, so no run leaves it.
-_STRICT_GUARD = RegimeGuard(strict=True)
-
-
 def _drive_kicks(key: str, momenta: Callable, runs: list, plans: list, at) -> None:
-    """The kicks of a kind whose engine calls no guard: `momenta(params, plan)`
-    is what the drive parameter `key` kicks one run to, per branch."""
+    """The kicks of a kind with no operator chain to check: `momenta(params,
+    plan)` is what the drive parameter `key` kicks one run to, per branch."""
     reached = np.array([momenta(params, plan) for params, plan in zip(runs, plans)])
-    at(f".params.{key}", _STRICT_GUARD.check_kicks, [(key, reached)])
+    at(f".params.{key}", check_kicks, [(key, reached)])
 
 
 def _require_drive(value: float) -> None:
@@ -127,8 +123,8 @@ def _plan_spectrum(params: dict, at) -> InternalSpectrum:
 def _twin_kicks(sequence: SequenceKind, runs: list, spectra: list, at) -> None:
     """Build the runner's probe and the operator chains of all runs as one
     batch, and move the probe through them: `default_probe` refuses an empty
-    probe, `build_sequence` a bad translation option and the strict guard
-    any kick out of the regime."""
+    probe, `build_sequence` a bad translation option and `trace_chain` any
+    kick out of the regime."""
     spectrum = stack_spectra(spectra)
     params = runs[0]
     probe = at(".params.probe_momenta", default_probe, spectrum, params["probe_momenta"],
@@ -137,7 +133,7 @@ def _twin_kicks(sequence: SequenceKind, runs: list, spectra: list, at) -> None:
     ops = at(".params.translation_level", build_sequence, sequence, boost, duration,
              params.get("translation_level"), spectrum,
              params.get("state_dependent_translation", False))
-    at(".params.boost", trace_chain, probe, ops, guard=_STRICT_GUARD)
+    at(".params.boost", trace_chain, probe, ops)
 
 
 def _run_twin(sequence: SequenceKind, kind: str, names: list, runs: list, spectra: list,
@@ -298,7 +294,7 @@ def _run_swp(name: str, params: dict, plan: tuple, tol: dict) -> RunReport:
 
 
 def _plan_ion(params: dict, at) -> TrapModel:
-    at("", DEFAULT_GUARD.check_epsilons, [params["transition_energy"]])
+    at("", check_epsilons, [params["transition_energy"]])
     model = at("", TrapModel, transition_energy=params["transition_energy"],
                trap_frequency=params["trap_frequency"], lamb_dicke=params["lamb_dicke"],
                fock_index=params["fock_index"], rabi_frequency=params["rabi_frequency"],
@@ -451,7 +447,7 @@ def _entanglement_kicks(runs: list, spectra: list, at) -> None:
     spectrum = stack_spectra(spectra)
     kick = VelocityBoost(np.array([[p["boost"]] for p in runs]))
     at(".params.boost", apply_operator, internal_superposition(spectrum, runs[0]["momentum"]),
-       kick, guard=_STRICT_GUARD)
+       kick)
 
 
 def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: dict) -> list:
@@ -509,7 +505,7 @@ KINDS = {
             "classical_spacing_deviation": 1e-7,
         },
         plan=_plan_swp, plan_reads=("omega0", "boost", "spacing"), run=_run_swp,
-        # The clock's engine calls no guard: the profile's boost is its kick.
+        # The clock's engine has no operator chain: the profile's boost is its kick.
         kicks=partial(_drive_kicks, "boost",
                       lambda p, plan: [0.0 if p["profile"] == "none" else p["boost"]]),
     ),

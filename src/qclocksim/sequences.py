@@ -55,7 +55,7 @@ from .states import (
     internal_superposition,
     reduced_internal_entropy,
 )
-from .units import MAX_TOTAL_PHASE, RegimeGuard
+from .units import MAX_TOTAL_PHASE
 
 
 class SequenceKind(enum.Enum):
@@ -220,7 +220,6 @@ def run_sequence(
     probe: PlaneWaveState | None = None,
     translation_level: int | None = None,
     state_dependent_translation: bool = False,
-    guard: RegimeGuard | None = None,
     identity_tol: float = 1e-12,
 ) -> SequenceResult:
     """Execute round-trip sequences and verify them against their closed form.
@@ -252,7 +251,7 @@ def run_sequence(
         spectrum=spectrum,
         state_dependent_translation=state_dependent_translation,
     )
-    final, phases = trace_chain(probe, ops, guard=guard)
+    final, phases = trace_chain(probe, ops)
 
     momentum_err = np.max(np.abs(final.momenta - probe.momenta), axis=-1, keepdims=True)
     if np.max(momentum_err) > MERGE_TOL:
@@ -351,7 +350,6 @@ def entanglement_frame_demo(
     spectrum: InternalSpectrum,
     momentum: float,
     v_b,
-    guard: RegimeGuard | None = None,
 ) -> FrameEntanglement:
     """Boost a product state and watch entanglement appear with the frame.
 
@@ -364,7 +362,7 @@ def entanglement_frame_demo(
     require_two_levels(spectrum)
     _, (v_b,) = _run_columns(spectrum, v_b)
     before = internal_superposition(spectrum, momentum)
-    after = apply_operator(before, VelocityBoost(v_b), guard=guard)
+    after = apply_operator(before, VelocityBoost(v_b))
     return FrameEntanglement(
         entropy_before=reduced_internal_entropy(before),
         entropy_after=reduced_internal_entropy(after),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import DEFAULT_GUARD
+from .units import check_epsilons
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def make_spectrum(epsilons) -> InternalSpectrum:
     """Validate a list of dimensionless level energies into a spectrum.
 
     Levels must start at exactly 0, increase strictly, and stay below the
-    RegimeGuard's eps_max (hard error: the expansion is a precondition, not
+    regime bound units.EPS_MAX (hard error: the expansion is a precondition, not
     a diagnostic).
     """
     eps = tuple(float(e) for e in epsilons)
@@ -60,7 +60,7 @@ def make_spectrum(epsilons) -> InternalSpectrum:
     for a, b in zip(eps, eps[1:]):
         if not b > a:
             raise ValueError(f"levels must increase strictly (got {a} then {b})")
-    DEFAULT_GUARD.check_epsilons(eps)
+    check_epsilons(eps)
     return InternalSpectrum(eps)
 
 

@@ -10,20 +10,18 @@ dimensionless ratios
     theta     = t m c^2 / hbar    evolution time
 
 The model expands kinetic terms to first order in p^2/(m M c^2), so it is only
-trustworthy while internal energies and momenta stay small.  RegimeGuard
-enforces that: epsilon bounds are hard errors (they are preconditions of the
-spectrum), momentum bounds warn by default and raise in strict mode.
+trustworthy while internal energies and momenta stay small.  check_epsilons
+and check_kicks enforce that: every level or kick outside the bounds raises
+RegimeError, in the engine and at config validation alike.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError, RegimeWarning
+from .errors import RegimeError
 
 # CODATA SI constants, used only to convert user input into ratios.
 SPEED_OF_LIGHT = 299_792_458.0  # m / s
@@ -35,53 +33,41 @@ PLANCK = 2.0 * math.pi * HBAR  # J s
 # stop being meaningful.
 MAX_TOTAL_PHASE = 1.0e6
 
+# Validity bounds of the low-energy expansion: internal energies stay below
+# EPS_MAX (epsilon_n < EPS_MAX) and squared momenta, boost kicks included,
+# below KAPPA_MAX (|pi + (1+eps) beta|^2 < KAPPA_MAX).  Both are engineering
+# choices, not physics constants.
+EPS_MAX = 0.2
+KAPPA_MAX = 0.1
 
-@dataclass(frozen=True)
-class RegimeGuard:
-    """Validity bounds for the low-energy expansion.
 
-    eps_max bounds internal energies (epsilon_n < eps_max), kappa_max bounds
-    squared momenta including boost kicks (|pi + (1+eps) beta|^2 < kappa_max).
-    Both defaults are engineering choices, not physics constants.
+def check_epsilons(epsilons) -> None:
+    worst = max(epsilons)
+    if worst >= EPS_MAX:
+        raise RegimeError(
+            f"internal energy ratio {worst} >= eps_max = {EPS_MAX}; "
+            "the first-order mass-energy expansion is not valid there"
+        )
+
+
+def check_kicks(kicks) -> None:
+    """Raise RegimeError if the momenta after any kick leave the regime.
+
+    kicks holds one (context, momenta) pair per kick of a chain.  momenta
+    may carry a leading run axis: the error names the first run that leaves
+    the regime (in run order, then chain order) and carries its index.
     """
-
-    eps_max: float = 0.2
-    kappa_max: float = 0.1
-    strict: bool = False
-
-    def check_epsilons(self, epsilons) -> None:
-        worst = max(epsilons)
-        if worst >= self.eps_max:
-            raise RegimeError(
-                f"internal energy ratio {worst} >= eps_max = {self.eps_max}; "
-                "the first-order mass-energy expansion is not valid there"
-            )
-
-    def check_kicks(self, kicks) -> bool:
-        """Warn (or raise when strict) if the momenta after any kick leave the regime.
-
-        kicks holds one (context, momenta) pair per kick of a chain.  momenta
-        may carry a leading run axis: each run that leaves the regime is
-        reported once per such kick, in run order, then chain order; in
-        strict mode the error carries the first such run's index.
-        Returns True when everything is in regime.
-        """
-        worst = np.stack(np.broadcast_arrays(*(
-            np.max(np.square(np.asarray(m, dtype=float)), axis=-1, initial=0.0) for _, m in kicks
-        )), axis=-1)
-        offending = np.argwhere(worst >= self.kappa_max)
-        for index in offending:
-            msg = (
-                f"{kicks[index[-1]][0]}: squared momentum ratio {worst[tuple(index)]:.6g} >= "
-                f"kappa_max = {self.kappa_max}; results are outside the model's validity regime"
-            )
-            if self.strict:
-                raise RegimeError(msg, run=int(index[0]) if worst.ndim > 1 else None)
-            warnings.warn(msg, RegimeWarning, stacklevel=3)
-        return len(offending) == 0
-
-
-DEFAULT_GUARD = RegimeGuard()
+    worst = np.stack(np.broadcast_arrays(*(
+        np.max(np.square(np.asarray(m, dtype=float)), axis=-1, initial=0.0) for _, m in kicks
+    )), axis=-1)
+    offending = np.argwhere(worst >= KAPPA_MAX)
+    if len(offending):
+        index = offending[0]
+        raise RegimeError(
+            f"{kicks[index[-1]][0]}: squared momentum ratio {worst[tuple(index)]:.6g} >= "
+            f"kappa_max = {KAPPA_MAX}; results are outside the model's validity regime",
+            run=int(index[0]) if worst.ndim > 1 else None,
+        )
 
 
 def epsilon_from_energy(energy_joule: float, mass_kg: float) -> float:

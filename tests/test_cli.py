@@ -237,7 +237,7 @@ def test_regime_violation_is_a_config_error(tmp_path, capsys):
 
 
 def test_epsilon_at_the_guard_limit_is_refused_at_validation(tmp_path, capsys):
-    # The engine's RegimeGuard refuses eps >= eps_max = 0.2, so validation
+    # The engine refuses eps >= eps_max = 0.2 with a RegimeError, so validation
     # must refuse exactly 0.2 too rather than let the run abort later.
     config = {
         "schema_version": 1,
@@ -274,6 +274,35 @@ def test_a_spectrum_the_engine_refuses_is_refused_at_validation(tmp_path, capsys
     assert "scenarios[0] (run 'bad')" in capsys.readouterr().err
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["twin-momentum", "twin-velocity", "twin-observer"])
+@pytest.mark.parametrize(
+    "scenario, path",
+    [
+        ({"params": {"levels": 2}}, "params.levels"),
+        ({"params": {"spacing": 0.15}}, "params.spacing"),
+        ({"sweep": {"parameter": "spacing", "start": 0.01, "stop": 0.1, "count": 3}},
+         "sweep.parameter"),
+        ({"si": {"internal_energy_joule": 1e-30, "mass_kg": 1e-25}}, "si.internal_energy_joule"),
+    ],
+)
+def test_levels_set_besides_epsilons_are_refused_at_their_json_path(
+    tmp_path, capsys, kind, scenario, path
+):
+    # epsilons fixes every level, so a spacing or level count given as well
+    # could only be ignored, while the result files record it.
+    scenario = {"kind": kind, "name": "both", **scenario}
+    params = scenario["params"] = {"epsilons": [0.0, 0.05], **scenario.get("params", {})}
+    config = {"schema_version": 1, "scenarios": [scenario]}
+    path_ = _write_config(tmp_path / "both.json", config)
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], path_, *command[1:]]) == 2
+        assert (f"scenarios[0].{path}: cannot be set together with params.epsilons"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    del params["epsilons"]
+    assert main(["validate", _write_config(tmp_path / "alone.json", config)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -661,9 +690,24 @@ def test_missing_file_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_unknown_tolerance_key_is_a_config_error(base_config, capsys):
-    assert main(["run", base_config, "--tolerance", "no_such_check=1"]) == 2
-    assert "config error" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("no_such_check=1", "match no scenario"),
+        # The rule of a config's tolerances block: a NaN tolerance would fail
+        # every check and an infinite one would pass every check.
+        *((f"identity_residual={value}",
+           f"--tolerance identity_residual: expected a finite number, got {value!r}")
+          for value in ("nan", "inf", "-inf", "1e400")),
+    ],
+)
+def test_a_bad_tolerance_override_is_a_config_error(base_config, tmp_path, capsys, override,
+                                                    message):
+    out = str(tmp_path / "out")
+    assert main(["run", base_config, "--tolerance", override, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tolerance_override_can_force_a_failure(base_config, capsys):

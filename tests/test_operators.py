@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclocksim.errors import RegimeError, RegimeWarning
+from qclocksim.errors import RegimeError
 from qclocksim.operators import (
     BranchTranslation,
     FreeEvolution,
@@ -23,7 +23,6 @@ from qclocksim.operators import (
 )
 from qclocksim.spectrum import ladder_spectrum
 from qclocksim.states import PlaneWaveState
-from qclocksim.units import RegimeGuard
 
 SPEC = ladder_spectrum(2, 0.1)
 
@@ -196,12 +195,10 @@ def test_conjugated_boost_gains_mass_weighted_phase():
         assert out.amplitudes[0] == pytest.approx(expected, abs=1e-14)
 
 
-def test_boost_guard_warns_and_strict_guard_raises():
+def test_a_boost_out_of_the_regime_raises():
     state = plane_wave(SPEC, 0, 0.0)
-    with pytest.warns(RegimeWarning):
+    with pytest.raises(RegimeError, match="^MomentumBoost: squared momentum ratio 0.81 "):
         apply_operator(state, MomentumBoost(0.9))
-    with pytest.raises(RegimeError):
-        apply_operator(state, MomentumBoost(0.9), guard=RegimeGuard(strict=True))
 
 
 @settings(max_examples=200)

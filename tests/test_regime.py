@@ -1,22 +1,23 @@
-"""One regime policy: validation refuses exactly the kicks the engine's guard flags.
+"""One regime policy: validation refuses exactly the kicks the engine refuses.
 
 kappa_max bounds the squared momentum a kick leaves a run at.  The config
-loader checks every run's kicks with the engine's own strict RegimeGuard,
-so a run it accepts never leaves the regime, and a run the strict guard
-would stop is refused at load, naming the first such run.
+loader checks every run's kicks with the engine's own check_kicks, so a run
+it accepts never leaves the regime, and a run the engine would stop is
+refused at load, naming the first such run.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qclocksim import (
     ConfigError,
-    RegimeGuard,
     SequenceKind,
     default_probe,
+    entanglement_frame_demo,
     ladder_spectrum,
     parse_config,
     run_sequence,
@@ -24,9 +25,10 @@ from qclocksim import (
 from qclocksim.cli import main
 from qclocksim.config import Sweep
 from qclocksim.errors import RegimeError
-from qclocksim.units import DEFAULT_GUARD
+from qclocksim.operators import MomentumBoost, trace_chain
+from qclocksim.units import KAPPA_MAX
 
-EDGE = math.sqrt(DEFAULT_GUARD.kappa_max)  # the |p| at which p^2 reaches kappa_max
+EDGE = math.sqrt(KAPPA_MAX)  # the |p| at which p^2 reaches kappa_max
 HEAVY = 1.1  # M_1 of the default two-level spectrum, spacing 0.1
 TWINS = {
     "twin-momentum": SequenceKind.MOMENTUM,
@@ -41,7 +43,6 @@ def _write(tmp_path, *scenarios) -> str:
     return str(path)
 
 
-@pytest.mark.filterwarnings("error::qclocksim.errors.RegimeWarning")
 def test_a_boost_whose_kicks_stay_in_the_regime_validates_and_runs(tmp_path, capsys):
     # From rest, a momentum boost of 0.2 reaches p^2 = 0.04 at most.
     scenario = {"kind": "twin-momentum", "name": "b",
@@ -99,7 +100,6 @@ KICKING_KINDS = ["twin-momentum", "twin-velocity", "twin-observer", "entanglemen
                  "impulse-boost", "trotter-accel"]
 
 
-@pytest.mark.filterwarnings("error::qclocksim.errors.RegimeWarning")
 @pytest.mark.parametrize("kind", KICKING_KINDS)
 def test_a_kick_just_inside_the_regime_validates_and_runs(tmp_path, kind):
     params, _ = _kicked_to(kind, EDGE * (1.0 - 1e-6))
@@ -131,7 +131,7 @@ _MOMENTUM = st.floats(-0.4, 0.4, allow_subnormal=False)
 def test_validation_accepts_a_twin_sweep_iff_the_strict_engine_guard_runs_it(
     kind, spacing, boosts, momenta
 ):
-    # Each run's own strict run_sequence either raises nothing or raises the
+    # Each run's own run_sequence either raises nothing or raises the
     # RegimeError that validation reports, at the same first run.
     count = 3
     scenario = {"kind": kind, "name": "s",
@@ -151,7 +151,7 @@ def test_validation_accepts_a_twin_sweep_iff_the_strict_engine_guard_runs_it(
     for i, boost in enumerate(Sweep("boost", *boosts, count).values()):
         try:
             run_sequence(TWINS[kind], spectrum, boost, 2.0, probe=probe,
-                         guard=RegimeGuard(strict=True), identity_tol=float("inf"))
+                         identity_tol=float("inf"))
         except RegimeError:
             first = i
             break
@@ -159,3 +159,27 @@ def test_validation_accepts_a_twin_sweep_iff_the_strict_engine_guard_runs_it(
         assert refused is None
     else:
         assert refused is not None and f"(run 's-{first}')" in refused
+
+
+def test_a_library_run_sequence_out_of_the_regime_raises():
+    # The library holds a run to the same bound the loader does: no call
+    # returns numbers for a kick out of the regime.
+    spectrum = ladder_spectrum(2, 0.1)
+    probe = default_probe(spectrum, [0.0], (0, 1))
+    run_sequence(SequenceKind.MOMENTUM, spectrum, EDGE * (1.0 - 1e-6), 2.0, probe=probe)
+    with pytest.raises(RegimeError, match="^MomentumBoost: squared momentum ratio 0.1 ") as exc:
+        run_sequence(SequenceKind.MOMENTUM, spectrum, EDGE * (1.0 + 1e-6), 2.0, probe=probe)
+    assert exc.value.run is None
+
+
+def test_a_library_batch_out_of_the_regime_names_its_first_offending_run():
+    # Runs 2 and 3 leave the regime; the error carries run 2.
+    spectrum = ladder_spectrum(2, 0.1)
+    velocities = np.array([0.0, 0.01, 0.3, 0.4])
+    with pytest.raises(RegimeError, match="^VelocityBoost: ") as exc:
+        entanglement_frame_demo(spectrum, momentum=0.0, v_b=velocities)
+    assert exc.value.run == 2
+    kicks = [MomentumBoost(velocities[:, None]), MomentumBoost(-velocities[:, None])]
+    with pytest.raises(RegimeError, match="^MomentumBoost: ") as exc:
+        trace_chain(default_probe(spectrum), kicks)
+    assert exc.value.run == 2

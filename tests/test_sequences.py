@@ -8,14 +8,13 @@ the closed-form algebra both implement the same physics.
 """
 
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclocksim.errors import IdentityViolationError, RegimeWarning
+from qclocksim.errors import IdentityViolationError
 from qclocksim.sequences import (
     SequenceKind,
     build_sequence,
@@ -36,7 +35,7 @@ from qclocksim.operators import (
 )
 from qclocksim.spectrum import ladder_spectrum, make_spectrum, stack_spectra
 from qclocksim.states import PlaneWaveState, reduced_internal_entropy
-from qclocksim.units import DEFAULT_GUARD
+from qclocksim.units import EPS_MAX
 
 mp.mp.dps = 50
 
@@ -257,7 +256,7 @@ def test_measured_pair_factors_equal_the_pairwise_closed_form(spec, boost):
 
 # Four gaps of at most this size keep the top level below eps_max, which
 # make_spectrum (correctly) refuses to reach.
-MAX_GAP = DEFAULT_GUARD.eps_max / 4 - 1e-4
+MAX_GAP = EPS_MAX / 4 - 1e-4
 
 
 @settings(max_examples=300)
@@ -330,23 +329,21 @@ def test_a_batch_equals_its_runs_one_by_one_bit_for_bit(kind, translation, runs,
     stack = stack_spectra(spectra)
     boosts = np.array([b for b, _, _ in runs])
     durations = np.array([t for _, t, _ in runs])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        batch = run_sequence(kind, stack, boosts, durations, probe=probe(stack), **options)
-        for r, spec in enumerate(spectra):
-            one = run_sequence(kind, spec, boosts[r:r + 1], durations[r:r + 1],
-                               probe=probe(spec), **options)
-            scalar = run_sequence(kind, spec, float(boosts[r]), float(durations[r]),
-                                  probe=probe(spec), **options)
-            for single, i in ((one, 0), (scalar, ())):
-                for field in ("phases", "residual_max", "fidelity_deviation", "global_phase",
-                              "global_phase_closed"):
-                    assert _same_bits(getattr(batch, field)[r], getattr(single, field), i), field
-                for field in ("level_factors", "level_factors_closed", "pair_factors", "gammas"):
-                    ours, theirs = getattr(batch, field), getattr(single, field)
-                    assert ours.keys() == theirs.keys()
-                    for key in ours:
-                        assert _same_bits(ours[key][r], theirs[key], i), (field, key)
+    batch = run_sequence(kind, stack, boosts, durations, probe=probe(stack), **options)
+    for r, spec in enumerate(spectra):
+        one = run_sequence(kind, spec, boosts[r:r + 1], durations[r:r + 1],
+                           probe=probe(spec), **options)
+        scalar = run_sequence(kind, spec, float(boosts[r]), float(durations[r]),
+                              probe=probe(spec), **options)
+        for single, i in ((one, 0), (scalar, ())):
+            for field in ("phases", "residual_max", "fidelity_deviation", "global_phase",
+                          "global_phase_closed"):
+                assert _same_bits(getattr(batch, field)[r], getattr(single, field), i), field
+            for field in ("level_factors", "level_factors_closed", "pair_factors", "gammas"):
+                ours, theirs = getattr(batch, field), getattr(single, field)
+                assert ours.keys() == theirs.keys()
+                for key in ours:
+                    assert _same_bits(ours[key][r], theirs[key], i), (field, key)
 
 
 @settings(max_examples=60, deadline=None)

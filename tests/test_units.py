@@ -2,16 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qclocksim.errors import RegimeError, RegimeWarning
+from qclocksim.errors import RegimeError
 from qclocksim.units import (
-    DEFAULT_GUARD,
+    EPS_MAX,
+    KAPPA_MAX,
     PLANCK,
     SPEED_OF_LIGHT,
-    RegimeGuard,
     beta_from_velocity,
+    check_epsilons,
+    check_kicks,
     epsilon_from_energy,
     epsilon_from_frequency,
 )
@@ -42,31 +45,31 @@ def test_energy_conversion_is_linear(energy, scale):
     )
 
 
-def test_guard_rejects_large_internal_energies():
-    guard = RegimeGuard(eps_max=0.2)
-    guard.check_epsilons([0.0, 0.1, 0.19])
+def test_check_epsilons_rejects_large_internal_energies():
+    check_epsilons([0.0, 0.1, 0.19])
     with pytest.raises(RegimeError):
-        guard.check_epsilons([0.0, 0.25])
+        check_epsilons([0.0, 0.25])
     with pytest.raises(RegimeError):
-        guard.check_epsilons([0.2])  # the bound itself is excluded
+        check_epsilons([0.2])  # the bound itself is excluded
 
 
-def test_guard_warns_on_large_momenta_by_default():
-    guard = RegimeGuard(kappa_max=0.1)
-    assert guard.check_kicks([("state", [0.0, 0.1, -0.3])]) is True
-    with pytest.warns(RegimeWarning):
-        ok = guard.check_kicks([("state", [0.4])])
-    assert ok is False
-
-
-def test_strict_guard_escalates_momentum_warning():
-    guard = RegimeGuard(kappa_max=0.1, strict=True)
+def test_check_kicks_raises_for_the_first_run_out_of_regime():
+    check_kicks([("state", [0.0, 0.1, -0.3])])
+    with pytest.raises(RegimeError, match="state: squared momentum ratio 0.16 >= kappa_max") as exc:
+        check_kicks([("state", [0.4])])
+    assert exc.value.run is None
+    # Runs 1 and 2 leave the regime, run 2 at the first kick, run 1 only at
+    # the second: the error names run 1, the first in run order.
+    first = np.array([[0.0], [0.1], [0.5]])
+    second = np.array([[0.0], [0.4], [0.6]])
+    with pytest.raises(RegimeError, match="^second: squared momentum ratio 0.16 ") as exc:
+        check_kicks([("first", first), ("second", second)])
+    assert exc.value.run == 1
     with pytest.raises(RegimeError):
-        guard.check_kicks([("test", [0.5])])
+        check_kicks([("edge", [math.sqrt(KAPPA_MAX)])])  # the bound itself is excluded
 
 
-def test_default_guard_bounds():
-    assert DEFAULT_GUARD.eps_max == 0.2
-    assert DEFAULT_GUARD.kappa_max == 0.1
-    assert DEFAULT_GUARD.strict is False
+def test_regime_bounds():
+    assert EPS_MAX == 0.2
+    assert KAPPA_MAX == 0.1
 
