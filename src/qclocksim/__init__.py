@@ -27,7 +27,6 @@ from .config import RunConfig, ScenarioSpec, Sweep, load_config, parse_config
 from .errors import (
     ConfigError,
     GridTooNarrowError,
-    IdentityViolationError,
     IntegrationError,
     RegimeError,
     SequencingError,

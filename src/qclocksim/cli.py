@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from .config import load_config
+from .config import coerce_tolerance, load_config
 from .errors import ConfigError
 from .runners import KINDS, run_config
 
@@ -44,10 +44,7 @@ def _parse_tolerance(text: str) -> tuple:
         number = float(value)
     except ValueError as exc:
         raise ConfigError(f"--tolerance {key}: {value!r} is not a number") from exc
-    # The rule of a config's tolerances block: no NaN, no infinity, no overflow.
-    if not abs(number) <= sys.float_info.max:
-        raise ConfigError(f"--tolerance {key}: expected a finite number, got {value!r}")
-    return key, number
+    return key, coerce_tolerance(number, f"--tolerance {key}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

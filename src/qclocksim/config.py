@@ -124,6 +124,13 @@ def _coerce(value, spec: ParamSpec, where: str):
     return tuple(_coerce(v, item, f"{where}[{i}]") for i, v in enumerate(value))
 
 
+def coerce_tolerance(value, where: str) -> float:
+    """A finite number that is not negative: every check bounds a non-negative quantity."""
+    number = _coerce(value, _NUMBER, where)
+    _require(number >= 0.0, where, f"must not be negative, got {value!r}")
+    return number
+
+
 def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
     _require(isinstance(si, dict), where, "si block must be an object")
     unknown = set(si) - set(_SI_TARGETS) - {"mass_kg"}
@@ -228,7 +235,7 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
             f"{where}.tolerances.{key}",
             f"unknown tolerance for kind {kind!r}; valid: {sorted(tolerances)}",
         )
-        tolerances[key] = _coerce(value, _NUMBER, f"{where}.tolerances.{key}")
+        tolerances[key] = coerce_tolerance(value, f"{where}.tolerances.{key}")
 
     sweep = None
     if "sweep" in data:

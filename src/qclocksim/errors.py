@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Engines raise them for a broken
+method or an unusable input; a deviation from an oracle is returned, not raised."""
 
 
 class RegimeError(ValueError):
@@ -14,10 +15,6 @@ class RegimeError(ValueError):
 
 class SequencingError(RuntimeError):
     """A boost sequence failed to return momenta to their initial values."""
-
-
-class IdentityViolationError(RuntimeError):
-    """A numerically evolved state disagrees with its closed-form prediction."""
 
 
 class WraparoundError(RuntimeError):

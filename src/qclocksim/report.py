@@ -8,9 +8,9 @@ ever goes into an output file.  Wall-clock timings belong on stderr, not in
 the artifacts.
 
 Each file is rendered whole, by `RunReport.csv_text` or `json_text`, and
-written as its UTF-8 bytes with os.write.  A writer renders only when it is
-given no text, so a caller can render many files first and then write them
-back to back; either way the file is whole when the writer returns.
+the writers take that text and write its UTF-8 bytes with os.write, so a
+caller can render many files first and then write them back to back; each
+file is whole when its writer returns.
 json.dumps with indent=2 bypasses the C encoder, so `_json` writes the same
 bytes with it: one C encoder per indent depth, built once, renders each
 container that holds no non-empty container in one call, and each list of
@@ -174,10 +174,8 @@ class RunReport:
                             else map(format_value, cells))
         return buffer.getvalue()
 
-    def write_json(self, path, text: str | None = None) -> None:
-        """Write the file whole: text, or json_text() when no text is given."""
-        _write_file(path, self.json_text() if text is None else text)
+    def write_json(self, path, text: str) -> None:
+        _write_file(path, text)
 
-    def write_csv(self, path, text: str | None = None) -> None:
-        """Write the file whole: text, or csv_text() when no text is given."""
-        _write_file(path, self.csv_text() if text is None else text)
+    def write_csv(self, path, text: str) -> None:
+        _write_file(path, text)

@@ -2,13 +2,14 @@
 
 Each scenario kind is one `Kind` record in KINDS: its parameter schema and
 default tolerances, the plan function that builds a run's engine objects
-when the config is loaded, and the runner that executes them, fills a
-RunReport with rows, and applies that kind's tolerance checks.  Runners
+when the config is loaded, and the runner that executes them.  The engines
+only measure; this layer makes every report and passes every verdict.
+`run_scenario` makes one RunReport per run of a job, and the kind's runner
+fills them with rows and grades them against the kind's tolerances.  Runners
 never print and never write files; the CLI layer owns all I/O.  A twin or
-entanglement sweep runs as one batch, as arrays with a leading run axis,
-and its runner builds one report per run from the result arrays.  Such a
-sweep is one job at every thread count, every other run is a job of its
-own, and --threads N runs the jobs on a pool of N threads.  Only
+entanglement sweep is one job at every thread count, run as one batch of
+arrays with a leading run axis; every other run is a job of its own, and
+--threads N runs the jobs on a pool of N threads.  Only
 `eigh`-bound runs (ion lineshapes, grid evolutions) scale with N: the
 Python loops of grid split steps, SWP tick refinement and report building
 hold the GIL.  `import qclocksim` sets BLAS to one thread per process, and
@@ -87,9 +88,9 @@ class Kind:
     one of `plan_reads`; each (parameter, check) of `run_checks` sees the
     first run, and every run when it names the swept parameter.
     `kicks(runs, plans, at)` holds the momenta that all runs' kicks reach to
-    the engine's regime check, as one batch.  `run` executes the plans; a kind
-    that `batches` gets the runs of one sweep as lists, any other kind one
-    run at a time.
+    the engine's regime check, as one batch.  `run(reports, runs, plans,
+    tolerances)` fills the reports of one job, one per run: all runs of a
+    sweep if the kind `batches`, else a single run.
     """
 
     params: dict
@@ -136,8 +137,8 @@ def _twin_kicks(sequence: SequenceKind, runs: list, spectra: list, at) -> None:
     at(".params.boost", trace_chain, probe, ops)
 
 
-def _run_twin(sequence: SequenceKind, kind: str, names: list, runs: list, spectra: list,
-              tol: dict) -> list:
+def _run_twin(sequence: SequenceKind, reports: list, runs: list, spectra: list,
+              tol: dict) -> None:
     # The runs of one sweep differ only in the swept parameter.
     spectrum = stack_spectra(spectra)
     params = runs[0]
@@ -149,7 +150,6 @@ def _run_twin(sequence: SequenceKind, kind: str, names: list, runs: list, spectr
         probe=default_probe(spectrum, params["probe_momenta"], tuple(range(spectrum.dim))),
         translation_level=params.get("translation_level"),
         state_dependent_translation=params.get("state_dependent_translation", False),
-        identity_tol=float("inf"),
     )
     shape = (len(runs), spectrum.dim)
     epsilons = np.broadcast_to(spectrum.epsilons, shape).tolist()
@@ -159,9 +159,7 @@ def _run_twin(sequence: SequenceKind, kind: str, names: list, runs: list, spectr
         {n: values[n].tolist() for n in levels}
         for values in (result.level_factors, result.level_factors_closed, result.gammas)
     )
-    reports = []
-    for r, name in enumerate(names):
-        report = RunReport(scenario=kind, name=name, parameters=dict(runs[r]))
+    for r, report in enumerate(reports):
         for level in levels:
             report.rows.append(
                 {
@@ -194,8 +192,6 @@ def _run_twin(sequence: SequenceKind, kind: str, names: list, runs: list, spectr
         report.notes.append(
             f"global phase {global_phase!r} (closed form {global_phase_closed!r})"
         )
-        reports.append(report)
-    return reports
 
 
 def _twin(sequence: SequenceKind, boost: float, run_checks=(), **params) -> Kind:
@@ -242,11 +238,10 @@ def _plan_swp(params: dict, at) -> tuple:
     return clock, profile, window, resolution
 
 
-def _run_swp(name: str, params: dict, plan: tuple, tol: dict) -> RunReport:
+def _run_swp(report: RunReport, params: dict, plan: tuple, tol: dict) -> None:
     clock, profile, window, resolution = plan
     tau = clock.tau
     scan = find_effective_ticks(clock, profile, window=window, resolution=resolution)
-    report = RunReport(scenario="swp", name=name, parameters=dict(params))
     for i, (t, v) in enumerate(zip(scan.tick_times, scan.tick_variances)):
         report.rows.append(
             {
@@ -290,7 +285,6 @@ def _run_swp(name: str, params: dict, plan: tuple, tol: dict) -> RunReport:
             report.notes.append(
                 f"effective tick spacing deviates from tau by {scan.spacing_deviation!r} (relative)"
             )
-    return report
 
 
 def _plan_ion(params: dict, at) -> TrapModel:
@@ -304,12 +298,11 @@ def _plan_ion(params: dict, at) -> TrapModel:
     return model
 
 
-def _run_ion(name: str, params: dict, model, tol: dict) -> RunReport:
+def _run_ion(report: RunReport, params: dict, model, tol: dict) -> None:
     scan = spectroscopy_scan(
         model, points=params["points"], span_factor=params["span_factor"]
     )
     oracle = scan.oracle
-    report = RunReport(scenario="ion-spectroscopy", name=name, parameters=dict(params))
     for detuning, excitation in zip(scan.detunings, scan.excitation):
         report.rows.append({"detuning": detuning, "excitation": excitation})
     report.notes.append(
@@ -342,7 +335,6 @@ def _run_ion(name: str, params: dict, model, tol: dict) -> RunReport:
         "cutoff_change", scan.cutoff_shift_change, tol["cutoff_change"],
         "peak movement when the Fock cutoff doubles",
     )
-    return report
 
 
 def _plan_grid(schedule: str, check, params: dict, at) -> GridState:
@@ -360,12 +352,11 @@ def _plan_grid(schedule: str, check, params: dict, at) -> GridState:
     return state
 
 
-def _run_trotter(name: str, params: dict, state, tol: dict) -> RunReport:
+def _run_trotter(report: RunReport, params: dict, state, tol: dict) -> None:
     result = accelerated_frame_trotter(
         state, params["acceleration"], params["duration"], steps=params["steps"]
     )
     ratios = result.halving_ratios()
-    report = RunReport(scenario="trotter-accel", name=name, parameters=dict(params))
     for i, (n, err) in enumerate(zip(result.steps, result.errors)):
         report.rows.append(
             {
@@ -386,17 +377,15 @@ def _run_trotter(name: str, params: dict, state, tol: dict) -> RunReport:
         "terminal_error", float(result.errors[-1]), tol["terminal_error"],
         f"product-formula error at {int(result.steps[-1])} steps",
     )
-    return report
 
 
-def _run_impulse(name: str, params: dict, state, tol: dict) -> RunReport:
+def _run_impulse(report: RunReport, params: dict, state, tol: dict) -> None:
     result = impulsive_boost_limit(
         state,
         params["boost"],
         dt_schedule=params["dt_schedule"],
         internal_coupled=params["internal_coupled"],
     )
-    report = RunReport(scenario="impulse-boost", name=name, parameters=dict(params))
     for dt, dv, dp in zip(
         result.durations, result.deviation_velocity, result.deviation_momentum
     ):
@@ -423,7 +412,14 @@ def _run_impulse(name: str, params: dict, state, tol: dict) -> RunReport:
         )
     else:
         report.notes.append("dt schedule is not decade-spaced; ratio range not checked")
-    return report
+
+
+def _each(fill: Callable) -> Callable:
+    """The job runner that fills each report with `fill(report, params, plan, tol)`."""
+    def run(reports: list, runs: list, plans: list, tol: dict) -> None:
+        for report, params, plan in zip(reports, runs, plans, strict=True):
+            fill(report, params, plan, tol)
+    return run
 
 
 def _grid_params(**params) -> dict:
@@ -450,7 +446,7 @@ def _entanglement_kicks(runs: list, spectra: list, at) -> None:
        kick)
 
 
-def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: dict) -> list:
+def _run_entanglement(reports: list, runs: list, spectra: list, tol: dict) -> None:
     spectrum = stack_spectra(spectra)
     demo = entanglement_frame_demo(
         spectrum,
@@ -459,9 +455,7 @@ def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: di
     )
     max_entropy = math.log(spectrum.dim)
     before = demo.entropy_before
-    reports = []
-    for name, params, after in zip(names, runs, demo.entropy_after.tolist()):
-        report = RunReport(scenario=kind, name=name, parameters=dict(params))
+    for report, after in zip(reports, demo.entropy_after.tolist()):
         report.rows.append({"stage": "before-boost", "entropy": before, "ceiling": max_entropy})
         report.rows.append({"stage": "after-boost", "entropy": after, "ceiling": max_entropy})
         report.add_bound(
@@ -472,8 +466,6 @@ def _run_entanglement(kind: str, names: list, runs: list, spectra: list, tol: di
             "entropy_after_maximal", abs(after - max_entropy), tol["entropy_abs"],
             "a velocity boost correlates momentum with every internal level",
         )
-        reports.append(report)
-    return reports
 
 
 KINDS = {
@@ -504,7 +496,7 @@ KINDS = {
             # discriminates against is several orders of magnitude larger.
             "classical_spacing_deviation": 1e-7,
         },
-        plan=_plan_swp, plan_reads=("omega0", "boost", "spacing"), run=_run_swp,
+        plan=_plan_swp, plan_reads=("omega0", "boost", "spacing"), run=_each(_run_swp),
         # The clock's engine has no operator chain: the profile's boost is its kick.
         kicks=partial(_drive_kicks, "boost",
                       lambda p, plan: [0.0 if p["profile"] == "none" else p["boost"]]),
@@ -526,7 +518,7 @@ KINDS = {
             "cutoff_change": 1e-10,
             "null_shift_bound": 1e-10,
         },
-        plan=_plan_ion, plan_reads=("transition_energy", "trap_frequency"), run=_run_ion,
+        plan=_plan_ion, plan_reads=("transition_energy", "trap_frequency"), run=_each(_run_ion),
     ),
     "trotter-accel": Kind(
         params=_grid_params(
@@ -537,7 +529,7 @@ KINDS = {
             momentum=ParamSpec(float, 0.0),
         ),
         tolerances={"halving_ratio_low": 1.6, "halving_ratio_high": 2.4, "terminal_error": 1e-4},
-        plan=partial(_plan_grid, "steps", trotter_steps), run=_run_trotter,
+        plan=partial(_plan_grid, "steps", trotter_steps), run=_each(_run_trotter),
         # With no force the product is exact, and its halving ratios are roundoff.
         run_checks=(("duration", require_positive_duration), ("acceleration", _require_drive)),
         # The frame's kicks add up to -M_n a T on the packet's momentum.
@@ -552,7 +544,7 @@ KINDS = {
             grid_size=ParamSpec(int, 128),
         ),
         tolerances={"decade_ratio_low": 8.0, "decade_ratio_high": 12.0},
-        plan=partial(_plan_grid, "dt_schedule", impulse_durations), run=_run_impulse,
+        plan=partial(_plan_grid, "dt_schedule", impulse_durations), run=_each(_run_impulse),
         # With no boost both references are the identity: the schedule measures
         # only free evolution, whatever the coupling.
         run_checks=(("boost", _require_drive),),
@@ -574,21 +566,14 @@ KINDS = {
 }
 
 
-def run_scenario(kind: str, name, params, plan, tolerances: dict):
-    """Run one expanded scenario instance on its plan and return its report.
-
-    Twin and entanglement kinds also take a batch: lists of run names,
-    params and plans, runs of one sweep, give a list of their reports in
-    that order.
-    """
+def run_scenario(kind: str, names: list, runs: list, plans: list, tolerances: dict) -> list:
+    """Run one job, named runs of one scenario, and return their reports in run order."""
     if kind not in KINDS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
-    runner, batches = KINDS[kind].run, KINDS[kind].batches
-    if not batches:
-        return runner(name, params, plan, tolerances)
-    if isinstance(name, str):
-        return runner(kind, [name], [params], [plan], tolerances)[0]
-    return runner(kind, name, params, plan, tolerances)
+    reports = [RunReport(scenario=kind, name=name, parameters=dict(params))
+               for name, params in zip(names, runs, strict=True)]
+    KINDS[kind].run(reports, runs, plans, tolerances)
+    return reports
 
 
 def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None) -> list:
@@ -612,19 +597,17 @@ def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None
         tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
         runs = [(name, params, plan)
                 for (name, params), plan in zip(spec.expand(), spec.plans, strict=True)]
-        if KINDS[spec.kind].batches:
-            jobs.append((spec.kind, *map(list, zip(*runs)), tolerances))
-        else:
-            jobs += [(spec.kind, *run, tolerances) for run in runs]
+        size = len(runs) if KINDS[spec.kind].batches else 1
+        jobs += [(spec.kind, *map(list, zip(*runs[i:i + size])), tolerances)
+                 for i in range(0, len(runs), size)]
 
     def one(job):
-        kind, name, params, plan, tolerances = job
         try:
-            return run_scenario(kind, name, params, plan, tolerances)
+            return run_scenario(*job)
         except Exception as exc:
             # A PEP 678 note (add_note is Python 3.11+): the error keeps its
             # type and text, and the CLI names the failing run or batch.
-            names = [name] if isinstance(name, str) else name
+            names = job[1]
             runs = (f"run {names[0]!r}" if len(names) == 1
                     else f"runs {names[0]!r} to {names[-1]!r}")
             exc.__notes__ = [*getattr(exc, "__notes__", ()), runs]
@@ -635,5 +618,4 @@ def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, jobs))
-    return [report for result in results
-            for report in (result if isinstance(result, list) else [result])]
+    return [report for reports in results for report in reports]

@@ -21,11 +21,11 @@ kick of fixed velocity dilates all branches equally, reproducing classical
 time dilation.  When the observer moves instead of the clock, the internal
 state runs fast rather than slow and the global phase flips sign.
 
-``run_sequence`` executes the operator chain step by step and extracts
-G and d_n from the accumulated phases; the closed forms above are evaluated
-independently and used as the oracle the run must reproduce.  A sweep runs
-as one batch: boost, duration and the levels carry a leading run axis, and
-every run goes through the same array passes.
+``run_sequence`` executes the operator chain step by step, extracts G and
+d_n from the accumulated phases, and returns how far they are from the
+closed forms above, evaluated independently, for the caller to grade.  A
+sweep runs as one batch: boost, duration and the levels carry a leading
+run axis, and every run goes through the same array passes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IdentityViolationError, SequencingError
+from .errors import SequencingError
 from .operators import (
     BranchTranslation,
     FreeEvolution,
@@ -220,9 +220,8 @@ def run_sequence(
     probe: PlaneWaveState | None = None,
     translation_level: int | None = None,
     state_dependent_translation: bool = False,
-    identity_tol: float = 1e-12,
 ) -> SequenceResult:
-    """Execute round-trip sequences and verify them against their closed form.
+    """Execute round-trip sequences and measure them against their closed form.
 
     boost and duration may hold one value per run and spectrum may be a stack
     (``stack_spectra``): the runs then share the probe's levels and momenta
@@ -230,9 +229,9 @@ def run_sequence(
 
     The probe must occupy level 0: the ground branch carries no internal
     phase and anchors the global-phase extraction.  Dilation factors are read
-    off the unwrapped per-component phases; the closed-form prediction is
-    evaluated independently and any component whose phase disagrees beyond
-    identity_tol raises IdentityViolationError.
+    off the unwrapped per-component phases.  residual_max and
+    fidelity_deviation measure the run against the closed form, evaluated
+    independently, for the caller to grade.
     """
     require_positive_duration(duration)
     probe = probe if probe is not None else default_probe(spectrum)
@@ -268,11 +267,6 @@ def run_sequence(
     residual_max = np.max(np.abs(np.exp(1j * (phases - closed)) - 1.0), axis=-1, keepdims=True)
     rhs_state = probe.with_amplitudes(probe.amplitudes * np.exp(1j * closed))
     fid_dev = fidelity_deviation(rhs_state, final)
-    if np.max(residual_max) > identity_tol:
-        raise IdentityViolationError(
-            f"sequence disagrees with closed form: max residual {np.max(residual_max):.3e} "
-            f"(tol {identity_tol:.1e})"
-        )
 
     # Strip the motional part; what is left must be momentum-independent
     # within each level: G - 2 t epsilon_n d_n.

@@ -16,7 +16,15 @@ import pytest
 import qclocksim
 from qclocksim import cli as cli_module
 from qclocksim import runners as runners_module
-from qclocksim import load_config, parse_config, run_config, run_scenario
+from qclocksim import (
+    SequenceKind,
+    ladder_spectrum,
+    load_config,
+    parse_config,
+    run_config,
+    run_scenario,
+    run_sequence,
+)
 from qclocksim.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -155,9 +163,9 @@ def test_emission_across_many_write_groups_matches_writing_report_by_report(
     expected.mkdir()
     for report in reports:
         if fmt in ("csv", "both"):
-            report.write_csv(expected / f"{report.name}.csv")
+            report.write_csv(expected / f"{report.name}.csv", report.csv_text())
         if fmt in ("json", "both"):
-            report.write_json(expected / f"{report.name}.json")
+            report.write_json(expected / f"{report.name}.json", report.json_text())
     lines = [line for report in reports for line in report.summary_lines()]
 
     out = tmp_path / "out"
@@ -532,19 +540,25 @@ HUGE = 10 ** 400  # a JSON integer too large for a float
         ({"sweep": {"parameter": "boost", "start": 0.0, "stop": HUGE, "count": 3}}, "sweep.stop"),
         ({"si": {"velocity_m_per_s": HUGE}}, "si.velocity_m_per_s"),
         ({"si": {"velocity_m_per_s": 1e6, "mass_kg": HUGE}}, "si.mass_kg"),
+        ({"tolerances": {"identity_residual": -1.0}}, "tolerances.identity_residual"),
+        ({"tolerances": {"closed_form_fidelity": -5e-324}}, "tolerances.closed_form_fidelity"),
     ],
 )
 def test_a_non_finite_number_is_refused_at_its_json_path(tmp_path, capsys, scenario, path):
     # JSON's NaN and Infinity parse to floats, and an integer may be too
     # large for one; no parameter, tolerance, sweep bound or si value may
-    # hold either.
+    # hold either.  Every tolerance bounds a quantity that is never
+    # negative, so a negative one is refused too.
+    negative = [value for value in scenario.get("tolerances", {}).values() if value < 0]
+    message = (f"must not be negative, got {negative[0]!r}" if negative
+               else "expected a finite number, got ")
     scenarios = [{"kind": "twin-velocity", "name": "fine"},
                  {"kind": "twin-velocity", "name": "bad", **scenario}]
     config_path = _write_config(tmp_path / "bad.json", {"schema_version": 1,
                                                         "scenarios": scenarios})
     for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
         assert main([command[0], config_path, *command[1:]]) == 2
-        assert f"scenarios[1].{path}: expected a finite number, got " in capsys.readouterr().err
+        assert f"scenarios[1].{path}: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -650,8 +664,8 @@ def test_one_loaded_config_runs_twice_with_the_same_bytes(tmp_path, config_name)
         out.mkdir()
         reports = run_config(config, threads=threads)
         for report in reports:
-            report.write_json(out / f"{report.name}.json")
-            report.write_csv(out / f"{report.name}.csv")
+            report.write_json(out / f"{report.name}.json", report.json_text())
+            report.write_csv(out / f"{report.name}.csv", report.csv_text())
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         assert len(files) == 2 * sum(len(spec.expand()) for spec in config.scenarios)
         rendered.append(([line for r in reports for line in r.summary_lines()], files))
@@ -695,10 +709,14 @@ def test_missing_file_is_a_config_error(tmp_path, capsys):
     [
         ("no_such_check=1", "match no scenario"),
         # The rule of a config's tolerances block: a NaN tolerance would fail
-        # every check and an infinite one would pass every check.
+        # every check, an infinite one would pass every check, and a negative
+        # one bounds a residual that is never negative.
         *((f"identity_residual={value}",
-           f"--tolerance identity_residual: expected a finite number, got {value!r}")
+           f"--tolerance identity_residual: expected a finite number, got {float(value)!r}")
           for value in ("nan", "inf", "-inf", "1e400")),
+        ("identity_residual=-1", "--tolerance identity_residual: must not be negative, got -1.0"),
+        ("closed_form_fidelity=-1e-300",
+         "--tolerance closed_form_fidelity: must not be negative, got -1e-300"),
     ],
 )
 def test_a_bad_tolerance_override_is_a_config_error(base_config, tmp_path, capsys, override,
@@ -710,6 +728,14 @@ def test_a_bad_tolerance_override_is_a_config_error(base_config, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_a_zero_tolerance_is_allowed():
+    scenario = {"kind": "twin-velocity",
+                "tolerances": {"identity_residual": 0.0, "closed_form_fidelity": -0.0}}
+    [spec] = parse_config({"schema_version": 1, "scenarios": [scenario]}).scenarios
+    assert spec.tolerances == {"identity_residual": 0.0, "closed_form_fidelity": 0.0}
+    assert cli_module._parse_tolerance("identity_residual=0") == ("identity_residual", 0.0)
+
+
 def test_tolerance_override_can_force_a_failure(base_config, capsys):
     # The closed-form fidelity deviation is finite (~1e-18), so an absurdly
     # tight override must flip the run to a failing check, exit code 1.
@@ -718,6 +744,30 @@ def test_tolerance_override_can_force_a_failure(base_config, capsys):
     stdout = capsys.readouterr().out
     assert "FAIL" in stdout
     assert "had failing checks" in stdout
+
+
+def test_a_run_far_from_its_closed_form_is_graded_by_the_runner_alone(tmp_path, capsys):
+    # The engine measures the residual and returns it; the one verdict is the
+    # runner's identity_residual check, which this long run fails.
+    result = run_sequence(SequenceKind.MOMENTUM, ladder_spectrum(2, 0.1), 0.1, 1e5)
+    assert result.residual_max == pytest.approx(3.64e-12, rel=1e-2)
+    scenario = {"kind": "twin-momentum", "name": "long", "params": {"duration": 100000.0}}
+    path = _write_config(tmp_path / "long.json", {"schema_version": 1, "scenarios": [scenario]})
+    assert main(["run", path]) == 1
+    assert (f"  FAIL identity_residual: value={result.residual_max!r} tolerance=1e-12"
+            in capsys.readouterr().out)
+
+
+def test_a_job_of_a_per_run_kind_returns_one_report_per_run_in_order():
+    sweep = {"parameter": "boost", "start": 0.05, "stop": 0.1, "count": 2}
+    config = parse_config({"schema_version": 1, "scenarios": [
+        {"kind": "swp", "name": "s", "sweep": sweep}]})
+    [spec] = config.scenarios
+    runs = [params for _, params in spec.expand()]
+    reports = run_scenario("swp", ["a", "b"], runs, spec.plans, spec.tolerances)
+    assert [report.name for report in reports] == ["a", "b"]
+    assert [report.rows for report in reports] == [report.rows for report in run_config(config)]
+    assert reports[0].rows != reports[1].rows
 
 
 def test_runtime_failure_maps_to_engine_exit_code(tmp_path, capsys):
@@ -825,7 +875,7 @@ def test_full_suite_values_match_the_frozen_fixture():
         column, expected = FROZEN_FULL_SUITE[spec.name]
         [(run_name, params)] = spec.expand()
         [plan] = spec.plans
-        report = run_scenario(spec.kind, run_name, params, plan, spec.tolerances)
+        [report] = run_scenario(spec.kind, [run_name], [params], [plan], spec.tolerances)
         np.testing.assert_allclose([row[column] for row in report.rows], expected, rtol=1e-12)
         checked.add(spec.name)
     assert checked == set(FROZEN_FULL_SUITE)
@@ -902,8 +952,8 @@ def test_a_batched_sweep_is_one_job_at_every_thread_count(monkeypatch, threads):
     assert len(run_config(config, threads=threads)) == 14
     assert sorted(calls, key=repr) == [
         ("entanglement-demo", [f"e-{i}" for i in range(5)]),
-        ("swp", "s-0"),
-        ("swp", "s-1"),
+        ("swp", ["s-0"]),
+        ("swp", ["s-1"]),
         ("twin-velocity", [f"t-{i}" for i in range(7)]),
     ]
 

@@ -150,8 +150,7 @@ def test_validation_accepts_a_twin_sweep_iff_the_strict_engine_guard_runs_it(
     first = None
     for i, boost in enumerate(Sweep("boost", *boosts, count).values()):
         try:
-            run_sequence(TWINS[kind], spectrum, boost, 2.0, probe=probe,
-                         identity_tol=float("inf"))
+            run_sequence(TWINS[kind], spectrum, boost, 2.0, probe=probe)
         except RegimeError:
             first = i
             break

@@ -74,14 +74,14 @@ def _reports():
 
 def test_writers_give_the_bytes_of_a_text_file_object(tmp_path):
     for report in _reports():
-        for write, old_write, suffix in (
-            (report.write_json, _text_file_json, "json"),
-            (report.write_csv, _text_file_csv, "csv"),
+        for write, render, old_write, suffix in (
+            (report.write_json, report.json_text, _text_file_json, "json"),
+            (report.write_csv, report.csv_text, _text_file_csv, "csv"),
         ):
             new, old = tmp_path / f"new-{report.name}.{suffix}", tmp_path / f"old-{report.name}.{suffix}"
             old_write(report, old)
             new.write_bytes(b"stale bytes that are longer than the report itself " * 200)
-            write(new)
+            write(new, render())
             assert new.read_bytes() == old.read_bytes()
 
 
@@ -101,12 +101,12 @@ def test_json_renderer_gives_the_bytes_of_json_dumps(document):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_report_documents())
 def test_writers_give_the_reference_bytes_over_longer_files(tmp_path, report):
-    for write, reference, suffix in (
-        (report.write_json, _text_file_json, "json"),
-        (report.write_csv, _text_file_csv, "csv"),
+    for write, render, reference, suffix in (
+        (report.write_json, report.json_text, _text_file_json, "json"),
+        (report.write_csv, report.csv_text, _text_file_csv, "csv"),
     ):
         new, old = tmp_path / f"new.{suffix}", tmp_path / f"old.{suffix}"
         reference(report, old)
         new.write_bytes(b"stale bytes longer than the report " + old.read_bytes() * 2)
-        write(new)
+        write(new, render())
         assert new.read_bytes() == old.read_bytes()

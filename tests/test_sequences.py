@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclocksim.errors import IdentityViolationError
 from qclocksim.sequences import (
     SequenceKind,
     build_sequence,
@@ -190,12 +189,6 @@ def test_duration_must_be_positive():
     spec = ladder_spectrum(2, 0.1)
     with pytest.raises(ValueError):
         run_sequence(SequenceKind.MOMENTUM, spec, 0.1, 0.0)
-
-
-def test_identity_tolerance_is_enforced():
-    spec = ladder_spectrum(2, 0.1)
-    with pytest.raises(IdentityViolationError):
-        run_sequence(SequenceKind.MOMENTUM, spec, 0.1, 2.0, identity_tol=-1.0)
 
 
 def test_runaway_phase_accumulation_is_capped():

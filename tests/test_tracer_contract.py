@@ -22,6 +22,8 @@ from qclocksim import (
     gaussian_grid_state,
     ladder_spectrum,
     load_config,
+    parse_config,
+    run_config,
     runners,
     sequences,
     swp,
@@ -29,6 +31,7 @@ from qclocksim import (
 from qclocksim.report import RunReport
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _runner_targets() -> dict:
@@ -48,6 +51,30 @@ def test_every_runner_target_resolves_on_runners():
     assert missing == []
 
 
+def test_every_run_scenario_call_names_its_runs_as_a_list_of_str(monkeypatch):
+    # The tracer stores the second argument of run_scenario as each span's
+    # run id and writes the spans with json.dump.
+    run_ids = []
+    run_scenario = runners.run_scenario
+
+    def recorded(kind, names, *args):
+        run_ids.append(names)
+        return run_scenario(kind, names, *args)
+
+    monkeypatch.setattr(runners, "run_scenario", recorded)
+    config = load_config(CONFIGS / "full-suite.json")
+    sweep = {"parameter": "boost", "start": 0.05, "stop": 0.1, "count": 3}
+    config.scenarios += parse_config({"schema_version": 1, "scenarios": [
+        {"kind": "swp", "name": "swept", "sweep": sweep}]}).scenarios
+    reports = run_config(config)
+    assert len(run_ids) == len(config.scenarios) + 2
+    for names in run_ids:
+        assert isinstance(names, list) and names
+        assert all(isinstance(name, str) for name in names)
+        json.dumps(names)
+    assert [name for names in run_ids for name in names] == [report.name for report in reports]
+
+
 @pytest.mark.parametrize(
     "module, name",
     [(cli, "load_config"), (cli, "run_config"), (swp, "read_pointer"),
@@ -62,10 +89,8 @@ def test_report_writers_take_a_path(method):
     assert "path" in inspect.signature(getattr(RunReport, method)).parameters
 
 
-@pytest.mark.parametrize("prerendered", [False, True])
 @pytest.mark.parametrize("method, render", [("write_json", "json_text"), ("write_csv", "csv_text")])
-def test_each_writer_has_written_its_whole_file_when_it_returns(tmp_path, method, render,
-                                                                 prerendered):
+def test_each_writer_has_written_its_whole_file_when_it_returns(tmp_path, method, render):
     # The tracer reads os.path.getsize(path) right after each writer call.
     report = RunReport(scenario="swp", name="r", parameters={"label": "\u00b5-clock"})
     for i in range(5000):
@@ -74,10 +99,7 @@ def test_each_writer_has_written_its_whole_file_when_it_returns(tmp_path, method
     report.notes.append("\u00fc" * 100)
     text = getattr(report, render)()
     path = tmp_path / f"r.{render}"
-    if prerendered:
-        getattr(report, method)(path, text)
-    else:
-        getattr(report, method)(path)
+    getattr(report, method)(path, text)
     assert os.path.getsize(path) == len(text.encode()) > 100_000
 
 
