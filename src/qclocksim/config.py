@@ -9,9 +9,10 @@ shares.  Validation is strict and front-loaded: unknown keys, wrong types,
 and physically out-of-regime parameters are all rejected here with the
 offending JSON path in the message.
 
-Loading also plans every run: the kind's plan function builds the run's
-engine objects (spectrum, SWP clock and profile, trap, grid packet) with
-the engine's own constructors and checks, and the runners execute those
+Loading also plans every run: each parameter's own check (its ParamSpec's)
+refuses a bad value at its JSON path, then the kind's plan function builds
+the run's engine objects (spectrum, SWP clock and profile, trap, grid
+packet) with the engine's own constructors, and the runners execute those
 objects.  A run can still fail at runtime, as when a grid evolution's
 packet reaches the box edge.
 
@@ -29,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError, WraparoundError
+from .errors import ConfigError, WraparoundError
 from .runners import KINDS, ParamSpec
 from .units import (
     beta_from_velocity,
@@ -160,9 +161,11 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
 
 def _plan_runs(spec: ScenarioSpec, where: str) -> list:
     """Each run's plan, in expand() order.  The runs of a sweep differ only in
-    the swept parameter, so runs share a plan unless the plan reads it, and a
-    run check sees every run only when it names that parameter.  The kicks
-    of all runs are then checked as one batch."""
+    the swept parameter, so each parameter's own check sees the first run,
+    and every run only for the swept parameter; it refuses a value at
+    `.params.<key>` before any plan reads it.  Runs share a plan unless the
+    plan reads the swept parameter.  The kicks of all runs are then checked
+    as one batch."""
     kind = KINDS[spec.kind]
     swept = spec.sweep and spec.sweep.parameter
     runs = spec.expand()
@@ -173,18 +176,18 @@ def _plan_runs(spec: ScenarioSpec, where: str) -> list:
         except (ValueError, WraparoundError) as exc:
             # A batched RegimeError says which run left the regime.
             name = runs[run if getattr(exc, "run", None) is None else exc.run][0]
-            regime = "RegimeGuard: " if isinstance(exc, RegimeError) else ""
-            raise ConfigError(f"{where}{field} (run {name!r}): {regime}{exc}") from exc
+            raise ConfigError(f"{where}{field} (run {name!r}): {exc}") from exc
 
     built, plans = {}, []
     for run, (_, params) in enumerate(runs):
+        for name in kind.params if run == 0 else (swept,):
+            check = kind.params[name].check
+            if check is not None and params[name] is not None:
+                at(run, f".params.{name}", check, params[name])
         key = params[swept] if swept in kind.plan_reads else None
         if key not in built:
             built[key] = kind.plan(params, partial(at, run))
         plans.append(built[key])
-        for name, check in kind.run_checks:
-            if run == 0 or name == swept:
-                at(run, f".params.{name}", check, params[name])
     if kind.kicks is not None:
         kind.kicks([params for _, params in runs], plans, partial(at, 0))
     return plans

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectrum import InternalSpectrum
+from .units import require_positive
 
 # Lattice sites on each side of the box whose probability counts as edge mass.
 EDGE_SITES = 4
@@ -84,11 +85,6 @@ def require_lattice_size(size: int) -> None:
         raise ValueError(f"lattice size {size!r} must be a positive power of two")
 
 
-def require_positive_length(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
 def gaussian_grid_state(
     spectrum: InternalSpectrum,
     size: int = 256,
@@ -104,8 +100,8 @@ def gaussian_grid_state(
     the box, leaving room for boost kicks and drifts.
     """
     require_lattice_size(size)
-    require_positive_length("box_length", box_length)
-    require_positive_length("sigma", sigma)
+    require_positive("box_length", box_length)
+    require_positive("sigma", sigma)
     x = (np.arange(size) - size // 2) * (box_length / size)
     packet = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x)
     amps = np.ones(spectrum.dim, dtype=complex)[:, None] * packet[None, :]

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import WraparoundError
 from .grid import EDGE_SITES, GridState
 from .operators import total_energy
-from .sequences import require_positive_duration
+from .units import require_positive
 
 # Probability near the box edge that aborts a grid evolution.
 ABORT_EDGE_MASS = 1e-12
@@ -203,7 +203,7 @@ def accelerated_frame_trotter(
     The steps increase, so after n rounds the leading block is finished and
     leaves; each row sees the same operations as a product run on its own.
     """
-    require_positive_duration(duration)
+    require_positive("duration", duration)
     steps = trotter_steps(steps)
     exact = evolve_linear_potential(state, acceleration, duration)
     levels = state.spectrum.dim

@@ -43,6 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridTooNarrowError, IntegrationError
+from .units import require_nonnegative, require_positive
 
 # Bound on the relative eigendecomposition residual |H V - V Lambda| / |H|
 # and on the norm defect of the propagated state; both sit near 1e-15.
@@ -68,16 +69,12 @@ class TrapModel:
     fock_cutoff: int | None = None
 
     def __post_init__(self) -> None:
-        if self.transition_energy < 0.0:
-            raise ValueError("transition energy must be nonnegative")
-        if not self.trap_frequency > 0.0:
-            raise ValueError("trap frequency must be positive")
-        if self.fock_index < 0:
-            raise ValueError("fock index must be nonnegative")
+        require_nonnegative("transition energy", self.transition_energy)
+        require_positive("trap frequency", self.trap_frequency)
+        require_nonnegative("fock index", self.fock_index)
         if self.rabi_frequency is None:
             object.__setattr__(self, "rabi_frequency", 0.03 * self.trap_frequency)
-        if not self.rabi_frequency > 0.0:
-            raise ValueError("Rabi frequency must be positive")
+        require_positive("Rabi frequency", self.rabi_frequency)
         if self.fock_cutoff is None:
             object.__setattr__(self, "fock_cutoff", max(self.fock_index + 10, 32))
         if self.fock_cutoff < self.fock_index + 10:
@@ -299,11 +296,6 @@ def require_scan_points(points: int) -> None:
         raise ValueError("a peak extraction needs at least 5 scan points")
 
 
-def require_span_factor(span_factor: float) -> None:
-    if not span_factor > 0.0:
-        raise ValueError(f"span factor must be positive, got {span_factor!r}")
-
-
 def spectroscopy_scan(
     model: TrapModel,
     points: int = 61,
@@ -318,7 +310,7 @@ def spectroscopy_scan(
     the predicted value is a genuine check.
     """
     require_scan_points(points)
-    require_span_factor(span_factor)
+    require_positive("span factor", span_factor)
     oracle = branch_spectrum_oracle(model)
     center = oracle.carrier_shift
     half_span = span_factor * max(abs(center), 1e-3 * model.rabi_frequency)

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridState, gaussian_grid_state, require_lattice_size, require_positive_length
+from .grid import GridState, gaussian_grid_state, require_lattice_size
 from .gridops import (
     _require_inside,
     accelerated_frame_trotter,
@@ -36,12 +36,7 @@ from .gridops import (
     impulsive_boost_limit,
     trotter_steps,
 )
-from .ionclock import (
-    TrapModel,
-    require_scan_points,
-    require_span_factor,
-    spectroscopy_scan,
-)
+from .ionclock import TrapModel, require_scan_points, spectroscopy_scan
 from .operators import VelocityBoost, apply_operator, trace_chain
 from .report import RunReport
 from .sequences import (
@@ -49,7 +44,6 @@ from .sequences import (
     build_sequence,
     default_probe,
     entanglement_frame_demo,
-    require_positive_duration,
     require_two_levels,
     run_sequence,
 )
@@ -62,31 +56,34 @@ from .swp import (
     require_tick_resolution,
     require_tick_window,
 )
-from .units import check_epsilons, check_kicks
+from .units import check_epsilons, check_kicks, require_nonnegative, require_positive
 
 
 @dataclass(frozen=True)
 class ParamSpec:
     """One parameter: its type (float, int, bool, str, list[float] or
-    list[int]), its default, whether a sweep may vary it, and for a string
-    the values it may take."""
+    list[int]), its default, whether a sweep may vary it, for a string the
+    values it may take, and the rule its value alone must meet: `check(value)`
+    raises ValueError for a value the engine refuses, and is not called on
+    None, which asks for the engine's default."""
 
     type: object
     default: object
     sweepable: bool = False
     choices: tuple = ()
+    check: Callable | None = None
 
 
 @dataclass(frozen=True)
 class Kind:
     """Everything that defines one scenario kind.
 
-    `plan(params, at)` builds one run's engine objects with the engine's own
-    constructors and checks; `at(field, check, *args)` applies one of them,
-    and a refusal becomes a ConfigError at the scenario's JSON path plus
-    field.  The runs of a sweep share a plan unless the swept parameter is
-    one of `plan_reads`; each (parameter, check) of `run_checks` sees the
-    first run, and every run when it names the swept parameter.
+    Each parameter's own rule is the `check` of its ParamSpec.  `plan(params,
+    at)` builds one run's engine objects with the engine's own constructors,
+    and checks the rules that read more than one parameter or a built object;
+    `at(field, check, *args)` applies one of them, and a refusal becomes a
+    ConfigError at the scenario's JSON path plus field.  The runs of a sweep
+    share a plan unless the swept parameter is one of `plan_reads`.
     `kicks(runs, plans, at)` holds the momenta that all runs' kicks reach to
     the engine's regime check, as one batch.  `run(reports, runs, plans,
     tolerances)` fills the reports of one job, one per run: all runs of a
@@ -98,7 +95,6 @@ class Kind:
     plan: Callable
     run: Callable
     plan_reads: tuple = ()
-    run_checks: tuple = ()
     kicks: Callable | None = None
     batches: bool = False
 
@@ -111,14 +107,28 @@ def _drive_kicks(key: str, momenta: Callable, runs: list, plans: list, at) -> No
 
 
 def _require_drive(value: float) -> None:
+    """With no boost nothing dilates, the observer's global phase is 0, both
+    reference boosts of the impulse are the identity and the entanglement
+    demo's state stays a product; with no acceleration the product formula
+    is exact and its halving ratios are roundoff."""
     if value == 0.0:
         raise ValueError("must be nonzero: with no drive the run's checks have nothing to measure")
 
 
+def _require_transition_energy(energy: float) -> None:
+    require_nonnegative("transition energy", energy)
+    check_epsilons([energy])
+
+
+def _positive(name: str) -> Callable:
+    return partial(require_positive, name)
+
+
 def _plan_spectrum(params: dict, at) -> InternalSpectrum:
+    """The levels of a run; the top level of a ladder reads `levels` too."""
     if params.get("epsilons") is not None:
-        return at("", make_spectrum, params["epsilons"])
-    return at("", ladder_spectrum, params["levels"], params["spacing"])
+        return at(".params.epsilons", make_spectrum, params["epsilons"])
+    return at(".params.spacing", ladder_spectrum, params["levels"], params["spacing"])
 
 
 def _twin_kicks(sequence: SequenceKind, runs: list, spectra: list, at) -> None:
@@ -194,20 +204,19 @@ def _run_twin(sequence: SequenceKind, reports: list, runs: list, spectra: list,
         )
 
 
-def _twin(sequence: SequenceKind, boost: float, run_checks=(), **params) -> Kind:
+def _twin(sequence: SequenceKind, boost: float, **params) -> Kind:
     return Kind(
         params={
-            "levels": ParamSpec(int, 2),
-            "spacing": ParamSpec(float, 0.1, sweepable=True),
+            "levels": ParamSpec(int, 2, check=_positive("levels")),
+            "spacing": ParamSpec(float, 0.1, sweepable=True, check=_positive("spacing")),
             "epsilons": ParamSpec(list[float], None),
-            "boost": ParamSpec(float, boost, sweepable=True),
-            "duration": ParamSpec(float, 2.0, sweepable=True),
+            "boost": ParamSpec(float, boost, sweepable=True, check=_require_drive),
+            "duration": ParamSpec(float, 2.0, sweepable=True, check=_positive("duration")),
             "probe_momenta": ParamSpec(list[float], (0.0, 0.1)),
             **params,
         },
         tolerances={"identity_residual": 1e-12, "closed_form_fidelity": 1e-12},
         plan=_plan_spectrum, plan_reads=("spacing",), run=partial(_run_twin, sequence),
-        run_checks=(("duration", require_positive_duration), *run_checks),
         kicks=partial(_twin_kicks, sequence), batches=True,
     )
 
@@ -228,9 +237,9 @@ def _plan_swp(params: dict, at) -> tuple:
     and resolution in time units."""
     spectrum = None
     if params["profile"] == "momentum-nonclassical":
-        spectrum = at("", ladder_spectrum, params["dim"], params["spacing"])
-    clock = at("", SWPClock, dim=params["dim"], omega0=params["omega0"])
-    profile = at("", _swp_profile, params, spectrum)
+        spectrum = at(".params.spacing", ladder_spectrum, params["dim"], params["spacing"])
+    clock = SWPClock(dim=params["dim"], omega0=params["omega0"])
+    profile = at(".params.boost", _swp_profile, params, spectrum)
     window = tuple(w * clock.tau for w in params["window_in_tau"])
     resolution = params["resolution_in_tau"] * clock.tau
     at(".params.window_in_tau", require_tick_window, window, clock.tau)
@@ -288,14 +297,12 @@ def _run_swp(report: RunReport, params: dict, plan: tuple, tol: dict) -> None:
 
 
 def _plan_ion(params: dict, at) -> TrapModel:
-    at("", check_epsilons, [params["transition_energy"]])
-    model = at("", TrapModel, transition_energy=params["transition_energy"],
-               trap_frequency=params["trap_frequency"], lamb_dicke=params["lamb_dicke"],
-               fock_index=params["fock_index"], rabi_frequency=params["rabi_frequency"],
-               fock_cutoff=params["fock_cutoff"])
-    at(".params.points", require_scan_points, params["points"])
-    at(".params.span_factor", require_span_factor, params["span_factor"])
-    return model
+    """The trap; once every parameter has met its own rule, only the cutoff
+    against the Fock index is left for the constructor to refuse."""
+    return at(".params.fock_cutoff", TrapModel, transition_energy=params["transition_energy"],
+              trap_frequency=params["trap_frequency"], lamb_dicke=params["lamb_dicke"],
+              fock_index=params["fock_index"], rabi_frequency=params["rabi_frequency"],
+              fock_cutoff=params["fock_cutoff"])
 
 
 def _run_ion(report: RunReport, params: dict, model, tol: dict) -> None:
@@ -337,18 +344,13 @@ def _run_ion(report: RunReport, params: dict, model, tol: dict) -> None:
     )
 
 
-def _plan_grid(schedule: str, check, params: dict, at) -> GridState:
-    """The initial wavepacket of a trotter-accel or impulse-boost run; the
-    engine's `check` of its `schedule` parameter."""
-    at(".params.grid_size", require_lattice_size, params["grid_size"])
-    for length in ("box_length", "sigma"):
-        at(f".params.{length}", require_positive_length, length, params[length])
-    state = at("", gaussian_grid_state, _plan_spectrum(params, at), size=params["grid_size"],
-               box_length=params["box_length"], sigma=params["sigma"],
-               momentum=params.get("momentum", 0.0))
+def _plan_grid(params: dict, at) -> GridState:
+    """The initial wavepacket of a trotter-accel or impulse-boost run."""
+    state = gaussian_grid_state(_plan_spectrum(params, at), size=params["grid_size"],
+                                box_length=params["box_length"], sigma=params["sigma"],
+                                momentum=params.get("momentum", 0.0))
     # The grid engines refuse a packet that already reaches the box edge.
     at(".params.box_length", _require_inside, state, "initial state")
-    at(f".params.{schedule}", check, params[schedule])
     return state
 
 
@@ -425,17 +427,11 @@ def _each(fill: Callable) -> Callable:
 def _grid_params(**params) -> dict:
     return {
         **params,
-        "box_length": ParamSpec(float, 64.0),
-        "sigma": ParamSpec(float, 3.5),
-        "levels": ParamSpec(int, 2),
-        "spacing": ParamSpec(float, 0.1),
+        "box_length": ParamSpec(float, 64.0, check=_positive("box_length")),
+        "sigma": ParamSpec(float, 3.5, check=_positive("sigma")),
+        "levels": ParamSpec(int, 2, check=_positive("levels")),
+        "spacing": ParamSpec(float, 0.1, check=_positive("spacing")),
     }
-
-
-def _plan_entanglement(params: dict, at) -> InternalSpectrum:
-    spectrum = _plan_spectrum(params, at)
-    at(".params.levels", require_two_levels, spectrum)
-    return spectrum
 
 
 def _entanglement_kicks(runs: list, spectra: list, at) -> None:
@@ -475,17 +471,15 @@ KINDS = {
         state_dependent_translation=ParamSpec(bool, False),
     ),
     "twin-velocity": _twin(SequenceKind.VELOCITY_CLOCK, boost=0.01),
-    # At zero boost the observer's global phase is zero: its sign shows nothing.
-    "twin-observer": _twin(SequenceKind.VELOCITY_OBSERVER, boost=0.01,
-                           run_checks=(("boost", _require_drive),)),
+    "twin-observer": _twin(SequenceKind.VELOCITY_OBSERVER, boost=0.01),
     "swp": Kind(
         params={
-            "dim": ParamSpec(int, 8),
-            "omega0": ParamSpec(float, 1.0, sweepable=True),
+            "dim": ParamSpec(int, 8, check=require_two_levels),
+            "omega0": ParamSpec(float, 1.0, sweepable=True, check=_positive("omega0")),
             "profile": ParamSpec(str, "momentum-nonclassical", choices=(
                 "none", "velocity-classical", "observer-classical", "momentum-nonclassical")),
             "boost": ParamSpec(float, 0.1, sweepable=True),
-            "spacing": ParamSpec(float, 0.01, sweepable=True),
+            "spacing": ParamSpec(float, 0.01, sweepable=True, check=_positive("spacing")),
             "window_in_tau": ParamSpec(list[float], (0.5, 3.5)),
             "resolution_in_tau": ParamSpec(float, 1.0 / 64.0),
         },
@@ -503,12 +497,14 @@ KINDS = {
     ),
     "ion-spectroscopy": Kind(
         params={
-            "transition_energy": ParamSpec(float, 1e-3, sweepable=True),
-            "trap_frequency": ParamSpec(float, 1e-5, sweepable=True),
-            "fock_index": ParamSpec(int, 0),
-            "points": ParamSpec(int, 61),
-            "span_factor": ParamSpec(float, 4.0),
-            "rabi_frequency": ParamSpec(float, None),
+            "transition_energy": ParamSpec(float, 1e-3, sweepable=True,
+                                           check=_require_transition_energy),
+            "trap_frequency": ParamSpec(float, 1e-5, sweepable=True,
+                                        check=_positive("trap frequency")),
+            "fock_index": ParamSpec(int, 0, check=partial(require_nonnegative, "fock index")),
+            "points": ParamSpec(int, 61, check=require_scan_points),
+            "span_factor": ParamSpec(float, 4.0, check=_positive("span factor")),
+            "rabi_frequency": ParamSpec(float, None, check=_positive("Rabi frequency")),
             "lamb_dicke": ParamSpec(float, 0.05),
             "fock_cutoff": ParamSpec(int, None),
         },
@@ -522,46 +518,41 @@ KINDS = {
     ),
     "trotter-accel": Kind(
         params=_grid_params(
-            acceleration=ParamSpec(float, 0.02, sweepable=True),
-            duration=ParamSpec(float, 2.0, sweepable=True),
-            steps=ParamSpec(list[int], (32, 64, 128, 256, 512)),
-            grid_size=ParamSpec(int, 256),
+            acceleration=ParamSpec(float, 0.02, sweepable=True, check=_require_drive),
+            duration=ParamSpec(float, 2.0, sweepable=True, check=_positive("duration")),
+            steps=ParamSpec(list[int], (32, 64, 128, 256, 512), check=trotter_steps),
+            grid_size=ParamSpec(int, 256, check=require_lattice_size),
             momentum=ParamSpec(float, 0.0),
         ),
         tolerances={"halving_ratio_low": 1.6, "halving_ratio_high": 2.4, "terminal_error": 1e-4},
-        plan=partial(_plan_grid, "steps", trotter_steps), run=_each(_run_trotter),
-        # With no force the product is exact, and its halving ratios are roundoff.
-        run_checks=(("duration", require_positive_duration), ("acceleration", _require_drive)),
+        plan=_plan_grid, run=_each(_run_trotter),
         # The frame's kicks add up to -M_n a T on the packet's momentum.
         kicks=partial(_drive_kicks, "acceleration", lambda p, state: p["momentum"]
                       - state.spectrum.masses * p["acceleration"] * p["duration"]),
     ),
     "impulse-boost": Kind(
         params=_grid_params(
-            boost=ParamSpec(float, 0.01, sweepable=True),
-            dt_schedule=ParamSpec(list[float], (1e-1, 1e-2, 1e-3, 1e-4)),
+            boost=ParamSpec(float, 0.01, sweepable=True, check=_require_drive),
+            dt_schedule=ParamSpec(list[float], (1e-1, 1e-2, 1e-3, 1e-4),
+                                  check=impulse_durations),
             internal_coupled=ParamSpec(bool, True),
-            grid_size=ParamSpec(int, 128),
+            grid_size=ParamSpec(int, 128, check=require_lattice_size),
         ),
         tolerances={"decade_ratio_low": 8.0, "decade_ratio_high": 12.0},
-        plan=partial(_plan_grid, "dt_schedule", impulse_durations), run=_each(_run_impulse),
-        # With no boost both references are the identity: the schedule measures
-        # only free evolution, whatever the coupling.
-        run_checks=(("boost", _require_drive),),
+        plan=_plan_grid, run=_each(_run_impulse),
         # The pulse's ideal limit is a velocity boost: branch n ends at M_n v.
         kicks=partial(_drive_kicks, "boost", lambda p, state: state.spectrum.masses * p["boost"]),
     ),
     "entanglement-demo": Kind(
         params={
-            "levels": ParamSpec(int, 2),
-            "spacing": ParamSpec(float, 0.1, sweepable=True),
+            "levels": ParamSpec(int, 2, check=require_two_levels),
+            "spacing": ParamSpec(float, 0.1, sweepable=True, check=_positive("spacing")),
             "momentum": ParamSpec(float, 0.1),
-            "boost": ParamSpec(float, 0.01, sweepable=True),
+            "boost": ParamSpec(float, 0.01, sweepable=True, check=_require_drive),
         },
         tolerances={"entropy_abs": 1e-10},
-        plan=_plan_entanglement, plan_reads=("spacing",), run=_run_entanglement, batches=True,
-        # With no boost the state stays a product: nothing becomes entangled.
-        run_checks=(("boost", _require_drive),), kicks=_entanglement_kicks,
+        plan=_plan_spectrum, plan_reads=("spacing",), run=_run_entanglement, batches=True,
+        kicks=_entanglement_kicks,
     ),
 }
 

@@ -55,7 +55,7 @@ from .states import (
     internal_superposition,
     reduced_internal_entropy,
 )
-from .units import MAX_TOTAL_PHASE
+from .units import MAX_TOTAL_PHASE, require_positive
 
 
 class SequenceKind(enum.Enum):
@@ -207,11 +207,6 @@ def _run_columns(spectrum: InternalSpectrum, *values):
     return runs, values
 
 
-def require_positive_duration(duration) -> None:
-    if np.any(np.asarray(duration) <= 0.0):
-        raise ValueError("duration must be positive")
-
-
 def run_sequence(
     kind: SequenceKind,
     spectrum: InternalSpectrum,
@@ -233,7 +228,7 @@ def run_sequence(
     fidelity_deviation measure the run against the closed form, evaluated
     independently, for the caller to grade.
     """
-    require_positive_duration(duration)
+    require_positive("duration", duration)
     probe = probe if probe is not None else default_probe(spectrum)
     if probe.spectrum != spectrum:
         raise ValueError("probe was built on a different spectrum")
@@ -335,9 +330,10 @@ class FrameEntanglement:
     state_before: PlaneWaveState = field(repr=False)
 
 
-def require_two_levels(spectrum: InternalSpectrum) -> None:
-    if spectrum.dim < 2:
-        raise ValueError("frame-dependent entanglement needs at least two levels")
+def require_two_levels(dim: int) -> None:
+    """A pointer clock and frame-dependent entanglement both need a second level."""
+    if dim < 2:
+        raise ValueError(f"at least two levels are needed, got {dim!r}")
 
 
 def entanglement_frame_demo(
@@ -353,7 +349,7 @@ def entanglement_frame_demo(
     k equally weighted levels the entropy lands on ln k.  v_b may hold one
     boost per run and spectrum may be a stack, as in ``run_sequence``.
     """
-    require_two_levels(spectrum)
+    require_two_levels(spectrum.dim)
     _, (v_b,) = _run_columns(spectrum, v_b)
     before = internal_superposition(spectrum, momentum)
     after = apply_operator(before, VelocityBoost(v_b))

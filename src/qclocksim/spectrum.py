@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import check_epsilons
+from .units import check_epsilons, require_positive
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,6 @@ def make_spectrum(epsilons) -> InternalSpectrum:
 
 def ladder_spectrum(dim: int, spacing: float) -> InternalSpectrum:
     """Equally spaced levels epsilon_n = n * spacing, n = 0 .. dim-1."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if spacing <= 0.0 and dim > 1:
-        raise ValueError("spacing must be positive")
+    require_positive("dim", dim)
+    require_positive("spacing", spacing)
     return make_spectrum([n * spacing for n in range(dim)])

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import SequenceKind, closed_dilation_factor
+from .sequences import SequenceKind, closed_dilation_factor, require_two_levels
 from .spectrum import InternalSpectrum
+from .units import require_positive
 
 # Relative bracket width at which tick refinement stops, in units of tau.
 TICK_REFINE_TOL = 1e-9
@@ -49,10 +50,8 @@ class SWPClock:
     omega0: float
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError("a pointer clock needs at least two levels")
-        if not self.omega0 > 0.0:
-            raise ValueError("level spacing omega0 must be positive")
+        require_two_levels(self.dim)
+        require_positive("omega0", self.omega0)
 
     @property
     def tau(self) -> float:

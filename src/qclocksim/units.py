@@ -12,7 +12,9 @@ dimensionless ratios
 The model expands kinetic terms to first order in p^2/(m M c^2), so it is only
 trustworthy while internal energies and momenta stay small.  check_epsilons
 and check_kicks enforce that: every level or kick outside the bounds raises
-RegimeError, in the engine and at config validation alike.
+RegimeError, in the engine and at config validation alike.  require_positive
+and require_nonnegative are the sign rules of every positive or nonnegative
+input, NaN refused.
 """
 
 from __future__ import annotations
@@ -39,6 +41,17 @@ MAX_TOTAL_PHASE = 1.0e6
 # choices, not physics constants.
 EPS_MAX = 0.2
 KAPPA_MAX = 0.1
+
+
+def require_positive(name: str, value) -> None:
+    """Refuse a value, or an array with an entry, that is not positive (NaN included)."""
+    if not np.all(np.asarray(value) > 0.0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def require_nonnegative(name: str, value) -> None:
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 def check_epsilons(epsilons) -> None:

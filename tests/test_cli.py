@@ -240,8 +240,9 @@ def test_regime_violation_is_a_config_error(tmp_path, capsys):
     path = _write_config(tmp_path / "fast.json", config)
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err
-    assert "RegimeGuard" in err
+    assert ("config error: scenarios[0].params.boost (run 'too-fast'): MomentumBoost: "
+            "squared momentum ratio 0.81 >= kappa_max = 0.1; results are outside the "
+            "model's validity regime") in err
 
 
 def test_epsilon_at_the_guard_limit_is_refused_at_validation(tmp_path, capsys):
@@ -260,26 +261,34 @@ def test_epsilon_at_the_guard_limit_is_refused_at_validation(tmp_path, capsys):
     path = _write_config(tmp_path / "limit.json", config)
     assert main(["validate", path]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err
-    assert "scenarios[0] (run 'at-limit')" in err
-    assert "eps_max" in err
+    assert ("config error: scenarios[0].params.epsilons (run 'at-limit'): internal energy "
+            "ratio 0.2 >= eps_max = 0.2") in err
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
-    "params",
-    [{"epsilons": [0.0, 0.1, 0.05]}, {"spacing": -0.1}, {"levels": 0}],
-    ids=["unsorted-epsilons", "negative-spacing", "no-levels"],
+    "params, key, message",
+    [({"epsilons": [0.0, 0.1, 0.05]}, "epsilons", "levels must increase strictly"),
+     ({"spacing": -0.1}, "spacing", "spacing must be positive, got -0.1"),
+     ({"levels": 0}, "levels", "levels must be positive, got 0"),
+     ({"levels": 1, "spacing": 0.0}, "spacing", "spacing must be positive, got 0.0"),
+     ({"levels": 3, "spacing": 0.1}, "spacing", "internal energy ratio 0.2 >= eps_max")],
+    ids=["unsorted-epsilons", "negative-spacing", "no-levels", "one-level-no-spacing",
+         "ladder-at-the-guard-limit"],
 )
-def test_a_spectrum_the_engine_refuses_is_refused_at_validation(tmp_path, capsys, params):
+def test_a_spectrum_the_engine_refuses_is_refused_at_validation(
+    tmp_path, capsys, params, key, message
+):
+    # A one-level ladder has no gap for its spacing to set, but a spacing is
+    # positive whatever the level count, as the library's ladder_spectrum holds.
     config = {
         "schema_version": 1,
         "scenarios": [{"kind": "twin-momentum", "name": "bad", "params": params}],
     }
     path = _write_config(tmp_path / "bad.json", config)
     assert main(["validate", path]) == 2
-    assert "scenarios[0] (run 'bad')" in capsys.readouterr().err
+    assert f"scenarios[0].params.{key} (run 'bad'): {message}" in capsys.readouterr().err
     assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 
@@ -337,24 +346,29 @@ def test_a_level_choice_the_engine_refuses_is_refused_at_validation(
 @pytest.mark.parametrize(
     "kind, params, message",
     [
-        ("swp", {"dim": 1}, "at least two levels"),
-        ("swp", {"omega0": 0.0}, "omega0 must be positive"),
-        ("ion-spectroscopy", {"fock_cutoff": 5}, "fock cutoff"),
+        ("swp", {"dim": 1}, "at least two levels are needed, got 1"),
+        ("swp", {"omega0": 0.0}, "omega0 must be positive, got 0.0"),
+        ("ion-spectroscopy", {"fock_cutoff": 5}, "fock cutoff must exceed"),
         ("ion-spectroscopy", {"trap_frequency": -1e-5}, "trap frequency must be positive"),
+        ("ion-spectroscopy", {"fock_index": -1}, "fock index must be nonnegative, got -1"),
+        ("ion-spectroscopy", {"rabi_frequency": 0.0}, "Rabi frequency must be positive"),
+        ("ion-spectroscopy", {"transition_energy": -1e-3}, "transition energy must be nonneg"),
+        ("ion-spectroscopy", {"transition_energy": 0.2}, "internal energy ratio 0.2 >= eps_max"),
     ],
-    ids=["swp-one-level", "swp-zero-omega0", "ion-low-cutoff", "ion-negative-trap"],
+    ids=["swp-one-level", "swp-zero-omega0", "ion-low-cutoff", "ion-negative-trap",
+         "ion-negative-fock-index", "ion-zero-rabi", "ion-negative-energy", "ion-energy-at-limit"],
 )
 def test_a_clock_the_engine_refuses_is_refused_at_validation(
     tmp_path, capsys, kind, params, message
 ):
-    # Loading the config builds the clock and the trap that the runners
-    # execute, so the constructors' refusals stop the run before it starts.
+    # Loading the config checks each parameter with the rule its constructor
+    # applies, and then builds the clock and the trap that the runners
+    # execute; every refusal stops the run before it starts, at the parameter.
+    [key] = params
     config = {"schema_version": 1, "scenarios": [{"kind": kind, "name": "bad", "params": params}]}
     config_path = _write_config(tmp_path / "bad.json", config)
     assert main(["validate", config_path]) == 2
-    err = capsys.readouterr().err
-    assert "scenarios[0] (run 'bad')" in err
-    assert message in err
+    assert f"scenarios[0].params.{key} (run 'bad'): {message}" in capsys.readouterr().err
     assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 
@@ -459,10 +473,12 @@ def test_a_duration_sweep_that_reaches_zero_is_refused_at_the_run(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
-def test_a_run_check_sees_every_run_only_when_the_sweep_varies_its_parameter(monkeypatch):
-    # On the benchmark's fanout layout the three twin sweeps vary the boost:
-    # their one duration is checked once each, while the swept boosts of the
-    # observer and entanglement sweeps are checked run by run.
+def test_a_parameter_check_sees_every_run_only_when_the_sweep_varies_its_parameter(
+    monkeypatch
+):
+    # On the benchmark's fanout layout the four plane-wave sweeps vary the
+    # boost: each swept boost is checked run by run, while every other
+    # checked parameter is checked once per scenario, swept or not.
     calls = {}
 
     def counted(kind, name, check):
@@ -472,36 +488,41 @@ def test_a_run_check_sees_every_run_only_when_the_sweep_varies_its_parameter(mon
         return wrapper
 
     for kind, record in runners_module.KINDS.items():
-        checks = tuple((name, counted(kind, name, check)) for name, check in record.run_checks)
-        monkeypatch.setitem(runners_module.KINDS, kind, replace(record, run_checks=checks))
+        params = {name: replace(spec, check=counted(kind, name, spec.check))
+                  if spec.check is not None else spec for name, spec in record.params.items()}
+        monkeypatch.setitem(runners_module.KINDS, kind, replace(record, params=params))
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     parse_config(workloads.generate("fanout", 1))
+    twins = ("twin-momentum", "twin-velocity", "twin-observer")
     assert calls == {
-        ("twin-momentum", "duration"): 1,
-        ("twin-velocity", "duration"): 1,
-        ("twin-observer", "duration"): 1,
-        ("twin-observer", "boost"): workloads.FANOUT_SWEEP_COUNT,
-        ("entanglement-demo", "boost"): workloads.FANOUT_SWEEP_COUNT,
+        **{(kind, name): 1 for kind in twins for name in ("levels", "spacing", "duration")},
+        **{(kind, "boost"): workloads.FANOUT_SWEEP_COUNT for kind in (*twins, "entanglement-demo")},
+        ("entanglement-demo", "levels"): 1,
+        ("entanglement-demo", "spacing"): 1,
+        **{("swp", name): len(workloads.FANOUT_SWP_DIMS) for name in ("dim", "omega0", "spacing")},
     }
 
 
 @pytest.mark.parametrize(
     "kind, key, sweep",
-    [("twin-observer", "boost", None), ("trotter-accel", "acceleration", None),
+    [("twin-momentum", "boost", None), ("twin-velocity", "boost", None),
+     ("twin-observer", "boost", None), ("trotter-accel", "acceleration", None),
      ("impulse-boost", "boost", None), ("entanglement-demo", "boost", None),
+     ("twin-momentum", "boost", (0.05, -0.05)), ("twin-velocity", "boost", (-0.01, 0.01)),
      ("twin-observer", "boost", (-0.01, 0.01)), ("trotter-accel", "acceleration", (0.02, -0.02)),
      ("impulse-boost", "boost", (0.01, -0.01)), ("entanglement-demo", "boost", (-0.01, 0.01))],
-    ids=["observer", "trotter", "impulse", "entanglement",
-         "observer-sweep", "trotter-sweep", "impulse-sweep", "entanglement-sweep"],
+    ids=["momentum", "velocity", "observer", "trotter", "impulse", "entanglement",
+         "momentum-sweep", "velocity-sweep", "observer-sweep", "trotter-sweep", "impulse-sweep",
+         "entanglement-sweep"],
 )
 def test_a_run_with_no_drive_is_refused_at_its_parameter(tmp_path, capsys, kind, key, sweep):
-    # With no boost the observer's global phase is 0 and its sign shows
-    # nothing, the impulse's two reference boosts are the identity, and the
-    # entanglement demo's state stays a product; with no acceleration the
-    # product formula is exact and its halving ratios are roundoff.  A sweep
-    # through 0 is refused at that run.
+    # With no boost no twin dilates, the observer's global phase is 0 and its
+    # sign shows nothing, the impulse's two reference boosts are the
+    # identity, and the entanglement demo's state stays a product; with no
+    # acceleration the product formula is exact and its halving ratios are
+    # roundoff.  A sweep through 0 is refused at that run.
     scenario = {"kind": kind, "name": "idle", "params": {key: 0.0}}
     run = "idle"
     if sweep is not None:
@@ -809,8 +830,9 @@ def test_a_batch_that_leaves_the_regime_is_refused_at_its_first_offending_run(
     for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
         assert main([command[0], path, *command[1:]]) == 2
         err = capsys.readouterr().err
-        assert (f"scenarios[0].params.boost (run {first!r}): RegimeGuard: MomentumBoost: "
+        assert (f"scenarios[0].params.boost (run {first!r}): MomentumBoost: "
                 "squared momentum ratio") in err
+        assert "outside the model's validity regime" in err
     assert not (tmp_path / "out").exists()
 
 

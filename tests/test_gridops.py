@@ -191,13 +191,20 @@ def test_trotter_steps_validation():
             accelerated_frame_trotter(state, 0.02, 1.0, steps=steps)
 
 
-@pytest.mark.parametrize("duration", [0.0, -2.0])
+@pytest.mark.parametrize("duration", [0.0, -2.0, float("nan")])
 def test_trotter_refuses_a_duration_that_does_not_run_forward(duration):
     # A negative duration runs both the product and the exact evolution
-    # backward, where every convergence check still passes.
+    # backward, where every convergence check still passes; a NaN one
+    # returns NaN errors.
     state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0)
     with pytest.raises(ValueError, match="duration must be positive"):
         accelerated_frame_trotter(state, 0.02, duration, steps=(2, 4))
+
+
+def test_trotter_refuses_a_nan_duration_on_the_default_packet():
+    state = gaussian_grid_state(ladder_spectrum(2, 0.1))
+    with pytest.raises(ValueError, match="^duration must be positive, got nan$"):
+        accelerated_frame_trotter(state, 0.02, float("nan"), steps=(32, 64))
 
 
 def _sequential_trotter_errors(state, acceleration, duration, steps):

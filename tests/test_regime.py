@@ -62,7 +62,7 @@ def test_a_probe_that_a_small_boost_kicks_out_of_the_regime_is_refused(tmp_path,
     for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
         assert main([command[0], path, *command[1:]]) == 2
         err = capsys.readouterr().err
-        assert ("scenarios[0].params.boost (run 'b'): RegimeGuard: MomentumBoost: "
+        assert ("scenarios[0].params.boost (run 'b'): MomentumBoost: "
                 "squared momentum ratio 0.16 >= kappa_max") in err
     assert not (tmp_path / "out").exists()
 
@@ -75,7 +75,7 @@ def test_a_spacing_sweep_is_checked_on_each_run_s_own_masses(tmp_path, capsys):
                 "params": {"boost": 0.025, "probe_momenta": [0.0, 0.29]},
                 "sweep": {"parameter": "spacing", "start": 0.01, "stop": 0.09, "count": 5}}
     assert main(["validate", _write(tmp_path, scenario)]) == 2
-    assert ("scenarios[0].params.boost (run 'x-2'): RegimeGuard: VelocityBoost: "
+    assert ("scenarios[0].params.boost (run 'x-2'): VelocityBoost: squared momentum ratio "
             in capsys.readouterr().err)
     scenario["sweep"]["stop"] = 0.04
     assert main(["validate", _write(tmp_path, scenario)]) == 0
@@ -114,8 +114,9 @@ def test_a_kick_just_outside_the_regime_is_refused_at_load(tmp_path, capsys, kin
     path = _write(tmp_path, {"kind": kind, "name": "outside", "params": params})
     assert main(["validate", path]) == 2
     err = capsys.readouterr().err
-    assert f"scenarios[0].params.{key} (run 'outside'): RegimeGuard: " in err
-    assert "squared momentum ratio 0.1 >= kappa_max = 0.1" in err
+    assert f"scenarios[0].params.{key} (run 'outside'): " in err
+    assert ("squared momentum ratio 0.1 >= kappa_max = 0.1; results are outside the model's "
+            "validity regime") in err
 
 
 _MOMENTUM = st.floats(-0.4, 0.4, allow_subnormal=False)
@@ -142,8 +143,8 @@ def test_validation_accepts_a_twin_sweep_iff_the_strict_engine_guard_runs_it(
         parse_config({"schema_version": 1, "scenarios": [scenario]})
         refused = None
     except ConfigError as exc:
-        assume("must be nonzero" not in str(exc))  # an observer run with no boost
-        assert "RegimeGuard" in str(exc)
+        assume("must be nonzero" not in str(exc))  # a run with no boost
+        assert "outside the model's validity regime" in str(exc)
         refused = str(exc)
     spectrum = ladder_spectrum(2, spacing)
     probe = default_probe(spectrum, momenta, (0, 1))

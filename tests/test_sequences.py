@@ -185,10 +185,13 @@ def test_probe_must_anchor_on_the_ground_level():
         run_sequence(SequenceKind.MOMENTUM, spec, 0.1, 2.0, probe=probe)
 
 
-def test_duration_must_be_positive():
+@pytest.mark.parametrize("duration", [0.0, -2.0, float("nan"), [2.0, float("nan")]])
+def test_duration_must_be_positive(duration):
+    # NaN compares false both ways: the rule asks for > 0, so a NaN anywhere
+    # in a batch is refused too.
     spec = ladder_spectrum(2, 0.1)
-    with pytest.raises(ValueError):
-        run_sequence(SequenceKind.MOMENTUM, spec, 0.1, 0.0)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        run_sequence(SequenceKind.MOMENTUM, spec, 0.1, duration)
 
 
 def test_runaway_phase_accumulation_is_capped():

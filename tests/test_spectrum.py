@@ -22,6 +22,15 @@ def test_mass_refuses_a_level_outside_the_spectrum(level):
         ladder_spectrum(4, 0.05).mass(level)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("spacing", [0.0, -0.1, float("nan")])
+def test_a_ladder_spacing_that_is_not_positive_is_refused(dim, spacing):
+    # Also for one level, where the spacing sets no gap; a NaN spacing is
+    # refused as a spacing, not later as a NaN level.
+    with pytest.raises(ValueError, match="^spacing must be positive, got "):
+        ladder_spectrum(dim, spacing)
+
+
 def test_ground_level_must_sit_at_zero():
     with pytest.raises(ValueError):
         make_spectrum([0.1, 0.2])
