@@ -43,10 +43,8 @@ from .gridops import (
     velocity_boost_grid,
 )
 from .ionclock import (
-    BranchOracle,
     SpectroscopyResult,
     TrapModel,
-    branch_spectrum_oracle,
     displacement_operator,
     spectroscopy_scan,
     static_hamiltonians,
@@ -64,6 +62,13 @@ from .operators import (
     total_energy,
     trace_chain,
 )
+from .oracles import (
+    BranchOracle,
+    branch_spectrum_oracle,
+    closed_dilation_factor,
+    closed_form_phase,
+    closed_global_phase,
+)
 from .report import RunReport
 from .runners import run_config, run_scenario
 from .sequences import (
@@ -71,9 +76,6 @@ from .sequences import (
     SequenceKind,
     SequenceResult,
     build_sequence,
-    closed_dilation_factor,
-    closed_form_phase,
-    closed_global_phase,
     default_probe,
     entanglement_frame_demo,
     run_sequence,

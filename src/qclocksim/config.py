@@ -159,13 +159,13 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
     return params
 
 
-def _plan_runs(spec: ScenarioSpec, where: str) -> list:
+def _plan_runs(spec: ScenarioSpec, where: str, aliases: dict) -> list:
     """Each run's plan, in expand() order.  The runs of a sweep differ only in
     the swept parameter, so each parameter's own check sees the first run,
     and every run only for the swept parameter; it refuses a value at
-    `.params.<key>` before any plan reads it.  Runs share a plan unless the
-    plan reads the swept parameter.  The kicks of all runs are then checked
-    as one batch."""
+    `.params.<key>`, or at the path `aliases` gives for it, before any plan
+    reads it.  Runs share a plan unless the plan reads the swept parameter.
+    The kicks of all runs are then checked as one batch."""
     kind = KINDS[spec.kind]
     swept = spec.sweep and spec.sweep.parameter
     runs = spec.expand()
@@ -176,7 +176,7 @@ def _plan_runs(spec: ScenarioSpec, where: str) -> list:
         except (ValueError, WraparoundError) as exc:
             # A batched RegimeError says which run left the regime.
             name = runs[run if getattr(exc, "run", None) is None else exc.run][0]
-            raise ConfigError(f"{where}{field} (run {name!r}): {exc}") from exc
+            raise ConfigError(f"{where}{aliases.get(field, field)} (run {name!r}): {exc}") from exc
 
     built, plans = {}, []
     for run, (_, params) in enumerate(runs):
@@ -273,7 +273,10 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
             _require(not given, f"{where}{path}", "cannot be set together with params.epsilons")
 
     spec = ScenarioSpec(name=name, kind=kind, params=params, tolerances=tolerances, sweep=sweep)
-    spec.plans = _plan_runs(spec, where)
+    # A parameter the si block wrote is refused at the si key, unless swept.
+    aliases = {f".params.{_SI_TARGETS[key]}": f".si.{key}" for key in data.get("si", {})
+               if key in _SI_TARGETS and _SI_TARGETS[key] != (sweep and sweep.parameter)}
+    spec.plans = _plan_runs(spec, where, aliases)
     return spec
 
 

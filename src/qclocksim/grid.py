@@ -43,7 +43,7 @@ class GridState:
         if self.amplitudes.shape[0] != self.spectrum.dim:
             raise ValueError("amplitude rows must match the spectrum dimension")
         n = float(np.linalg.norm(self.amplitudes))
-        if abs(n - 1.0) > 1e-12:
+        if not abs(n - 1.0) <= 1e-12:
             raise ValueError(f"grid state norm {n} deviates from 1 beyond 1e-12")
 
     @property
@@ -102,7 +102,13 @@ def gaussian_grid_state(
     require_lattice_size(size)
     require_positive("box_length", box_length)
     require_positive("sigma", sigma)
-    x = (np.arange(size) - size // 2) * (box_length / size)
+    # Narrower than a step or wider than the box, the lattice cannot hold the
+    # packet; past these bounds sigma**2 also underflows or overflows.
+    step = box_length / size
+    if not step <= sigma <= box_length:
+        raise ValueError(f"sigma must lie between the lattice step {step!r} and the box "
+                         f"length {box_length!r}, got {sigma!r}")
+    x = (np.arange(size) - size // 2) * step
     packet = np.exp(-((x - center) ** 2) / (4.0 * sigma**2) + 1j * momentum * x)
     amps = np.ones(spectrum.dim, dtype=complex)[:, None] * packet[None, :]
     amps = amps / np.linalg.norm(amps)

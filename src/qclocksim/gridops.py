@@ -46,7 +46,7 @@ ABORT_EDGE_MASS = 1e-12
 
 def _require_inside(state: GridState, context: str) -> None:
     mass = state.edge_mass()
-    if mass > ABORT_EDGE_MASS:
+    if not mass <= ABORT_EDGE_MASS:
         raise WraparoundError(
             f"{context}: probability {mass:.3e} within {EDGE_SITES} sites of the "
             "box edge; enlarge the box or shrink the state"

@@ -1,22 +1,19 @@
 """Trapped-ion clock shifts from internal energy gravitating into the mass.
 
 A two-level ion sits in a harmonic trap.  Promoting the internal state adds
-its transition energy to the ion's mass, so the excited branch oscillates
-with a lower trap frequency: w_e = w / sqrt(1 + u), where u is the
-transition energy and w the bare trap frequency (both as fractions of the
-rest energy, and hbar = c = m = 1 throughout).  The clock transition picked
-from motional level n is then dragged by the motional zero-point and
-excitation energy:
-
-    absolute shift   (n + 1/2) (w_e - w)
-    relative shift   (n + 1/2) (w/u) (1/sqrt(1+u) - 1)
-                   = -(n + 1/2) w/2 [1 - 3u/4 + ...]
+its transition energy u to the ion's mass, so the excited branch oscillates
+with a lower trap frequency, and the clock transition picked from motional
+level n is dragged by the motional zero-point and excitation energy
+(hbar = c = m = 1, every energy a fraction of the rest energy).  The closed
+form of that shift lives in ``oracles``; this module only measures it.
 
 Everything here is exact in the oscillator algebra (matrix elements of x^2
 and p^2 are closed-form), so the only approximations are the Fock-space
 cutoff and the laser-drive dynamics themselves.  The spectroscopy scan
 simulates an actual pi-pulse lineshape in the rotating frame of the laser
-and extracts the peak, which must land on the static-branch oracle.
+and extracts the peak.  The scan grid is centred on the oracle's carrier
+shift, which is the one use this engine makes of a closed form; the runner
+compares the peak with the oracle.
 
 The drive Hamiltonian is time independent in that frame, so each detuning
 costs one eigendecomposition and the pulse is applied spectrally; the
@@ -43,6 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridTooNarrowError, IntegrationError
+from .oracles import branch_spectrum_oracle
 from .units import require_nonnegative, require_positive
 
 # Bound on the relative eigendecomposition residual |H V - V Lambda| / |H|
@@ -147,43 +145,6 @@ def static_hamiltonians(model: TrapModel) -> tuple[np.ndarray, np.ndarray]:
     return h_ground, h_excited
 
 
-@dataclass(frozen=True)
-class BranchOracle:
-    """Closed-form clock-shift predictions for one motional level."""
-
-    excited_trap_frequency: float  # w / sqrt(1 + u)
-    carrier_shift: float  # (n + 1/2)(w_e - w), absolute
-    relative_shift: float  # carrier_shift / u; nan when u = 0
-    first_order_relative: float  # -(n + 1/2) w / 2
-    second_order_term: float  # exact next Taylor term, +(3/8) u w (n + 1/2)
-    second_order_variant: float  # alternative coefficient, +(1/2) u w (n + 1/2)
-
-
-def branch_spectrum_oracle(model: TrapModel) -> BranchOracle:
-    """Predict the clock shift from the exact branch spectra.
-
-    Both candidate second-order coefficients of the relative shift are
-    reported: the exact Taylor expansion of (w/u)(1/sqrt(1+u) - 1) gives
-    +(3/8) u w per (n + 1/2), while a variant form, first order times
-    (1 - u), gives +(1/2) u w.  Nothing here asserts either; the comparison
-    report carries both so the reader can see which the oracle supports.
-    """
-    u = model.transition_energy
-    w = model.trap_frequency
-    n_half = model.fock_index + 0.5
-    w_e = float(w / np.sqrt(1.0 + u))
-    carrier = n_half * (w_e - w)
-    relative = carrier / u if u > 0.0 else float("nan")
-    return BranchOracle(
-        excited_trap_frequency=w_e,
-        carrier_shift=carrier,
-        relative_shift=relative,
-        first_order_relative=-n_half * w / 2.0,
-        second_order_term=0.375 * u * w * n_half,
-        second_order_variant=0.5 * u * w * n_half,
-    )
-
-
 def _fock_gauge(dim: int) -> np.ndarray:
     """Exact elements i^(n - m) that conjugate a Fock matrix by |n> -> i^n |n>."""
     return np.array([1, 1j, -1, -1j])[(np.arange(dim) - np.arange(dim)[:, None]) % 4]
@@ -239,24 +200,7 @@ class SpectroscopyResult:
     detunings: np.ndarray
     excitation: np.ndarray
     peak_detuning: float  # quadratic-vertex estimate of the line center
-    relative_shift: float  # peak_detuning / u; nan when u = 0
-    oracle: BranchOracle
     cutoff_shift_change: float  # |peak at N_F - peak at 2 N_F|
-
-    @property
-    def extracted_to_oracle_ratio(self) -> float:
-        """Relative shift from the peak over the oracle's; nan when u = 0."""
-        return _ratio(self.relative_shift, self.oracle.relative_shift)
-
-    @property
-    def oracle_to_first_order_ratio(self) -> float:
-        """Oracle relative shift over the leading-order -(n + 1/2) w / 2."""
-        return _ratio(self.oracle.relative_shift, self.oracle.first_order_relative)
-
-
-def _ratio(a: float, b: float) -> float:
-    """a / b, or nan when b is zero or nan."""
-    return a / b if b != 0.0 and not np.isnan(b) else float("nan")
 
 
 def _parabola_vertex(d: np.ndarray, p: np.ndarray) -> float:
@@ -311,18 +255,14 @@ def spectroscopy_scan(
     """
     require_scan_points(points)
     require_positive("span factor", span_factor)
-    oracle = branch_spectrum_oracle(model)
-    center = oracle.carrier_shift
+    center = branch_spectrum_oracle(model).carrier_shift
     half_span = span_factor * max(abs(center), 1e-3 * model.rabi_frequency)
     detunings = np.linspace(center - half_span, center + half_span, points)
     vertex, idx, excitation = _scan_peak(model, detunings, model.fock_cutoff)
     cutoff_change = abs(_doubled_cutoff_vertex(model, detunings, idx) - vertex)
-    u = model.transition_energy
     return SpectroscopyResult(
         detunings=detunings,
         excitation=excitation,
         peak_detuning=vertex,
-        relative_shift=vertex / u if u > 0.0 else float("nan"),
-        oracle=oracle,
         cutoff_shift_change=cutoff_change,
     )

@@ -45,6 +45,12 @@ def stack_spectra(spectra) -> InternalSpectrum:
     return InternalSpectrum(tuple(s.epsilons for s in spectra))
 
 
+def require_two_levels(dim: int) -> None:
+    """A pointer clock and frame-dependent entanglement both need a second level."""
+    if dim < 2:
+        raise ValueError(f"at least two levels are needed, got {dim!r}")
+
+
 def make_spectrum(epsilons) -> InternalSpectrum:
     """Validate a list of dimensionless level energies into a spectrum.
 

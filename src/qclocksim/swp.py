@@ -6,7 +6,9 @@ Started in w_0, free evolution marches the state through w_1, w_2, ... at
 intervals of the resolution time tau = 2 pi / (N omega0), so the pointer
 index k is a clock hand.
 
-Time dilation multiplies the level-n frequency by a factor d_n.  A uniform
+Time dilation multiplies the level-n frequency by a factor d_n, which a
+DilationProfile holds; the closed-form profiles of the twin round trips live
+in ``oracles``, and this module only measures the clock they drive.  A uniform
 factor (classical dilation, d_n identical for every n) only reparametrizes
 the hand: the pointer variance at laboratory time t equals the undilated
 variance at d t, and the hand still sharpens fully once per rescaled tick.
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import SequenceKind, closed_dilation_factor, require_two_levels
-from .spectrum import InternalSpectrum
+from .spectrum import require_two_levels
 from .units import require_positive
 
 # Relative bracket width at which tick refinement stops, in units of tau.
@@ -82,32 +83,6 @@ class DilationProfile:
     @property
     def is_uniform(self) -> bool:
         return bool(np.all(self.factors == self.factors[0]))
-
-    @classmethod
-    def none(cls, dim: int) -> "DilationProfile":
-        return cls(np.ones(dim))
-
-    @classmethod
-    def velocity_classical(cls, dim: int, v_b: float) -> "DilationProfile":
-        """Clock flown at velocity v_b: every level slows by 1 - v_b^2/2."""
-        factor = closed_dilation_factor(SequenceKind.VELOCITY_CLOCK, None, v_b, None)
-        return cls(np.full(dim, factor))
-
-    @classmethod
-    def observer_classical(cls, dim: int, v_b: float) -> "DilationProfile":
-        """Observer flown instead: every level speeds up by 1 + v_b^2/2."""
-        factor = closed_dilation_factor(SequenceKind.VELOCITY_OBSERVER, None, v_b, None)
-        return cls(np.full(dim, factor))
-
-    @classmethod
-    def momentum_nonclassical(cls, p_b: float, spectrum: InternalSpectrum) -> "DilationProfile":
-        """Round trip at momentum p_b: level n slows by 1 - p_b^2/(2 M_n).
-
-        The factor depends on the level through the mass M_n = 1 + eps_n,
-        which is what makes the profile nonclassical.
-        """
-        levels = np.arange(spectrum.dim)
-        return cls(closed_dilation_factor(SequenceKind.MOMENTUM, spectrum, p_b, levels))
 
 
 def _rates(clock: SWPClock, profile: DilationProfile) -> np.ndarray:

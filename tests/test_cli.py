@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from qclocksim import cli as cli_module
 from qclocksim import runners as runners_module
 from qclocksim import (
     SequenceKind,
+    closed_form_phase,
+    default_probe,
     ladder_spectrum,
     load_config,
     parse_config,
@@ -539,6 +542,92 @@ def test_a_run_with_no_drive_is_refused_at_its_parameter(tmp_path, capsys, kind,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "profile, sweep",
+    [("velocity-classical", None), ("observer-classical", None),
+     ("momentum-nonclassical", None), ("momentum-nonclassical", (-0.1, 0.1))],
+    ids=["velocity", "observer", "momentum", "momentum-sweep"],
+)
+def test_an_swp_profile_that_reads_its_boost_refuses_a_zero_one(tmp_path, capsys, profile,
+                                                                  sweep):
+    # With no boost the profile is the undilated clock: the classical checks
+    # pass on a run that measures nothing.  Profile `none` reads no boost.
+    scenario = {"kind": "swp", "name": "idle", "params": {"profile": profile, "boost": 0.0}}
+    run = "idle"
+    if sweep is not None:
+        scenario["sweep"] = {"parameter": "boost", "start": sweep[0], "stop": sweep[1],
+                             "count": 3}
+        run = "idle-1"
+    none = {"kind": "swp", "name": "none", "params": {"profile": "none", "boost": 0.0}}
+    config_path = _write_config(tmp_path / "idle.json", {"schema_version": 1,
+                                                         "scenarios": [none, scenario]})
+    assert main(["validate", config_path]) == 2
+    assert (f"scenarios[1].params.boost (run {run!r}): must be nonzero"
+            in capsys.readouterr().err)
+    assert main(["validate", _write_config(tmp_path / "none.json", {
+        "schema_version": 1, "scenarios": [none]})]) == 0
+
+
+@pytest.mark.parametrize("kind", ["trotter-accel", "impulse-boost"])
+@pytest.mark.parametrize("sigma", [1e-200, 0.01, 65.0, 1e200],
+                         ids=["underflow", "below-step", "above-box", "overflow"])
+def test_a_packet_the_lattice_cannot_hold_is_refused_at_its_width(tmp_path, capsys, kind,
+                                                                   sigma):
+    # Default lattice: a step of 0.25 or 0.5 in a box of 64.  Past the ends,
+    # sigma**2 underflows to a NaN packet or overflows; the refusal comes
+    # before numpy computes either, so no RuntimeWarning is raised, whether
+    # warnings are errors (as pytest makes them) or only recorded.
+    scenario = {"kind": kind, "name": "packet", "params": {"sigma": sigma}}
+    config_path = _write_config(tmp_path / "packet.json", {"schema_version": 1,
+                                                           "scenarios": [scenario]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["validate", config_path]) == 2
+    assert caught == []
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("scenarios[0].params.sigma (run 'packet'): sigma must lie between") == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, si, message",
+    [("ion-spectroscopy", {"trap_frequency_hz": 0.0, "mass_kg": 1e-25},
+      "trap_frequency_hz (run 'x'): trap frequency must be positive, got 0.0"),
+     ("ion-spectroscopy", {"transition_frequency_hz": -4e14, "mass_kg": 1e-25},
+      "transition_frequency_hz (run 'x'): transition energy must be nonnegative"),
+     ("twin-velocity", {"velocity_m_per_s": 0.0}, "velocity_m_per_s (run 'x'): must be nonzero"),
+     ("twin-velocity", {"velocity_m_per_s": 1.5e8},
+      "velocity_m_per_s (run 'x'): VelocityBoost: squared momentum ratio"),
+     ("twin-velocity", {"internal_energy_joule": -1e-30, "mass_kg": 1e-25},
+      "internal_energy_joule (run 'x'): spacing must be positive"),
+     ("twin-velocity", {"internal_energy_joule": 3e-9, "mass_kg": 1e-25},
+      "internal_energy_joule (run 'x'): internal energy ratio")],
+    ids=["trap-frequency", "transition-frequency", "zero-velocity", "fast-velocity",
+         "negative-energy", "top-level-energy"],
+)
+def test_a_converted_si_value_is_refused_at_the_si_key(tmp_path, capsys, kind, si, message):
+    # The config wrote the si key; the parameter it converts into is not in
+    # it.  That holds for a parameter's own rule, a plan's rule and the kicks.
+    scenario = {"kind": kind, "name": "x", "si": si}
+    config_path = _write_config(tmp_path / "si.json", {"schema_version": 1,
+                                                       "scenarios": [scenario]})
+    assert main(["validate", config_path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: scenarios[0].si.{message}" in err
+    assert ".params." not in err
+
+
+def test_a_swept_parameter_is_refused_at_its_own_path_over_an_si_value(tmp_path, capsys):
+    # The sweep sets every run's boost, so its refusal is no si value's.
+    scenario = {"kind": "twin-velocity", "name": "x", "si": {"velocity_m_per_s": 3e6},
+                "sweep": {"parameter": "boost", "start": -0.01, "stop": 0.01, "count": 3}}
+    config_path = _write_config(tmp_path / "si.json", {"schema_version": 1,
+                                                       "scenarios": [scenario]})
+    assert main(["validate", config_path]) == 2
+    assert "scenarios[0].params.boost (run 'x-1'): must be nonzero" in capsys.readouterr().err
+
+
 NAN, INF = float("nan"), float("inf")
 HUGE = 10 ** 400  # a JSON integer too large for a float
 
@@ -768,14 +857,19 @@ def test_tolerance_override_can_force_a_failure(base_config, capsys):
 
 
 def test_a_run_far_from_its_closed_form_is_graded_by_the_runner_alone(tmp_path, capsys):
-    # The engine measures the residual and returns it; the one verdict is the
-    # runner's identity_residual check, which this long run fails.
-    result = run_sequence(SequenceKind.MOMENTUM, ladder_spectrum(2, 0.1), 0.1, 1e5)
-    assert result.residual_max == pytest.approx(3.64e-12, rel=1e-2)
+    # The engine measures the phases and the oracles predict them; the one
+    # verdict is the runner's identity_residual check, which this long run fails.
+    spectrum = ladder_spectrum(2, 0.1)
+    result = run_sequence(SequenceKind.MOMENTUM, spectrum, 0.1, 1e5)
+    probe = default_probe(spectrum)
+    closed = closed_form_phase(SequenceKind.MOMENTUM, spectrum, 0.1, 1e5, probe.levels,
+                               probe.momenta)
+    residual = float(np.max(np.abs(np.exp(1j * (result.phases - closed)) - 1.0)))
+    assert residual == pytest.approx(3.64e-12, rel=1e-2)
     scenario = {"kind": "twin-momentum", "name": "long", "params": {"duration": 100000.0}}
     path = _write_config(tmp_path / "long.json", {"schema_version": 1, "scenarios": [scenario]})
     assert main(["run", path]) == 1
-    assert (f"  FAIL identity_residual: value={result.residual_max!r} tolerance=1e-12"
+    assert (f"  FAIL identity_residual: value={residual!r} tolerance=1e-12"
             in capsys.readouterr().out)
 
 

@@ -105,3 +105,22 @@ def test_the_packet_is_the_same_on_every_level():
 def test_a_packet_width_or_box_that_is_not_positive_is_refused(box_length, sigma, name):
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         gaussian_grid_state(SPEC, size=64, box_length=box_length, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 0.49, 32.5, 1e200])
+def test_a_packet_narrower_than_a_step_or_wider_than_the_box_is_refused(sigma):
+    # size 64 in a box of 32: a step of 0.5.
+    with pytest.raises(ValueError, match="between the lattice step 0.5 and the box length 32.0"):
+        gaussian_grid_state(SPEC, size=64, box_length=32.0, sigma=sigma)
+
+
+def test_a_packet_one_step_wide_or_as_wide_as_the_box_is_built():
+    for sigma in (0.5, 32.0):
+        state = gaussian_grid_state(SPEC, size=64, box_length=32.0, sigma=sigma)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_nan_norm_is_refused():
+    # NaN compares false both ways, so the guard asks for a norm within bounds.
+    with pytest.raises(ValueError, match="norm nan deviates from 1"):
+        GridState(SPEC, 32.0, np.full((2, 64), np.nan, dtype=complex))

@@ -9,6 +9,7 @@ complex Hermitian construction of the same evolutions.
 """
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qclocksim.grid import GridState, gaussian_grid_state
 from qclocksim.gridops import (
     ABORT_EDGE_MASS,
     _branch_hamiltonian,
+    _require_inside,
     accelerated_frame_trotter,
     evolve_linear_potential,
     impulsive_boost_limit,
@@ -347,3 +349,10 @@ def test_linear_potential_evolutions_equal_the_complex_reference():
             rtol=0.0,
             atol=1e-13,
         )
+
+
+def test_a_nan_edge_mass_is_refused():
+    # NaN compares false both ways, so the guard asks for edge mass within bounds.
+    state = SimpleNamespace(edge_mass=lambda: float("nan"))
+    with pytest.raises(WraparoundError, match="probability nan within"):
+        _require_inside(state, "initial state")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from qclocksim import ionclock
+from qclocksim import ionclock, parse_config, run_config
 from qclocksim.errors import GridTooNarrowError, IntegrationError
 from qclocksim.ionclock import (
     TrapModel,
@@ -24,11 +24,11 @@ from qclocksim.ionclock import (
     _scan_peak,
     _x_operator,
     _x_squared,
-    branch_spectrum_oracle,
     displacement_operator,
     spectroscopy_scan,
     static_hamiltonians,
 )
+from qclocksim.oracles import branch_spectrum_oracle
 
 U, W = 1e-3, 1e-5
 
@@ -175,9 +175,6 @@ def test_null_transition_clock_has_no_shift():
     oracle = branch_spectrum_oracle(model)
     assert np.isnan(oracle.relative_shift)
     scan = spectroscopy_scan(model, points=21)
-    assert np.isnan(scan.relative_shift)
-    assert np.isnan(scan.extracted_to_oracle_ratio)
-    assert np.isnan(scan.oracle_to_first_order_ratio)
     assert abs(scan.peak_detuning) < 1e-10
     assert scan.excitation.max() > 0.99
 
@@ -185,7 +182,8 @@ def test_null_transition_clock_has_no_shift():
 def test_scan_recovers_the_oracle_shift():
     model = TrapModel(transition_energy=U, trap_frequency=W)
     scan = spectroscopy_scan(model, points=31)
-    assert abs(scan.relative_shift / scan.oracle.relative_shift - 1.0) < 1e-2
+    relative = scan.peak_detuning / U
+    assert abs(relative / branch_spectrum_oracle(model).relative_shift - 1.0) < 1e-2
     assert scan.cutoff_shift_change < 1e-10
     assert scan.excitation.max() > 0.9
 
@@ -209,13 +207,18 @@ def test_peak_outside_oracle_window_is_refused():
         spectroscopy_scan(model)
 
 
-def test_scan_carries_the_shift_ratios():
-    model = TrapModel(transition_energy=U, trap_frequency=W)
-    scan = spectroscopy_scan(model, points=31)
-    assert scan.extracted_to_oracle_ratio == pytest.approx(1.0, abs=1e-2)
-    assert scan.oracle_to_first_order_ratio == pytest.approx(
-        0.99925062445361673675, rel=1e-11
+def test_the_runner_grades_the_scan_by_the_oracle_ratios():
+    # The scan only measures the peak; the runner divides it by the oracle.
+    scenarios = [{"kind": "ion-spectroscopy", "name": "ion", "params": {"points": 31}},
+                 {"kind": "ion-spectroscopy", "name": "null",
+                  "params": {"points": 21, "transition_energy": 0.0}}]
+    ion, null = run_config(parse_config({"schema_version": 1, "scenarios": scenarios}))
+    checks = {check["name"]: check["value"] for check in ion.checks}
+    assert checks["scan_vs_oracle"] == pytest.approx(0.0, abs=1e-2)
+    assert checks["oracle_vs_first_order"] == pytest.approx(
+        1.0 - 0.99925062445361673675, rel=1e-7
     )
+    assert [check["name"] for check in null.checks] == ["null_shift_bound", "cutoff_change"]
 
 
 @pytest.mark.parametrize("n", [0, 1])

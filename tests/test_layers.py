@@ -1,9 +1,12 @@
-"""The engine modules measure; reports, verdicts, configs and the command
-line sit above them.
+"""The engine modules measure, `oracles` predicts, and reports, verdicts,
+configs and the command line sit above them both.
 
 No engine module imports from `report`, `runners`, `config` or `cli`, so
-an engine cannot make a report or pass a verdict of its own.  Checked on
-the source with `ast`, so a lazy import inside a function counts too.
+an engine cannot make a report or pass a verdict of its own.  Neither does
+`oracles`.  No engine imports `oracles` either, so an engine cannot grade
+itself against its own closed form; the one exception is listed in
+ENGINES_READING_ORACLES with its reason.  Checked on the source with `ast`,
+so a lazy import inside a function counts too.
 """
 
 import ast
@@ -14,11 +17,16 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qclocksim"
 ENGINES = ("units", "errors", "spectrum", "states", "operators", "sequences", "grid",
            "gridops", "swp", "ionclock")
+ORACLES = "oracles"
 ABOVE = {"report", "runners", "config", "cli"}
+ENGINES_READING_ORACLES = {
+    "ionclock": "the scan grid is centred on the predicted carrier shift",
+}
 
 
-def _imported_modules(tree: ast.AST) -> set:
+def _imported_modules(stem: str) -> set:
     """The package modules a module's imports name, at any depth."""
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -39,10 +47,24 @@ def _imported_modules(tree: ast.AST) -> set:
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_an_engine_module_imports_nothing_from_the_layers_above(engine):
-    tree = ast.parse((PACKAGE / f"{engine}.py").read_text(encoding="utf-8"))
-    assert _imported_modules(tree) & ABOVE == set()
+    assert _imported_modules(engine) & ABOVE == set()
 
 
-def test_every_module_of_the_package_is_an_engine_or_above_them():
+def test_the_oracles_import_nothing_from_the_layers_above():
+    assert _imported_modules(ORACLES) & ABOVE == set()
+
+
+@pytest.mark.parametrize("engine", [e for e in ENGINES if e not in ENGINES_READING_ORACLES])
+def test_an_engine_module_does_not_read_the_oracles(engine):
+    assert ORACLES not in _imported_modules(engine)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES_READING_ORACLES))
+def test_an_engine_listed_as_reading_the_oracles_does(engine):
+    # An exception that no longer holds is dropped from the list.
+    assert ORACLES in _imported_modules(engine)
+
+
+def test_every_module_of_the_package_is_an_engine_the_oracles_or_above_them():
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
-    assert modules == set(ENGINES) | ABOVE
+    assert modules == set(ENGINES) | {ORACLES} | ABOVE

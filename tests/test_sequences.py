@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclocksim.sequences import (
-    SequenceKind,
-    build_sequence,
+from qclocksim.oracles import (
     closed_dilation_factor,
     closed_form_phase,
     closed_global_phase,
+    lorentz_gamma,
+)
+from qclocksim.sequences import (
+    SequenceKind,
+    build_sequence,
     default_probe,
     entanglement_frame_demo,
     run_sequence,
@@ -33,7 +36,7 @@ from qclocksim.operators import (
     total_energy,
 )
 from qclocksim.spectrum import ladder_spectrum, make_spectrum, stack_spectra
-from qclocksim.states import PlaneWaveState, reduced_internal_entropy
+from qclocksim.states import PlaneWaveState, fidelity_deviation, reduced_internal_entropy
 from qclocksim.units import EPS_MAX
 
 mp.mp.dps = 50
@@ -68,6 +71,17 @@ def _mp_chain_phase(ops, eps, p0):
 KINDS = (SequenceKind.MOMENTUM, SequenceKind.VELOCITY_CLOCK, SequenceKind.VELOCITY_OBSERVER)
 
 
+def _distance(result, kind, spec, boost, duration, probe=None, **options):
+    """The run's worst per-component |exp(i dphi) - 1| against the closed form,
+    and |<closed form|sequence output> - 1|, as the twin runner grades them."""
+    probe = probe if probe is not None else default_probe(spec)
+    closed = closed_form_phase(kind, spec, boost, duration, probe.levels, probe.momenta,
+                               **options)
+    residual = np.max(np.abs(np.exp(1j * (result.phases - closed)) - 1.0))
+    expected = probe.with_amplitudes(probe.amplitudes * np.exp(1j * closed))
+    return residual, fidelity_deviation(expected, result.final_state)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("boost,duration", [(0.01, 0.5), (0.05, 2.0), (0.1, 10.0)])
 def test_sequence_phases_match_extended_precision_oracle(kind, boost, duration):
@@ -86,8 +100,9 @@ def test_sequence_phases_match_extended_precision_oracle(kind, boost, duration):
 def test_sequences_close_exactly_on_their_identity(kind):
     spec = ladder_spectrum(2, 0.1)
     result = run_sequence(kind, spec, boost=0.05, duration=2.0)
-    assert result.residual_max <= 1e-12
-    assert result.fidelity_deviation <= 1e-12
+    residual, fidelity = _distance(result, kind, spec, 0.05, 2.0)
+    assert residual <= 1e-12
+    assert fidelity <= 1e-12
     assert result.momentum_error_max <= 1e-12
     assert result.level_phase_spread_max <= 1e-12
 
@@ -141,7 +156,7 @@ def test_single_level_particle_still_closes_with_global_phase_only():
     result = run_sequence(SequenceKind.MOMENTUM, spec, boost=0.1, duration=2.0, probe=probe)
     assert result.level_factors == {}
     assert result.global_phase == pytest.approx(2.0 * 0.01, abs=1e-13)
-    assert result.residual_max <= 1e-12
+    assert _distance(result, SequenceKind.MOMENTUM, spec, 0.1, 2.0, probe)[0] <= 1e-12
 
 
 def test_translation_centered_on_excited_branch_reweights_global_phase():
@@ -153,7 +168,8 @@ def test_translation_centered_on_excited_branch_reweights_global_phase():
     assert result.global_phase == pytest.approx(expected_g, abs=1e-13)
     # The dilation factors themselves do not move.
     assert result.level_factors[1] == pytest.approx(1.0 - 0.01 / 2.2, abs=1e-13)
-    assert result.residual_max <= 1e-12
+    residual, _ = _distance(result, SequenceKind.MOMENTUM, spec, 0.1, 2.0, translation_level=1)
+    assert residual <= 1e-12
 
 
 def test_state_dependent_translation_flips_the_correction_sign():
@@ -164,7 +180,9 @@ def test_state_dependent_translation_flips_the_correction_sign():
     )
     assert result.level_factors[1] == pytest.approx(1.0 + 0.01 / 2.2, abs=1e-13)
     assert result.global_phase == pytest.approx(2.0 * 0.01, abs=1e-13)
-    assert result.residual_max <= 1e-12
+    residual, _ = _distance(result, SequenceKind.MOMENTUM, spec, 0.1, 2.0,
+                            state_dependent_translation=True)
+    assert residual <= 1e-12
 
 
 def test_translation_options_are_momentum_only_and_exclusive():
@@ -326,20 +344,42 @@ def test_a_batch_equals_its_runs_one_by_one_bit_for_bit(kind, translation, runs,
     boosts = np.array([b for b, _, _ in runs])
     durations = np.array([t for _, t, _ in runs])
     batch = run_sequence(kind, stack, boosts, durations, probe=probe(stack), **options)
+    # The closed forms the twin runner grades a batch with, on (runs, 1) columns.
+    closed = _closed_forms(kind, stack, boosts[:, None], durations[:, None], probe(stack),
+                           **options)
     for r, spec in enumerate(spectra):
         one = run_sequence(kind, spec, boosts[r:r + 1], durations[r:r + 1],
                            probe=probe(spec), **options)
         scalar = run_sequence(kind, spec, float(boosts[r]), float(durations[r]),
                               probe=probe(spec), **options)
         for single, i in ((one, 0), (scalar, ())):
-            for field in ("phases", "residual_max", "fidelity_deviation", "global_phase",
-                          "global_phase_closed"):
+            for field in ("phases", "global_phase"):
                 assert _same_bits(getattr(batch, field)[r], getattr(single, field), i), field
-            for field in ("level_factors", "level_factors_closed", "pair_factors", "gammas"):
+            assert _same_bits(batch.final_state.amplitudes[r], single.final_state.amplitudes, i)
+            for field in ("level_factors", "pair_factors"):
                 ours, theirs = getattr(batch, field), getattr(single, field)
                 assert ours.keys() == theirs.keys()
                 for key in ours:
                     assert _same_bits(ours[key][r], theirs[key], i), (field, key)
+        alone = _closed_forms(kind, spec, float(boosts[r]), float(durations[r]), probe(spec),
+                              **options)
+        for name, values in closed.items():
+            assert np.array_equal(np.ravel(values[r]), np.ravel(alone[name])), name
+
+
+def _closed_forms(kind, spec, boost, duration, probe, translation_level=None,
+                  state_dependent_translation=False):
+    """Every closed form the twin runner reads, by name."""
+    forms = {
+        "phase": closed_form_phase(kind, spec, boost, duration, probe.levels, probe.momenta,
+                                   translation_level, state_dependent_translation),
+        "global_phase": closed_global_phase(kind, spec, boost, duration, translation_level),
+    }
+    for n in (1, 2):
+        forms[f"factor_{n}"] = closed_dilation_factor(kind, spec, boost, [n],
+                                                      state_dependent_translation)
+        forms[f"gamma_{n}"] = lorentz_gamma(kind, spec, boost, n)
+    return forms
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from qclocksim import swp
-from qclocksim.sequences import SequenceKind, closed_dilation_factor
+from qclocksim.oracles import closed_dilation_factor, swp_dilation_factors
+from qclocksim.sequences import SequenceKind
 from qclocksim.spectrum import ladder_spectrum
 from qclocksim.swp import (
     SCAN_CHUNK_AMPLITUDES,
@@ -21,6 +22,11 @@ from qclocksim.swp import (
     pointer_probabilities,
     read_pointer,
 )
+
+
+def _profile(name, dim, boost=0.0, spectrum=None):
+    """The profile a config run plans: its closed-form factors from the oracles."""
+    return DilationProfile(swp_dilation_factors(name, dim, boost, spectrum))
 
 
 def _state_at(clock, profile, t):
@@ -37,15 +43,15 @@ def test_pointer_states_are_orthonormal():
 
 def test_clock_starts_in_the_zeroth_pointer_state():
     clock = SWPClock(dim=8, omega0=1.0)
-    state = _state_at(clock, DilationProfile.none(8), 0.0)
+    state = _state_at(clock, _profile("none", 8), 0.0)
     np.testing.assert_allclose(state, clock.pointer_states()[0], atol=1e-15)
-    assert read_pointer(clock, DilationProfile.none(8), 0.0) == (0.0, 0.0)
+    assert read_pointer(clock, _profile("none", 8), 0.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("dim", [4, 16, 64])
 def test_undilated_clock_rephases_at_every_tick(dim):
     clock = SWPClock(dim=dim, omega0=1.0)
-    profile = DilationProfile.none(dim)
+    profile = _profile("none", dim)
     for k in (1, 2, 3):
         mean, variance = read_pointer(clock, profile, k * clock.tau)
         assert variance < 1e-20 * clock.tau**2
@@ -57,7 +63,7 @@ def test_half_tick_reading_matches_the_closed_form():
     # [(2+sqrt2)/8, (2+sqrt2)/8, (2-sqrt2)/8, (2-sqrt2)/8], which gives
     # mean = tau (3 - sqrt2)/2 and variance = 0.75 tau^2.
     clock = SWPClock(dim=4, omega0=1.0)
-    profile = DilationProfile.none(4)
+    profile = _profile("none", 4)
     probs = pointer_probabilities(clock, _state_at(clock, profile, clock.tau / 2))
     hi = (2.0 + np.sqrt(2.0)) / 8.0
     lo = (2.0 - np.sqrt(2.0)) / 8.0
@@ -80,38 +86,40 @@ def test_fft_projection_matches_explicit_overlaps():
 
 def test_uniform_dilation_is_a_time_reparametrization():
     clock = SWPClock(dim=8, omega0=1.0)
-    slowed = DilationProfile.velocity_classical(8, 0.2)
+    slowed = _profile("velocity-classical", 8, 0.2)
     d = float(slowed.factors[0])
     times = np.linspace(0.0, 3.0 * clock.tau, 97)
     dilated_mean, dilated_variance = read_pointer(clock, slowed, times)
-    mean, variance = read_pointer(clock, DilationProfile.none(8), d * times)
+    mean, variance = read_pointer(clock, _profile("none", 8), d * times)
     np.testing.assert_allclose(dilated_variance, variance, atol=1e-12 * clock.tau**2)
     np.testing.assert_allclose(dilated_mean, mean, atol=1e-12 * clock.tau)
 
 
-def test_profile_constructors():
-    assert DilationProfile.none(4).is_uniform
-    np.testing.assert_allclose(DilationProfile.none(4).factors, 1.0)
+def test_profile_factors_are_the_twin_closed_forms():
+    assert _profile("none", 4).is_uniform
+    np.testing.assert_allclose(_profile("none", 4).factors, 1.0)
 
     # Each profile is, bit for bit, the twin sequences' closed-form factor.
-    slowed = DilationProfile.velocity_classical(4, 0.1)
+    slowed = _profile("velocity-classical", 4, 0.1)
     assert slowed.is_uniform
     np.testing.assert_allclose(slowed.factors, 1.0 - 0.005, rtol=1e-15)
     closed = closed_dilation_factor(SequenceKind.VELOCITY_CLOCK, None, 0.1, None)
     assert np.array_equal(slowed.factors, np.full(4, closed))
 
-    sped = DilationProfile.observer_classical(4, 0.1)
+    sped = _profile("observer-classical", 4, 0.1)
     np.testing.assert_allclose(sped.factors, 1.0 + 0.005, rtol=1e-15)
     closed = closed_dilation_factor(SequenceKind.VELOCITY_OBSERVER, None, 0.1, None)
     assert np.array_equal(sped.factors, np.full(4, closed))
 
     spectrum = ladder_spectrum(4, 0.05)
-    branchy = DilationProfile.momentum_nonclassical(0.2, spectrum)
+    branchy = _profile("momentum-nonclassical", 4, 0.2, spectrum)
     expected = 1.0 - 0.5 * 0.2**2 / np.asarray(spectrum.masses)
     np.testing.assert_allclose(branchy.factors, expected, rtol=1e-15)
     closed = closed_dilation_factor(SequenceKind.MOMENTUM, spectrum, 0.2, np.arange(4))
     assert np.array_equal(branchy.factors, closed)
     assert not branchy.is_uniform
+    with pytest.raises(KeyError):
+        swp_dilation_factors("velocity", 4, 0.1)
 
 
 def test_profile_validation():
@@ -132,12 +140,12 @@ def test_clock_validation():
         SWPClock(dim=4, omega0=0.0)
     clock = SWPClock(dim=8, omega0=1.0)
     with pytest.raises(ValueError):
-        read_pointer(clock, DilationProfile.none(4), 0.0)
+        read_pointer(clock, _profile("none", 4), 0.0)
 
 
 def test_tick_finder_recovers_the_undilated_ticks():
     clock = SWPClock(dim=16, omega0=1.0)
-    scan = find_effective_ticks(clock, DilationProfile.none(16))
+    scan = find_effective_ticks(clock, _profile("none", 16))
     assert scan.tick_times.shape == (3,)
     np.testing.assert_allclose(scan.tick_times / clock.tau, [1.0, 2.0, 3.0], atol=1e-7)
     assert np.all(scan.tick_variances < 1e-12 * clock.tau**2)
@@ -149,14 +157,14 @@ def test_uniform_dilation_ticks_carry_no_roundoff_variance(boost):
     # At a tick the pointer sits on a single k, where E[k^2] - E[k]^2 leaves
     # one ulp of E[k^2] (1.8e-15 tau^2 at these boosts) instead of zero.
     clock = SWPClock(dim=16, omega0=1.0)
-    scan = find_effective_ticks(clock, DilationProfile.velocity_classical(16, boost))
+    scan = find_effective_ticks(clock, _profile("velocity-classical", 16, boost))
     assert scan.tick_times.shape == (3,)
     assert np.all(scan.tick_variances <= 1e-20 * clock.tau**2)
 
 
 def test_tick_finder_window_and_resolution_validation():
     clock = SWPClock(dim=8, omega0=1.0)
-    profile = DilationProfile.none(8)
+    profile = _profile("none", 8)
     with pytest.raises(ValueError):
         find_effective_ticks(clock, profile, window=(0.5 * clock.tau, 2.5 * clock.tau))
     with pytest.raises(ValueError):
@@ -202,7 +210,7 @@ FROZEN_SPACING_DEVIATION = 0.0046950439065795305
 def test_nonclassical_ticks_match_the_frozen_fixture():
     spectrum = ladder_spectrum(8, 0.01)
     clock = SWPClock(dim=8, omega0=1.0)
-    profile = DilationProfile.momentum_nonclassical(0.1, spectrum)
+    profile = _profile("momentum-nonclassical", spectrum.dim, 0.1, spectrum)
     np.testing.assert_allclose(profile.factors, FROZEN_FACTORS, rtol=1e-12)
 
     scan = find_effective_ticks(clock, profile)
@@ -279,8 +287,8 @@ def _reference_ticks(clock, profile):
 
 def _profiles(dim):
     return [
-        DilationProfile.velocity_classical(dim, 0.1),
-        DilationProfile.momentum_nonclassical(0.1, ladder_spectrum(dim, 0.1 / dim)),
+        _profile("velocity-classical", dim, 0.1),
+        _profile("momentum-nonclassical", dim, 0.1, ladder_spectrum(dim, 0.1 / dim)),
     ]
 
 
