@@ -125,11 +125,6 @@ class ImpulseReport:
     deviation_velocity: np.ndarray  # || U_impulse psi - B_v(v_b) psi ||
     deviation_momentum: np.ndarray  # || U_impulse psi - B_p(m v_b) psi ||
 
-    def shrink_ratios(self, against: str = "velocity") -> np.ndarray:
-        """deviation[i] / deviation[i+1] along the schedule."""
-        dev = self.deviation_velocity if against == "velocity" else self.deviation_momentum
-        return dev[:-1] / dev[1:]
-
 
 def impulse_durations(dt_schedule) -> np.ndarray:
     """The pulse durations of an impulse schedule; a shrink ratio needs two."""
@@ -175,10 +170,6 @@ class TrotterReport:
     steps: np.ndarray
     errors: np.ndarray
 
-    def halving_ratios(self) -> np.ndarray:
-        """error(n) / error(2n) for consecutive doubling entries (ideal: 2)."""
-        return self.errors[:-1] / self.errors[1:]
-
 
 def trotter_steps(steps) -> np.ndarray:
     """The step counts of a trotter schedule; a halving ratio needs two."""
@@ -196,8 +187,8 @@ def accelerated_frame_trotter(
 ) -> TrotterReport:
     """Compare (U(dt) B_v(-a dt))^n against the static accelerated-frame H.
 
-    The returned errors should fall like 1/n (first-order product formula);
-    halving_ratios() exposes error(n)/error(2n), ideally 2.
+    The returned errors should fall like 1/n (first-order product formula),
+    so error(n)/error(2n) is ideally 2.
 
     The products for all n run in lockstep, one row block per n in one array.
     The steps increase, so after n rounds the leading block is finished and

@@ -78,8 +78,9 @@ class ParamSpec:
     """One parameter: its type (float, int, bool, str, list[float] or
     list[int]), its default, whether a sweep may vary it, for a string the
     values it may take, and the rule its value alone must meet: `check(value)`
-    raises ValueError for a value the engine refuses, and is not called on
-    None, which asks for the engine's default."""
+    raises ValueError for a value the engine refuses or the kind's checks
+    cannot grade, and is not called on None, which asks for the engine's
+    default."""
 
     type: object
     default: object
@@ -133,6 +134,29 @@ def _require_drive(value: float) -> None:
 def _require_transition_energy(energy: float) -> None:
     require_nonnegative("transition energy", energy)
     check_epsilons([energy])
+
+
+def _require_doubling_steps(steps) -> None:
+    """The halving ratios graded are error(n) / error(2n)."""
+    steps = trotter_steps(steps)
+    if not all(int(b) == 2 * int(a) for a, b in zip(steps[:-1], steps[1:])):
+        raise ValueError("each step count must be twice the one before, got "
+                         f"{[int(n) for n in steps]}")
+
+
+def _require_decade_durations(dt_schedule) -> None:
+    """The shrink ratios graded are those of one decade of dt."""
+    d = impulse_durations(dt_schedule)
+    if not np.allclose(d[:-1] / d[1:], 10.0, rtol=1e-9):
+        raise ValueError(f"each duration must be a tenth of the one before, got {d.tolist()}")
+
+
+def _require_level_dependent(factors: np.ndarray) -> None:
+    """A nonclassical profile whose factors round to one value is the classical clock."""
+    if np.all(factors == factors[0]):
+        raise ValueError(f"every level dilates by {float(factors[0])!r} in float, so the "
+                         "momentum-nonclassical profile is classical; use a larger |boost| "
+                         "or spacing")
 
 
 def _positive(name: str) -> Callable:
@@ -252,6 +276,8 @@ def _plan_swp(params: dict, at) -> tuple:
     clock = SWPClock(dim=params["dim"], omega0=params["omega0"])
     factors = swp_dilation_factors(name, params["dim"], params["boost"], spectrum)
     profile = at(".params.boost", DilationProfile, factors)
+    if name == "momentum-nonclassical":
+        at(".params.boost", _require_level_dependent, profile.factors)
     window = tuple(w * clock.tau for w in params["window_in_tau"])
     resolution = params["resolution_in_tau"] * clock.tau
     at(".params.window_in_tau", require_tick_window, window, clock.tau)
@@ -263,6 +289,7 @@ def _run_swp(report: RunReport, params: dict, plan: tuple, tol: dict) -> None:
     clock, profile, window, resolution = plan
     tau = clock.tau
     scan = find_effective_ticks(clock, profile, window=window, resolution=resolution)
+    ticks = len(scan.tick_times)
     for i, (t, v) in enumerate(zip(scan.tick_times, scan.tick_variances)):
         report.rows.append(
             {
@@ -272,23 +299,28 @@ def _run_swp(report: RunReport, params: dict, plan: tuple, tol: dict) -> None:
                 "variance_in_tau2": v / (tau * tau),
             }
         )
-    report.notes.append(scan.diagnostic)
-    enough = len(scan.tick_times) >= 2
+    enough = ticks >= 2
+    if enough:
+        spacing = float(np.mean(np.diff(scan.tick_times)))
+        report.notes.append(f"{ticks} ticks located")
+    else:
+        report.notes.append(
+            f"only {ticks} variance minima inside ({window[0]:.6g}, {window[1]:.6g}); "
+            "spacing undefined, widen the window or check the profile"
+        )
     report.add_check(
-        "ticks_found",
-        enough,
-        float(len(scan.tick_times)),
-        2.0,
+        "ticks_found", enough, float(ticks), 2.0,
         detail="at least two variance minima inside the window",
     )
-    if profile.is_uniform:
+    # A classical profile claims full rephasing, the nonclassical one its loss.
+    if params["profile"] != "momentum-nonclassical":
         worst = float(np.max(scan.tick_variances / (tau * tau))) if enough else float("inf")
         report.add_bound(
             "tick_variance_in_tau2", worst, tol["tick_variance_in_tau2"],
             "uniform dilation must rephase the pointer completely",
         )
         d = float(profile.factors[0])
-        rescaled = abs(scan.mean_spacing * d / tau - 1.0) if enough else float("inf")
+        rescaled = abs(spacing * d / tau - 1.0) if enough else float("inf")
         report.add_bound(
             "classical_spacing_deviation", rescaled, tol["classical_spacing_deviation"],
             "tick spacing times the uniform factor must equal tau",
@@ -304,7 +336,7 @@ def _run_swp(report: RunReport, params: dict, plan: tuple, tol: dict) -> None:
         )
         if enough:
             report.notes.append(
-                f"effective tick spacing deviates from tau by {scan.spacing_deviation!r} (relative)"
+                f"effective tick spacing deviates from tau by {(spacing - tau) / tau!r} (relative)"
             )
 
 
@@ -373,7 +405,7 @@ def _run_trotter(report: RunReport, params: dict, state, tol: dict) -> None:
     result = accelerated_frame_trotter(
         state, params["acceleration"], params["duration"], steps=params["steps"]
     )
-    ratios = result.halving_ratios()
+    ratios = result.errors[:-1] / result.errors[1:]
     for i, (n, err) in enumerate(zip(result.steps, result.errors)):
         report.rows.append(
             {
@@ -382,14 +414,10 @@ def _run_trotter(report: RunReport, params: dict, state, tol: dict) -> None:
                 "ratio_to_next": ratios[i] if i < len(ratios) else float("nan"),
             }
         )
-    doubling = all(int(b) == 2 * int(a) for a, b in zip(result.steps[:-1], result.steps[1:]))
-    if doubling:
-        report.add_range(
-            "halving_ratios_in_range", ratios, tol["halving_ratio_low"], tol["halving_ratio_high"],
-            f"error(n)/error(2n) ratios: {[float(r) for r in ratios]}",
-        )
-    else:
-        report.notes.append("steps are not a doubling schedule; ratio range not checked")
+    report.add_range(
+        "halving_ratios_in_range", ratios, tol["halving_ratio_low"], tol["halving_ratio_high"],
+        f"error(n)/error(2n) ratios: {[float(r) for r in ratios]}",
+    )
     report.add_bound(
         "terminal_error", float(result.errors[-1]), tol["terminal_error"],
         f"product-formula error at {int(result.steps[-1])} steps",
@@ -409,26 +437,18 @@ def _run_impulse(report: RunReport, params: dict, state, tol: dict) -> None:
         report.rows.append(
             {"duration": dt, "deviation_velocity": dv, "deviation_momentum": dp}
         )
-    target = "velocity" if params["internal_coupled"] else "momentum"
-    other = "momentum" if params["internal_coupled"] else "velocity"
-    ratios = result.shrink_ratios(against=target)
-    stalled = (
-        result.deviation_momentum if params["internal_coupled"] else result.deviation_velocity
-    )
+    target, other = (("velocity", "momentum") if params["internal_coupled"]
+                     else ("momentum", "velocity"))
+    deviation = {"velocity": result.deviation_velocity, "momentum": result.deviation_momentum}
+    ratios = deviation[target][:-1] / deviation[target][1:]
     report.notes.append(
         f"limit converges to the {target} boost; deviation from the {other} "
-        f"boost stalls at {float(stalled[-1])!r}"
+        f"boost stalls at {float(deviation[other][-1])!r}"
     )
-    decades = bool(
-        np.allclose(result.durations[:-1] / result.durations[1:], 10.0, rtol=1e-9)
+    report.add_range(
+        "decade_ratios_in_range", ratios, tol["decade_ratio_low"], tol["decade_ratio_high"],
+        f"per-decade shrink of the {target}-boost deviation: {[float(r) for r in ratios]}",
     )
-    if decades:
-        report.add_range(
-            "decade_ratios_in_range", ratios, tol["decade_ratio_low"], tol["decade_ratio_high"],
-            f"per-decade shrink of the {target}-boost deviation: {[float(r) for r in ratios]}",
-        )
-    else:
-        report.notes.append("dt schedule is not decade-spaced; ratio range not checked")
 
 
 def _each(fill: Callable) -> Callable:
@@ -535,7 +555,7 @@ KINDS = {
         params=_grid_params(
             acceleration=ParamSpec(float, 0.02, sweepable=True, check=_require_drive),
             duration=ParamSpec(float, 2.0, sweepable=True, check=_positive("duration")),
-            steps=ParamSpec(list[int], (32, 64, 128, 256, 512), check=trotter_steps),
+            steps=ParamSpec(list[int], (32, 64, 128, 256, 512), check=_require_doubling_steps),
             grid_size=ParamSpec(int, 256, check=require_lattice_size),
             momentum=ParamSpec(float, 0.0),
         ),
@@ -549,7 +569,7 @@ KINDS = {
         params=_grid_params(
             boost=ParamSpec(float, 0.01, sweepable=True, check=_require_drive),
             dt_schedule=ParamSpec(list[float], (1e-1, 1e-2, 1e-3, 1e-4),
-                                  check=impulse_durations),
+                                  check=_require_decade_durations),
             internal_coupled=ParamSpec(bool, True),
             grid_size=ParamSpec(int, 128, check=require_lattice_size),
         ),

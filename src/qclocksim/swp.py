@@ -80,10 +80,6 @@ class DilationProfile:
         if np.any(factors <= 0.0) or np.any(factors >= 2.0):
             raise ValueError("dilation factors must lie strictly inside (0, 2)")
 
-    @property
-    def is_uniform(self) -> bool:
-        return bool(np.all(self.factors == self.factors[0]))
-
 
 def _rates(clock: SWPClock, profile: DilationProfile) -> np.ndarray:
     """-i n omega0 d_n: the amplitude of level n at time t is e^{rate_n t}."""
@@ -133,9 +129,6 @@ class TickScan:
 
     tick_times: np.ndarray
     tick_variances: np.ndarray
-    mean_spacing: float
-    spacing_deviation: float  # (mean_spacing - tau) / tau
-    diagnostic: str
 
 
 def _refine_minima(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
@@ -208,22 +201,4 @@ def find_effective_ticks(
     values = tau * tau * _pointer_moments(clock, rates, grid)[1]
     dips = np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] <= values[2:]))
     tick_times = _refine_minima(variance_at, grid[dips], grid[dips + 2], tau * TICK_REFINE_TOL)
-    tick_variances = variance_at(tick_times)
-    if len(tick_times) >= 2:
-        mean_spacing = float(np.mean(np.diff(tick_times)))
-        deviation = (mean_spacing - tau) / tau
-        diagnostic = f"{len(tick_times)} ticks located"
-    else:
-        mean_spacing = float("nan")
-        deviation = float("nan")
-        diagnostic = (
-            f"only {len(tick_times)} variance minima inside ({lo:.6g}, {hi:.6g}); "
-            "spacing undefined, widen the window or check the profile"
-        )
-    return TickScan(
-        tick_times=tick_times,
-        tick_variances=tick_variances,
-        mean_spacing=mean_spacing,
-        spacing_deviation=deviation,
-        diagnostic=diagnostic,
-    )
+    return TickScan(tick_times=tick_times, tick_variances=variance_at(tick_times))

@@ -568,6 +568,52 @@ def test_an_swp_profile_that_reads_its_boost_refuses_a_zero_one(tmp_path, capsys
         "schema_version": 1, "scenarios": [none]})]) == 0
 
 
+@pytest.mark.parametrize(
+    "kind, params, sweep, key, run, message",
+    [("trotter-accel", {"steps": [32, 48, 96]}, None, "steps", "bad",
+      "each step count must be twice the one before"),
+     ("impulse-boost", {"dt_schedule": [0.1, 0.05, 0.02]}, None, "dt_schedule", "bad",
+      "each duration must be a tenth of the one before"),
+     ("swp", {"boost": 1e-8}, None, "boost", "bad", "every level dilates by 1.0 in float"),
+     ("swp", {"spacing": 1e-20}, None, "boost", "bad", "every level dilates by 0.995 in float"),
+     ("swp", {}, {"parameter": "boost", "start": 0.1, "stop": 1e-8, "count": 2}, "boost",
+      "bad-1", "every level dilates by 1.0 in float")],
+    ids=["steps-not-doubling", "dt-not-decades", "swp-boost", "swp-spacing", "swp-boost-sweep"],
+)
+def test_an_input_whose_claim_cannot_be_graded_is_refused_at_validation(
+    tmp_path, capsys, kind, params, sweep, key, run, message
+):
+    # Each runner grades its kind's claim on every run: the halving ratios of
+    # a doubling schedule, the shrink per decade of dt, and for a
+    # momentum-nonclassical clock the residual variance of factors that
+    # differ.  An input that the claim cannot be graded on is refused.
+    scenario = {"kind": kind, "name": "bad", "params": params}
+    if sweep is not None:
+        scenario["sweep"] = sweep
+    scenarios = [{"kind": "twin-velocity", "name": "fine"}, scenario]
+    config_path = _write_config(tmp_path / "bad.json", {"schema_version": 1,
+                                                        "scenarios": scenarios})
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], config_path, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"scenarios[1].params.{key} (run {run!r}): {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", [*sorted(runners_module.KINDS),
+                                    *sorted(path.name for path in CONFIGS.glob("*.json"))])
+def test_every_run_is_graded_by_at_least_one_check(source):
+    # A report with no check counts as passed, so a run graded by nothing
+    # would pass whatever it computed.
+    if source.endswith(".json"):
+        config = load_config(CONFIGS / source)
+    else:
+        config = parse_config({"schema_version": 1, "scenarios": [{"kind": source}]})
+    reports = run_config(config)
+    assert reports
+    assert [report.name for report in reports if not report.checks] == []
+
+
 @pytest.mark.parametrize("kind", ["trotter-accel", "impulse-boost"])
 @pytest.mark.parametrize("sigma", [1e-200, 0.01, 65.0, 1e200],
                          ids=["underflow", "below-step", "above-box", "overflow"])
