@@ -9,12 +9,12 @@ shares.  Validation is strict and front-loaded: unknown keys, wrong types,
 and physically out-of-regime parameters are all rejected here with the
 offending JSON path in the message.
 
-Loading also plans every run: each parameter's own check (its ParamSpec's)
-refuses a bad value at its JSON path, then the kind's plan function builds
-the run's engine objects (spectrum, SWP clock and profile, trap, grid
-packet) with the engine's own constructors, and the runners execute those
-objects.  A run can still fail at runtime, as when a grid evolution's
-packet reaches the box edge.
+Loading also plans every job, the runs that execute together (`jobs()`):
+each parameter's own check (its ParamSpec's) refuses a bad value at its JSON
+path, then the kind's plan function builds the job's engine objects once,
+with the engine's own constructors and every kick's regime checked, and the
+runners execute exactly that plan.  A run can still fail at runtime, as when
+a grid evolution's packet reaches the box edge.
 
 SI inputs are supported through a scenario-level "si" block; they are
 converted to the dimensionless ratios the engine uses and override the
@@ -68,7 +68,7 @@ class ScenarioSpec:
     params: dict
     tolerances: dict
     sweep: Sweep | None = None
-    # Each run's engine objects, in expand() order, built when the config is parsed.
+    # Each job's engine objects, in jobs() order, built when the config is parsed.
     plans: list = field(default_factory=list)
 
     def expand(self) -> list:
@@ -78,6 +78,12 @@ class ScenarioSpec:
         width = len(str(self.sweep.count - 1))
         return [(f"{self.name}-{i:0{width}d}", {**self.params, self.sweep.parameter: value})
                 for i, value in enumerate(self.sweep.values())]
+
+    def jobs(self) -> list:
+        """(run_names, run_params) per job: a sweep's runs if the kind batches, else each alone."""
+        runs = self.expand()
+        size = len(runs) if KINDS[self.kind].batches else 1
+        return [tuple(map(list, zip(*runs[i:i + size]))) for i in range(0, len(runs), size)]
 
 
 @dataclass
@@ -159,37 +165,33 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
     return params
 
 
-def _plan_runs(spec: ScenarioSpec, where: str, aliases: dict) -> list:
-    """Each run's plan, in expand() order.  The runs of a sweep differ only in
+def _plan_jobs(spec: ScenarioSpec, where: str, aliases: dict) -> list:
+    """Each job's plan, in jobs() order.  The runs of a sweep differ only in
     the swept parameter, so each parameter's own check sees the first run,
     and every run only for the swept parameter; it refuses a value at
-    `.params.<key>`, or at the path `aliases` gives for it, before any plan
-    reads it.  Runs share a plan unless the plan reads the swept parameter.
-    The kicks of all runs are then checked as one batch."""
+    `.params.<key>`, or at the path `aliases` gives for it.  A job's runs meet
+    their own rules before its plan: a per-run kind's sweep stops at its first
+    run that breaks any rule."""
     kind = KINDS[spec.kind]
     swept = spec.sweep and spec.sweep.parameter
-    runs = spec.expand()
 
-    def at(run, field, check, *args, **kwargs):
+    def at(names, field, check, *args, run=0, **kwargs):
         try:
             return check(*args, **kwargs)
         except (ValueError, WraparoundError) as exc:
             # A batched RegimeError says which run left the regime.
-            name = runs[run if getattr(exc, "run", None) is None else exc.run][0]
+            name = names[run if getattr(exc, "run", None) is None else exc.run]
             raise ConfigError(f"{where}{aliases.get(field, field)} (run {name!r}): {exc}") from exc
 
-    built, plans = {}, []
-    for run, (_, params) in enumerate(runs):
-        for name in kind.params if run == 0 else (swept,):
-            check = kind.params[name].check
-            if check is not None and params[name] is not None:
-                at(run, f".params.{name}", check, params[name])
-        key = params[swept] if swept in kind.plan_reads else None
-        if key not in built:
-            built[key] = kind.plan(params, partial(at, run))
-        plans.append(built[key])
-    if kind.kicks is not None:
-        kind.kicks([params for _, params in runs], plans, partial(at, 0))
+    plans, keys = [], kind.params  # after the first run, only the swept key
+    for names, runs in spec.jobs():
+        for run, params in enumerate(runs):
+            for key in keys:
+                check = kind.params[key].check
+                if check is not None and params[key] is not None:
+                    at(names, f".params.{key}", check, params[key], run=run)
+            keys = (swept,)
+        plans.append(kind.plan(runs, partial(at, names)))
     return plans
 
 
@@ -276,7 +278,7 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
     # A parameter the si block wrote is refused at the si key, unless swept.
     aliases = {f".params.{_SI_TARGETS[key]}": f".si.{key}" for key in data.get("si", {})
                if key in _SI_TARGETS and _SI_TARGETS[key] != (sweep and sweep.parameter)}
-    spec.plans = _plan_runs(spec, where, aliases)
+    spec.plans = _plan_jobs(spec, where, aliases)
     return spec
 
 

@@ -3,7 +3,7 @@ method or an unusable input; a deviation from an oracle is returned, not raised.
 
 
 class RegimeError(ValueError):
-    """A level or a boost kick left the low-energy regime the model is valid in.
+    """A level, a boost kick or an accumulated phase left the regime the model is valid in.
 
     `run` is the index of the offending run within its batch, when known.
     """

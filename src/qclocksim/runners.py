@@ -1,9 +1,9 @@
 """Scenario kinds and their execution: from validated config entries to reports.
 
 Each scenario kind is one `Kind` record in KINDS: its parameter schema and
-default tolerances, the plan function that builds a run's engine objects
-when the config is loaded, and the runner that executes them.  The engines
-only measure and `oracles` predicts; this layer grades each measurement
+default tolerances, the plan function that builds each job's engine objects
+once, at load, and the runner that executes that plan.  The engines only
+measure and `oracles` predicts; this layer grades each measurement
 against its closed form, makes every report and passes every verdict.
 `run_scenario` makes one RunReport per run of a job, and the kind's runner
 fills them with rows and grades them against the kind's tolerances.  Runners
@@ -70,7 +70,7 @@ from .swp import (
     require_tick_resolution,
     require_tick_window,
 )
-from .units import check_epsilons, check_kicks, require_nonnegative, require_positive
+from .units import check_epsilons, check_kicks, check_phases, require_nonnegative, require_positive
 
 
 @dataclass(frozen=True)
@@ -93,32 +93,21 @@ class ParamSpec:
 class Kind:
     """Everything that defines one scenario kind.
 
-    Each parameter's own rule is the `check` of its ParamSpec.  `plan(params,
-    at)` builds one run's engine objects with the engine's own constructors,
-    and checks the rules that read more than one parameter or a built object;
-    `at(field, check, *args)` applies one of them, and a refusal becomes a
-    ConfigError at the scenario's JSON path plus field.  The runs of a sweep
-    share a plan unless the swept parameter is one of `plan_reads`.
-    `kicks(runs, plans, at)` holds the momenta that all runs' kicks reach to
-    the engine's regime check, as one batch.  `run(reports, runs, plans,
-    tolerances)` fills the reports of one job, one per run: all runs of a
-    sweep if the kind `batches`, else a single run.
+    Each parameter's own rule is the `check` of its ParamSpec.  A job is all
+    runs of a sweep if the kind `batches`, else one run, and any run can be
+    planned alone.  `plan(runs, at)` builds a job's engine objects once and
+    checks the rules that read more than one parameter or a built object,
+    every kick's regime included; `at(field, check, *args, run=0)` turns a
+    refusal into a ConfigError at the scenario's JSON path plus field, naming
+    the job's run `run` or the one a RegimeError names.  `run(reports, runs,
+    plan, tolerances)` fills the job's reports, one per run, from that plan.
     """
 
     params: dict
     tolerances: dict
     plan: Callable
     run: Callable
-    plan_reads: tuple = ()
-    kicks: Callable | None = None
     batches: bool = False
-
-
-def _drive_kicks(key: str, momenta: Callable, runs: list, plans: list, at) -> None:
-    """The kicks of a kind with no operator chain to check: `momenta(params,
-    plan)` is what the drive parameter `key` kicks one run to, per branch."""
-    reached = np.array([momenta(params, plan) for params, plan in zip(runs, plans)])
-    at(f".params.{key}", check_kicks, [(key, reached)])
 
 
 def _require_drive(value: float) -> None:
@@ -163,19 +152,24 @@ def _positive(name: str) -> Callable:
     return partial(require_positive, name)
 
 
-def _plan_spectrum(params: dict, at) -> InternalSpectrum:
-    """The levels of a run; the top level of a ladder reads `levels` too."""
-    if params.get("epsilons") is not None:
-        return at(".params.epsilons", make_spectrum, params["epsilons"])
-    return at(".params.spacing", ladder_spectrum, params["levels"], params["spacing"])
+def _plan_spectrum(runs: list, at) -> InternalSpectrum:
+    """A job's levels: `epsilons`, which fix every run's, or one ladder per
+    distinct spacing, stacked; the top level of a ladder reads `levels` too."""
+    if runs[0].get("epsilons") is not None:
+        return at(".params.epsilons", make_spectrum, runs[0]["epsilons"])
+    ladders = {}
+    for run, params in enumerate(runs):
+        if params["spacing"] not in ladders:
+            ladders[params["spacing"]] = at(".params.spacing", ladder_spectrum, params["levels"],
+                                            params["spacing"], run=run)
+    return stack_spectra([ladders[params["spacing"]] for params in runs])
 
 
-def _twin_kicks(sequence: SequenceKind, runs: list, spectra: list, at) -> None:
-    """Build the runner's probe and the operator chains of all runs as one
-    batch, and move the probe through them: `default_probe` refuses an empty
-    probe, `build_sequence` a bad translation option and `trace_chain` any
-    kick out of the regime."""
-    spectrum = stack_spectra(spectra)
+def _plan_twin(sequence: SequenceKind, runs: list, at) -> tuple:
+    """The job's levels and probe, moved through all runs' operator chains as
+    one batch, so that the plan refuses what the run would: an empty probe, a
+    bad translation option, a kick out of the regime or a phase past the cap."""
+    spectrum = _plan_spectrum(runs, at)
     params = runs[0]
     probe = at(".params.probe_momenta", default_probe, spectrum, params["probe_momenta"],
                tuple(range(spectrum.dim)))
@@ -183,16 +177,16 @@ def _twin_kicks(sequence: SequenceKind, runs: list, spectra: list, at) -> None:
     ops = at(".params.translation_level", build_sequence, sequence, boost, duration,
              params.get("translation_level"), spectrum,
              params.get("state_dependent_translation", False))
-    at(".params.boost", trace_chain, probe, ops)
+    _, phases = at(".params.boost", trace_chain, probe, ops)
+    at(".params.duration", check_phases, phases)
+    return spectrum, probe
 
 
-def _run_twin(sequence: SequenceKind, reports: list, runs: list, spectra: list,
-              tol: dict) -> None:
+def _run_twin(sequence: SequenceKind, reports: list, runs: list, plan: tuple, tol: dict) -> None:
     # The runs of one sweep differ only in the swept parameter.
-    spectrum = stack_spectra(spectra)
+    spectrum, probe = plan
     params = runs[0]
     boost, duration = (np.array([p[key] for p in runs]) for key in ("boost", "duration"))
-    probe = default_probe(spectrum, params["probe_momenta"], tuple(range(spectrum.dim)))
     translation = params.get("translation_level")
     branchwise = params.get("state_dependent_translation", False)
     result = run_sequence(sequence, spectrum, boost=boost, duration=duration, probe=probe,
@@ -260,14 +254,14 @@ def _twin(sequence: SequenceKind, boost: float, **params) -> Kind:
             **params,
         },
         tolerances={"identity_residual": 1e-12, "closed_form_fidelity": 1e-12},
-        plan=_plan_spectrum, plan_reads=("spacing",), run=partial(_run_twin, sequence),
-        kicks=partial(_twin_kicks, sequence), batches=True,
+        plan=partial(_plan_twin, sequence), run=partial(_run_twin, sequence), batches=True,
     )
 
 
-def _plan_swp(params: dict, at) -> tuple:
-    """The pointer clock, its dilation profile, and the tick scan's window
-    and resolution in time units."""
+def _plan_swp(runs: list, at) -> tuple:
+    """The pointer clock, its dilation profile, and the tick scan's window and
+    resolution in time units; the profile's boost is the clock's one kick."""
+    [params] = runs
     name, spectrum = params["profile"], None
     if name != "none":
         at(".params.boost", _require_drive, params["boost"])
@@ -282,10 +276,12 @@ def _plan_swp(params: dict, at) -> tuple:
     resolution = params["resolution_in_tau"] * clock.tau
     at(".params.window_in_tau", require_tick_window, window, clock.tau)
     at(".params.resolution_in_tau", require_tick_resolution, resolution, clock.tau)
+    at(".params.boost", check_kicks, [("boost", [0.0 if name == "none" else params["boost"]])])
     return clock, profile, window, resolution
 
 
-def _run_swp(report: RunReport, params: dict, plan: tuple, tol: dict) -> None:
+def _run_swp(reports: list, runs: list, plan: tuple, tol: dict) -> None:
+    [report], [params] = reports, runs
     clock, profile, window, resolution = plan
     tau = clock.tau
     scan = find_effective_ticks(clock, profile, window=window, resolution=resolution)
@@ -340,16 +336,26 @@ def _run_swp(report: RunReport, params: dict, plan: tuple, tol: dict) -> None:
             )
 
 
-def _plan_ion(params: dict, at) -> TrapModel:
+def _require_shift(model: TrapModel) -> None:
+    """The ion checks divide by the relative shift, which is nan at u = 0 (the null test)."""
+    if branch_spectrum_oracle(model).relative_shift == 0.0:
+        raise ValueError("the predicted line shift rounds to 0.0; use a larger transition energy")
+
+
+def _plan_ion(runs: list, at) -> TrapModel:
     """The trap; once every parameter has met its own rule, only the cutoff
     against the Fock index is left for the constructor to refuse."""
-    return at(".params.fock_cutoff", TrapModel, transition_energy=params["transition_energy"],
-              trap_frequency=params["trap_frequency"], lamb_dicke=params["lamb_dicke"],
-              fock_index=params["fock_index"], rabi_frequency=params["rabi_frequency"],
-              fock_cutoff=params["fock_cutoff"])
+    [params] = runs
+    model = at(".params.fock_cutoff", TrapModel, transition_energy=params["transition_energy"],
+               trap_frequency=params["trap_frequency"], lamb_dicke=params["lamb_dicke"],
+               fock_index=params["fock_index"], rabi_frequency=params["rabi_frequency"],
+               fock_cutoff=params["fock_cutoff"])
+    at(".params.transition_energy", _require_shift, model)
+    return model
 
 
-def _run_ion(report: RunReport, params: dict, model, tol: dict) -> None:
+def _run_ion(reports: list, runs: list, model: TrapModel, tol: dict) -> None:
+    [report], [params] = reports, runs
     scan = spectroscopy_scan(
         model, points=params["points"], span_factor=params["span_factor"]
     )
@@ -373,15 +379,14 @@ def _run_ion(report: RunReport, params: dict, model, tol: dict) -> None:
             "a massless internal gap must not shift the line",
         )
     else:
-        # A ratio over a zero oracle value is nan, and so fails its bound.
         relative, first = oracle.relative_shift, oracle.first_order_relative
         extracted = scan.peak_detuning / model.transition_energy
         report.add_bound(
-            "scan_vs_oracle", abs((extracted / relative if relative else math.nan) - 1.0),
+            "scan_vs_oracle", abs(extracted / relative - 1.0),
             tol["scan_vs_oracle"], "relative shift from the lineshape peak vs the branch oracle",
         )
         report.add_bound(
-            "oracle_vs_first_order", abs((relative / first if first else math.nan) - 1.0),
+            "oracle_vs_first_order", abs(relative / first - 1.0),
             tol["oracle_vs_first_order"],
             "oracle against the leading-order shift formula",
         )
@@ -391,17 +396,21 @@ def _run_ion(report: RunReport, params: dict, model, tol: dict) -> None:
     )
 
 
-def _plan_grid(params: dict, at) -> GridState:
-    """The initial wavepacket of a trotter-accel or impulse-boost run."""
-    state = at(".params.sigma", gaussian_grid_state, _plan_spectrum(params, at),
+def _plan_grid(key: str, momenta: Callable, runs: list, at) -> GridState:
+    """The initial wavepacket of a trotter-accel or impulse-boost run; its drive
+    parameter `key` kicks it to `momenta(params, state)`, per branch."""
+    [params] = runs
+    state = at(".params.sigma", gaussian_grid_state, _plan_spectrum(runs, at),
                size=params["grid_size"], box_length=params["box_length"], sigma=params["sigma"],
                momentum=params.get("momentum", 0.0))
     # The grid engines refuse a packet that already reaches the box edge.
     at(".params.box_length", _require_inside, state, "initial state")
+    at(f".params.{key}", check_kicks, [(key, momenta(params, state))])
     return state
 
 
-def _run_trotter(report: RunReport, params: dict, state, tol: dict) -> None:
+def _run_trotter(reports: list, runs: list, state: GridState, tol: dict) -> None:
+    [report], [params] = reports, runs
     result = accelerated_frame_trotter(
         state, params["acceleration"], params["duration"], steps=params["steps"]
     )
@@ -424,7 +433,8 @@ def _run_trotter(report: RunReport, params: dict, state, tol: dict) -> None:
     )
 
 
-def _run_impulse(report: RunReport, params: dict, state, tol: dict) -> None:
+def _run_impulse(reports: list, runs: list, state: GridState, tol: dict) -> None:
+    [report], [params] = reports, runs
     result = impulsive_boost_limit(
         state,
         params["boost"],
@@ -451,14 +461,6 @@ def _run_impulse(report: RunReport, params: dict, state, tol: dict) -> None:
     )
 
 
-def _each(fill: Callable) -> Callable:
-    """The job runner that fills each report with `fill(report, params, plan, tol)`."""
-    def run(reports: list, runs: list, plans: list, tol: dict) -> None:
-        for report, params, plan in zip(reports, runs, plans, strict=True):
-            fill(report, params, plan, tol)
-    return run
-
-
 def _grid_params(**params) -> dict:
     return {
         **params,
@@ -469,16 +471,16 @@ def _grid_params(**params) -> dict:
     }
 
 
-def _entanglement_kicks(runs: list, spectra: list, at) -> None:
-    """The runner's velocity boost of the internal superposition, as one batch."""
-    spectrum = stack_spectra(spectra)
+def _plan_entanglement(runs: list, at) -> InternalSpectrum:
+    """The job's levels; the runner's boost of the superposition is checked as one batch."""
+    spectrum = _plan_spectrum(runs, at)
     kick = VelocityBoost(np.array([[p["boost"]] for p in runs]))
     at(".params.boost", apply_operator, internal_superposition(spectrum, runs[0]["momentum"]),
        kick)
+    return spectrum
 
 
-def _run_entanglement(reports: list, runs: list, spectra: list, tol: dict) -> None:
-    spectrum = stack_spectra(spectra)
+def _run_entanglement(reports: list, runs: list, spectrum: InternalSpectrum, tol: dict) -> None:
     demo = entanglement_frame_demo(
         spectrum,
         momentum=runs[0]["momentum"],
@@ -525,10 +527,7 @@ KINDS = {
             # discriminates against is several orders of magnitude larger.
             "classical_spacing_deviation": 1e-7,
         },
-        plan=_plan_swp, plan_reads=("omega0", "boost", "spacing"), run=_each(_run_swp),
-        # The clock's engine has no operator chain: the profile's boost is its kick.
-        kicks=partial(_drive_kicks, "boost",
-                      lambda p, plan: [0.0 if p["profile"] == "none" else p["boost"]]),
+        plan=_plan_swp, run=_run_swp,
     ),
     "ion-spectroscopy": Kind(
         params={
@@ -549,7 +548,7 @@ KINDS = {
             "cutoff_change": 1e-10,
             "null_shift_bound": 1e-10,
         },
-        plan=_plan_ion, plan_reads=("transition_energy", "trap_frequency"), run=_each(_run_ion),
+        plan=_plan_ion, run=_run_ion,
     ),
     "trotter-accel": Kind(
         params=_grid_params(
@@ -560,10 +559,10 @@ KINDS = {
             momentum=ParamSpec(float, 0.0),
         ),
         tolerances={"halving_ratio_low": 1.6, "halving_ratio_high": 2.4, "terminal_error": 1e-4},
-        plan=_plan_grid, run=_each(_run_trotter),
         # The frame's kicks add up to -M_n a T on the packet's momentum.
-        kicks=partial(_drive_kicks, "acceleration", lambda p, state: p["momentum"]
-                      - state.spectrum.masses * p["acceleration"] * p["duration"]),
+        plan=partial(_plan_grid, "acceleration", lambda p, state: p["momentum"]
+                     - state.spectrum.masses * p["acceleration"] * p["duration"]),
+        run=_run_trotter,
     ),
     "impulse-boost": Kind(
         params=_grid_params(
@@ -574,9 +573,9 @@ KINDS = {
             grid_size=ParamSpec(int, 128, check=require_lattice_size),
         ),
         tolerances={"decade_ratio_low": 8.0, "decade_ratio_high": 12.0},
-        plan=_plan_grid, run=_each(_run_impulse),
         # The pulse's ideal limit is a velocity boost: branch n ends at M_n v.
-        kicks=partial(_drive_kicks, "boost", lambda p, state: state.spectrum.masses * p["boost"]),
+        plan=partial(_plan_grid, "boost", lambda p, state: state.spectrum.masses * p["boost"]),
+        run=_run_impulse,
     ),
     "entanglement-demo": Kind(
         params={
@@ -586,19 +585,18 @@ KINDS = {
             "boost": ParamSpec(float, 0.01, sweepable=True, check=_require_drive),
         },
         tolerances={"entropy_abs": 1e-10},
-        plan=_plan_spectrum, plan_reads=("spacing",), run=_run_entanglement, batches=True,
-        kicks=_entanglement_kicks,
+        plan=_plan_entanglement, run=_run_entanglement, batches=True,
     ),
 }
 
 
-def run_scenario(kind: str, names: list, runs: list, plans: list, tolerances: dict) -> list:
-    """Run one job, named runs of one scenario, and return their reports in run order."""
+def run_scenario(kind: str, names: list, runs: list, plan, tolerances: dict) -> list:
+    """Run one job, named runs of one scenario, from its plan; reports in run order."""
     if kind not in KINDS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
     reports = [RunReport(scenario=kind, name=name, parameters=dict(params))
                for name, params in zip(names, runs, strict=True)]
-    KINDS[kind].run(reports, runs, plans, tolerances)
+    KINDS[kind].run(reports, runs, plan, tolerances)
     return reports
 
 
@@ -606,9 +604,8 @@ def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None
     """Run every scenario's planned runs of a loaded config and return
     reports in config order.
 
-    A twin or entanglement sweep is one job at every thread count; every
-    other run is a job of its own.  Jobs share the plans, which the engine
-    only reads.
+    Each job, as the config's `jobs()` forms them, runs from the plan the
+    load built for it, which the engine only reads.
     """
     overrides = dict(tolerance_overrides or {})
     known = {key for spec in config.scenarios for key in spec.tolerances}
@@ -621,11 +618,8 @@ def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None
     jobs = []
     for spec in config.scenarios:
         tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
-        runs = [(name, params, plan)
-                for (name, params), plan in zip(spec.expand(), spec.plans, strict=True)]
-        size = len(runs) if KINDS[spec.kind].batches else 1
-        jobs += [(spec.kind, *map(list, zip(*runs[i:i + size])), tolerances)
-                 for i in range(0, len(runs), size)]
+        jobs += [(spec.kind, names, runs, plan, tolerances)
+                 for (names, runs), plan in zip(spec.jobs(), spec.plans, strict=True)]
 
     def one(job):
         try:

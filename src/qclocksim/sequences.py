@@ -43,7 +43,7 @@ from .states import (
     internal_superposition,
     reduced_internal_entropy,
 )
-from .units import MAX_TOTAL_PHASE, require_positive
+from .units import check_phases, require_positive
 
 
 class SequenceKind(enum.Enum):
@@ -184,8 +184,7 @@ def run_sequence(
         raise SequencingError(
             f"sequence did not return momenta (max error {np.max(momentum_err):.3e})"
         )
-    if float(np.max(np.abs(phases))) > MAX_TOTAL_PHASE:
-        raise ValueError("accumulated phase exceeds the mod-2pi safety cap; shorten the run")
+    check_phases(phases)
 
     # Strip the motional part; what is left must be momentum-independent
     # within each level: G - 2 t epsilon_n d_n.

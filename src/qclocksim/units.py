@@ -11,10 +11,10 @@ dimensionless ratios
 
 The model expands kinetic terms to first order in p^2/(m M c^2), so it is only
 trustworthy while internal energies and momenta stay small.  check_epsilons
-and check_kicks enforce that: every level or kick outside the bounds raises
-RegimeError, in the engine and at config validation alike.  require_positive
-and require_nonnegative are the sign rules of every positive or nonnegative
-input, NaN refused.
+and check_kicks enforce that, and check_phases the phase cap: every value out
+of bounds raises RegimeError, in the engine and at config validation alike.
+require_positive and require_nonnegative are the sign rules of every positive
+or nonnegative input, NaN refused.
 """
 
 from __future__ import annotations
@@ -81,6 +81,14 @@ def check_kicks(kicks) -> None:
             f"kappa_max = {KAPPA_MAX}; results are outside the model's validity regime",
             run=int(index[0]) if worst.ndim > 1 else None,
         )
+
+
+def check_phases(phases) -> None:
+    """Raise RegimeError past MAX_TOTAL_PHASE, carrying the first such run of a run axis."""
+    over = np.flatnonzero(np.max(np.abs(phases), axis=-1) > MAX_TOTAL_PHASE)
+    if len(over):
+        raise RegimeError("accumulated phase exceeds the mod-2pi safety cap; shorten the run",
+                          run=int(over[0]) if np.ndim(phases) > 1 else None)
 
 
 def epsilon_from_energy(energy_joule: float, mass_kg: float) -> float:

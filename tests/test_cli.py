@@ -439,6 +439,8 @@ def test_a_box_too_small_for_the_packet_is_refused_at_validation(tmp_path, capsy
         ("impulse-boost", {"grid_size": 0}, "grid_size", "lattice size 0 must be"),
         ("impulse-boost", {"grid_size": 100}, "grid_size", "lattice size 100 must be"),
         ("impulse-boost", {"grid_size": -4}, "grid_size", "lattice size -4 must be"),
+        ("twin-velocity", {"duration": 1e9}, "duration",
+         "accumulated phase exceeds the mod-2pi safety cap"),
     ],
 )
 def test_an_input_the_engine_refuses_at_run_time_is_refused_at_validation(
@@ -463,8 +465,8 @@ def test_an_input_the_engine_refuses_at_run_time_is_refused_at_validation(
     "kind", ["twin-momentum", "twin-velocity", "twin-observer", "trotter-accel"]
 )
 def test_a_duration_sweep_that_reaches_zero_is_refused_at_the_run(tmp_path, capsys, kind):
-    # The runs of a sweep share one plan, which does not read the duration, so
-    # each run's duration is checked on its own; run 'sweep-1' has duration 0.
+    # Each run's duration meets its own rule before the sweep's plan reads
+    # it; run 'sweep-1' has duration 0.
     sweep = {"parameter": "duration", "start": 1.0, "stop": -1.0, "count": 3}
     scenarios = [{"kind": kind, "name": "sweep", "sweep": sweep}]
     config_path = _write_config(tmp_path / "sweep.json", {"schema_version": 1,
@@ -577,16 +579,20 @@ def test_an_swp_profile_that_reads_its_boost_refuses_a_zero_one(tmp_path, capsys
      ("swp", {"boost": 1e-8}, None, "boost", "bad", "every level dilates by 1.0 in float"),
      ("swp", {"spacing": 1e-20}, None, "boost", "bad", "every level dilates by 0.995 in float"),
      ("swp", {}, {"parameter": "boost", "start": 0.1, "stop": 1e-8, "count": 2}, "boost",
-      "bad-1", "every level dilates by 1.0 in float")],
-    ids=["steps-not-doubling", "dt-not-decades", "swp-boost", "swp-spacing", "swp-boost-sweep"],
+      "bad-1", "every level dilates by 1.0 in float"),
+     ("ion-spectroscopy", {"transition_energy": 1e-20}, None, "transition_energy", "bad",
+      "the predicted line shift rounds to 0.0")],
+    ids=["steps-not-doubling", "dt-not-decades", "swp-boost", "swp-spacing", "swp-boost-sweep",
+         "ion-shift-rounds-to-zero"],
 )
 def test_an_input_whose_claim_cannot_be_graded_is_refused_at_validation(
     tmp_path, capsys, kind, params, sweep, key, run, message
 ):
     # Each runner grades its kind's claim on every run: the halving ratios of
-    # a doubling schedule, the shrink per decade of dt, and for a
+    # a doubling schedule, the shrink per decade of dt, for a
     # momentum-nonclassical clock the residual variance of factors that
-    # differ.  An input that the claim cannot be graded on is refused.
+    # differ, and for an ion with a transition energy the line shift relative
+    # to the oracle's.  An input that the claim cannot be graded on is refused.
     scenario = {"kind": kind, "name": "bad", "params": params}
     if sweep is not None:
         scenario["sweep"] = sweep
@@ -642,6 +648,8 @@ def test_a_packet_the_lattice_cannot_hold_is_refused_at_its_width(tmp_path, caps
       "trap_frequency_hz (run 'x'): trap frequency must be positive, got 0.0"),
      ("ion-spectroscopy", {"transition_frequency_hz": -4e14, "mass_kg": 1e-25},
       "transition_frequency_hz (run 'x'): transition energy must be nonnegative"),
+     ("ion-spectroscopy", {"transition_frequency_hz": 1e-6, "mass_kg": 1e-25},
+      "transition_frequency_hz (run 'x'): the predicted line shift rounds to 0.0"),
      ("twin-velocity", {"velocity_m_per_s": 0.0}, "velocity_m_per_s (run 'x'): must be nonzero"),
      ("twin-velocity", {"velocity_m_per_s": 1.5e8},
       "velocity_m_per_s (run 'x'): VelocityBoost: squared momentum ratio"),
@@ -649,8 +657,8 @@ def test_a_packet_the_lattice_cannot_hold_is_refused_at_its_width(tmp_path, caps
       "internal_energy_joule (run 'x'): spacing must be positive"),
      ("twin-velocity", {"internal_energy_joule": 3e-9, "mass_kg": 1e-25},
       "internal_energy_joule (run 'x'): internal energy ratio")],
-    ids=["trap-frequency", "transition-frequency", "zero-velocity", "fast-velocity",
-         "negative-energy", "top-level-energy"],
+    ids=["trap-frequency", "transition-frequency", "unshifted-line", "zero-velocity",
+         "fast-velocity", "negative-energy", "top-level-energy"],
 )
 def test_a_converted_si_value_is_refused_at_the_si_key(tmp_path, capsys, kind, si, message):
     # The config wrote the si key; the parameter it converts into is not in
@@ -777,22 +785,39 @@ def test_colliding_run_names_are_refused(tmp_path, capsys, second, path):
      for key, spec in record.params.items() if spec.sweepable],
 )
 def test_the_runs_of_a_sweep_get_the_plans_they_would_get_alone(kind, parameter):
-    # Runs of one sweep share a plan unless the plan reads the swept
-    # parameter; each shared plan must equal the one its run builds alone.
+    # A per-run kind plans each run of a sweep as a job of its own, which must
+    # equal the plan the run gets alone.  A batching kind plans the sweep
+    # once: each run's row of the stacked levels, and the probe, must equal
+    # what the run builds alone.
     default = runners_module.KINDS[kind].params[parameter].default
     sweep = {"parameter": parameter, "start": default, "stop": 0.5 * default, "count": 2}
     [spec] = parse_config({"schema_version": 1,
                            "scenarios": [{"kind": kind, "sweep": sweep}]}).scenarios
-    for (_, params), plan in zip(spec.expand(), spec.plans, strict=True):
+    alone = []
+    for _, params in spec.expand():
         scenario = {"kind": kind, "params": {parameter: params[parameter]}}
-        [alone] = parse_config({"schema_version": 1, "scenarios": [scenario]}).scenarios
-        assert pickle.dumps(plan) == pickle.dumps(alone.plans[0])
+        [plan] = parse_config({"schema_version": 1, "scenarios": [scenario]}).scenarios[0].plans
+        alone.append(plan)
+    if not runners_module.KINDS[kind].batches:
+        assert pickle.dumps(spec.plans) == pickle.dumps(alone)
+        return
+    [plan] = spec.plans
+    spectrum, probe = plan if kind.startswith("twin-") else (plan, None)
+    rows = np.broadcast_to(spectrum.epsilons, (len(alone), spectrum.dim)).tolist()
+    for row, run_plan in zip(rows, alone, strict=True):
+        run_spectrum, run_probe = run_plan if probe is not None else (run_plan, None)
+        assert tuple(row) == run_spectrum.epsilons
+        if probe is not None:
+            for field in ("levels", "momenta", "amplitudes"):
+                assert pickle.dumps(getattr(probe, field)) == pickle.dumps(
+                    getattr(run_probe, field))
 
 
 @pytest.mark.parametrize("parameter", ["boost", "spacing"])
 def test_a_sweep_checks_its_translation_options_once_per_scenario(monkeypatch, parameter):
     # The translation options and the kicks of every run are checked on one
-    # batched operator chain, whichever parameter the sweep varies.
+    # batched operator chain, whichever parameter the sweep varies, and the
+    # sweep is one job with one plan.
     calls = []
 
     def counted(*args, **kwargs):
@@ -805,7 +830,9 @@ def test_a_sweep_checks_its_translation_options_once_per_scenario(monkeypatch, p
     scenario = {"kind": "twin-momentum", "params": {"translation_level": 1}, "sweep": sweep}
     config = parse_config({"schema_version": 1, "scenarios": [scenario]})
     assert len(calls) == 1
-    assert len(config.scenarios[0].plans) == 5
+    [spec] = config.scenarios
+    assert len(spec.plans) == 1
+    assert [names for names, _ in spec.jobs()] == [[f"twin-momentum-0-{i}" for i in range(5)]]
 
 
 @pytest.mark.parametrize("config_name", ["full-suite", "boost-sweep"])
@@ -923,10 +950,13 @@ def test_a_job_of_a_per_run_kind_returns_one_report_per_run_in_order():
     sweep = {"parameter": "boost", "start": 0.05, "stop": 0.1, "count": 2}
     config = parse_config({"schema_version": 1, "scenarios": [
         {"kind": "swp", "name": "s", "sweep": sweep}]})
+    # Each run of an swp sweep is a job of its own, run from its own plan.
     [spec] = config.scenarios
-    runs = [params for _, params in spec.expand()]
-    reports = run_scenario("swp", ["a", "b"], runs, spec.plans, spec.tolerances)
-    assert [report.name for report in reports] == ["a", "b"]
+    jobs = spec.jobs()
+    assert [names for names, _ in jobs] == [["s-0"], ["s-1"]]
+    reports = [report for (names, runs), plan in zip(jobs, spec.plans, strict=True)
+               for report in run_scenario("swp", names, runs, plan, spec.tolerances)]
+    assert [report.name for report in reports] == ["s-0", "s-1"]
     assert [report.rows for report in reports] == [report.rows for report in run_config(config)]
     assert reports[0].rows != reports[1].rows
 
@@ -1037,7 +1067,7 @@ def test_full_suite_values_match_the_frozen_fixture():
         column, expected = FROZEN_FULL_SUITE[spec.name]
         [(run_name, params)] = spec.expand()
         [plan] = spec.plans
-        [report] = run_scenario(spec.kind, [run_name], [params], [plan], spec.tolerances)
+        [report] = run_scenario(spec.kind, [run_name], [params], plan, spec.tolerances)
         np.testing.assert_allclose([row[column] for row in report.rows], expected, rtol=1e-12)
         checked.add(spec.name)
     assert checked == set(FROZEN_FULL_SUITE)

@@ -7,6 +7,9 @@ an engine cannot make a report or pass a verdict of its own.  Neither does
 itself against its own closed form; the one exception is listed in
 ENGINES_READING_ORACLES with its reason.  Checked on the source with `ast`,
 so a lazy import inside a function counts too.
+
+A job's engine objects are built once, by its plan at load: no runner in
+`runners` calls a constructor that the plans call.
 """
 
 import ast
@@ -19,6 +22,10 @@ ENGINES = ("units", "errors", "spectrum", "states", "operators", "sequences", "g
            "gridops", "swp", "ionclock")
 ORACLES = "oracles"
 ABOVE = {"report", "runners", "config", "cli"}
+# What a plan builds: a runner that called one would build it again.
+PLAN_TIME = {"stack_spectra", "default_probe", "ladder_spectrum", "make_spectrum",
+             "internal_superposition", "gaussian_grid_state", "TrapModel", "SWPClock",
+             "DilationProfile"}
 ENGINES_READING_ORACLES = {
     "ionclock": "the scan grid is centred on the predicted carrier shift",
 }
@@ -63,6 +70,16 @@ def test_an_engine_module_does_not_read_the_oracles(engine):
 def test_an_engine_listed_as_reading_the_oracles_does(engine):
     # An exception that no longer holds is dropped from the list.
     assert ORACLES in _imported_modules(engine)
+
+
+def test_no_runner_calls_a_plan_time_constructor():
+    tree = ast.parse((PACKAGE / "runners.py").read_text(encoding="utf-8"))
+    runners = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
+    called = {(runner.name, getattr(node.func, "id", getattr(node.func, "attr", None)))
+              for runner in runners for node in ast.walk(runner) if isinstance(node, ast.Call)}
+    assert len(runners) == 6
+    assert {(runner, name) for runner, name in called if name in PLAN_TIME} == set()
 
 
 def test_every_module_of_the_package_is_an_engine_the_oracles_or_above_them():

@@ -81,6 +81,35 @@ def test_a_spacing_sweep_is_checked_on_each_run_s_own_masses(tmp_path, capsys):
     assert main(["validate", _write(tmp_path, scenario)]) == 0
 
 
+def test_a_per_run_sweep_is_refused_at_its_first_run_out_of_the_regime(tmp_path, capsys):
+    # Each swp run is planned, its kick included, before the next run: run
+    # 's-0' kicks to p^2 = 0.25 before 's-1' (boost 0) could be refused.
+    scenario = {"kind": "swp", "name": "s",
+                "sweep": {"parameter": "boost", "start": 0.5, "stop": -0.5, "count": 3}}
+    path = _write(tmp_path, scenario)
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], path, *command[1:]]) == 2
+        assert ("scenarios[0].params.boost (run 's-0'): boost: squared momentum ratio 0.25 "
+                ">= kappa_max") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_is_refused_at_its_first_run_past_the_phase_cap(tmp_path, capsys):
+    # The plan traces the sweep's chains as one batch and holds their phases
+    # to the cap run_sequence holds them to; durations 5.0e8 and 1e9 pass it.
+    scenario = {"kind": "twin-velocity", "name": "t",
+                "sweep": {"parameter": "duration", "start": 1e5, "stop": 1e9, "count": 3}}
+    assert main(["validate", _write(tmp_path, scenario)]) == 2
+    assert ("scenarios[0].params.duration (run 't-1'): accumulated phase exceeds the mod-2pi "
+            "safety cap") in capsys.readouterr().err
+    spectrum = ladder_spectrum(2, 0.1)
+    run_sequence(SequenceKind.VELOCITY_CLOCK, spectrum, 0.01, 1e5)
+    with pytest.raises(RegimeError, match="safety cap") as exc:
+        run_sequence(SequenceKind.VELOCITY_CLOCK, spectrum, np.array([0.01] * 3),
+                     np.array([1e5, 5.00005e8, 1e9]))
+    assert exc.value.run == 1
+
+
 def _kicked_to(kind: str, p: float) -> tuple:
     """Parameters whose largest kick reaches |p| on the default two-level
     spectrum, and the parameter a refusal names."""

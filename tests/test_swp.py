@@ -196,7 +196,7 @@ def test_tick_finder_reports_when_ticks_are_missing():
     # The swp runner notes it and fails the run, with no spacing to grade.
     window = (0.5 * clock.tau, 3.5 * clock.tau)
     plan = (clock, halved, window, clock.tau / 64.0)
-    [report] = run_scenario("swp", ["halved"], [{"profile": "none"}], [plan],
+    [report] = run_scenario("swp", ["halved"], [{"profile": "none"}], plan,
                             KINDS["swp"].tolerances)
     assert report.notes == [
         f"only 1 variance minima inside ({window[0]:.6g}, {window[1]:.6g}); "

@@ -15,6 +15,7 @@ from qclocksim.units import (
     beta_from_velocity,
     check_epsilons,
     check_kicks,
+    check_phases,
     epsilon_from_energy,
     epsilon_from_frequency,
 )
@@ -51,6 +52,16 @@ def test_check_epsilons_rejects_large_internal_energies():
         check_epsilons([0.0, 0.25])
     with pytest.raises(RegimeError):
         check_epsilons([0.2])  # the bound itself is excluded
+
+
+def test_check_phases_raises_for_the_first_run_past_the_cap():
+    check_phases([0.0, -1e6, 1e6])  # the cap itself is allowed
+    with pytest.raises(RegimeError, match="mod-2pi safety cap") as exc:
+        check_phases([0.0, -1.5e6])
+    assert exc.value.run is None
+    with pytest.raises(RegimeError) as exc:
+        check_phases([[0.0, 1.0], [2e6, 0.0], [0.0, -3e6]])
+    assert exc.value.run == 1
 
 
 def test_check_kicks_raises_for_the_first_run_out_of_regime():
