@@ -113,7 +113,7 @@ def _cmd_kinds() -> int:
 
 def _cmd_validate(path: str) -> int:
     config = load_config(path)
-    total = sum(len(spec.expand()) for spec in config.scenarios)
+    total = sum(len(names) for spec in config.scenarios for names, _, _ in spec.jobs)
     print(f"{path}: valid ({len(config.scenarios)} scenario(s), {total} run(s))")
     return EXIT_OK
 
@@ -123,6 +123,12 @@ def _cmd_run(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     overrides = dict(_parse_tolerance(item) for item in args.tolerance)
+    # The directory is made after the runs; refuse first a path that cannot become one.
+    parent = args.out_dir
+    while parent and not os.path.exists(parent):
+        parent = os.path.dirname(parent) or "."
+    if parent is not None and not os.path.isdir(parent):
+        raise ConfigError(f"--out-dir {args.out_dir!r}: {parent!r} is not a directory")
     started = time.perf_counter()
     reports = run_config(config, threads=args.threads, tolerance_overrides=overrides)
     elapsed = time.perf_counter() - started

@@ -3,18 +3,17 @@
 A run config is a JSON object with schema_version 1 and a list of
 scenarios.  Each scenario names one of the built-in kinds, optionally
 overrides that kind's default parameters and tolerances, and may attach a
-one-parameter sweep.  Each kind's parameters, tolerances and plan come
-from its record in runners.KINDS; this module holds only what every kind
-shares.  Validation is strict and front-loaded: unknown keys, wrong types,
-and physically out-of-regime parameters are all rejected here with the
-offending JSON path in the message.
+one-parameter sweep.  This module reads only each kind's parameter schema
+and tolerances from its record in runners.KINDS, and holds only what every
+kind shares.  Validation is strict and front-loaded: unknown keys, wrong
+types, and physically out-of-regime parameters are all rejected at load
+with the offending JSON path in the message.
 
-Loading also plans every job, the runs that execute together (`jobs()`):
-each parameter's own check (its ParamSpec's) refuses a bad value at its JSON
-path, then the kind's plan function builds the job's engine objects once,
-with the engine's own constructors and every kick's regime checked, and the
-runners execute exactly that plan.  A run can still fail at runtime, as when
-a grid evolution's packet reaches the box edge.
+A parsed scenario is handed to runners.plan_jobs, which expands its runs
+once, checks them and plans each job; the scenario keeps the returned
+jobs, each job's runs beside its plan, and run_config runs exactly those,
+so changing a loaded scenario does not change what runs.  A run can still
+fail at runtime, as when a grid evolution's packet reaches the box edge.
 
 SI inputs are supported through a scenario-level "si" block; they are
 converted to the dimensionless ratios the engine uses and override the
@@ -26,12 +25,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, WraparoundError
-from .runners import KINDS, ParamSpec
+from .errors import ConfigError
+from .runners import KINDS, ParamSpec, plan_jobs
 from .units import (
     beta_from_velocity,
     epsilon_from_energy,
@@ -68,8 +66,8 @@ class ScenarioSpec:
     params: dict
     tolerances: dict
     sweep: Sweep | None = None
-    # Each job's engine objects, in jobs() order, built when the config is parsed.
-    plans: list = field(default_factory=list)
+    # (run names, run params, plan) per job, as runners.plan_jobs made them at load.
+    jobs: list = field(default_factory=list)
 
     def expand(self) -> list:
         """(run_name, params) pairs: one per sweep value, or the bare run."""
@@ -78,12 +76,6 @@ class ScenarioSpec:
         width = len(str(self.sweep.count - 1))
         return [(f"{self.name}-{i:0{width}d}", {**self.params, self.sweep.parameter: value})
                 for i, value in enumerate(self.sweep.values())]
-
-    def jobs(self) -> list:
-        """(run_names, run_params) per job: a sweep's runs if the kind batches, else each alone."""
-        runs = self.expand()
-        size = len(runs) if KINDS[self.kind].batches else 1
-        return [tuple(map(list, zip(*runs[i:i + size]))) for i in range(0, len(runs), size)]
 
 
 @dataclass
@@ -163,36 +155,6 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
         else:
             params[target] = epsilon_from_frequency(value, mass)
     return params
-
-
-def _plan_jobs(spec: ScenarioSpec, where: str, aliases: dict) -> list:
-    """Each job's plan, in jobs() order.  The runs of a sweep differ only in
-    the swept parameter, so each parameter's own check sees the first run,
-    and every run only for the swept parameter; it refuses a value at
-    `.params.<key>`, or at the path `aliases` gives for it.  A job's runs meet
-    their own rules before its plan: a per-run kind's sweep stops at its first
-    run that breaks any rule."""
-    kind = KINDS[spec.kind]
-    swept = spec.sweep and spec.sweep.parameter
-
-    def at(names, field, check, *args, run=0, **kwargs):
-        try:
-            return check(*args, **kwargs)
-        except (ValueError, WraparoundError) as exc:
-            # A batched RegimeError says which run left the regime.
-            name = names[run if getattr(exc, "run", None) is None else exc.run]
-            raise ConfigError(f"{where}{aliases.get(field, field)} (run {name!r}): {exc}") from exc
-
-    plans, keys = [], kind.params  # after the first run, only the swept key
-    for names, runs in spec.jobs():
-        for run, params in enumerate(runs):
-            for key in keys:
-                check = kind.params[key].check
-                if check is not None and params[key] is not None:
-                    at(names, f".params.{key}", check, params[key], run=run)
-            keys = (swept,)
-        plans.append(kind.plan(runs, partial(at, names)))
-    return plans
 
 
 def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
@@ -278,7 +240,7 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
     # A parameter the si block wrote is refused at the si key, unless swept.
     aliases = {f".params.{_SI_TARGETS[key]}": f".si.{key}" for key in data.get("si", {})
                if key in _SI_TARGETS and _SI_TARGETS[key] != (sweep and sweep.parameter)}
-    spec.plans = _plan_jobs(spec, where, aliases)
+    spec.jobs = plan_jobs(spec, where, aliases)
     return spec
 
 
@@ -308,7 +270,7 @@ def parse_config(data: dict) -> RunConfig:
     )
     owner = {}  # run name -> index of the scenario it belongs to
     for i, spec in enumerate(specs):
-        for run_name, _ in spec.expand():
+        for run_name in (name for names, _, _ in spec.jobs for name in names):
             _require(owner.setdefault(run_name, i) == i, f"scenarios[{i}].name",
                      f"run name {run_name!r} is already a run of scenarios[{owner[run_name]}]; "
                      "each run writes result files named after it")

@@ -44,7 +44,7 @@ from .units import require_positive
 ABORT_EDGE_MASS = 1e-12
 
 
-def _require_inside(state: GridState, context: str) -> None:
+def require_inside(state: GridState, context: str) -> None:
     mass = state.edge_mass()
     if not mass <= ABORT_EDGE_MASS:
         raise WraparoundError(
@@ -109,11 +109,11 @@ def evolve_linear_potential(
     """Exact evolution for `duration` under the potential slope m_n x, with m_n the
     full mass M_n of branch n when internal_coupled (velocity-boost and
     accelerated-frame physics), else the bare mass 1 (momentum-kick physics)."""
-    _require_inside(state, "linear-potential evolution (initial state)")
+    require_inside(state, "linear-potential evolution (initial state)")
     masses = state.spectrum.masses if internal_coupled else np.ones(state.spectrum.dim)
     potentials = np.stack([slope * m * state.positions for m in masses])
     out = _evolve_static(state, potentials, duration)
-    _require_inside(out, "linear-potential evolution (final state)")
+    require_inside(out, "linear-potential evolution (final state)")
     return out
 
 
@@ -213,6 +213,6 @@ def accelerated_frame_trotter(
     errors = np.empty(len(steps))
     for i, (n, amps) in enumerate(zip(steps, products)):
         current = state.with_amplitudes(amps)
-        _require_inside(current, f"trotter product (n = {n})")
+        require_inside(current, f"trotter product (n = {n})")
         errors[i] = float(np.linalg.norm(current.amplitudes - exact.amplitudes))
     return TrotterReport(steps=steps, errors=errors)

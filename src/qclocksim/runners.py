@@ -1,17 +1,19 @@
-"""Scenario kinds and their execution: from validated config entries to reports.
+"""Scenario kinds and their jobs: from validated config entries to reports.
 
 Each scenario kind is one `Kind` record in KINDS: its parameter schema and
 default tolerances, the plan function that builds each job's engine objects
-once, at load, and the runner that executes that plan.  The engines only
-measure and `oracles` predicts; this layer grades each measurement
-against its closed form, makes every report and passes every verdict.
-`run_scenario` makes one RunReport per run of a job, and the kind's runner
-fills them with rows and grades them against the kind's tolerances.  Runners
-never print and never write files; the CLI layer owns all I/O.  A twin or
-entanglement sweep is one job at every thread count, run as one batch of
-arrays with a leading run axis; every other run is a job of its own, and
---threads N runs the jobs on a pool of N threads.  Only
-`eigh`-bound runs (ion lineshapes, grid evolutions) scale with N: the
+once, at load, and the runner that executes that plan.  A job is the unit
+of work: a twin or entanglement sweep is one job, run as one batch of
+arrays with a leading run axis, and every other run is a job of its own.
+`plan_jobs` expands a loaded scenario's runs once, checks them and plans
+each job, and the scenario keeps what it returns; `run_config` runs those
+jobs and no others.  The engines only measure and `oracles` predicts; this
+layer grades each measurement against its closed form, makes every report
+and passes every verdict.  `run_scenario` makes one RunReport per run of a
+job, and the kind's runner fills them with rows and grades them against
+the kind's tolerances.  Runners never print and never write files; the CLI
+layer owns all I/O.  --threads N runs the jobs on a pool of N threads.
+Only `eigh`-bound runs (ion lineshapes, grid evolutions) scale with N: the
 Python loops of grid split steps, SWP tick refinement and report building
 hold the GIL.  `import qclocksim` sets BLAS to one thread per process, and
 results are bit-identical whatever N or the core count; they are always
@@ -28,13 +30,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, WraparoundError
 from .grid import GridState, gaussian_grid_state, require_lattice_size
 from .gridops import (
-    _require_inside,
     accelerated_frame_trotter,
     impulse_durations,
     impulsive_boost_limit,
+    require_inside,
     trotter_steps,
 )
 from .ionclock import TrapModel, require_scan_points, spectroscopy_scan
@@ -93,9 +95,9 @@ class ParamSpec:
 class Kind:
     """Everything that defines one scenario kind.
 
-    Each parameter's own rule is the `check` of its ParamSpec.  A job is all
-    runs of a sweep if the kind `batches`, else one run, and any run can be
-    planned alone.  `plan(runs, at)` builds a job's engine objects once and
+    Each parameter's own rule is the `check` of its ParamSpec.  `plan_jobs`
+    makes a job of all runs of a sweep if the kind `batches`, else of one
+    run, and any run can be planned alone.  `plan(runs, at)` builds a job's engine objects once and
     checks the rules that read more than one parameter or a built object,
     every kick's regime included; `at(field, check, *args, run=0)` turns a
     refusal into a ConfigError at the scenario's JSON path plus field, naming
@@ -404,7 +406,7 @@ def _plan_grid(key: str, momenta: Callable, runs: list, at) -> GridState:
                size=params["grid_size"], box_length=params["box_length"], sigma=params["sigma"],
                momentum=params.get("momentum", 0.0))
     # The grid engines refuse a packet that already reaches the box edge.
-    at(".params.box_length", _require_inside, state, "initial state")
+    at(".params.box_length", require_inside, state, "initial state")
     at(f".params.{key}", check_kicks, [(key, momenta(params, state))])
     return state
 
@@ -590,6 +592,39 @@ KINDS = {
 }
 
 
+def plan_jobs(spec, where: str, aliases: dict) -> list:
+    """(run names, run params, plan) per job of a scenario, its runs expanded
+    once.  The runs of a sweep differ only in the swept parameter, so each
+    parameter's own check sees the first run, and every run only for the
+    swept parameter; it refuses a value at `.params.<key>`, or at the path
+    `aliases` gives for it.  A job's runs meet their own rules before its
+    plan: a per-run kind's sweep stops at its first run that breaks any rule."""
+    kind = KINDS[spec.kind]
+    swept = spec.sweep and spec.sweep.parameter
+
+    def at(names, field, check, *args, run=0, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except (ValueError, WraparoundError) as exc:
+            # A batched RegimeError says which run left the regime.
+            name = names[run if getattr(exc, "run", None) is None else exc.run]
+            raise ConfigError(f"{where}{aliases.get(field, field)} (run {name!r}): {exc}") from exc
+
+    runs = spec.expand()
+    size = len(runs) if kind.batches else 1
+    jobs, keys = [], kind.params  # after the first run, only the swept key
+    for start in range(0, len(runs), size):
+        names, job = map(list, zip(*runs[start:start + size]))
+        for run, params in enumerate(job):
+            for key in keys:
+                check = kind.params[key].check
+                if check is not None and params[key] is not None:
+                    at(names, f".params.{key}", check, params[key], run=run)
+            keys = (swept,)
+        jobs.append((names, job, kind.plan(job, partial(at, names))))
+    return jobs
+
+
 def run_scenario(kind: str, names: list, runs: list, plan, tolerances: dict) -> list:
     """Run one job, named runs of one scenario, from its plan; reports in run order."""
     if kind not in KINDS:
@@ -601,12 +636,8 @@ def run_scenario(kind: str, names: list, runs: list, plan, tolerances: dict) -> 
 
 
 def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None) -> list:
-    """Run every scenario's planned runs of a loaded config and return
-    reports in config order.
-
-    Each job, as the config's `jobs()` forms them, runs from the plan the
-    load built for it, which the engine only reads.
-    """
+    """Run the jobs that the load planned, each from its plan, which the
+    engine only reads, and return reports in config order."""
     overrides = dict(tolerance_overrides or {})
     known = {key for spec in config.scenarios for key in spec.tolerances}
     unknown = set(overrides) - known
@@ -618,8 +649,7 @@ def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None
     jobs = []
     for spec in config.scenarios:
         tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
-        jobs += [(spec.kind, names, runs, plan, tolerances)
-                 for (names, runs), plan in zip(spec.jobs(), spec.plans, strict=True)]
+        jobs += [(spec.kind, names, runs, plan, tolerances) for names, runs, plan in spec.jobs]
 
     def one(job):
         try:

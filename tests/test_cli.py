@@ -796,12 +796,12 @@ def test_the_runs_of_a_sweep_get_the_plans_they_would_get_alone(kind, parameter)
     alone = []
     for _, params in spec.expand():
         scenario = {"kind": kind, "params": {parameter: params[parameter]}}
-        [plan] = parse_config({"schema_version": 1, "scenarios": [scenario]}).scenarios[0].plans
+        [(_, _, plan)] = parse_config({"schema_version": 1, "scenarios": [scenario]}).scenarios[0].jobs
         alone.append(plan)
     if not runners_module.KINDS[kind].batches:
-        assert pickle.dumps(spec.plans) == pickle.dumps(alone)
+        assert pickle.dumps([plan for _, _, plan in spec.jobs]) == pickle.dumps(alone)
         return
-    [plan] = spec.plans
+    [(_, _, plan)] = spec.jobs
     spectrum, probe = plan if kind.startswith("twin-") else (plan, None)
     rows = np.broadcast_to(spectrum.epsilons, (len(alone), spectrum.dim)).tolist()
     for row, run_plan in zip(rows, alone, strict=True):
@@ -831,8 +831,30 @@ def test_a_sweep_checks_its_translation_options_once_per_scenario(monkeypatch, p
     config = parse_config({"schema_version": 1, "scenarios": [scenario]})
     assert len(calls) == 1
     [spec] = config.scenarios
-    assert len(spec.plans) == 1
-    assert [names for names, _ in spec.jobs()] == [[f"twin-momentum-0-{i}" for i in range(5)]]
+    assert [names for names, _, _ in spec.jobs] == [[f"twin-momentum-0-{i}" for i in range(5)]]
+
+
+@pytest.mark.parametrize(
+    "scenario, change",
+    [
+        # Refused at load: p^2 = 0.1936 >= kappa_max.
+        ({"kind": "trotter-accel"}, lambda spec: spec.params.update(acceleration=0.2)),
+        ({"kind": "impulse-boost"}, lambda spec: spec.params.update(sigma=2.0)),
+        ({"kind": "twin-momentum",
+          "sweep": {"parameter": "boost", "start": 0.05, "stop": 0.1, "count": 2}},
+         lambda spec: setattr(spec, "sweep", replace(spec.sweep, count=3))),
+    ],
+    ids=["trotter-accel-params", "impulse-boost-params", "twin-momentum-sweep"],
+)
+def test_changing_a_loaded_scenario_does_not_change_what_runs(scenario, change):
+    # The load keeps each job's runs beside its plan, and run_config runs those.
+    def load():
+        return parse_config({"schema_version": 1, "scenarios": [scenario]})
+
+    expected = [report.json_text() for report in run_config(load())]
+    config = load()
+    change(config.scenarios[0])
+    assert [report.json_text() for report in run_config(config)] == expected
 
 
 @pytest.mark.parametrize("config_name", ["full-suite", "boost-sweep"])
@@ -840,7 +862,7 @@ def test_one_loaded_config_runs_twice_with_the_same_bytes(tmp_path, config_name)
     # Plans are built once at load and shared by every job and worker
     # thread; executing them must leave them as they were.
     config = load_config(str(CONFIGS / f"{config_name}.json"))
-    plans = pickle.dumps([spec.plans for spec in config.scenarios])
+    jobs = pickle.dumps([spec.jobs for spec in config.scenarios])
     rendered = []
     for threads in (1, 2):
         out = tmp_path / f"threads-{threads}"
@@ -853,7 +875,7 @@ def test_one_loaded_config_runs_twice_with_the_same_bytes(tmp_path, config_name)
         assert len(files) == 2 * sum(len(spec.expand()) for spec in config.scenarios)
         rendered.append(([line for r in reports for line in r.summary_lines()], files))
     assert rendered[0] == rendered[1]
-    assert pickle.dumps([spec.plans for spec in config.scenarios]) == plans
+    assert pickle.dumps([spec.jobs for spec in config.scenarios]) == jobs
 
 
 def test_unknown_kind_is_a_config_error(tmp_path, capsys):
@@ -911,6 +933,37 @@ def test_a_bad_tolerance_override_is_a_config_error(base_config, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out, blocker", [("taken", "taken"), ("taken/sub", "taken"),
+                                         ("taken/sub/deeper", "taken"), ("", "")])
+def test_an_out_dir_that_cannot_be_a_directory_is_refused_before_any_run(
+        monkeypatch, base_config, tmp_path, capsys, out, blocker):
+    # A file where the directory or one of its parents would go: the runs
+    # would otherwise fail only when the first result file is written.
+    def never(*args, **kwargs):
+        raise AssertionError("run_config was called")
+
+    monkeypatch.setattr(cli_module, "run_config", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("a file\n")
+    assert main(["run", base_config, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: --out-dir {out!r}: {blocker!r} is not a directory" in err
+    assert (tmp_path / "taken").read_text() == "a file\n"
+
+
+def test_a_missing_out_dir_is_made_with_its_parents_after_the_runs(
+        monkeypatch, base_config, tmp_path):
+    def checked(*args, **kwargs):
+        assert not (tmp_path / "new").exists()
+        return run_config(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "run_config", checked)
+    out = tmp_path / "new" / "deeper"
+    assert main(["run", base_config, "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "boost-entangles.csv", "boost-entangles.json", "round-trip.csv", "round-trip.json"]
+
+
 def test_a_zero_tolerance_is_allowed():
     scenario = {"kind": "twin-velocity",
                 "tolerances": {"identity_residual": 0.0, "closed_form_fidelity": -0.0}}
@@ -952,9 +1005,8 @@ def test_a_job_of_a_per_run_kind_returns_one_report_per_run_in_order():
         {"kind": "swp", "name": "s", "sweep": sweep}]})
     # Each run of an swp sweep is a job of its own, run from its own plan.
     [spec] = config.scenarios
-    jobs = spec.jobs()
-    assert [names for names, _ in jobs] == [["s-0"], ["s-1"]]
-    reports = [report for (names, runs), plan in zip(jobs, spec.plans, strict=True)
+    assert [names for names, _, _ in spec.jobs] == [["s-0"], ["s-1"]]
+    reports = [report for names, runs, plan in spec.jobs
                for report in run_scenario("swp", names, runs, plan, spec.tolerances)]
     assert [report.name for report in reports] == ["s-0", "s-1"]
     assert [report.rows for report in reports] == [report.rows for report in run_config(config)]
@@ -1065,9 +1117,8 @@ def test_full_suite_values_match_the_frozen_fixture():
         if spec.name not in FROZEN_FULL_SUITE:
             continue
         column, expected = FROZEN_FULL_SUITE[spec.name]
-        [(run_name, params)] = spec.expand()
-        [plan] = spec.plans
-        [report] = run_scenario(spec.kind, [run_name], [params], plan, spec.tolerances)
+        [(names, runs, plan)] = spec.jobs
+        [report] = run_scenario(spec.kind, names, runs, plan, spec.tolerances)
         np.testing.assert_allclose([row[column] for row in report.rows], expected, rtol=1e-12)
         checked.add(spec.name)
     assert checked == set(FROZEN_FULL_SUITE)

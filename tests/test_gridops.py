@@ -20,11 +20,11 @@ from qclocksim.grid import GridState, gaussian_grid_state
 from qclocksim.gridops import (
     ABORT_EDGE_MASS,
     _branch_hamiltonian,
-    _require_inside,
     accelerated_frame_trotter,
     evolve_linear_potential,
     impulsive_boost_limit,
     momentum_boost_grid,
+    require_inside,
     velocity_boost_grid,
 )
 from qclocksim.operators import total_energy
@@ -285,7 +285,7 @@ def _full_suite_params(kind):
 
 def _full_suite_state(kind):
     """The initial packet the config load planned for the full-suite run."""
-    [state] = _full_suite_spec(kind).plans
+    [(_, _, state)] = _full_suite_spec(kind).jobs
     return state
 
 
@@ -357,4 +357,4 @@ def test_a_nan_edge_mass_is_refused():
     # NaN compares false both ways, so the guard asks for edge mass within bounds.
     state = SimpleNamespace(edge_mass=lambda: float("nan"))
     with pytest.raises(WraparoundError, match="probability nan within"):
-        _require_inside(state, "initial state")
+        require_inside(state, "initial state")

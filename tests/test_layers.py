@@ -9,7 +9,9 @@ ENGINES_READING_ORACLES with its reason.  Checked on the source with `ast`,
 so a lazy import inside a function counts too.
 
 A job's engine objects are built once, by its plan at load: no runner in
-`runners` calls a constructor that the plans call.
+`runners` calls a constructor that the plans call.  `runners` owns the
+job: `config` calls no plan and reads no kind's `batches` or parameter
+`check`, and `run_config` runs the stored jobs without expanding any run.
 """
 
 import ast
@@ -80,6 +82,29 @@ def test_no_runner_calls_a_plan_time_constructor():
               for runner in runners for node in ast.walk(runner) if isinstance(node, ast.Call)}
     assert len(runners) == 6
     assert {(runner, name) for runner, name in called if name in PLAN_TIME} == set()
+
+
+def _calls_and_reads(node) -> tuple:
+    """The names that node calls, and the attributes it reads."""
+    called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+              for n in ast.walk(node) if isinstance(n, ast.Call)}
+    return called, {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_the_config_layer_reads_only_each_kinds_schema_and_tolerances():
+    called, read = _calls_and_reads(ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8")))
+    assert "plan_jobs" in called
+    assert "plan" not in called
+    assert read & {"plan", "batches", "check"} == set()
+
+
+def test_run_config_runs_the_stored_jobs_without_expanding_runs():
+    tree = ast.parse((PACKAGE / "runners.py").read_text(encoding="utf-8"))
+    [run_config] = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "run_config"]
+    called, read = _calls_and_reads(run_config)
+    assert "run_scenario" in called and "jobs" in read
+    assert called & {"expand", "jobs"} == set()
 
 
 def test_every_module_of_the_package_is_an_engine_the_oracles_or_above_them():
