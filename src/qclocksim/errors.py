@@ -1,5 +1,5 @@
-"""Exception types shared across the package.  Engines raise them for a broken
-method or an unusable input; a deviation from an oracle is returned, not raised."""
+"""Exception types the engines raise for a broken method or an unusable input,
+refused at load at the field each type names; an oracle deviation is returned."""
 
 
 class RegimeError(ValueError):
@@ -11,6 +11,10 @@ class RegimeError(ValueError):
     def __init__(self, message: str, run: int | None = None):
         super().__init__(message)
         self.run = run
+
+
+class PhaseCapError(RegimeError):
+    """A round trip's accumulated phase passed the mod-2pi safety cap."""
 
 
 class SequencingError(RuntimeError):

@@ -2,22 +2,22 @@
 
 Each scenario kind is one `Kind` record in KINDS: its parameter schema and
 default tolerances, the plan function that builds each job's engine objects
-once, at load, and the runner that executes that plan.  A job is the unit
-of work: a twin or entanglement sweep is one job, run as one batch of
-arrays with a leading run axis, and every other run is a job of its own.
-`plan_jobs` expands a loaded scenario's runs once, checks them and plans
-each job, and the scenario keeps what it returns; `run_config` runs those
-jobs and no others.  The engines only measure and `oracles` predicts; this
-layer grades each measurement against its closed form, makes every report
-and passes every verdict.  `run_scenario` makes one RunReport per run of a
-job, and the kind's runner fills them with rows and grades them against
-the kind's tolerances.  Runners never print and never write files; the CLI
-layer owns all I/O.  --threads N runs the jobs on a pool of N threads.
-Only `eigh`-bound runs (ion lineshapes, grid evolutions) scale with N: the
-Python loops of grid split steps, SWP tick refinement and report building
-hold the GIL.  `import qclocksim` sets BLAS to one thread per process, and
-results are bit-identical whatever N or the core count; they are always
-returned in config order regardless of thread timing.
+once, at load, and the runner that executes that plan.  A job is the unit of
+work: a twin or entanglement sweep is one job, measured at load by
+`run_sequence` or `entanglement_frame_demo` as one batch of arrays with a
+leading run axis, and every other run is a job of its own.  `plan_jobs`
+expands a loaded scenario's runs once, checks them and plans each job, and the
+scenario keeps what it returns; `run_config` runs those jobs and no others.
+The engines only measure and `oracles` predicts; this layer grades each
+measurement against its closed form, makes every report and passes every
+verdict.  `run_scenario` makes one RunReport per run of a job, and the kind's
+runner fills them with rows and grades them against the kind's tolerances.
+Runners never print or write files; the CLI layer owns all I/O.  --threads N
+runs the jobs on a pool of N threads.  Only `eigh`-bound runs (ion lineshapes,
+grid evolutions) scale with N: the Python loops of grid split steps, SWP tick
+refinement and report building hold the GIL.  `import qclocksim` sets BLAS to
+one thread per process, and results are bit-identical whatever N or the core
+count; they are always returned in config order regardless of thread timing.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, WraparoundError
+from .errors import ConfigError, PhaseCapError, RegimeError, WraparoundError
 from .grid import GridState, gaussian_grid_state, require_lattice_size
 from .gridops import (
     accelerated_frame_trotter,
@@ -40,7 +40,6 @@ from .gridops import (
     trotter_steps,
 )
 from .ionclock import TrapModel, require_scan_points, spectroscopy_scan
-from .operators import VelocityBoost, apply_operator, trace_chain
 from .oracles import (
     branch_spectrum_oracle,
     closed_dilation_factor,
@@ -64,7 +63,7 @@ from .spectrum import (
     require_two_levels,
     stack_spectra,
 )
-from .states import fidelity_deviation, internal_superposition
+from .states import fidelity_deviation
 from .swp import (
     DilationProfile,
     SWPClock,
@@ -72,7 +71,7 @@ from .swp import (
     require_tick_resolution,
     require_tick_window,
 )
-from .units import check_epsilons, check_kicks, check_phases, require_nonnegative, require_positive
+from .units import check_epsilons, check_kicks, require_nonnegative, require_positive
 
 
 @dataclass(frozen=True)
@@ -96,13 +95,14 @@ class Kind:
     """Everything that defines one scenario kind.
 
     Each parameter's own rule is the `check` of its ParamSpec.  `plan_jobs`
-    makes a job of all runs of a sweep if the kind `batches`, else of one
-    run, and any run can be planned alone.  `plan(runs, at)` builds a job's engine objects once and
-    checks the rules that read more than one parameter or a built object,
-    every kick's regime included; `at(field, check, *args, run=0)` turns a
-    refusal into a ConfigError at the scenario's JSON path plus field, naming
-    the job's run `run` or the one a RegimeError names.  `run(reports, runs,
-    plan, tolerances)` fills the job's reports, one per run, from that plan.
+    makes a job of all runs of a sweep if the kind `batches`, else of one run,
+    and any run can be planned alone.  `plan(runs, at)` builds a job's engine
+    objects once, measures a twin or entanglement job, and checks the rules that
+    read more than one parameter or a built object, kicks included.  `at(field,
+    check, *args, run=0)` turns a refusal into a ConfigError at the scenario's
+    JSON path plus field, or the field a {type: field} map gives its error type,
+    naming the job's run `run` or the one the error names.  `run(reports, runs,
+    plan, tolerances)` fills the job's reports from that plan.
     """
 
     params: dict
@@ -168,33 +168,32 @@ def _plan_spectrum(runs: list, at) -> InternalSpectrum:
 
 
 def _plan_twin(sequence: SequenceKind, runs: list, at) -> tuple:
-    """The job's levels and probe, moved through all runs' operator chains as
-    one batch, so that the plan refuses what the run would: an empty probe, a
-    bad translation option, a kick out of the regime or a phase past the cap."""
+    """The job's levels and probe, and all runs' round trips measured as one
+    batch: the load refuses an empty probe, a bad translation option, a kick
+    out of the regime, a phase past the cap and a factor outside (0, 2)."""
     spectrum = _plan_spectrum(runs, at)
     params = runs[0]
     probe = at(".params.probe_momenta", default_probe, spectrum, params["probe_momenta"],
                tuple(range(spectrum.dim)))
-    boost, duration = (np.array([[p[key]] for p in runs]) for key in ("boost", "duration"))
-    ops = at(".params.translation_level", build_sequence, sequence, boost, duration,
-             params.get("translation_level"), spectrum,
-             params.get("state_dependent_translation", False))
-    _, phases = at(".params.boost", trace_chain, probe, ops)
-    at(".params.duration", check_phases, phases)
-    return spectrum, probe
+    boost, duration = (np.array([p[key] for p in runs]) for key in ("boost", "duration"))
+    options = dict(translation_level=params.get("translation_level"),
+                   state_dependent_translation=params.get("state_dependent_translation", False))
+    # Built, not traced, so that a bad option is refused at its own field.
+    at(".params.translation_level", build_sequence, sequence, boost[:, None], duration[:, None],
+       spectrum=spectrum, **options)
+    levels = ".params.epsilons" if params.get("epsilons") is not None else ".params.spacing"
+    refusals = {PhaseCapError: ".params.duration", RegimeError: ".params.boost", ValueError: levels}
+    return spectrum, probe, at(refusals, run_sequence, sequence, spectrum, boost=boost,
+                               duration=duration, probe=probe, **options)
 
 
 def _run_twin(sequence: SequenceKind, reports: list, runs: list, plan: tuple, tol: dict) -> None:
     # The runs of one sweep differ only in the swept parameter.
-    spectrum, probe = plan
-    params = runs[0]
-    boost, duration = (np.array([p[key] for p in runs]) for key in ("boost", "duration"))
-    translation = params.get("translation_level")
-    branchwise = params.get("state_dependent_translation", False)
-    result = run_sequence(sequence, spectrum, boost=boost, duration=duration, probe=probe,
-                          translation_level=translation, state_dependent_translation=branchwise)
+    spectrum, probe, result = plan
+    translation = runs[0].get("translation_level")
+    branchwise = runs[0].get("state_dependent_translation", False)
     # The closed forms on the (runs, 1) boost and duration columns of the chain.
-    b, t = boost[:, None], duration[:, None]
+    b, t = (np.array([[p[key]] for p in runs]) for key in ("boost", "duration"))
     closed = closed_form_phase(sequence, spectrum, b, t, probe.levels, probe.momenta,
                                translation, branchwise)
     residual = np.max(np.abs(np.exp(1j * (result.phases - closed)) - 1.0), axis=-1).tolist()
@@ -473,21 +472,15 @@ def _grid_params(**params) -> dict:
     }
 
 
-def _plan_entanglement(runs: list, at) -> InternalSpectrum:
-    """The job's levels; the runner's boost of the superposition is checked as one batch."""
+def _plan_entanglement(runs: list, at) -> tuple:
+    """The job's levels, and the boost of the superposition measured for all runs as one batch."""
     spectrum = _plan_spectrum(runs, at)
-    kick = VelocityBoost(np.array([[p["boost"]] for p in runs]))
-    at(".params.boost", apply_operator, internal_superposition(spectrum, runs[0]["momentum"]),
-       kick)
-    return spectrum
+    return spectrum, at(".params.boost", entanglement_frame_demo, spectrum,
+                        momentum=runs[0]["momentum"], v_b=np.array([p["boost"] for p in runs]))
 
 
-def _run_entanglement(reports: list, runs: list, spectrum: InternalSpectrum, tol: dict) -> None:
-    demo = entanglement_frame_demo(
-        spectrum,
-        momentum=runs[0]["momentum"],
-        v_b=np.array([p["boost"] for p in runs]),
-    )
+def _run_entanglement(reports: list, runs: list, plan: tuple, tol: dict) -> None:
+    spectrum, demo = plan
     max_entropy = math.log(spectrum.dim)
     before = demo.entropy_before
     for report, after in zip(reports, demo.entropy_after.tolist()):
@@ -603,9 +596,11 @@ def plan_jobs(spec, where: str, aliases: dict) -> list:
     swept = spec.sweep and spec.sweep.parameter
 
     def at(names, field, check, *args, run=0, **kwargs):
+        fields = {ValueError: field, WraparoundError: field} if isinstance(field, str) else field
         try:
             return check(*args, **kwargs)
-        except (ValueError, WraparoundError) as exc:
+        except tuple(fields) as exc:
+            field = next(path for kind, path in fields.items() if isinstance(exc, kind))
             # A batched RegimeError says which run left the regime.
             name = names[run if getattr(exc, "run", None) is None else exc.run]
             raise ConfigError(f"{where}{aliases.get(field, field)} (run {name!r}): {exc}") from exc

@@ -127,10 +127,15 @@ class SequenceResult:
     level_phase_spread_max: float
 
     def __post_init__(self):
-        for n, d in self.level_factors.items():
-            d = np.ravel(d)[~((0.0 < np.ravel(d)) & (np.ravel(d) < 2.0))]
-            if len(d):
-                raise ValueError(f"extracted dilation factor {d[0]} for level {n} outside (0, 2)")
+        """Refuse a factor outside (0, 2); `run` is the first run (in run order) with one."""
+        d = np.reshape(list(self.level_factors.values()), (-1, np.size(self.global_phase))).T
+        outside = np.argwhere(~((0.0 < d) & (d < 2.0)))
+        if len(outside):
+            run, i = outside[0]
+            error = ValueError(f"extracted dilation factor {d[run, i]} for level "
+                               f"{list(self.level_factors)[i]} outside (0, 2)")
+            error.run = int(run)
+            raise error
 
 
 def _run_columns(spectrum: InternalSpectrum, *values):
@@ -171,12 +176,8 @@ def run_sequence(
     def per_run(x):
         return np.reshape(x, runs) if runs else float(np.reshape(x, ()))
 
-    ops = build_sequence(
-        kind, b, t,
-        translation_level=translation_level,
-        spectrum=spectrum,
-        state_dependent_translation=state_dependent_translation,
-    )
+    ops = build_sequence(kind, b, t, translation_level=translation_level, spectrum=spectrum,
+                         state_dependent_translation=state_dependent_translation)
     final, phases = trace_chain(probe, ops)
 
     momentum_err = np.max(np.abs(final.momenta - probe.momenta), axis=-1, keepdims=True)

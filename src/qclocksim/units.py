@@ -11,8 +11,8 @@ dimensionless ratios
 
 The model expands kinetic terms to first order in p^2/(m M c^2), so it is only
 trustworthy while internal energies and momenta stay small.  check_epsilons
-and check_kicks enforce that, and check_phases the phase cap: every value out
-of bounds raises RegimeError, in the engine and at config validation alike.
+and check_kicks enforce that, and check_phases the phase cap (PhaseCapError):
+every value out of bounds raises RegimeError, at run and at load alike.
 require_positive and require_nonnegative are the sign rules of every positive
 or nonnegative input, NaN refused.
 """
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import RegimeError
+from .errors import PhaseCapError, RegimeError
 
 # CODATA SI constants, used only to convert user input into ratios.
 SPEED_OF_LIGHT = 299_792_458.0  # m / s
@@ -84,11 +84,11 @@ def check_kicks(kicks) -> None:
 
 
 def check_phases(phases) -> None:
-    """Raise RegimeError past MAX_TOTAL_PHASE, carrying the first such run of a run axis."""
+    """Raise PhaseCapError past MAX_TOTAL_PHASE, carrying the first such run of a run axis."""
     over = np.flatnonzero(np.max(np.abs(phases), axis=-1) > MAX_TOTAL_PHASE)
     if len(over):
-        raise RegimeError("accumulated phase exceeds the mod-2pi safety cap; shorten the run",
-                          run=int(over[0]) if np.ndim(phases) > 1 else None)
+        raise PhaseCapError("accumulated phase exceeds the mod-2pi safety cap; shorten the run",
+                            run=int(over[0]) if np.ndim(phases) > 1 else None)
 
 
 def epsilon_from_energy(energy_joule: float, mass_kg: float) -> float:

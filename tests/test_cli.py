@@ -304,7 +304,8 @@ def test_a_spectrum_the_engine_refuses_is_refused_at_validation(
         ({"params": {"spacing": 0.15}}, "params.spacing"),
         ({"sweep": {"parameter": "spacing", "start": 0.01, "stop": 0.1, "count": 3}},
          "sweep.parameter"),
-        ({"si": {"internal_energy_joule": 1e-30, "mass_kg": 1e-25}}, "si.internal_energy_joule"),
+        # 1e-10 J on 1e-25 kg is a spacing of about 0.011.
+        ({"si": {"internal_energy_joule": 1e-10, "mass_kg": 1e-25}}, "si.internal_energy_joule"),
     ],
 )
 def test_levels_set_besides_epsilons_are_refused_at_their_json_path(
@@ -323,6 +324,43 @@ def test_levels_set_besides_epsilons_are_refused_at_their_json_path(
     assert not (tmp_path / "out").exists()
     del params["epsilons"]
     assert main(["validate", _write_config(tmp_path / "alone.json", config)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["twin-momentum", "twin-velocity", "twin-observer"])
+@pytest.mark.parametrize(
+    "scenario, path, run",
+    [
+        ({"params": {"spacing": 1e-300}}, "params.spacing", "tiny"),
+        ({"params": {"epsilons": [0.0, 1e-300]}}, "params.epsilons", "tiny"),
+        # 1e-30 J on 1e-25 kg is a spacing of about 1.1e-22.
+        ({"si": {"internal_energy_joule": 1e-30, "mass_kg": 1e-25}}, "si.internal_energy_joule",
+         "tiny"),
+        ({"sweep": {"parameter": "spacing", "start": 0.1, "stop": 1e-300, "count": 3}},
+         "params.spacing", "tiny-2"),
+        ({"params": {"levels": 3, "spacing": 1e-300},
+          "sweep": {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 2}},
+         "params.spacing", "tiny-0"),
+    ],
+    ids=["spacing", "epsilons", "si-energy", "spacing-sweep", "boost-sweep"],
+)
+def test_a_dilation_factor_outside_its_range_is_refused_at_the_levels(
+    tmp_path, capsys, kind, scenario, path, run
+):
+    # With levels this close, 2 t epsilon_n d_n is lost to rounding in the
+    # phases it is read from, and the factor extracted from them leaves
+    # (0, 2).  The load measures every round trip, so validate refuses the
+    # levels, naming the first run whose factor leaves the range.
+    scenario = {"kind": kind, "name": "tiny", **scenario}
+    config_path = _write_config(tmp_path / "tiny.json", {"schema_version": 1,
+                                                         "scenarios": [scenario]})
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], config_path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"config error: scenarios[0].{path} (run {run!r}): extracted dilation factor "
+                in captured.err)
+        assert "outside (0, 2)" in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -786,9 +824,9 @@ def test_colliding_run_names_are_refused(tmp_path, capsys, second, path):
 )
 def test_the_runs_of_a_sweep_get_the_plans_they_would_get_alone(kind, parameter):
     # A per-run kind plans each run of a sweep as a job of its own, which must
-    # equal the plan the run gets alone.  A batching kind plans the sweep
-    # once: each run's row of the stacked levels, and the probe, must equal
-    # what the run builds alone.
+    # equal the plan the run gets alone.  A batching kind plans and measures
+    # the sweep once: each run's row of the stacked levels and of what was
+    # measured, and the probe, must equal what the run gets alone.
     default = runners_module.KINDS[kind].params[parameter].default
     sweep = {"parameter": parameter, "start": default, "stop": 0.5 * default, "count": 2}
     [spec] = parse_config({"schema_version": 1,
@@ -802,15 +840,29 @@ def test_the_runs_of_a_sweep_get_the_plans_they_would_get_alone(kind, parameter)
         assert pickle.dumps([plan for _, _, plan in spec.jobs]) == pickle.dumps(alone)
         return
     [(_, _, plan)] = spec.jobs
-    spectrum, probe = plan if kind.startswith("twin-") else (plan, None)
+    spectrum = plan[0]
     rows = np.broadcast_to(spectrum.epsilons, (len(alone), spectrum.dim)).tolist()
-    for row, run_plan in zip(rows, alone, strict=True):
-        run_spectrum, run_probe = run_plan if probe is not None else (run_plan, None)
-        assert tuple(row) == run_spectrum.epsilons
-        if probe is not None:
-            for field in ("levels", "momenta", "amplitudes"):
-                assert pickle.dumps(getattr(probe, field)) == pickle.dumps(
-                    getattr(run_probe, field))
+    for r, (row, run_plan) in enumerate(zip(rows, alone, strict=True)):
+        assert tuple(row) == run_plan[0].epsilons
+        assert pickle.dumps(_measured_run(plan, r)) == pickle.dumps(_measured_run(run_plan, 0))
+
+
+def _measured_run(plan: tuple, r: int) -> dict:
+    """Run r's part of a twin or entanglement plan: what its runner grades."""
+    if len(plan) == 2:
+        _, demo = plan
+        return {"entropy_before": demo.entropy_before, "entropy_after": demo.entropy_after[r]}
+    _, probe, result = plan
+    final = result.final_state
+    return {
+        **{f"probe_{field}": getattr(probe, field) for field in ("levels", "momenta", "amplitudes")},
+        "phases": result.phases[r],
+        "final_levels": final.levels,
+        "final_amplitudes": final.amplitudes[r],
+        "final_momenta": final.momenta[r],
+        "level_factors": {n: factor[r] for n, factor in result.level_factors.items()},
+        "global_phase": result.global_phase[r],
+    }
 
 
 @pytest.mark.parametrize("parameter", ["boost", "spacing"])

@@ -9,15 +9,20 @@ ENGINES_READING_ORACLES with its reason.  Checked on the source with `ast`,
 so a lazy import inside a function counts too.
 
 A job's engine objects are built once, by its plan at load: no runner in
-`runners` calls a constructor that the plans call.  `runners` owns the
-job: `config` calls no plan and reads no kind's `batches` or parameter
-`check`, and `run_config` runs the stored jobs without expanding any run.
+`runners` calls a constructor that the plans call.  A twin or entanglement
+job is measured once too, by its plan through the engine's entry point, so
+no runner calls a sequence engine and a loaded config runs with those entry
+points gone.  `runners` owns the job: `config` calls no plan and reads no
+kind's `batches` or parameter `check`, and `run_config` runs the stored jobs
+without expanding any run.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from qclocksim import load_config, run_config, runners
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qclocksim"
 ENGINES = ("units", "errors", "spectrum", "states", "operators", "sequences", "grid",
@@ -28,6 +33,11 @@ ABOVE = {"report", "runners", "config", "cli"}
 PLAN_TIME = {"stack_spectra", "default_probe", "ladder_spectrum", "make_spectrum",
              "internal_superposition", "gaussian_grid_state", "TrapModel", "SWPClock",
              "DilationProfile"}
+# What a twin or entanglement plan measures with: a runner that called one
+# would trace the job again.
+SEQUENCE_ENGINE = {"run_sequence", "entanglement_frame_demo", "build_sequence", "trace_chain",
+                   "apply_operator"}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ENGINES_READING_ORACLES = {
     "ionclock": "the scan grid is centred on the predicted carrier shift",
 }
@@ -74,14 +84,41 @@ def test_an_engine_listed_as_reading_the_oracles_does(engine):
     assert ORACLES in _imported_modules(engine)
 
 
-def test_no_runner_calls_a_plan_time_constructor():
+def _runner_calls() -> set:
+    """(runner, called name) for each call in a `_run_*` function of `runners`."""
     tree = ast.parse((PACKAGE / "runners.py").read_text(encoding="utf-8"))
-    runners = [node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
-    called = {(runner.name, getattr(node.func, "id", getattr(node.func, "attr", None)))
-              for runner in runners for node in ast.walk(runner) if isinstance(node, ast.Call)}
-    assert len(runners) == 6
-    assert {(runner, name) for runner, name in called if name in PLAN_TIME} == set()
+    functions = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
+    assert len(functions) == 6
+    return {(runner.name, getattr(node.func, "id", getattr(node.func, "attr", None)))
+            for runner in functions for node in ast.walk(runner) if isinstance(node, ast.Call)}
+
+
+def test_no_runner_calls_a_plan_time_constructor():
+    assert {(runner, name) for runner, name in _runner_calls() if name in PLAN_TIME} == set()
+
+
+def test_no_runner_calls_a_sequence_engine():
+    assert {(runner, name) for runner, name in _runner_calls() if name in SEQUENCE_ENGINE} == set()
+
+
+def test_runners_import_nothing_from_the_operators():
+    assert "operators" not in _imported_modules("runners")
+
+
+@pytest.mark.parametrize("config_name", ["full-suite", "boost-sweep"])
+def test_a_loaded_config_runs_without_the_sequence_engines(monkeypatch, config_name):
+    # The load measured every twin and entanglement job; the runs only grade.
+    config = load_config(CONFIGS / f"{config_name}.json")
+    expected = [report.json_text() for report in run_config(load_config(
+        CONFIGS / f"{config_name}.json"))]
+
+    def gone(*args, **kwargs):
+        raise AssertionError("a run called a sequence engine")
+
+    for name in ("run_sequence", "entanglement_frame_demo"):
+        monkeypatch.setattr(runners, name, gone)
+    assert [report.json_text() for report in run_config(config)] == expected
 
 
 def _calls_and_reads(node) -> tuple:
