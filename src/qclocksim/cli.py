@@ -119,7 +119,8 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
+    # The flags are refused before the load, which measures every twin and
+    # entanglement job; an unknown tolerance key needs the loaded config.
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     overrides = dict(_parse_tolerance(item) for item in args.tolerance)
@@ -129,6 +130,7 @@ def _cmd_run(args) -> int:
         parent = os.path.dirname(parent) or "."
     if parent is not None and not os.path.isdir(parent):
         raise ConfigError(f"--out-dir {args.out_dir!r}: {parent!r} is not a directory")
+    config = load_config(args.config)
     started = time.perf_counter()
     reports = run_config(config, threads=args.threads, tolerance_overrides=overrides)
     elapsed = time.perf_counter() - started

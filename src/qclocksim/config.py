@@ -40,11 +40,12 @@ SCHEMA_VERSION = 1
 
 _NUMBER = ParamSpec(float, None)
 
-_SI_TARGETS = {
-    "velocity_m_per_s": "boost",
-    "internal_energy_joule": "spacing",
-    "transition_frequency_hz": "transition_energy",
-    "trap_frequency_hz": "trap_frequency",
+# Each si key: the parameter it writes, and its converter from the value and mass_kg.
+_SI = {
+    "velocity_m_per_s": ("boost", lambda velocity, mass: beta_from_velocity(velocity)),
+    "internal_energy_joule": ("spacing", epsilon_from_energy),
+    "transition_frequency_hz": ("transition_energy", epsilon_from_frequency),
+    "trap_frequency_hz": ("trap_frequency", epsilon_from_frequency),
 }
 
 
@@ -132,7 +133,7 @@ def coerce_tolerance(value, where: str) -> float:
 
 def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
     _require(isinstance(si, dict), where, "si block must be an object")
-    unknown = set(si) - set(_SI_TARGETS) - {"mass_kg"}
+    unknown = set(si) - set(_SI) - {"mass_kg"}
     _require(not unknown, where, f"unknown si keys: {sorted(unknown)}")
     needs_mass = sorted(set(si) - {"velocity_m_per_s", "mass_kg"})
     _require(
@@ -142,18 +143,13 @@ def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
     mass = values.pop("mass_kg", None)
     _require(mass is None or mass > 0.0, f"{where}.mass_kg", f"must be positive, got {mass!r}")
     for key, value in values.items():
-        target = _SI_TARGETS[key]
+        target, convert = _SI[key]
         _require(
             target in KINDS[kind].params,
             f"{where}.{key}",
             f"scenario kind {kind!r} has no parameter {target!r} to convert into",
         )
-        if key == "velocity_m_per_s":
-            params[target] = beta_from_velocity(value)
-        elif key == "internal_energy_joule":
-            params[target] = epsilon_from_energy(value, mass)
-        else:
-            params[target] = epsilon_from_frequency(value, mass)
+        params[target] = convert(value, mass)
     return params
 
 
@@ -238,8 +234,8 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
 
     spec = ScenarioSpec(name=name, kind=kind, params=params, tolerances=tolerances, sweep=sweep)
     # A parameter the si block wrote is refused at the si key, unless swept.
-    aliases = {f".params.{_SI_TARGETS[key]}": f".si.{key}" for key in data.get("si", {})
-               if key in _SI_TARGETS and _SI_TARGETS[key] != (sweep and sweep.parameter)}
+    aliases = {f".params.{_SI[key][0]}": f".si.{key}" for key in data.get("si", {})
+               if key in _SI and _SI[key][0] != (sweep and sweep.parameter)}
     spec.jobs = plan_jobs(spec, where, aliases)
     return spec
 

@@ -1,5 +1,6 @@
 """Exception types the engines raise for a broken method or an unusable input,
-refused at load at the field each type names; an oracle deviation is returned."""
+refused at load at the field each type names, a RegimeError subclass at its
+own field rather than its base's; an oracle deviation is returned."""
 
 
 class RegimeError(ValueError):
@@ -15,6 +16,10 @@ class RegimeError(ValueError):
 
 class PhaseCapError(RegimeError):
     """A round trip's accumulated phase passed the mod-2pi safety cap."""
+
+
+class LevelResolutionError(RegimeError):
+    """A round trip read a dilation factor outside (0, 2) off its level phases."""
 
 
 class SequencingError(RuntimeError):

@@ -53,9 +53,15 @@ def require_inside(state: GridState, context: str) -> None:
         )
 
 
-def _kick_table(state: GridState, v_b: float) -> np.ndarray:
-    """Rows e^{i M_n v_b x}: the velocity boost on every branch at once."""
-    return np.exp(1j * state.spectrum.masses[:, None] * v_b * state.positions)
+def _coupled_masses(state: GridState, internal_coupled: bool) -> np.ndarray:
+    """Per branch, the full mass M_n if internal_coupled, else the bare mass 1."""
+    return state.spectrum.masses if internal_coupled else np.ones(state.spectrum.dim)
+
+
+def _kick_table(state: GridState, v_b: float, internal_coupled: bool = True) -> np.ndarray:
+    """Rows e^{i m_n v_b x} on every branch at once: on the full masses the
+    velocity boost, on the bare masses the momentum kick."""
+    return np.exp(1j * _coupled_masses(state, internal_coupled)[:, None] * v_b * state.positions)
 
 
 def _drift_table(state: GridState, duration: float) -> np.ndarray:
@@ -65,14 +71,13 @@ def _drift_table(state: GridState, duration: float) -> np.ndarray:
 
 
 def velocity_boost_grid(state: GridState, v_b: float) -> GridState:
-    """Multiply branch n by e^{i M_n v_b x}."""
+    """Multiply branch n by e^{i M_n v_b x}: the kick on the full mass."""
     return state.with_amplitudes(state.amplitudes * _kick_table(state, v_b))
 
 
 def momentum_boost_grid(state: GridState, p_b: float) -> GridState:
-    """Multiply every branch by e^{i p_b x}."""
-    amps = state.amplitudes * np.exp(1j * p_b * state.positions)[None, :]
-    return state.with_amplitudes(amps)
+    """Multiply every branch by e^{i p_b x}: the kick on the bare mass."""
+    return state.with_amplitudes(state.amplitudes * _kick_table(state, p_b, False))
 
 
 def _branch_hamiltonian(state: GridState, level: int, potential: np.ndarray) -> np.ndarray:
@@ -110,8 +115,8 @@ def evolve_linear_potential(
     full mass M_n of branch n when internal_coupled (velocity-boost and
     accelerated-frame physics), else the bare mass 1 (momentum-kick physics)."""
     require_inside(state, "linear-potential evolution (initial state)")
-    masses = state.spectrum.masses if internal_coupled else np.ones(state.spectrum.dim)
-    potentials = np.stack([slope * m * state.positions for m in masses])
+    potentials = np.stack([slope * m * state.positions
+                           for m in _coupled_masses(state, internal_coupled)])
     out = _evolve_static(state, potentials, duration)
     require_inside(out, "linear-potential evolution (final state)")
     return out

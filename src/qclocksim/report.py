@@ -148,16 +148,7 @@ class RunReport:
 
     def json_text(self) -> str:
         """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + newline."""
-        return (
-            f'{{\n  "checks": {_json(self.checks, 2)},'
-            f'\n  "name": {_json(self.name, 2)},'
-            f'\n  "notes": {_json(list(self.notes), 2)},'
-            f'\n  "parameters": {_json(self.parameters, 2)},'
-            f'\n  "passed": {"true" if self.passed else "false"},'
-            f'\n  "rows": {_json(self.rows, 2)},'
-            f'\n  "scenario": {_json(self.scenario, 2)},'
-            f'\n  "schema_version": 1\n}}\n'
-        )
+        return _json(self.to_json_dict()) + "\n"
 
     def csv_text(self) -> str:
         """The tabular rows as CSV; column order follows the first row."""

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, PhaseCapError, RegimeError, WraparoundError
+from .errors import ConfigError, LevelResolutionError, PhaseCapError, RegimeError, WraparoundError
 from .grid import GridState, gaussian_grid_state, require_lattice_size
 from .gridops import (
     accelerated_frame_trotter,
@@ -41,6 +41,7 @@ from .gridops import (
 )
 from .ionclock import TrapModel, require_scan_points, spectroscopy_scan
 from .oracles import (
+    BranchOracle,
     branch_spectrum_oracle,
     closed_dilation_factor,
     closed_form_phase,
@@ -51,7 +52,6 @@ from .oracles import (
 from .report import RunReport
 from .sequences import (
     SequenceKind,
-    build_sequence,
     default_probe,
     entanglement_frame_demo,
     run_sequence,
@@ -100,9 +100,10 @@ class Kind:
     objects once, measures a twin or entanglement job, and checks the rules that
     read more than one parameter or a built object, kicks included.  `at(field,
     check, *args, run=0)` turns a refusal into a ConfigError at the scenario's
-    JSON path plus field, or the field a {type: field} map gives its error type,
-    naming the job's run `run` or the one the error names.  `run(reports, runs,
-    plan, tolerances)` fills the job's reports from that plan.
+    JSON path plus field, or at the field of the first type in a {type: field}
+    map that the error is an instance of, naming the job's run `run` or the one
+    the error names.  `run(reports, runs, plan, tolerances)` fills the job's
+    reports from that plan.
     """
 
     params: dict
@@ -169,22 +170,21 @@ def _plan_spectrum(runs: list, at) -> InternalSpectrum:
 
 def _plan_twin(sequence: SequenceKind, runs: list, at) -> tuple:
     """The job's levels and probe, and all runs' round trips measured as one
-    batch: the load refuses an empty probe, a bad translation option, a kick
-    out of the regime, a phase past the cap and a factor outside (0, 2)."""
+    batch by `run_sequence`, which builds the chain once: the load refuses an
+    empty probe, a phase past the cap, a factor outside (0, 2), a kick out of
+    the regime and a bad translation option, each at its own field."""
     spectrum = _plan_spectrum(runs, at)
     params = runs[0]
     probe = at(".params.probe_momenta", default_probe, spectrum, params["probe_momenta"],
                tuple(range(spectrum.dim)))
     boost, duration = (np.array([p[key] for p in runs]) for key in ("boost", "duration"))
-    options = dict(translation_level=params.get("translation_level"),
-                   state_dependent_translation=params.get("state_dependent_translation", False))
-    # Built, not traced, so that a bad option is refused at its own field.
-    at(".params.translation_level", build_sequence, sequence, boost[:, None], duration[:, None],
-       spectrum=spectrum, **options)
     levels = ".params.epsilons" if params.get("epsilons") is not None else ".params.spacing"
-    refusals = {PhaseCapError: ".params.duration", RegimeError: ".params.boost", ValueError: levels}
-    return spectrum, probe, at(refusals, run_sequence, sequence, spectrum, boost=boost,
-                               duration=duration, probe=probe, **options)
+    refusals = {PhaseCapError: ".params.duration", LevelResolutionError: levels,
+                RegimeError: ".params.boost", ValueError: ".params.translation_level"}
+    return spectrum, probe, at(
+        refusals, run_sequence, sequence, spectrum, boost=boost, duration=duration, probe=probe,
+        translation_level=params.get("translation_level"),
+        state_dependent_translation=params.get("state_dependent_translation", False))
 
 
 def _run_twin(sequence: SequenceKind, reports: list, runs: list, plan: tuple, tol: dict) -> None:
@@ -337,30 +337,29 @@ def _run_swp(reports: list, runs: list, plan: tuple, tol: dict) -> None:
             )
 
 
-def _require_shift(model: TrapModel) -> None:
+def _require_shift(oracle: BranchOracle) -> None:
     """The ion checks divide by the relative shift, which is nan at u = 0 (the null test)."""
-    if branch_spectrum_oracle(model).relative_shift == 0.0:
+    if oracle.relative_shift == 0.0:
         raise ValueError("the predicted line shift rounds to 0.0; use a larger transition energy")
 
 
-def _plan_ion(runs: list, at) -> TrapModel:
-    """The trap; once every parameter has met its own rule, only the cutoff
-    against the Fock index is left for the constructor to refuse."""
+def _plan_ion(runs: list, at) -> tuple:
+    """The trap and its branch oracle; once every parameter has met its own
+    rule, only the cutoff against the Fock index is left for the constructor
+    to refuse, and a predicted shift of 0.0 for the oracle."""
     [params] = runs
     model = at(".params.fock_cutoff", TrapModel, transition_energy=params["transition_energy"],
                trap_frequency=params["trap_frequency"], lamb_dicke=params["lamb_dicke"],
                fock_index=params["fock_index"], rabi_frequency=params["rabi_frequency"],
                fock_cutoff=params["fock_cutoff"])
-    at(".params.transition_energy", _require_shift, model)
-    return model
-
-
-def _run_ion(reports: list, runs: list, model: TrapModel, tol: dict) -> None:
-    [report], [params] = reports, runs
-    scan = spectroscopy_scan(
-        model, points=params["points"], span_factor=params["span_factor"]
-    )
     oracle = branch_spectrum_oracle(model)
+    at(".params.transition_energy", _require_shift, oracle)
+    return model, oracle
+
+
+def _run_ion(reports: list, runs: list, plan: tuple, tol: dict) -> None:
+    [report], [params], (model, oracle) = reports, runs, plan
+    scan = spectroscopy_scan(model, points=params["points"], span_factor=params["span_factor"])
     for detuning, excitation in zip(scan.detunings, scan.excitation):
         report.rows.append({"detuning": detuning, "excitation": excitation})
     report.notes.append(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SequencingError
+from .errors import LevelResolutionError, SequencingError
 from .operators import (
     BranchTranslation,
     FreeEvolution,
@@ -132,10 +132,9 @@ class SequenceResult:
         outside = np.argwhere(~((0.0 < d) & (d < 2.0)))
         if len(outside):
             run, i = outside[0]
-            error = ValueError(f"extracted dilation factor {d[run, i]} for level "
-                               f"{list(self.level_factors)[i]} outside (0, 2)")
-            error.run = int(run)
-            raise error
+            raise LevelResolutionError(f"extracted dilation factor {d[run, i]} for level "
+                                       f"{list(self.level_factors)[i]} outside (0, 2)",
+                                       run=int(run))
 
 
 def _run_columns(spectrum: InternalSpectrum, *values):

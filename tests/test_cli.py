@@ -17,6 +17,7 @@ import pytest
 import qclocksim
 from qclocksim import cli as cli_module
 from qclocksim import runners as runners_module
+from qclocksim import sequences as sequences_module
 from qclocksim import (
     SequenceKind,
     closed_form_phase,
@@ -29,6 +30,7 @@ from qclocksim import (
     run_sequence,
 )
 from qclocksim.cli import main
+from qclocksim.units import beta_from_velocity, epsilon_from_energy, epsilon_from_frequency
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -710,6 +712,25 @@ def test_a_converted_si_value_is_refused_at_the_si_key(tmp_path, capsys, kind, s
     assert ".params." not in err
 
 
+@pytest.mark.parametrize(
+    "kind, si, target, expected",
+    [("twin-velocity", {"velocity_m_per_s": 2997924.58}, "boost",
+      beta_from_velocity(2997924.58)),
+     ("twin-velocity", {"internal_energy_joule": 4.5e-10, "mass_kg": 1e-25}, "spacing",
+      epsilon_from_energy(4.5e-10, 1e-25)),
+     ("ion-spectroscopy", {"transition_frequency_hz": 1.36e22, "mass_kg": 1e-25},
+      "transition_energy", epsilon_from_frequency(1.36e22, 1e-25)),
+     ("ion-spectroscopy", {"trap_frequency_hz": 1.36e20, "mass_kg": 1e-25}, "trap_frequency",
+      epsilon_from_frequency(1.36e20, 1e-25))],
+    ids=["velocity", "internal-energy", "transition-frequency", "trap-frequency"],
+)
+def test_an_si_key_writes_its_units_converter_value_bit_for_bit(kind, si, target, expected):
+    [spec] = parse_config({"schema_version": 1,
+                           "scenarios": [{"kind": kind, "si": si}]}).scenarios
+    assert spec.params[target].hex() == expected.hex()
+    assert [runs[0][target].hex() for _, runs, _ in spec.jobs] == [expected.hex()]
+
+
 def test_a_swept_parameter_is_refused_at_its_own_path_over_an_si_value(tmp_path, capsys):
     # The sweep sets every run's boost, so its refusal is no si value's.
     scenario = {"kind": "twin-velocity", "name": "x", "si": {"velocity_m_per_s": 3e6},
@@ -874,16 +895,33 @@ def test_a_sweep_checks_its_translation_options_once_per_scenario(monkeypatch, p
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return build_sequence(*args, **kwargs)
+        return measured(*args, **kwargs)
 
-    build_sequence = runners_module.build_sequence
-    monkeypatch.setattr(runners_module, "build_sequence", counted)
+    measured = runners_module.run_sequence
+    monkeypatch.setattr(runners_module, "run_sequence", counted)
     sweep = {"parameter": parameter, "start": 0.01, "stop": 0.05, "count": 5}
     scenario = {"kind": "twin-momentum", "params": {"translation_level": 1}, "sweep": sweep}
     config = parse_config({"schema_version": 1, "scenarios": [scenario]})
     assert len(calls) == 1
     [spec] = config.scenarios
     assert [names for names, _, _ in spec.jobs] == [[f"twin-momentum-0-{i}" for i in range(5)]]
+
+
+def test_a_twin_sweep_builds_its_operator_chain_once_at_load(monkeypatch):
+    # run_sequence builds the chain; the plan builds no second one of its own.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return build_sequence(*args, **kwargs)
+
+    build_sequence = sequences_module.build_sequence
+    monkeypatch.setattr(sequences_module, "build_sequence", counted)
+    monkeypatch.setattr(runners_module, "build_sequence", counted, raising=False)
+    sweep = {"parameter": "boost", "start": 0.01, "stop": 0.05, "count": 5}
+    scenario = {"kind": "twin-momentum", "params": {"translation_level": 1}, "sweep": sweep}
+    parse_config({"schema_version": 1, "scenarios": [scenario]})
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -1001,6 +1039,33 @@ def test_an_out_dir_that_cannot_be_a_directory_is_refused_before_any_run(
     err = capsys.readouterr().err
     assert f"config error: --out-dir {out!r}: {blocker!r} is not a directory" in err
     assert (tmp_path / "taken").read_text() == "a file\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--threads", "0"], "--threads must be at least 1, got 0"),
+        (["--threads", "-3"], "--threads must be at least 1, got -3"),
+        (["--tolerance", "identity_residual"],
+         "--tolerance expects KEY=VALUE, got 'identity_residual'"),
+        (["--tolerance", "identity_residual=x"],
+         "--tolerance identity_residual: 'x' is not a number"),
+        (["--tolerance", "identity_residual=-1"],
+         "--tolerance identity_residual: must not be negative, got -1.0"),
+        (["--out-dir", "taken/sub"], "--out-dir 'taken/sub': 'taken' is not a directory"),
+    ],
+)
+def test_a_bad_run_flag_is_refused_before_the_config_is_loaded(
+        monkeypatch, base_config, tmp_path, capsys, flags, message):
+    # The load measures every twin and entanglement job; a bad flag needs none of it.
+    def never(*args, **kwargs):
+        raise AssertionError("load_config was called")
+
+    monkeypatch.setattr(cli_module, "load_config", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("a file\n")
+    assert main(["run", base_config, *flags]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
 
 
 def test_a_missing_out_dir_is_made_with_its_parents_after_the_runs(

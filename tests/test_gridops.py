@@ -28,7 +28,7 @@ from qclocksim.gridops import (
     velocity_boost_grid,
 )
 from qclocksim.operators import total_energy
-from qclocksim.spectrum import ladder_spectrum
+from qclocksim.spectrum import ladder_spectrum, make_spectrum
 
 SPEC = ladder_spectrum(2, 0.1)
 
@@ -101,6 +101,22 @@ def test_momentum_boost_shifts_all_levels_equally():
     for n in range(SPEC.dim):
         # Same (-1)^K origin phase as in the velocity-boost test, K = 7.
         np.testing.assert_allclose(tilde_kicked[n], -np.roll(tilde[n], 7), atol=1e-10)
+
+
+def test_momentum_boost_is_the_plain_kick_on_every_branch_bit_for_bit():
+    state = gaussian_grid_state(SPEC, size=64, box_length=64.0, sigma=3.0, momentum=0.05)
+    for p_b in (0.3, -0.017, 0.0):
+        kicked = momentum_boost_grid(state, p_b).amplitudes
+        plain = state.amplitudes * np.exp(1j * p_b * state.positions)
+        assert kicked.tobytes() == plain.tobytes()
+
+
+def test_momentum_and_velocity_boosts_agree_bit_for_bit_on_one_level():
+    # With one level the full mass is the bare mass 1: both kicks are e^{i v x}.
+    state = gaussian_grid_state(make_spectrum([0.0]), size=64, box_length=64.0, sigma=3.0)
+    for v_b in (0.3, -0.017):
+        assert (momentum_boost_grid(state, v_b).amplitudes.tobytes()
+                == velocity_boost_grid(state, v_b).amplitudes.tobytes())
 
 
 def test_zero_slope_potential_matches_fft_free_evolution():

@@ -15,6 +15,11 @@ no runner calls a sequence engine and a loaded config runs with those entry
 points gone.  `runners` owns the job: `config` calls no plan and reads no
 kind's `batches` or parameter `check`, and `run_config` runs the stored jobs
 without expanding any run.
+
+Nothing in `src/` is dead: an imported name is used in its module, a
+module-level private name is read by another top-level statement, no module
+imports another's private name, and every class member is read outside its
+own definition unless KEPT names it with the reason it stays.
 """
 
 import ast
@@ -32,7 +37,7 @@ ABOVE = {"report", "runners", "config", "cli"}
 # What a plan builds: a runner that called one would build it again.
 PLAN_TIME = {"stack_spectra", "default_probe", "ladder_spectrum", "make_spectrum",
              "internal_superposition", "gaussian_grid_state", "TrapModel", "SWPClock",
-             "DilationProfile"}
+             "DilationProfile", "branch_spectrum_oracle"}
 # What a twin or entanglement plan measures with: a runner that called one
 # would trace the job again.
 SEQUENCE_ENGINE = {"run_sequence", "entanglement_frame_demo", "build_sequence", "trace_chain",
@@ -147,3 +152,98 @@ def test_run_config_runs_the_stored_jobs_without_expanding_runs():
 def test_every_module_of_the_package_is_an_engine_the_oracles_or_above_them():
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
     assert modules == set(ENGINES) | {ORACLES} | ABOVE
+
+
+# Class members that nothing in src/ reads, each with the reason it stays.
+KEPT = {
+    "GridState.momentum_amplitudes": "test_grid and test_gridops check momentum space with it",
+    "SWPClock.pointer_states": "test_swp holds pointer_probabilities to it",
+    "SequenceResult.pair_factors": "test_sequences holds it to the pairwise closed form",
+    "SequenceResult.momentum_error_max": "test_sequences checks that each round trip closes",
+    "SequenceResult.level_phase_spread_max": "test_sequences checks that each round trip closes",
+    "BranchOracle.excited_trap_frequency": "test_ionclock compares it with a 50-digit mpmath value",
+    "FrameEntanglement.state_before": "perfbench/tracer.py counts its components",
+}
+
+
+def _uses(node) -> set:
+    """Names that node reads, takes as attributes or imports by name."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            found.update(alias.name for alias in n.names)
+    return found
+
+
+def _unused_names_and_members() -> tuple:
+    """(findings, modules, class members) of the dead-code rules over src/."""
+    errors, statements = [], []  # statements: (path, top-level statement, the names it uses)
+    members, reads = {}, []  # members: "Class.name" -> (path, node); reads: (attribute, node)
+    paths = sorted(PACKAGE.glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        statements += [(path, stmt, _uses(stmt)) for stmt in tree.body]
+        reads += [(n.attr, n) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    members[f"{cls.name}.{name}"] = (path, node)
+        loads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                errors += [f"{path}:{node.lineno}: {alias.name!r} is private to module "
+                           f"{node.module!r}" for alias in node.names
+                           if alias.name.startswith("_") and not alias.name.startswith("__")]
+            if (isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py"
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loads:
+                        errors.append(f"{path}:{node.lineno}: {name!r} is imported and never used")
+    for path, stmt, _ in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            if name.startswith("_") and not name.startswith("__") and not any(
+                    name in used for _, other, used in statements if other is not stmt):
+                errors.append(f"{path}:{stmt.lineno}: private {name!r} is used nowhere else in src/")
+            # A public name must be read by another statement too; the
+            # re-exports of __init__.py are not reads.
+            if not name.startswith("_") and not any(
+                    name in used for where, other, used in statements
+                    if other is not stmt and where.name != "__init__.py"):
+                errors.append(f"{path}:{stmt.lineno}: public {name!r} is read nowhere else in src/")
+    for member, (path, node) in members.items():
+        name, own = member.split(".")[1], {id(n) for n in ast.walk(node)}
+        read = any(attr == name and id(n) not in own for attr, n in reads)
+        if not read and member not in KEPT:
+            errors.append(f"{path}:{node.lineno}: member {member!r} is read nowhere else in src/")
+        elif read and member in KEPT:
+            errors.append(f"{path}:{node.lineno}: member {member!r} is read in src/; "
+                          "drop it from KEPT")
+    errors += [f"KEPT names {member!r}, which is no member of a class in src/"
+               for member in sorted(set(KEPT) - set(members))]
+    return errors, paths, members
+
+
+def test_src_has_no_unused_imports_private_names_or_class_members():
+    errors, paths, members = _unused_names_and_members()
+    assert paths and members
+    assert errors == []

@@ -72,6 +72,17 @@ def _reports():
     return [mixed, empty]
 
 
+def test_json_text_renders_to_json_dict(monkeypatch):
+    # One layout: a key that to_json_dict gains is in the text, in sorted place.
+    report = _reports()[0]
+    to_json_dict = RunReport.to_json_dict
+    monkeypatch.setattr(RunReport, "to_json_dict",
+                        lambda self: {**to_json_dict(self), "extra": [1.5, "x"]})
+    text = report.json_text()
+    assert '"extra": [' in text
+    assert text == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
 def test_writers_give_the_bytes_of_a_text_file_object(tmp_path):
     for report in _reports():
         for write, render, old_write, suffix in (
