@@ -7,11 +7,8 @@ two) in a periodic box of length L centered on the origin:
 
     x_j = (j - D/2) L / D            p_k = 2 pi k / L  (signed FFT order)
 
-States always hold position amplitudes.  Momentum amplitudes are a
-measurement on the state, not a second representation of it: the unitary
-DFT with the physical origin phases included, so they mean what they say:
-
-    psi~(p) = (1/sqrt D) sum_j e^{-i p x_j} psi(x_j)
+States always hold position amplitudes; the evolution reaches momentum
+space with the FFT over each level's row.
 
 Natural units as everywhere else: hbar = c = m = 1.
 """
@@ -61,11 +58,6 @@ class GridState:
         """Momentum lattice in FFT order, spacing 2 pi / L."""
         d = self.size
         return 2.0 * np.pi * np.fft.fftfreq(d, d=self.box_length / d)
-
-    def momentum_amplitudes(self) -> np.ndarray:
-        """Per-level amplitudes on the momentum lattice, in FFT order."""
-        phases = np.exp(-1j * self.momenta * self.positions[0])
-        return np.fft.fft(self.amplitudes, axis=1) / np.sqrt(self.size) * phases[None, :]
 
     def edge_mass(self) -> float:
         """Probability within EDGE_SITES of the box edge."""

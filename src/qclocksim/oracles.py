@@ -106,8 +106,7 @@ def swp_dilation_factors(profile: str, dim: int, boost: float,
 class BranchOracle:
     """Closed-form clock-shift predictions for one motional level."""
 
-    excited_trap_frequency: float  # w / sqrt(1 + u)
-    carrier_shift: float  # (n + 1/2)(w_e - w), absolute
+    carrier_shift: float  # (n + 1/2)(w_e - w) with w_e = w / sqrt(1 + u), absolute
     relative_shift: float  # carrier_shift / u; nan when u = 0
     first_order_relative: float  # -(n + 1/2) w / 2
     second_order_term: float  # exact next Taylor term, +(3/8) u w (n + 1/2)
@@ -130,7 +129,6 @@ def branch_spectrum_oracle(model) -> BranchOracle:
     carrier = n_half * (w_e - w)
     relative = carrier / u if u > 0.0 else float("nan")
     return BranchOracle(
-        excited_trap_frequency=w_e,
         carrier_shift=carrier,
         relative_shift=relative,
         first_order_relative=-n_half * w / 2.0,

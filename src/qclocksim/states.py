@@ -87,12 +87,10 @@ class PlaneWaveState:
         )
 
 
-def internal_superposition(spectrum: InternalSpectrum, momentum: float,
-                           amplitudes=None) -> PlaneWaveState:
-    """|momentum> times a superposition of every level (equal weights by default)."""
-    amplitudes = [1.0] * spectrum.dim if amplitudes is None else amplitudes
+def internal_superposition(spectrum: InternalSpectrum, momentum: float) -> PlaneWaveState:
+    """|momentum> times an equal-weight superposition of every level."""
     return PlaneWaveState.from_components(
-        spectrum, [(n, momentum, a) for n, a in enumerate(amplitudes)]
+        spectrum, [(n, momentum, 1.0) for n in range(spectrum.dim)]
     )
 
 

@@ -59,11 +59,6 @@ class SWPClock:
         """Resolution time: the hand advances one pointer state per tau."""
         return 2.0 * np.pi / (self.dim * self.omega0)
 
-    def pointer_states(self) -> np.ndarray:
-        """Matrix whose row k is the pointer state w_k in the energy basis."""
-        n = np.arange(self.dim)
-        return np.exp(-2j * np.pi * np.outer(n, n) / self.dim) / np.sqrt(self.dim)
-
 
 @dataclass(frozen=True)
 class DilationProfile:

@@ -1132,23 +1132,29 @@ def test_a_job_of_a_per_run_kind_returns_one_report_per_run_in_order():
 
 def test_runtime_failure_maps_to_engine_exit_code(tmp_path, capsys):
     # The accelerated packet starts well inside the box, so the config is
-    # valid, but it drifts to the box edge during the evolution.
+    # valid, but it drifts to the box edge during the evolution.  The run
+    # before it passes, and its files are not written either: files are
+    # written only once every run has finished.
     config = {
         "schema_version": 1,
         "scenarios": [
+            {"kind": "twin-velocity", "name": "fine"},
             {
                 "kind": "trotter-accel",
                 "name": "drifts-out",
                 "params": {"acceleration": 0.0002, "duration": 400.0, "grid_size": 128},
-            }
+            },
         ],
     }
     path = _write_config(tmp_path / "drift.json", config)
+    out = tmp_path / "results"
     assert main(["validate", path]) == 0
-    assert main(["run", path]) == 3
-    err = capsys.readouterr().err
-    assert "engine error: WraparoundError: linear-potential evolution (final state)" in err
-    assert "(run 'drifts-out')" in err
+    for flags in ([], ["--out-dir", str(out)]):
+        assert main(["run", path, *flags]) == 3
+        err = capsys.readouterr().err
+        assert "engine error: WraparoundError: linear-potential evolution (final state)" in err
+        assert "(run 'drifts-out')" in err
+    assert list(out.rglob("*")) == []
 
 
 @pytest.mark.parametrize(("momentum", "first"), [(0.31, "strict-0"), (0.3, "strict-2")])

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from helpers import momentum_amplitudes
 from qclocksim import load_config
 from qclocksim.errors import WraparoundError
 from qclocksim.grid import GridState, gaussian_grid_state
@@ -58,7 +59,7 @@ def _level_moments(state, which):
     if which == "x":
         grid, amps = state.positions, state.amplitudes
     else:
-        grid, amps = state.momenta, state.momentum_amplitudes()
+        grid, amps = state.momenta, momentum_amplitudes(state)
     prob = np.abs(amps) ** 2
     weights = prob.sum(axis=1)
     return (prob @ grid) / weights

@@ -156,12 +156,9 @@ def test_every_module_of_the_package_is_an_engine_the_oracles_or_above_them():
 
 # Class members that nothing in src/ reads, each with the reason it stays.
 KEPT = {
-    "GridState.momentum_amplitudes": "test_grid and test_gridops check momentum space with it",
-    "SWPClock.pointer_states": "test_swp holds pointer_probabilities to it",
     "SequenceResult.pair_factors": "test_sequences holds it to the pairwise closed form",
     "SequenceResult.momentum_error_max": "test_sequences checks that each round trip closes",
     "SequenceResult.level_phase_spread_max": "test_sequences checks that each round trip closes",
-    "BranchOracle.excited_trap_frequency": "test_ionclock compares it with a 50-digit mpmath value",
     "FrameEntanglement.state_before": "perfbench/tracer.py counts its components",
 }
 

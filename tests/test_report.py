@@ -121,3 +121,13 @@ def test_writers_give_the_reference_bytes_over_longer_files(tmp_path, report):
         new.write_bytes(b"stale bytes longer than the report " + old.read_bytes() * 2)
         write(new, render())
         assert new.read_bytes() == old.read_bytes()
+
+
+def test_a_failing_range_check_reports_the_bound_it_broke():
+    report = RunReport(scenario="s", name="r", parameters={})
+    report.add_range("high", [1.9, 2.5], 1.6, 2.4)
+    report.add_range("low", [1.5, 2.0], 1.6, 2.4)
+    report.add_range("inside", [1.9, 2.0], 1.6, 2.4)
+    assert [(c["name"], c["passed"], c["value"], c["tolerance"]) for c in report.checks] == [
+        ("high", False, 2.5, 2.4), ("low", False, 1.5, 1.6), ("inside", True, 1.9, 1.6)]
+    assert "  FAIL high: value=2.5 tolerance=2.4" in report.summary_lines()

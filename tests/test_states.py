@@ -126,7 +126,8 @@ def test_entropy_of_unbalanced_boosted_state_matches_eigenvalue_oracle():
     # eigenvalues.  Recompute that directly as an oracle.
     amps = [math.sqrt(0.9), math.sqrt(0.1)]
     state = apply_operator(
-        internal_superposition(SPEC2, 0.0, amplitudes=amps), VelocityBoost(0.02)
+        PlaneWaveState.from_components(SPEC2, [(n, 0.0, a) for n, a in enumerate(amps)]),
+        VelocityBoost(0.02),
     )
     # Oracle: build the reduced density matrix by hand from the components.
     rho = np.zeros((2, 2), dtype=complex)
@@ -146,7 +147,9 @@ def test_entropy_of_unbalanced_boosted_state_matches_eigenvalue_oracle():
 
 def test_entropy_is_basis_independent_for_unboosted_states():
     # Unequal amplitudes alone do not entangle anything.
-    state = internal_superposition(SPEC4, 0.1, amplitudes=[1.0, 2.0, 0.5, 1.5])
+    state = PlaneWaveState.from_components(
+        SPEC4, [(n, 0.1, a) for n, a in enumerate([1.0, 2.0, 0.5, 1.5])]
+    )
     assert abs(reduced_internal_entropy(state)) <= 1e-12
 
 
