@@ -246,10 +246,11 @@ def parse_config(data: dict) -> RunConfig:
     unknown = set(data) - {"schema_version", "scenarios"}
     _require(not unknown, "config", f"unknown keys: {sorted(unknown)}")
     _require("schema_version" in data, "config", "missing required key 'schema_version'")
+    version = data["schema_version"]
     _require(
-        data["schema_version"] == SCHEMA_VERSION,
+        type(version) is int and version == SCHEMA_VERSION,
         "config.schema_version",
-        f"expected {SCHEMA_VERSION}, got {data['schema_version']!r}",
+        f"expected {SCHEMA_VERSION}, got {version!r}",
     )
     scenarios = data.get("scenarios")
     _require(

@@ -11,9 +11,8 @@ Everything here is exact in the oscillator algebra (matrix elements of x^2
 and p^2 are closed-form), so the only approximations are the Fock-space
 cutoff and the laser-drive dynamics themselves.  The spectroscopy scan
 simulates an actual pi-pulse lineshape in the rotating frame of the laser
-and extracts the peak.  The scan grid is centred on the oracle's carrier
-shift, which is the one use this engine makes of a closed form; the runner
-compares the peak with the oracle.
+and extracts the peak on a grid the caller centres: the runner passes the
+oracle's carrier shift and compares the peak with it.
 
 The drive Hamiltonian is time independent in that frame, so each detuning
 costs one eigendecomposition and the pulse is applied spectrally; the
@@ -40,8 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridTooNarrowError, IntegrationError
-from .oracles import branch_spectrum_oracle
-from .units import require_nonnegative, require_positive
+from .units import check_epsilons, require_nonnegative, require_positive
 
 # Bound on the relative eigendecomposition residual |H V - V Lambda| / |H|
 # and on the norm defect of the propagated state; both sit near 1e-15.
@@ -68,6 +66,7 @@ class TrapModel:
 
     def __post_init__(self) -> None:
         require_nonnegative("transition energy", self.transition_energy)
+        check_epsilons([self.transition_energy])
         require_positive("trap frequency", self.trap_frequency)
         require_nonnegative("fock index", self.fock_index)
         if self.rabi_frequency is None:
@@ -242,20 +241,20 @@ def require_scan_points(points: int) -> None:
 
 def spectroscopy_scan(
     model: TrapModel,
+    center: float,
     points: int = 61,
     span_factor: float = 4.0,
 ) -> SpectroscopyResult:
     """Scan the drive detuning across the line and locate the peak.
 
-    The grid is centered on the oracle prediction with half-width
-    span_factor times the predicted shift magnitude (floored at 1e-3 Rabi
+    The grid is centered on the caller's expected detuning `center` with
+    half-width span_factor times its magnitude (floored at 1e-3 Rabi
     frequencies so a null shift still gets a usable grid).  The extraction
-    itself never consults the oracle beyond this centering, so landing on
-    the predicted value is a genuine check.
+    reads `center` only to place the grid, so a peak that lands on a
+    predicted center is a genuine check of the prediction.
     """
     require_scan_points(points)
     require_positive("span factor", span_factor)
-    center = branch_spectrum_oracle(model).carrier_shift
     half_span = span_factor * max(abs(center), 1e-3 * model.rabi_frequency)
     detunings = np.linspace(center - half_span, center + half_span, points)
     vertex, idx, excitation = _scan_peak(model, detunings, model.fock_cutoff)

@@ -2,8 +2,8 @@
 
 The engines measure and return what they measured; this module predicts,
 and the runners grade the one against the other.  An engine that knew its
-own closed form could grade itself, so no engine but `ionclock`, whose scan
-grid is centred on the predicted carrier shift, imports this module.
+own closed form could grade itself, so no engine imports this module; the
+runner passes the ion scan its centre, the predicted carrier shift.
 
 Every twin round trip collapses to a per-component phase
 

@@ -260,8 +260,8 @@ def _twin(sequence: SequenceKind, boost: float, **params) -> Kind:
 
 
 def _plan_swp(runs: list, at) -> tuple:
-    """The pointer clock, its dilation profile, and the tick scan's window and
-    resolution in time units; the profile's boost is the clock's one kick."""
+    """The pointer clock and its dilation profile; the profile's boost is the
+    clock's one kick."""
     [params] = runs
     name, spectrum = params["profile"], None
     if name != "none":
@@ -273,19 +273,15 @@ def _plan_swp(runs: list, at) -> tuple:
     profile = at(".params.boost", DilationProfile, factors)
     if name == "momentum-nonclassical":
         at(".params.boost", _require_level_dependent, profile.factors)
-    window = tuple(w * clock.tau for w in params["window_in_tau"])
-    resolution = params["resolution_in_tau"] * clock.tau
-    at(".params.window_in_tau", require_tick_window, window, clock.tau)
-    at(".params.resolution_in_tau", require_tick_resolution, resolution, clock.tau)
     at(".params.boost", check_kicks, [("boost", [0.0 if name == "none" else params["boost"]])])
-    return clock, profile, window, resolution
+    return clock, profile
 
 
 def _run_swp(reports: list, runs: list, plan: tuple, tol: dict) -> None:
-    [report], [params] = reports, runs
-    clock, profile, window, resolution = plan
+    [report], [params], (clock, profile) = reports, runs, plan
     tau = clock.tau
-    scan = find_effective_ticks(clock, profile, window=window, resolution=resolution)
+    window = params["window_in_tau"]
+    scan = find_effective_ticks(clock, profile, window, params["resolution_in_tau"])
     ticks = len(scan.tick_times)
     for i, (t, v) in enumerate(zip(scan.tick_times, scan.tick_variances)):
         report.rows.append(
@@ -302,7 +298,7 @@ def _run_swp(reports: list, runs: list, plan: tuple, tol: dict) -> None:
         report.notes.append(f"{ticks} ticks located")
     else:
         report.notes.append(
-            f"only {ticks} variance minima inside ({window[0]:.6g}, {window[1]:.6g}); "
+            f"only {ticks} variance minima inside ({window[0] * tau:.6g}, {window[1] * tau:.6g}); "
             "spacing undefined, widen the window or check the profile"
         )
     report.add_check(
@@ -359,7 +355,8 @@ def _plan_ion(runs: list, at) -> tuple:
 
 def _run_ion(reports: list, runs: list, plan: tuple, tol: dict) -> None:
     [report], [params], (model, oracle) = reports, runs, plan
-    scan = spectroscopy_scan(model, points=params["points"], span_factor=params["span_factor"])
+    scan = spectroscopy_scan(model, oracle.carrier_shift, points=params["points"],
+                             span_factor=params["span_factor"])
     for detuning, excitation in zip(scan.detunings, scan.excitation):
         report.rows.append({"detuning": detuning, "excitation": excitation})
     report.notes.append(
@@ -511,8 +508,8 @@ KINDS = {
                 "none", "velocity-classical", "observer-classical", "momentum-nonclassical")),
             "boost": ParamSpec(float, 0.1, sweepable=True),
             "spacing": ParamSpec(float, 0.01, sweepable=True, check=_positive("spacing")),
-            "window_in_tau": ParamSpec(list[float], (0.5, 3.5)),
-            "resolution_in_tau": ParamSpec(float, 1.0 / 64.0),
+            "window_in_tau": ParamSpec(list[float], (0.5, 3.5), check=require_tick_window),
+            "resolution_in_tau": ParamSpec(float, 1.0 / 64.0, check=require_tick_resolution),
         },
         tolerances={
             "tick_variance_in_tau2": 1e-20,

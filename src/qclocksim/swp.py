@@ -24,7 +24,8 @@ with rate = -i n omega0 d_n formed once, the inverse FFT and |.|^2 run on a
 which keeps a large clock's memory flat.  Moments stay one dot per row: a
 batched gemv, einsum or sum differs in the last bit from a read of one time.
 Tick refinement moves every bracketed minimum in lockstep: each round reads
-the new time of every open bracket in one call of read_pointer.
+the new time of every open bracket in one call of read_pointer.  The tick
+scan takes its window and grid step in units of tau, as a config gives them.
 """
 
 from __future__ import annotations
@@ -153,47 +154,43 @@ def _refine_minima(f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return np.where((den != 0.0) & (a <= vertex) & (vertex <= b), vertex, mid)
 
 
-def require_tick_window(window, tau: float) -> None:
+def require_tick_window(window) -> None:
     if len(window) != 2:
         raise ValueError(f"tick window must be a (start, stop) pair, got {len(window)} entries")
-    if not window[1] - window[0] >= 3.0 * tau:
+    if not window[1] - window[0] >= 3.0:
         raise ValueError("tick window must span at least 3 tau")
 
 
-def require_tick_resolution(resolution: float, tau: float) -> None:
-    if not 0.0 < resolution <= tau / 50.0:
+def require_tick_resolution(resolution: float) -> None:
+    if not 0.0 < resolution <= 1.0 / 50.0:
         raise ValueError("tick scan resolution must be positive and at most tau / 50")
 
 
 def find_effective_ticks(
     clock: SWPClock,
     profile: DilationProfile,
-    window=None,
-    resolution=None,
+    window_in_tau=(0.5, 3.5),
+    resolution_in_tau: float = 1.0 / 64.0,
 ) -> TickScan:
     """Locate the times where the pointer variance dips (the actual ticks).
 
     Scans the window on a uniform grid, brackets every interior local
     minimum, then refines all of them together with golden-section search
-    followed by one parabolic polish.  The window must span at least 3 tau
-    and the scan grid must be finer than tau / 50, otherwise minima can slip
-    between grid points.
+    followed by one parabolic polish.  The window and the grid step are in
+    units of tau: the window must span at least 3 and the step be at most
+    1/50, otherwise minima can slip between grid points.
     """
-    rates = _rates(clock, profile)
+    require_tick_window(window_in_tau)
+    require_tick_resolution(resolution_in_tau)
     tau = clock.tau
-    if window is None:
-        window = (0.5 * tau, 3.5 * tau)
-    if resolution is None:
-        resolution = tau / 64.0
-    require_tick_window(window, tau)
-    require_tick_resolution(resolution, tau)
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = (w * tau for w in window_in_tau)
+    resolution = resolution_in_tau * tau
 
     def variance_at(t: np.ndarray) -> np.ndarray:
         return read_pointer(clock, profile, t)[1]
 
     grid = np.arange(lo, hi + 0.5 * resolution, resolution)
-    values = tau * tau * _pointer_moments(clock, rates, grid)[1]
+    values = tau * tau * _pointer_moments(clock, _rates(clock, profile), grid)[1]
     dips = np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] <= values[2:]))
     tick_times = _refine_minima(variance_at, grid[dips], grid[dips + 2], tau * TICK_REFINE_TOL)
     return TickScan(tick_times=tick_times, tick_variances=variance_at(tick_times))

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qclocksim
 from qclocksim import cli as cli_module
@@ -502,6 +503,37 @@ def test_an_input_the_engine_refuses_at_run_time_is_refused_at_validation(
 
 
 @pytest.mark.parametrize(
+    "params, sweep",
+    [({"dim": 15}, None),
+     ({"dim": 8}, {"parameter": "omega0", "start": 1.0, "stop": 1.1, "count": 3}),
+     ({"dim": 7, "resolution_in_tau": 0.02}, None)],
+    ids=["dim-15", "omega0-sweep", "dim-7-limit-resolution"],
+)
+def test_a_tick_scan_within_its_limits_in_tau_validates_and_runs(tmp_path, capsys, params,
+                                                                    sweep):
+    # The window and the resolution are compared with their limits in units
+    # of tau; their products with tau may round below 3 tau and tau / 50.
+    scenario = {"kind": "swp", "name": "scan", "params": params}
+    if sweep is not None:
+        scenario["sweep"] = sweep
+    path = _write_config(tmp_path / "scan.json", {"schema_version": 1, "scenarios": [scenario]})
+    runs = 3 if sweep else 1
+    assert main(["validate", path]) == 0
+    assert f"valid (1 scenario(s), {runs} run(s))" in capsys.readouterr().out
+    assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(list((tmp_path / "out").iterdir())) == 2 * runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 2048), omega0=st.floats(1e-4, 10.0))
+def test_the_default_tick_window_is_accepted_for_every_clock(dim, omega0):
+    scenario = {"kind": "swp", "name": "scan",
+                "params": {"profile": "none", "dim": dim, "omega0": omega0}}
+    [spec] = parse_config({"schema_version": 1, "scenarios": [scenario]}).scenarios
+    assert spec.jobs[0][1][0]["window_in_tau"] == (0.5, 3.5)
+
+
+@pytest.mark.parametrize(
     "kind", ["twin-momentum", "twin-velocity", "twin-observer", "trotter-accel"]
 )
 def test_a_duration_sweep_that_reaches_zero_is_refused_at_the_run(tmp_path, capsys, kind):
@@ -546,7 +578,8 @@ def test_a_parameter_check_sees_every_run_only_when_the_sweep_varies_its_paramet
         **{(kind, "boost"): workloads.FANOUT_SWEEP_COUNT for kind in (*twins, "entanglement-demo")},
         ("entanglement-demo", "levels"): 1,
         ("entanglement-demo", "spacing"): 1,
-        **{("swp", name): len(workloads.FANOUT_SWP_DIMS) for name in ("dim", "omega0", "spacing")},
+        **{("swp", name): len(workloads.FANOUT_SWP_DIMS)
+           for name in ("dim", "omega0", "spacing", "window_in_tau", "resolution_in_tau")},
     }
 
 
@@ -992,6 +1025,14 @@ def test_an_integer_of_more_digits_than_python_converts_is_a_config_error(tmp_pa
     # Python's limit on integer digits refuses it while the JSON is read.
     assert main(["validate", str(path)]) == 2
     assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_a_schema_version_other_than_the_integer_1_is_refused(tmp_path, capsys, version):
+    # JSON true and 1.0 compare equal to 1 in Python; only the integer is version 1.
+    path = _write_config(tmp_path / "version.json", {**BASE_CONFIG, "schema_version": version})
+    assert main(["validate", path]) == 2
+    assert f"config.schema_version: expected 1, got {version!r}" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_config_error(tmp_path, capsys):

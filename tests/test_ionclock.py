@@ -15,7 +15,7 @@ from mpmath import mp
 
 from helpers import excited_trap_frequency
 from qclocksim import ionclock, parse_config, run_config
-from qclocksim.errors import GridTooNarrowError, IntegrationError
+from qclocksim.errors import GridTooNarrowError, IntegrationError, RegimeError
 from qclocksim.ionclock import (
     TrapModel,
     _doubled_cutoff_vertex,
@@ -30,8 +30,15 @@ from qclocksim.ionclock import (
     static_hamiltonians,
 )
 from qclocksim.oracles import branch_spectrum_oracle
+from qclocksim.units import EPS_MAX
 
 U, W = 1e-3, 1e-5
+
+
+def _scan(model, **kwargs):
+    """The lineshape scan centred on the oracle's carrier shift, as the ion runner centres it."""
+    return spectroscopy_scan(model, branch_spectrum_oracle(model).carrier_shift, **kwargs)
+
 
 # Lineshapes of the default models at fock indices 0 and 1 (the two ion runs
 # of configs/full-suite.json), recorded before the spectral pulse replaced
@@ -118,6 +125,10 @@ def test_model_validation():
         TrapModel(transition_energy=U, trap_frequency=W, fock_index=3, fock_cutoff=12)
     with pytest.raises(ValueError):
         TrapModel(transition_energy=U, trap_frequency=W, rabi_frequency=-1.0)
+    # The rule, and the message, of the levels of an internal spectrum.
+    for u in (EPS_MAX, 0.5):
+        with pytest.raises(RegimeError, match=f"internal energy ratio {u} >= eps_max"):
+            TrapModel(transition_energy=u, trap_frequency=W)
 
 
 def _extended_precision_oracle(u: float, w: float, n: int):
@@ -175,14 +186,14 @@ def test_null_transition_clock_has_no_shift():
     model = TrapModel(transition_energy=0.0, trap_frequency=W)
     oracle = branch_spectrum_oracle(model)
     assert np.isnan(oracle.relative_shift)
-    scan = spectroscopy_scan(model, points=21)
+    scan = _scan(model, points=21)
     assert abs(scan.peak_detuning) < 1e-10
     assert scan.excitation.max() > 0.99
 
 
 def test_scan_recovers_the_oracle_shift():
     model = TrapModel(transition_energy=U, trap_frequency=W)
-    scan = spectroscopy_scan(model, points=31)
+    scan = _scan(model, points=31)
     relative = scan.peak_detuning / U
     assert abs(relative / branch_spectrum_oracle(model).relative_shift - 1.0) < 1e-2
     assert scan.cutoff_shift_change < 1e-10
@@ -192,11 +203,11 @@ def test_scan_recovers_the_oracle_shift():
 def test_scan_point_count_validation():
     model = TrapModel(transition_energy=U, trap_frequency=W)
     with pytest.raises(ValueError):
-        spectroscopy_scan(model, points=3)
+        _scan(model, points=3)
     # Zero collapses the detuning grid to a point; a negative factor reverses it.
     for span_factor in (0.0, -4.0):
         with pytest.raises(ValueError, match="span factor must be positive"):
-            spectroscopy_scan(model, span_factor=span_factor)
+            _scan(model, span_factor=span_factor)
 
 
 def test_peak_outside_oracle_window_is_refused():
@@ -205,7 +216,7 @@ def test_peak_outside_oracle_window_is_refused():
     # grid; the scan must refuse rather than report the edge sample.
     model = TrapModel(U, W, lamb_dicke=0.3, rabi_frequency=5e-6)
     with pytest.raises(GridTooNarrowError):
-        spectroscopy_scan(model)
+        _scan(model)
 
 
 def test_the_runner_grades_the_scan_by_the_oracle_ratios():
@@ -225,7 +236,7 @@ def test_the_runner_grades_the_scan_by_the_oracle_ratios():
 @pytest.mark.parametrize("n", [0, 1])
 def test_lineshape_matches_the_frozen_values(n):
     frozen = FROZEN_LINESHAPES[str(n)]
-    scan = spectroscopy_scan(TrapModel(transition_energy=U, trap_frequency=W, fock_index=n))
+    scan = _scan(TrapModel(transition_energy=U, trap_frequency=W, fock_index=n))
     np.testing.assert_allclose(scan.excitation, frozen["excitation"], rtol=0.0, atol=1e-12)
     assert scan.peak_detuning == pytest.approx(frozen["peak_detuning"], rel=1e-8, abs=0.0)
 
@@ -233,7 +244,7 @@ def test_lineshape_matches_the_frozen_values(n):
 @pytest.mark.parametrize("u, n", [(U, 0), (U, 1), (0.0, 0)])
 def test_doubled_cutoff_triplet_vertex_equals_the_full_rescan(u, n):
     model = TrapModel(transition_energy=u, trap_frequency=W, fock_index=n)
-    scan = spectroscopy_scan(model)
+    scan = _scan(model)
     idx = int(np.argmax(scan.excitation))
     triplet_vertex = _doubled_cutoff_vertex(model, scan.detunings, idx)
     full_vertex = _scan_peak(model, scan.detunings, 2 * model.fock_cutoff)[0]
@@ -258,7 +269,7 @@ def test_doubled_cutoff_rescans_when_the_triplet_has_no_interior_maximum(monkeyp
     monkeypatch.setattr(ionclock, "_excitation_probabilities", rising_triplet)
     monkeypatch.setattr(ionclock, "_scan_peak", recording_scan_peak)
     model = TrapModel(transition_energy=U, trap_frequency=W)
-    scan = spectroscopy_scan(model, points=21)
+    scan = _scan(model, points=21)
     assert scanned_dims == [32, 64]
     full_vertex = real_scan_peak(model, scan.detunings, 64)[0]
     assert scan.cutoff_shift_change == abs(full_vertex - scan.peak_detuning)
@@ -280,7 +291,7 @@ def test_wrong_eigenvectors_fail_the_decomposition_check(monkeypatch):
 
     monkeypatch.setattr(ionclock.np.linalg, "eigh", rotated_eigh)
     with pytest.raises(IntegrationError, match="eigendecomposition residual"):
-        spectroscopy_scan(TrapModel(transition_energy=U, trap_frequency=W), points=21)
+        _scan(TrapModel(transition_energy=U, trap_frequency=W), points=21)
 
 
 def _complex_excitation_probabilities(model, detunings, dim):
@@ -306,7 +317,7 @@ def _complex_excitation_probabilities(model, detunings, dim):
 def test_real_gauged_lineshape_equals_the_complex_reference(n, cutoff_factor):
     model = TrapModel(transition_energy=U, trap_frequency=W, fock_index=n)
     dim = cutoff_factor * model.fock_cutoff
-    detunings = spectroscopy_scan(model).detunings
+    detunings = _scan(model).detunings
     np.testing.assert_allclose(
         _excitation_probabilities(model, detunings, dim),
         _complex_excitation_probabilities(model, detunings, dim),

@@ -4,9 +4,9 @@ configs and the command line sit above them both.
 No engine module imports from `report`, `runners`, `config` or `cli`, so
 an engine cannot make a report or pass a verdict of its own.  Neither does
 `oracles`.  No engine imports `oracles` either, so an engine cannot grade
-itself against its own closed form; the one exception is listed in
-ENGINES_READING_ORACLES with its reason.  Checked on the source with `ast`,
-so a lazy import inside a function counts too.
+itself against its own closed form: where an engine needs a prediction, such
+as the centre of the ion scan grid, its caller passes it in.  Checked on the
+source with `ast`, so a lazy import inside a function counts too.
 
 A job's engine objects are built once, by its plan at load: no runner in
 `runners` calls a constructor that the plans call.  A twin or entanglement
@@ -43,9 +43,6 @@ PLAN_TIME = {"stack_spectra", "default_probe", "ladder_spectrum", "make_spectrum
 SEQUENCE_ENGINE = {"run_sequence", "entanglement_frame_demo", "build_sequence", "trace_chain",
                    "apply_operator"}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-ENGINES_READING_ORACLES = {
-    "ionclock": "the scan grid is centred on the predicted carrier shift",
-}
 
 
 def _imported_modules(stem: str) -> set:
@@ -78,15 +75,9 @@ def test_the_oracles_import_nothing_from_the_layers_above():
     assert _imported_modules(ORACLES) & ABOVE == set()
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e not in ENGINES_READING_ORACLES])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_an_engine_module_does_not_read_the_oracles(engine):
     assert ORACLES not in _imported_modules(engine)
-
-
-@pytest.mark.parametrize("engine", sorted(ENGINES_READING_ORACLES))
-def test_an_engine_listed_as_reading_the_oracles_does(engine):
-    # An exception that no longer holds is dropped from the list.
-    assert ORACLES in _imported_modules(engine)
 
 
 def _runner_calls() -> set:

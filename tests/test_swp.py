@@ -154,9 +154,13 @@ def test_clock_validation():
         read_pointer(clock, _profile("none", 4), 0.0)
 
 
-def test_tick_finder_recovers_the_undilated_ticks():
-    clock = SWPClock(dim=16, omega0=1.0)
-    scan = find_effective_ticks(clock, _profile("none", 16))
+# Spans of 3 and steps of 1/50 are compared in units of tau, so a clock whose
+# window or step times tau rounds below 3 tau or above tau / 50 still scans.
+@pytest.mark.parametrize("dim, omega0, options", [
+    (16, 1.0, {}), (15, 1.0, {}), (8, 1.05, {}), (7, 1.0, {"resolution_in_tau": 0.02})])
+def test_tick_finder_recovers_the_undilated_ticks(dim, omega0, options):
+    clock = SWPClock(dim=dim, omega0=omega0)
+    scan = find_effective_ticks(clock, _profile("none", dim), **options)
     assert scan.tick_times.shape == (3,)
     np.testing.assert_allclose(scan.tick_times / clock.tau, [1.0, 2.0, 3.0], atol=1e-7)
     assert np.all(scan.tick_variances < 1e-12 * clock.tau**2)
@@ -176,15 +180,19 @@ def test_uniform_dilation_ticks_carry_no_roundoff_variance(boost):
 def test_tick_finder_window_and_resolution_validation():
     clock = SWPClock(dim=8, omega0=1.0)
     profile = _profile("none", 8)
-    with pytest.raises(ValueError):
-        find_effective_ticks(clock, profile, window=(0.5 * clock.tau, 2.5 * clock.tau))
-    with pytest.raises(ValueError):
-        find_effective_ticks(clock, profile, resolution=clock.tau / 10.0)
-    with pytest.raises(ValueError):
-        find_effective_ticks(clock, profile, resolution=0.0)
+    with pytest.raises(ValueError, match="at least 3 tau"):
+        find_effective_ticks(clock, profile, window_in_tau=(0.5, 2.5))
+    with pytest.raises(ValueError, match="at most tau / 50"):
+        find_effective_ticks(clock, profile, resolution_in_tau=0.1)
+    with pytest.raises(ValueError, match="at most tau / 50"):
+        find_effective_ticks(clock, profile, resolution_in_tau=0.0)
     for window in ((0.5,), (0.5, 3.5, 9.0)):
         with pytest.raises(ValueError, match="pair"):
-            find_effective_ticks(clock, profile, window=tuple(w * clock.tau for w in window))
+            find_effective_ticks(clock, profile, window_in_tau=window)
+    # The scan takes its window in units of tau: a window in time units is
+    # refused by name, never read as one in tau.
+    with pytest.raises(TypeError, match="window"):
+        find_effective_ticks(clock, profile, window=(0.5 * clock.tau, 3.5 * clock.tau))
 
 
 def test_tick_finder_reports_when_ticks_are_missing():
@@ -195,12 +203,10 @@ def test_tick_finder_reports_when_ticks_are_missing():
     scan = find_effective_ticks(clock, halved)
     assert scan.tick_times.shape[0] < 2
     # The swp runner notes it and fails the run, with no spacing to grade.
-    window = (0.5 * clock.tau, 3.5 * clock.tau)
-    plan = (clock, halved, window, clock.tau / 64.0)
-    [report] = run_scenario("swp", ["halved"], [{"profile": "none"}], plan,
-                            KINDS["swp"].tolerances)
+    params = {"profile": "none", "window_in_tau": (0.5, 3.5), "resolution_in_tau": 1.0 / 64.0}
+    [report] = run_scenario("swp", ["halved"], [params], (clock, halved), KINDS["swp"].tolerances)
     assert report.notes == [
-        f"only 1 variance minima inside ({window[0]:.6g}, {window[1]:.6g}); "
+        f"only 1 variance minima inside ({0.5 * clock.tau:.6g}, {3.5 * clock.tau:.6g}); "
         "spacing undefined, widen the window or check the profile"
     ]
     assert [(c["name"], c["passed"]) for c in report.checks] == [
