@@ -271,6 +271,9 @@ def parse_config(data: dict) -> RunConfig:
             _require(owner.setdefault(run_name, i) == i, f"scenarios[{i}].name",
                      f"run name {run_name!r} is already a run of scenarios[{owner[run_name]}]; "
                      "each run writes result files named after it")
+            _require(len(f"{run_name}.json".encode("utf-8", "surrogatepass")) <= 255,
+                     f"scenarios[{i}].name", f"run name {run_name!r} is too long for a file "
+                     "name: <run>.json must fit in the 255 bytes common file systems allow")
     return RunConfig(scenarios=specs)
 
 

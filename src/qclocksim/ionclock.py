@@ -46,6 +46,12 @@ from .units import check_epsilons, require_nonnegative, require_positive
 UNITARITY_TOL = 1e-12
 
 
+def require_transition_energy(energy: float) -> None:
+    """The internal gap u must be non-negative and inside the regime bound."""
+    require_nonnegative("transition energy", energy)
+    check_epsilons([energy])
+
+
 @dataclass(frozen=True)
 class TrapModel:
     """A two-level ion in a harmonic trap, driven on its clock transition.
@@ -65,8 +71,7 @@ class TrapModel:
     fock_cutoff: int | None = None
 
     def __post_init__(self) -> None:
-        require_nonnegative("transition energy", self.transition_energy)
-        check_epsilons([self.transition_energy])
+        require_transition_energy(self.transition_energy)
         require_positive("trap frequency", self.trap_frequency)
         require_nonnegative("fock index", self.fock_index)
         if self.rabi_frequency is None:
@@ -90,33 +95,31 @@ class TrapModel:
         return self.lamb_dicke * np.sqrt(2.0 * self.trap_frequency)
 
 
+def _band(diagonal: np.ndarray, k: int, off: np.ndarray) -> np.ndarray:
+    """Symmetric matrix with the given diagonal and off at n, n +- k."""
+    mat = np.diag(diagonal)
+    n = np.arange(off.size)
+    mat[n, n + k] = off
+    mat[n + k, n] = off
+    return mat
+
+
 def _x_squared(dim: int, w: float) -> np.ndarray:
     """Exact Fock matrix of x^2 for a unit-mass oscillator of frequency w."""
     n = np.arange(dim)
-    mat = np.diag((2.0 * n + 1.0) / (2.0 * w))
-    off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / (2.0 * w)
-    mat[n[:-2], n[:-2] + 2] = off
-    mat[n[:-2] + 2, n[:-2]] = off
-    return mat
+    return _band((2.0 * n + 1.0) / (2.0 * w), 2,
+                 np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / (2.0 * w))
 
 
 def _p_squared(dim: int, w: float) -> np.ndarray:
     """Exact Fock matrix of p^2 for a unit-mass oscillator of frequency w."""
     n = np.arange(dim)
-    mat = np.diag(w * (2.0 * n + 1.0) / 2.0)
-    off = -w * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / 2.0
-    mat[n[:-2], n[:-2] + 2] = off
-    mat[n[:-2] + 2, n[:-2]] = off
-    return mat
+    return _band(w * (2.0 * n + 1.0) / 2.0, 2,
+                 -w * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / 2.0)
 
 
 def _x_operator(dim: int, w: float) -> np.ndarray:
-    n = np.arange(dim - 1)
-    off = np.sqrt((n + 1.0) / (2.0 * w))
-    mat = np.zeros((dim, dim))
-    mat[n, n + 1] = off
-    mat[n + 1, n] = off
-    return mat
+    return _band(np.zeros(dim), 1, np.sqrt((np.arange(dim - 1) + 1.0) / (2.0 * w)))
 
 
 def displacement_operator(dim: int, w: float, wavevector: float) -> np.ndarray:

@@ -39,7 +39,7 @@ from .gridops import (
     require_inside,
     trotter_steps,
 )
-from .ionclock import TrapModel, require_scan_points, spectroscopy_scan
+from .ionclock import TrapModel, require_scan_points, require_transition_energy, spectroscopy_scan
 from .oracles import (
     BranchOracle,
     branch_spectrum_oracle,
@@ -71,7 +71,7 @@ from .swp import (
     require_tick_resolution,
     require_tick_window,
 )
-from .units import check_epsilons, check_kicks, require_nonnegative, require_positive
+from .units import check_kicks, require_nonnegative, require_positive
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,6 @@ def _require_drive(value: float) -> None:
     halving ratios are roundoff."""
     if value == 0.0:
         raise ValueError("must be nonzero: with no drive the run's checks have nothing to measure")
-
-
-def _require_transition_energy(energy: float) -> None:
-    require_nonnegative("transition energy", energy)
-    check_epsilons([energy])
 
 
 def _require_doubling_steps(steps) -> None:
@@ -523,7 +518,7 @@ KINDS = {
     "ion-spectroscopy": Kind(
         params={
             "transition_energy": ParamSpec(float, 1e-3, sweepable=True,
-                                           check=_require_transition_energy),
+                                           check=require_transition_energy),
             "trap_frequency": ParamSpec(float, 1e-5, sweepable=True,
                                         check=_positive("trap frequency")),
             "fock_index": ParamSpec(int, 0, check=partial(require_nonnegative, "fock index")),

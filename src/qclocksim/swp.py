@@ -18,14 +18,14 @@ the would-be ticks is strictly positive and the effective tick spacing
 drifts away from tau.
 
 Pointer probabilities are read with the inverse FFT, so clocks up to a few
-thousand levels stay cheap.  One kernel reads a batch of times: exp(rate t)
-with rate = -i n omega0 d_n formed once, the inverse FFT and |.|^2 run on a
-(times, levels) array in chunks of SCAN_CHUNK_AMPLITUDES (4,096) amplitudes,
-which keeps a large clock's memory flat.  Moments stay one dot per row: a
-batched gemv, einsum or sum differs in the last bit from a read of one time.
-Tick refinement moves every bracketed minimum in lockstep: each round reads
-the new time of every open bracket in one call of read_pointer.  The tick
-scan takes its window and grid step in units of tau, as a config gives them.
+thousand levels stay cheap.  read_pointer, the one reader, reads a batch of
+times: exp(rate t) with rate = -i n omega0 d_n, the inverse FFT and |.|^2
+run on a (times, levels) array in chunks of SCAN_CHUNK_AMPLITUDES (4,096)
+amplitudes, which keeps a large clock's memory flat.  Moments stay one dot
+per row: a batched gemv, einsum or sum differs in the last bit from a read
+of one time.  The tick scan reads its grid in one call of read_pointer, then
+refines every bracketed minimum in lockstep, one more call per round.  It
+takes its window and grid step in units of tau, as a config gives them.
 """
 
 from __future__ import annotations
@@ -77,45 +77,34 @@ class DilationProfile:
             raise ValueError("dilation factors must lie strictly inside (0, 2)")
 
 
-def _rates(clock: SWPClock, profile: DilationProfile) -> np.ndarray:
-    """-i n omega0 d_n: the amplitude of level n at time t is e^{rate_n t}."""
-    if profile.factors.size != clock.dim:
-        raise ValueError(
-            f"profile has {profile.factors.size} factors but the clock has "
-            f"{clock.dim} levels"
-        )
-    return -1j * np.arange(clock.dim) * clock.omega0 * profile.factors
-
-
 def pointer_probabilities(clock: SWPClock, amplitudes: np.ndarray) -> np.ndarray:
     """P_k = |<w_k|state>|^2 for every pointer state at once (one row per state)."""
     overlaps = np.sqrt(clock.dim) * np.fft.ifft(amplitudes)
     return np.abs(overlaps) ** 2
 
 
-def _pointer_moments(clock: SWPClock, rates: np.ndarray, times: np.ndarray):
-    """Mean and variance of k at each time, from one row of pointer
-    probabilities per time, read SCAN_CHUNK_AMPLITUDES at a time."""
+def read_pointer(clock: SWPClock, profile: DilationProfile, t):
+    """(mean, variance) of the pointer time at time t: floats for a float t,
+    arrays for a 1-D array of times.  Level n evolves as e^{rate_n t}, rate_n =
+    -i n omega0 d_n, and SCAN_CHUNK_AMPLITUDES amplitudes are read at a time."""
+    if profile.factors.size != clock.dim:
+        raise ValueError(
+            f"profile has {profile.factors.size} factors but the clock has "
+            f"{clock.dim} levels"
+        )
+    rates = -1j * np.arange(clock.dim) * clock.omega0 * profile.factors
+    times = np.asarray(t, dtype=float)
     k = np.arange(clock.dim, dtype=float)
     step = max(1, SCAN_CHUNK_AMPLITUDES // clock.dim)
-    moments = np.zeros((len(times), 2))
-    for lo in range(0, len(times), step):
-        amplitudes = np.exp(rates * times[lo:lo + step, None]) / np.sqrt(clock.dim)
+    moments = np.zeros((times.size, 2))
+    for lo in range(0, times.size, step):
+        amplitudes = np.exp(rates * times.reshape(-1, 1)[lo:lo + step]) / np.sqrt(clock.dim)
         for row, out in zip(pointer_probabilities(clock, amplitudes), moments[lo:]):
             out[0] = mean = row @ k
             # Two-pass variance: E[k^2] - E[k]^2 cancels to one ulp of E[k^2] when
             # the pointer sits on a single k, which is exactly the state at a tick.
             out[1] = row @ (k - mean) ** 2
-    return moments.T
-
-
-def read_pointer(clock: SWPClock, profile: DilationProfile, t):
-    """(mean, variance) of the pointer time at time t: floats for a float t,
-    arrays for a 1-D array of times."""
-    times = np.asarray(t, dtype=float)
-    mean, var = _pointer_moments(clock, _rates(clock, profile), times.reshape(-1))
-    if times.ndim == 0:
-        mean, var = float(mean[0]), float(var[0])
+    mean, var = moments.T if times.ndim else moments[0].tolist()
     return clock.tau * mean, clock.tau * clock.tau * var
 
 
@@ -190,7 +179,7 @@ def find_effective_ticks(
         return read_pointer(clock, profile, t)[1]
 
     grid = np.arange(lo, hi + 0.5 * resolution, resolution)
-    values = tau * tau * _pointer_moments(clock, _rates(clock, profile), grid)[1]
+    values = variance_at(grid)
     dips = np.flatnonzero((values[1:-1] < values[:-2]) & (values[1:-1] <= values[2:]))
     tick_times = _refine_minima(variance_at, grid[dips], grid[dips + 2], tau * TICK_REFINE_TOL)
     return TickScan(tick_times=tick_times, tick_variances=variance_at(tick_times))

@@ -872,6 +872,45 @@ def test_colliding_run_names_are_refused(tmp_path, capsys, second, path):
 
 
 @pytest.mark.parametrize(
+    "name, sweep",
+    [("x" * 251, False), ("é" * 126, False), ("x" * 249, True)],
+    ids=["ascii", "multi-byte", "sweep-suffix"],
+)
+def test_a_run_name_too_long_for_a_file_name_is_refused_before_any_run(
+    tmp_path, capsys, name, sweep
+):
+    # <run>.json must fit in a 255-byte file name; a run refused only when its
+    # file is opened would leave the files of the runs written before it.
+    second = {"kind": "twin-velocity", "name": name}
+    if sweep:
+        second["sweep"] = {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 2}
+    scenarios = [{"kind": "twin-velocity", "name": "a"}, second]
+    config_path = _write_config(tmp_path / "names.json", {"schema_version": 1,
+                                                          "scenarios": scenarios})
+    assert main(["validate", config_path]) == 2
+    assert "scenarios[1].name: run name" in capsys.readouterr().err
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, sweep",
+    [("x" * 250, False), ("é" * 125, False), ("x" * 248, True)],
+    ids=["ascii", "multi-byte", "sweep-suffix"],
+)
+def test_a_run_name_whose_file_name_fills_255_bytes_runs(tmp_path, name, sweep):
+    scenario = {"kind": "twin-velocity", "name": name}
+    if sweep:
+        scenario["sweep"] = {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 2}
+    config_path = _write_config(tmp_path / "names.json", {"schema_version": 1,
+                                                          "scenarios": [scenario]})
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 0
+    runs = [f"{name}-0", f"{name}-1"] if sweep else [name]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        f"{run}.{ext}" for run in runs for ext in ("csv", "json"))
+
+
+@pytest.mark.parametrize(
     "kind, parameter",
     [(kind, key) for kind, record in runners_module.KINDS.items()
      for key, spec in record.params.items() if spec.sweepable],

@@ -14,7 +14,7 @@ import pytest
 from mpmath import mp
 
 from helpers import excited_trap_frequency
-from qclocksim import ionclock, parse_config, run_config
+from qclocksim import ionclock, parse_config, run_config, runners
 from qclocksim.errors import GridTooNarrowError, IntegrationError, RegimeError
 from qclocksim.ionclock import (
     TrapModel,
@@ -91,6 +91,43 @@ def test_quadrature_matrix_elements():
     assert x[2, 3] == pytest.approx(np.sqrt(3.0) / np.sqrt(2.0 * W), rel=1e-15)
 
 
+def _x_squared_reference(dim, w):
+    n = np.arange(dim)
+    mat = np.diag((2.0 * n + 1.0) / (2.0 * w))
+    off = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / (2.0 * w)
+    mat[n[:-2], n[:-2] + 2] = off
+    mat[n[:-2] + 2, n[:-2]] = off
+    return mat
+
+
+def _p_squared_reference(dim, w):
+    n = np.arange(dim)
+    mat = np.diag(w * (2.0 * n + 1.0) / 2.0)
+    off = -w * np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)) / 2.0
+    mat[n[:-2], n[:-2] + 2] = off
+    mat[n[:-2] + 2, n[:-2]] = off
+    return mat
+
+
+def _x_operator_reference(dim, w):
+    n = np.arange(dim - 1)
+    off = np.sqrt((n + 1.0) / (2.0 * w))
+    mat = np.zeros((dim, dim))
+    mat[n, n + 1] = off
+    mat[n + 1, n] = off
+    return mat
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 32, 64])
+@pytest.mark.parametrize("w", [W, 0.37])
+def test_fock_matrices_equal_the_builders_that_placed_each_band_themselves(dim, w):
+    # The shipped builders share one band placement; each must still give the
+    # bits of a builder that writes its own diagonal and off-diagonals.
+    assert np.array_equal(_x_squared(dim, w), _x_squared_reference(dim, w))
+    assert np.array_equal(_p_squared(dim, w), _p_squared_reference(dim, w))
+    assert np.array_equal(_x_operator(dim, w), _x_operator_reference(dim, w))
+
+
 def test_displacement_operator_is_unitary():
     d = displacement_operator(16, W, 0.3 * np.sqrt(2.0 * W))
     np.testing.assert_allclose(d @ d.conj().T, np.eye(16), atol=1e-12)
@@ -129,6 +166,9 @@ def test_model_validation():
     for u in (EPS_MAX, 0.5):
         with pytest.raises(RegimeError, match=f"internal energy ratio {u} >= eps_max"):
             TrapModel(transition_energy=u, trap_frequency=W)
+    # The loader refuses a config's transition energy by the model's own rule.
+    rule = runners.KINDS["ion-spectroscopy"].params["transition_energy"].check
+    assert rule is ionclock.require_transition_energy
 
 
 def _extended_precision_oracle(u: float, w: float, n: int):

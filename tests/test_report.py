@@ -2,12 +2,17 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qclocksim.cli import main
 from qclocksim.report import RunReport, _json, format_value
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Text that holds what a renderer splicing records by their breaks could
 # confuse: braces, commas, quotes, raw and Unicode line breaks, non-ASCII.
@@ -131,3 +136,19 @@ def test_a_failing_range_check_reports_the_bound_it_broke():
     assert [(c["name"], c["passed"], c["value"], c["tolerance"]) for c in report.checks] == [
         ("high", False, 2.5, 2.4), ("low", False, 1.5, 1.6), ("inside", True, 1.9, 1.6)]
     assert "  FAIL high: value=2.5 tolerance=2.4" in report.summary_lines()
+
+
+@pytest.mark.parametrize("config", ["boost-sweep", "full-suite"])
+def test_every_written_result_json_is_the_bytes_of_json_dumps_and_holds_a_check(
+    tmp_path, capsys, config
+):
+    assert main(["run", str(CONFIGS / f"{config}.json"), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    paths = sorted(tmp_path.glob("*.json"))
+    assert paths
+    for path in paths:
+        data = path.read_bytes()
+        document = json.loads(data)
+        assert data == (json.dumps(document, sort_keys=True, indent=2) + "\n").encode()
+        # A report with no check records "passed": true whatever it computed.
+        assert document["checks"], f"{path.name} holds no check"

@@ -345,8 +345,9 @@ def test_batched_readings_equal_the_per_point_reads_bit_for_bit(dim):
 
 
 def test_tick_refinement_reads_through_the_module_read_pointer(monkeypatch):
-    # The benchmark tracer counts refinement rounds by wrapping swp.read_pointer:
-    # every read after the grid scan goes through it, one time per open bracket.
+    # The benchmark tracer counts pointer reads by wrapping swp.read_pointer:
+    # every read goes through it, the grid scan first, then one time per open
+    # bracket.
     calls = []
     read = swp.read_pointer
     monkeypatch.setattr(swp, "read_pointer", lambda *args: calls.append(args) or read(*args))
@@ -354,10 +355,11 @@ def test_tick_refinement_reads_through_the_module_read_pointer(monkeypatch):
     scan = find_effective_ticks(clock, _profiles(16)[1])
     assert len(scan.tick_times) == 3
     sizes = [np.size(times) for _, _, times in calls]
-    # The first two golden points of each bracket, the rounds, the three points
-    # of the parabola and the final read of each tick.
-    assert sizes[:1] == [6] and sizes[-2:] == [9, 3]
-    rounds = sizes[1:-2]
+    # The 193 grid points of the default window, the first two golden points of
+    # each bracket, the rounds, the three points of the parabola and the final
+    # read of each tick.
+    assert sizes[:2] == [193, 6] and sizes[-2:] == [9, 3]
+    rounds = sizes[2:-2]
     assert len(rounds) >= 36 and all(1 <= n <= 3 for n in rounds)
     assert rounds[0] == 3 and rounds == sorted(rounds, reverse=True)
 

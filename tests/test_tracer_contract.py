@@ -1,5 +1,6 @@
 """The package names that perfbench/tracer.py wraps, and what its hooks
-read from their arguments and results, still exist.
+read from their arguments and results, still exist, and every engine entry
+point it wraps on qclocksim.runners is called by a run.
 
 The tracer replaces these names at run time to time each layer, and its
 `_after_*` hooks count work from what the wrapped calls took and returned.
@@ -73,6 +74,29 @@ def test_every_run_scenario_call_names_its_runs_as_a_list_of_str(monkeypatch):
         assert all(isinstance(name, str) for name in names)
         json.dumps(names)
     assert [name for names in run_ids for name in names] == [report.name for report in reports]
+
+
+def test_every_runner_target_is_called_by_a_run(tmp_path, monkeypatch):
+    # A target imported into runners but never called would time nothing, and
+    # its work would count elsewhere.
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    targets = _runner_targets()
+    for name in targets:
+        monkeypatch.setattr(runners, name, counted(name, getattr(runners, name)))
+    config = json.loads((CONFIGS / "full-suite.json").read_text(encoding="utf-8"))
+    config["scenarios"].append({"kind": "twin-velocity", "name": "explicit-levels",
+                                "params": {"epsilons": [0.0, 0.05, 0.12]}})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    run_config(load_config(path))
+    assert [name for name in targets if name not in calls] == []
 
 
 @pytest.mark.parametrize(
