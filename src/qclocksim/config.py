@@ -174,6 +174,9 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
         f"{where}.name",
         f"must be a plain file name without '/', '\\', NUL or a leading '.', got {name!r}",
     )
+    # A \uXXXX escape can leave a lone surrogate, which UTF-8 cannot encode.
+    _require(not any("\ud800" <= c <= "\udfff" for c in name), f"{where}.name",
+             f"must encode as UTF-8 to name result files, got {name!r}")
 
     schema = KINDS[kind].params
     params = {key: spec.default for key, spec in schema.items()}
@@ -271,7 +274,7 @@ def parse_config(data: dict) -> RunConfig:
             _require(owner.setdefault(run_name, i) == i, f"scenarios[{i}].name",
                      f"run name {run_name!r} is already a run of scenarios[{owner[run_name]}]; "
                      "each run writes result files named after it")
-            _require(len(f"{run_name}.json".encode("utf-8", "surrogatepass")) <= 255,
+            _require(len(f"{run_name}.json".encode("utf-8")) <= 255,
                      f"scenarios[{i}].name", f"run name {run_name!r} is too long for a file "
                      "name: <run>.json must fit in the 255 bytes common file systems allow")
     return RunConfig(scenarios=specs)

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import WraparoundError
 from .grid import EDGE_SITES, GridState
 from .operators import total_energy
-from .units import require_positive
+from .units import check_kicks, require_positive
 
 # Probability near the box edge that aborts a grid evolution.
 ABORT_EDGE_MASS = 1e-12
@@ -51,6 +51,29 @@ def require_inside(state: GridState, context: str) -> None:
             f"{context}: probability {mass:.3e} within {EDGE_SITES} sites of the "
             "box edge; enlarge the box or shrink the state"
         )
+
+
+def _mean_momenta(state: GridState) -> np.ndarray:
+    """Per branch, <p> read off the amplitudes; 0 on a branch with none."""
+    weights = np.abs(np.fft.fft(state.amplitudes, axis=1)) ** 2
+    norms = np.sum(weights, axis=1)
+    return np.divide(weights @ state.momenta, norms, out=np.zeros_like(norms), where=norms > 0.0)
+
+
+def impulse_kicks(state: GridState, boost: float) -> list:
+    """The momenta an impulse run reaches, as check_kicks takes them: each
+    branch starts at its <p>, and the velocity boost the run is compared
+    against sends branch n to <p> + M_n boost."""
+    start = _mean_momenta(state)
+    return [("momentum", start), ("boost", start + state.spectrum.masses * boost)]
+
+
+def trotter_kicks(state: GridState, acceleration: float, duration: float) -> list:
+    """The momenta a trotter run reaches, as check_kicks takes them: each
+    branch starts at its <p>, and the frame's kicks add up to -M_n a T."""
+    start = _mean_momenta(state)
+    return [("momentum", start),
+            ("acceleration", start - state.spectrum.masses * acceleration * duration)]
 
 
 def _coupled_masses(state: GridState, internal_coupled: bool) -> np.ndarray:
@@ -150,9 +173,11 @@ def impulsive_boost_limit(
 
     For each duration dt the state is evolved exactly under the linear
     potential Hamiltonian with slope -alpha = -v_b / dt and compared against
-    the ideal velocity boost and the ideal momentum kick.
+    the ideal velocity boost and the ideal momentum kick.  A run that
+    impulse_kicks takes out of the regime raises RegimeError first.
     """
     durations = impulse_durations(dt_schedule)
+    check_kicks(impulse_kicks(state, v_b))
     reference_v = velocity_boost_grid(state, v_b)
     reference_p = momentum_boost_grid(state, v_b)
     dev_v = np.empty(len(durations))
@@ -193,7 +218,8 @@ def accelerated_frame_trotter(
     """Compare (U(dt) B_v(-a dt))^n against the static accelerated-frame H.
 
     The returned errors should fall like 1/n (first-order product formula),
-    so error(n)/error(2n) is ideally 2.
+    so error(n)/error(2n) is ideally 2.  A run that trotter_kicks takes out
+    of the regime raises RegimeError before any evolution.
 
     The products for all n run in lockstep, one row block per n in one array.
     The steps increase, so after n rounds the leading block is finished and
@@ -201,6 +227,7 @@ def accelerated_frame_trotter(
     """
     require_positive("duration", duration)
     steps = trotter_steps(steps)
+    check_kicks(trotter_kicks(state, acceleration, duration))
     exact = evolve_linear_potential(state, acceleration, duration)
     levels = state.spectrum.dim
     kicks = np.concatenate([_kick_table(state, -acceleration * (duration / n)) for n in steps])

@@ -35,8 +35,10 @@ from .grid import GridState, gaussian_grid_state, require_lattice_size
 from .gridops import (
     accelerated_frame_trotter,
     impulse_durations,
+    impulse_kicks,
     impulsive_boost_limit,
     require_inside,
+    trotter_kicks,
     trotter_steps,
 )
 from .ionclock import TrapModel, require_scan_points, require_transition_energy, spectroscopy_scan
@@ -71,7 +73,7 @@ from .swp import (
     require_tick_resolution,
     require_tick_window,
 )
-from .units import check_kicks, require_nonnegative, require_positive
+from .units import check_kicks, check_momentum, require_nonnegative, require_positive
 
 
 @dataclass(frozen=True)
@@ -388,17 +390,29 @@ def _run_ion(reports: list, runs: list, plan: tuple, tol: dict) -> None:
     )
 
 
-def _plan_grid(key: str, momenta: Callable, runs: list, at) -> GridState:
-    """The initial wavepacket of a trotter-accel or impulse-boost run; its drive
-    parameter `key` kicks it to `momenta(params, state)`, per branch."""
+def _plan_grid(runs: list, at, kicks: Callable) -> GridState:
+    """The initial wavepacket of a trotter-accel or impulse-boost run.  The
+    load refuses a packet that already reaches the box edge, and each momentum
+    that `kicks(state)`, the engine's own rule, lists out of the regime, at
+    the parameter the rule names it after."""
     [params] = runs
     state = at(".params.sigma", gaussian_grid_state, _plan_spectrum(runs, at),
                size=params["grid_size"], box_length=params["box_length"], sigma=params["sigma"],
                momentum=params.get("momentum", 0.0))
-    # The grid engines refuse a packet that already reaches the box edge.
-    at(".params.box_length", require_inside, state, "initial state")
-    at(f".params.{key}", check_kicks, [(key, momenta(params, state))])
+    at({WraparoundError: ".params.box_length"}, require_inside, state, "initial state")
+    for context, momenta in kicks(state):
+        at(f".params.{context}", check_kicks, [(context, momenta)])
     return state
+
+
+def _plan_trotter(runs: list, at) -> GridState:
+    [params] = runs
+    return _plan_grid(runs, at, partial(trotter_kicks, acceleration=params["acceleration"],
+                                        duration=params["duration"]))
+
+
+def _plan_impulse(runs: list, at) -> GridState:
+    return _plan_grid(runs, at, partial(impulse_kicks, boost=runs[0]["boost"]))
 
 
 def _run_trotter(reports: list, runs: list, state: GridState, tol: dict) -> None:
@@ -545,10 +559,7 @@ KINDS = {
             momentum=ParamSpec(float, 0.0),
         ),
         tolerances={"halving_ratio_low": 1.6, "halving_ratio_high": 2.4, "terminal_error": 1e-4},
-        # The frame's kicks add up to -M_n a T on the packet's momentum.
-        plan=partial(_plan_grid, "acceleration", lambda p, state: p["momentum"]
-                     - state.spectrum.masses * p["acceleration"] * p["duration"]),
-        run=_run_trotter,
+        plan=_plan_trotter, run=_run_trotter,
     ),
     "impulse-boost": Kind(
         params=_grid_params(
@@ -559,15 +570,13 @@ KINDS = {
             grid_size=ParamSpec(int, 128, check=require_lattice_size),
         ),
         tolerances={"decade_ratio_low": 8.0, "decade_ratio_high": 12.0},
-        # The pulse's ideal limit is a velocity boost: branch n ends at M_n v.
-        plan=partial(_plan_grid, "boost", lambda p, state: state.spectrum.masses * p["boost"]),
-        run=_run_impulse,
+        plan=_plan_impulse, run=_run_impulse,
     ),
     "entanglement-demo": Kind(
         params={
             "levels": ParamSpec(int, 2, check=require_two_levels),
             "spacing": ParamSpec(float, 0.1, sweepable=True, check=_positive("spacing")),
-            "momentum": ParamSpec(float, 0.1),
+            "momentum": ParamSpec(float, 0.1, check=check_momentum),
             "boost": ParamSpec(float, 0.01, sweepable=True, check=_require_drive),
         },
         tolerances={"entropy_abs": 1e-10},
@@ -587,7 +596,7 @@ def plan_jobs(spec, where: str, aliases: dict) -> list:
     swept = spec.sweep and spec.sweep.parameter
 
     def at(names, field, check, *args, run=0, **kwargs):
-        fields = {ValueError: field, WraparoundError: field} if isinstance(field, str) else field
+        fields = {ValueError: field} if isinstance(field, str) else field
         try:
             return check(*args, **kwargs)
         except tuple(fields) as exc:

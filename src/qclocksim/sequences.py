@@ -43,7 +43,7 @@ from .states import (
     internal_superposition,
     reduced_internal_entropy,
 )
-from .units import check_phases, require_positive
+from .units import check_momentum, check_phases, require_positive
 
 
 class SequenceKind(enum.Enum):
@@ -247,8 +247,10 @@ def entanglement_frame_demo(
     M_n v_b, so the same state seen from a moving frame is entangled: with
     k equally weighted levels the entropy lands on ln k.  v_b may hold one
     boost per run and spectrum may be a stack, as in ``run_sequence``.
+    A momentum outside the regime raises RegimeError before the boost does.
     """
     require_two_levels(spectrum.dim)
+    check_momentum(momentum)
     _, (v_b,) = _run_columns(spectrum, v_b)
     before = internal_superposition(spectrum, momentum)
     after = apply_operator(before, VelocityBoost(v_b))

@@ -10,9 +10,12 @@ dimensionless ratios
     theta     = t m c^2 / hbar    evolution time
 
 The model expands kinetic terms to first order in p^2/(m M c^2), so it is only
-trustworthy while internal energies and momenta stay small.  check_epsilons
-and check_kicks enforce that, and check_phases the phase cap (PhaseCapError):
-every value out of bounds raises RegimeError, at run and at load alike.
+trustworthy while internal energies and momenta stay small.  check_epsilons,
+check_kicks and check_momentum enforce that, and check_phases the phase cap
+(PhaseCapError): every value out of bounds raises RegimeError, at run and at
+load alike.  Each engine lists the momenta its runs reach, the operator chain
+in trace_chain and the grid engines in impulse_kicks and trotter_kicks, and the
+loader checks those same lists.
 require_positive and require_nonnegative are the sign rules of every positive
 or nonnegative input, NaN refused.
 """
@@ -81,6 +84,11 @@ def check_kicks(kicks) -> None:
             f"kappa_max = {KAPPA_MAX}; results are outside the model's validity regime",
             run=int(index[0]) if worst.ndim > 1 else None,
         )
+
+
+def check_momentum(momentum: float) -> None:
+    """Raise RegimeError for a state that starts outside the regime, before any kick."""
+    check_kicks([("momentum", [momentum])])
 
 
 def check_phases(phases) -> None:

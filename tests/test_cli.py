@@ -578,6 +578,7 @@ def test_a_parameter_check_sees_every_run_only_when_the_sweep_varies_its_paramet
         **{(kind, "boost"): workloads.FANOUT_SWEEP_COUNT for kind in (*twins, "entanglement-demo")},
         ("entanglement-demo", "levels"): 1,
         ("entanglement-demo", "spacing"): 1,
+        ("entanglement-demo", "momentum"): 1,
         **{("swp", name): len(workloads.FANOUT_SWP_DIMS)
            for name in ("dim", "omega0", "spacing", "window_in_tau", "resolution_in_tau")},
     }
@@ -890,6 +891,22 @@ def test_a_run_name_too_long_for_a_file_name_is_refused_before_any_run(
     assert main(["validate", config_path]) == 2
     assert "scenarios[1].name: run name" in capsys.readouterr().err
     assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_scenario_name_with_a_lone_surrogate_is_refused_before_any_run(tmp_path, capsys):
+    # JSON's "\ud800" escape decodes to a lone surrogate, which has no UTF-8
+    # encoding: a run refused only when its summary is printed or its file
+    # opened would stop the invocation after the runs before it.
+    scenarios = [{"kind": "twin-velocity", "name": "a"},
+                 {"kind": "twin-velocity", "name": "b\ud800"}]
+    config_path = _write_config(tmp_path / "names.json", {"schema_version": 1,
+                                                          "scenarios": scenarios})
+    assert main(["validate", config_path]) == 2
+    assert ("scenarios[1].name: must encode as UTF-8 to name result files, got 'b\\ud800'"
+            in capsys.readouterr().err)
+    assert main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == ""
     assert not (tmp_path / "out").exists()
 
 

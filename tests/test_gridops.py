@@ -262,17 +262,21 @@ def test_lockstep_trotter_errors_equal_the_sequential_products_bit_for_bit(level
 
 
 def test_a_drifting_trotter_product_names_the_first_n_that_reaches_the_edge():
-    # With a = 1 over T = 2 the product with n steps overshoots the exact
-    # packet by a T^2 / 2n toward the edge: the exact evolution and the n = 64
-    # product stay inside, the n = 3 and n = 5 products do not.
-    state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0, center=0.75)
+    # With a = 0.6 / 440 over T = 400 the kicks take the heavier branch from
+    # p = 0.3 to -0.3, inside the regime, and the product with n steps
+    # overshoots the exact packet by a T^2 / 2n toward the edge: the exact
+    # evolution (edge mass 1e-14) and the n = 64 product (2e-14) stay inside,
+    # the n = 3 (4e-9) and n = 5 (3e-11) products do not.
+    state = gaussian_grid_state(SPEC, size=256, box_length=384.0, sigma=12.0, center=-40.0,
+                                momentum=0.3)
+    a, duration = 0.6 / 440.0, 400.0
     with pytest.raises(WraparoundError, match=r"trotter product \(n = 3\)"):
-        _sequential_trotter_errors(state, 1.0, 2.0, (3, 5, 64))
+        _sequential_trotter_errors(state, a, duration, (3, 5, 64))
     with pytest.raises(WraparoundError, match=r"trotter product \(n = 3\)"):
-        accelerated_frame_trotter(state, 1.0, 2.0, steps=(3, 5, 64))
+        accelerated_frame_trotter(state, a, duration, steps=(3, 5, 64))
     with pytest.raises(WraparoundError, match=r"trotter product \(n = 5\)"):
-        accelerated_frame_trotter(state, 1.0, 2.0, steps=(5, 64))
-    assert len(_sequential_trotter_errors(state, 1.0, 2.0, (64,))) == 1
+        accelerated_frame_trotter(state, a, duration, steps=(5, 64))
+    assert len(_sequential_trotter_errors(state, a, duration, (64,))) == 1
 
 
 def test_packet_near_the_edge_aborts():

@@ -14,7 +14,8 @@ job is measured once too, by its plan through the engine's entry point, so
 no runner calls a sequence engine and a loaded config runs with those entry
 points gone.  `runners` owns the job: `config` calls no plan and reads no
 kind's `batches` or parameter `check`, and `run_config` runs the stored jobs
-without expanding any run.
+without expanding any run.  Which momenta a grid run reaches is the grid
+engines' rule, so `runners` does no grid-kick arithmetic of its own.
 
 Nothing in `src/` is dead: an imported name is used in its module, a
 module-level private name is read by another top-level statement, no module
@@ -115,6 +116,24 @@ def test_a_loaded_config_runs_without_the_sequence_engines(monkeypatch, config_n
     for name in ("run_sequence", "entanglement_frame_demo"):
         monkeypatch.setattr(runners, name, gone)
     assert [report.json_text() for report in run_config(config)] == expected
+
+
+def test_runners_hold_no_grid_kick_arithmetic():
+    # Which momenta a grid run reaches is the grid engines' own rule, which
+    # the grid plan checks as it is: KINDS holds no lambda, and `check_kicks`
+    # is named only by `_plan_swp`, whose clock has no engine kick (its
+    # factors come from `oracles`), and by `_plan_grid`, which does no
+    # arithmetic of its own on what it checks.
+    tree = ast.parse((PACKAGE / "runners.py").read_text(encoding="utf-8"))
+    [kinds] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [target.id for target in node.targets] == ["KINDS"]]
+    assert not any(isinstance(node, ast.Lambda) for node in ast.walk(kinds))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name, function in functions.items() if any(
+        isinstance(node, ast.Name) and node.id == "check_kicks" for node in ast.walk(function)
+    )} == {"_plan_swp", "_plan_grid"}
+    assert not any(isinstance(node, (ast.BinOp, ast.UnaryOp))
+                   for node in ast.walk(functions["_plan_grid"]))
 
 
 def _calls_and_reads(node) -> tuple:

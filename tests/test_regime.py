@@ -1,13 +1,16 @@
 """One regime policy: validation refuses exactly the kicks the engine refuses.
 
-kappa_max bounds the squared momentum a kick leaves a run at.  The config
-loader checks every run's kicks with the engine's own check_kicks, so a run
-it accepts never leaves the regime, and a run the engine would stop is
-refused at load, naming the first such run.
+kappa_max bounds the squared momentum a run starts at and each kick leaves
+it at.  The config loader checks every run's kicks with the engine's own
+check_kicks, on the momenta the engine's own rule lists (a twin's chain, a
+grid engine's impulse_kicks or trotter_kicks), so a run it accepts never
+leaves the regime, and a run the engine would stop is refused at load,
+naming the first such run.
 """
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,8 +19,12 @@ from hypothesis import assume, given, settings, strategies as st
 from qclocksim import (
     ConfigError,
     SequenceKind,
+    accelerated_frame_trotter,
     default_probe,
     entanglement_frame_demo,
+    gaussian_grid_state,
+    gridops,
+    impulsive_boost_limit,
     ladder_spectrum,
     parse_config,
     run_sequence,
@@ -190,15 +197,98 @@ def test_validation_accepts_a_twin_sweep_iff_the_strict_engine_guard_runs_it(
         assert refused is not None and f"(run 's-{first}')" in refused
 
 
-def test_a_library_run_sequence_out_of_the_regime_raises():
+class _Evolved(Exception):
+    """Raised in place of a grid engine's first evolution."""
+
+
+def _stop_evolution(*args, **kwargs):
+    raise _Evolved
+
+
+def test_a_library_run_sequence_out_of_the_regime_raises(monkeypatch):
     # The library holds a run to the same bound the loader does: no call
-    # returns numbers for a kick out of the regime.
+    # returns numbers for a kick out of the regime, and a grid engine refuses
+    # it before its first evolution.
     spectrum = ladder_spectrum(2, 0.1)
     probe = default_probe(spectrum, [0.0], (0, 1))
     run_sequence(SequenceKind.MOMENTUM, spectrum, EDGE * (1.0 - 1e-6), 2.0, probe=probe)
     with pytest.raises(RegimeError, match="^MomentumBoost: squared momentum ratio 0.1 ") as exc:
         run_sequence(SequenceKind.MOMENTUM, spectrum, EDGE * (1.0 + 1e-6), 2.0, probe=probe)
     assert exc.value.run is None
+    # Branch 1 of the default packet reaches 1.1 * 0.5 and 1.1 * 0.3 * 2.0.
+    state = gaussian_grid_state(spectrum)
+    monkeypatch.setattr(gridops, "evolve_linear_potential", _stop_evolution)
+    with pytest.raises(RegimeError, match="^boost: squared momentum ratio 0.3025 >= kappa_max"):
+        impulsive_boost_limit(state, 0.5)
+    with pytest.raises(RegimeError,
+                       match="^acceleration: squared momentum ratio 0.4356 >= kappa_max"):
+        accelerated_frame_trotter(state, 0.3, 2.0)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("trotter-accel", {"momentum": 0.35, "acceleration": 0.0825, "duration": 4.0}),
+     ("entanglement-demo", {"momentum": 0.35, "boost": -0.3})],
+    ids=["trotter", "entanglement"],
+)
+def test_a_run_that_starts_outside_the_regime_is_refused_at_its_momentum(
+    tmp_path, capsys, kind, params
+):
+    # Each kick brings the packet back inside (branch 1 ends at 0.35 - 1.1 *
+    # 0.33 = -0.013 and 0.35 - 1.1 * 0.3 = 0.02), but it starts at p^2 = 0.1225.
+    path = _write(tmp_path, {"kind": kind, "name": "x", "params": params})
+    message = ("scenarios[0].params.momentum (run 'x'): momentum: squared momentum ratio "
+               "0.1225 >= kappa_max = 0.1")
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], path, *command[1:]]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    spectrum = ladder_spectrum(2, 0.1)
+    with pytest.raises(RegimeError, match="^momentum: squared momentum ratio 0.1225 "):
+        if kind == "trotter-accel":
+            accelerated_frame_trotter(gaussian_grid_state(spectrum, momentum=0.35), 0.0825, 4.0)
+        else:
+            entanglement_frame_demo(spectrum, momentum=0.35, v_b=-0.3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["trotter-accel", "impulse-boost"]),
+    drive=_MOMENTUM.filter(bool),
+    duration=st.floats(0.01, 8.0),
+    momentum=_MOMENTUM,
+)
+def test_validation_refuses_a_grid_run_iff_its_engine_raises_regime_error(
+    kind, drive, duration, momentum
+):
+    # The engine, called on the packet the loader builds, either reaches its
+    # first evolution or raises the RegimeError that validation reports, at
+    # the field named by the error's kick.  An impulse run starts at rest.
+    if kind == "trotter-accel":
+        params = {"acceleration": drive, "duration": duration, "momentum": momentum,
+                  "steps": [1, 2]}
+        engine = partial(accelerated_frame_trotter, acceleration=drive, duration=duration,
+                         steps=(1, 2))
+    else:
+        params, momentum = {"boost": drive, "dt_schedule": [0.1, 0.01]}, 0.0
+        engine = partial(impulsive_boost_limit, v_b=drive, dt_schedule=(0.1, 0.01))
+    scenario = {"kind": kind, "name": "g", "params": {**params, "grid_size": 64}}
+    try:
+        parse_config({"schema_version": 1, "scenarios": [scenario]})
+        refused = None
+    except ConfigError as exc:
+        refused = str(exc)
+    state = gaussian_grid_state(ladder_spectrum(2, 0.1), size=64, box_length=64.0, sigma=3.5,
+                                momentum=momentum)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gridops, "evolve_linear_potential", _stop_evolution)
+        try:
+            engine(state)
+        except RegimeError as exc:
+            kick = str(exc).split(":")[0]
+            assert refused == f"scenarios[0].params.{kick} (run 'g'): {exc}"
+        except _Evolved:
+            assert refused is None
 
 
 def test_a_library_batch_out_of_the_regime_names_its_first_offending_run():
