@@ -24,14 +24,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _name
 
 from .config import RunConfig, ScenarioSpec, Sweep, load_config, parse_config
-from .errors import (
-    ConfigError,
-    GridTooNarrowError,
-    IntegrationError,
-    RegimeError,
-    SequencingError,
-    WraparoundError,
-)
+from .errors import ConfigError, RegimeError, SequencingError
 from .grid import GridState, gaussian_grid_state
 from .gridops import (
     ImpulseReport,

@@ -5,10 +5,10 @@
     qclocksim validate CONFIG
     qclocksim kinds
 
-Exit codes: 0 all checks passed, 1 at least one tolerance check failed,
-2 configuration problem (kicks out of the model's regime included), 3
-engine failure.  Result files are byte-stable across repeated runs;
-anything nondeterministic (wall-clock timings) goes to stderr only.
+Exit codes: 0 all checks passed, 1 at least one check failed (numerical
+health included), 2 configuration problem (kicks out of the model's regime
+included), 3 an unexpected exception.  Result files are byte-stable across
+repeated runs; anything nondeterministic (wall-clock timings) goes to stderr.
 
 Emission follows the runs, WRITE_GROUP_REPORTS reports at a time: their
 summaries are printed and their files rendered, then written back to back.

@@ -12,8 +12,8 @@ with the offending JSON path in the message.
 A parsed scenario is handed to runners.plan_jobs, which expands its runs
 once, checks them and plans each job; the scenario keeps the returned
 jobs, each job's runs beside its plan, and run_config runs exactly those,
-so changing a loaded scenario does not change what runs.  A run can still
-fail at runtime, as when a grid evolution's packet reaches the box edge.
+so changing a loaded scenario does not change what runs.  At run time a
+packet that reaches the box edge fails a check, as every measured limit does.
 
 SI inputs are supported through a scenario-level "si" block; they are
 converted to the dimensionless ratios the engine uses and override the

@@ -1,6 +1,6 @@
 """Exception types the engines raise for a broken method or an unusable input,
 refused at load at the field each type names, a RegimeError subclass at its
-own field rather than its base's; an oracle deviation is returned."""
+own field rather than its base's; an oracle deviation or numerical health is returned."""
 
 
 class RegimeError(ValueError):
@@ -24,19 +24,6 @@ class LevelResolutionError(RegimeError):
 
 class SequencingError(RuntimeError):
     """A boost sequence failed to return momenta to their initial values."""
-
-
-class WraparoundError(RuntimeError):
-    """Grid-state support reached the edge of the periodic box."""
-
-
-class IntegrationError(RuntimeError):
-    """A pulse propagation failed its own check: the eigendecomposition
-    residual or the norm defect of the propagated state exceeded tolerance."""
-
-
-class GridTooNarrowError(RuntimeError):
-    """A scan peak landed on the edge of the detuning grid."""
 
 
 class ConfigError(ValueError):

@@ -30,9 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, LevelResolutionError, PhaseCapError, RegimeError, WraparoundError
-from .grid import GridState, gaussian_grid_state, require_lattice_size
+from .errors import ConfigError, LevelResolutionError, PhaseCapError, RegimeError
+from .grid import EDGE_SITES, GridState, gaussian_grid_state, require_lattice_size
 from .gridops import (
+    ABORT_EDGE_MASS,
     accelerated_frame_trotter,
     impulse_durations,
     impulse_kicks,
@@ -41,7 +42,8 @@ from .gridops import (
     trotter_kicks,
     trotter_steps,
 )
-from .ionclock import TrapModel, require_scan_points, require_transition_energy, spectroscopy_scan
+from .ionclock import (UNITARITY_TOL, TrapModel, require_scan_points, require_transition_energy,
+                       spectroscopy_scan)
 from .oracles import (
     BranchOracle,
     branch_spectrum_oracle,
@@ -388,6 +390,15 @@ def _run_ion(reports: list, runs: list, plan: tuple, tol: dict) -> None:
         "cutoff_change", scan.cutoff_shift_change, tol["cutoff_change"],
         "peak movement when the Fock cutoff doubles",
     )
+    report.add_bound("decomposition_residual", scan.decomposition_residual, UNITARITY_TOL,
+                     "worst |H V - V Lambda| / |H| over every eigh of the scan")
+    report.add_bound("unitarity_defect", scan.norm_defect, UNITARITY_TOL,
+                     "worst | |psi| - 1 | after the pulse over every eigh of the scan")
+    last = len(scan.detunings) - 1
+    margin = min(min(i, last - i) for i in scan.peak_indices)
+    report.add_check("peak_inside_scan", margin >= 1, margin, 1.0,
+                     "fewest samples between a lineshape maximum the peak was read from "
+                     "and the scan edge")
 
 
 def _plan_grid(runs: list, at, kicks: Callable) -> GridState:
@@ -399,7 +410,7 @@ def _plan_grid(runs: list, at, kicks: Callable) -> GridState:
     state = at(".params.sigma", gaussian_grid_state, _plan_spectrum(runs, at),
                size=params["grid_size"], box_length=params["box_length"], sigma=params["sigma"],
                momentum=params.get("momentum", 0.0))
-    at({WraparoundError: ".params.box_length"}, require_inside, state, "initial state")
+    at(".params.box_length", require_inside, state, "initial state")
     for context, momenta in kicks(state):
         at(f".params.{context}", check_kicks, [(context, momenta)])
     return state
@@ -437,6 +448,7 @@ def _run_trotter(reports: list, runs: list, state: GridState, tol: dict) -> None
         "terminal_error", float(result.errors[-1]), tol["terminal_error"],
         f"product-formula error at {int(result.steps[-1])} steps",
     )
+    _add_edge_mass(report, result.edge_mass)
 
 
 def _run_impulse(reports: list, runs: list, state: GridState, tol: dict) -> None:
@@ -465,6 +477,13 @@ def _run_impulse(reports: list, runs: list, state: GridState, tol: dict) -> None
         "decade_ratios_in_range", ratios, tol["decade_ratio_low"], tol["decade_ratio_high"],
         f"per-decade shrink of the {target}-boost deviation: {[float(r) for r in ratios]}",
     )
+    _add_edge_mass(report, result.edge_mass)
+
+
+def _add_edge_mass(report: RunReport, edge_mass: float) -> None:
+    """The lattice is periodic: a packet that reaches its edge wraps around."""
+    report.add_bound("edge_mass", edge_mass, ABORT_EDGE_MASS, f"largest probability within "
+                     f"{EDGE_SITES} sites of the box edge over every evolution")
 
 
 def _grid_params(**params) -> dict:

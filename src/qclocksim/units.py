@@ -76,7 +76,8 @@ def check_kicks(kicks) -> None:
     worst = np.stack(np.broadcast_arrays(*(
         np.max(np.square(np.asarray(m, dtype=float)), axis=-1, initial=0.0) for _, m in kicks
     )), axis=-1)
-    offending = np.argwhere(worst >= KAPPA_MAX)
+    # NaN compares false both ways, so a kick passes only below the bound.
+    offending = np.argwhere(~(worst < KAPPA_MAX))
     if len(offending):
         index = offending[0]
         raise RegimeError(

@@ -1227,31 +1227,60 @@ def test_a_job_of_a_per_run_kind_returns_one_report_per_run_in_order():
     assert reports[0].rows != reports[1].rows
 
 
-def test_runtime_failure_maps_to_engine_exit_code(tmp_path, capsys):
+DRIFT_CONFIG = {
+    "schema_version": 1,
+    "scenarios": [
+        {"kind": "twin-velocity", "name": "fine"},
+        {
+            "kind": "trotter-accel",
+            "name": "drifts-out",
+            "params": {"acceleration": 0.0002, "duration": 400.0, "grid_size": 128},
+        },
+    ],
+}
+
+
+def test_a_packet_that_drifts_to_the_edge_fails_edge_mass_and_every_run_is_written(
+        tmp_path, capsys):
     # The accelerated packet starts well inside the box, so the config is
-    # valid, but it drifts to the box edge during the evolution.  The run
-    # before it passes, and its files are not written either: files are
-    # written only once every run has finished.
-    config = {
-        "schema_version": 1,
-        "scenarios": [
-            {"kind": "twin-velocity", "name": "fine"},
-            {
-                "kind": "trotter-accel",
-                "name": "drifts-out",
-                "params": {"acceleration": 0.0002, "duration": 400.0, "grid_size": 128},
-            },
-        ],
-    }
-    path = _write_config(tmp_path / "drift.json", config)
-    out = tmp_path / "results"
+    # valid, but it spreads to the box edge during the evolution.  That is a
+    # failed check, graded like any other: every run's files are written.
+    path = _write_config(tmp_path / "drift.json", DRIFT_CONFIG)
     assert main(["validate", path]) == 0
-    for flags in ([], ["--out-dir", str(out)]):
-        assert main(["run", path, *flags]) == 3
+    capsys.readouterr()
+    files = {}
+    for threads in (1, 2):
+        out = tmp_path / f"results-{threads}"
+        assert main(["run", path, "--out-dir", str(out), "--threads", str(threads)]) == 1
+        stdout, err = capsys.readouterr()
+        assert "engine error" not in err
+        assert "1 of 2 run(s) had failing checks" in stdout
+        files[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(files[1]) == ["drifts-out.csv", "drifts-out.json", "fine.csv", "fine.json"]
+    assert files[1] == files[2]
+    fine, drift = (json.loads(files[1][f"{name}.json"]) for name in ("fine", "drifts-out"))
+    assert fine["passed"] and not drift["passed"]
+    [edge] = [check for check in drift["checks"] if check["name"] == "edge_mass"]
+    assert not edge["passed"]
+    assert edge["value"] == pytest.approx(3.3e-2, rel=1e-2)
+    assert edge["tolerance"] == 1e-12
+
+
+def test_an_unexpected_engine_exception_exits_3_and_writes_no_file(
+        monkeypatch, tmp_path, capsys):
+    # Exit 3 is left for exceptions no check anticipates: nothing is written,
+    # not even the run that passed, and stderr names the run that raised.
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken engine")
+
+    monkeypatch.setattr(runners_module, "accelerated_frame_trotter", broken)
+    path = _write_config(tmp_path / "drift.json", DRIFT_CONFIG)
+    out = tmp_path / "results"
+    for threads in ("1", "2"):
+        assert main(["run", path, "--out-dir", str(out), "--threads", threads]) == 3
         err = capsys.readouterr().err
-        assert "engine error: WraparoundError: linear-potential evolution (final state)" in err
-        assert "(run 'drifts-out')" in err
-    assert list(out.rglob("*")) == []
+        assert "engine error: RuntimeError: broken engine (run 'drifts-out')" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(("momentum", "first"), [(0.31, "strict-0"), (0.3, "strict-2")])

@@ -41,32 +41,6 @@ def test_lattice_geometry():
     assert state.momenta[64] == pytest.approx(-64 * spacing, rel=1e-15)
 
 
-def test_momentum_amplitudes_match_the_explicit_dft():
-    # psi~(p) = (1/sqrt D) sum_j e^{-i p x_j} psi(x_j), summed term by term.
-    state = gaussian_grid_state(SPEC, size=128, box_length=32.0, sigma=2.0, momentum=0.2)
-    kernel = np.exp(-1j * np.outer(state.momenta, state.positions)) / np.sqrt(state.size)
-    np.testing.assert_allclose(
-        momentum_amplitudes(state), state.amplitudes @ kernel.T, atol=1e-12
-    )
-
-
-def test_transform_preserves_norm():
-    state = gaussian_grid_state(SPEC, size=256, box_length=64.0, sigma=3.5, momentum=0.1)
-    tilde = momentum_amplitudes(state)
-    assert np.linalg.norm(tilde) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_position_delta_spreads_flat_over_momentum():
-    spec1 = make_spectrum([0.0])
-    amps = np.zeros((1, 64), dtype=complex)
-    amps[0, 0] = 1.0  # delta sitting exactly on the box edge
-    state = GridState(spectrum=spec1, box_length=32.0, amplitudes=amps)
-    tilde = momentum_amplitudes(state)
-    np.testing.assert_allclose(np.abs(tilde[0]), 1.0 / 8.0, atol=1e-14)
-    # A delta at the edge is all edge mass: wraparound would corrupt any evolution.
-    assert state.edge_mass() == 1.0
-
-
 def test_gaussian_moments():
     sigma = 3.0
     state = gaussian_grid_state(SPEC, size=256, box_length=64.0, sigma=sigma, momentum=0.25)
@@ -77,7 +51,12 @@ def test_gaussian_moments():
     assert mean_x == pytest.approx(0.0, abs=1e-10)
     assert np.sqrt(var_x) == pytest.approx(sigma, rel=1e-6)
 
-    prob_p = np.sum(np.abs(momentum_amplitudes(state)) ** 2, axis=0)
+    # The helper's FFT is the unitary DFT psi~(p) = (1/sqrt D) sum_j e^{-i p x_j} psi(x_j).
+    tilde = momentum_amplitudes(state)
+    kernel = np.exp(-1j * np.outer(state.momenta, state.positions)) / np.sqrt(state.size)
+    np.testing.assert_allclose(tilde, state.amplitudes @ kernel.T, atol=1e-12)
+    prob_p = np.sum(np.abs(tilde) ** 2, axis=0)
+    assert np.sum(prob_p) == pytest.approx(1.0, abs=1e-13)
     p = state.momenta
     mean_p = float(prob_p @ p)
     var_p = float(prob_p @ (p - mean_p) ** 2)
@@ -91,6 +70,10 @@ def test_edge_mass_sees_an_offcenter_packet():
     shifted = gaussian_grid_state(SPEC, size=128, box_length=32.0, sigma=2.0, center=14.0)
     assert centered.edge_mass() < 1e-12
     assert shifted.edge_mass() > 1e-3
+    amps = np.zeros((1, 64), dtype=complex)
+    amps[0, 0] = 1.0  # a delta on the box edge is all edge mass
+    assert GridState(spectrum=make_spectrum([0.0]), box_length=32.0,
+                     amplitudes=amps).edge_mass() == 1.0
 
 
 def test_the_packet_is_the_same_on_every_level():

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import momentum_amplitudes
-from qclocksim import load_config
-from qclocksim.errors import WraparoundError
+from qclocksim import load_config, run_scenario
 from qclocksim.grid import GridState, gaussian_grid_state
 from qclocksim.gridops import (
     ABORT_EDGE_MASS,
@@ -29,6 +28,7 @@ from qclocksim.gridops import (
     velocity_boost_grid,
 )
 from qclocksim.operators import total_energy
+from qclocksim.runners import KINDS
 from qclocksim.spectrum import ladder_spectrum, make_spectrum
 
 SPEC = ladder_spectrum(2, 0.1)
@@ -230,10 +230,11 @@ def test_trotter_refuses_a_nan_duration_on_the_default_packet():
 
 def _sequential_trotter_errors(state, acceleration, duration, steps):
     """One product per n, run to the end before the next starts, as
-    (U(dt) B_v(-a dt))^n with its own kick and drift tables."""
-    exact = evolve_linear_potential(state, acceleration, duration).amplitudes
+    (U(dt) B_v(-a dt))^n with its own kick and drift tables: the errors, and
+    the edge masses of the initial state, the exact evolution and each product."""
+    exact = evolve_linear_potential(state, acceleration, duration)
     levels = np.arange(state.spectrum.dim)[:, None]
-    errors = []
+    errors, edges = [], [state.edge_mass(), exact.edge_mass()]
     for n in steps:
         dt = duration / n
         kick = np.exp(1j * state.spectrum.masses[:, None] * (-acceleration * dt) * state.positions)
@@ -241,11 +242,9 @@ def _sequential_trotter_errors(state, acceleration, duration, steps):
         amps = state.amplitudes
         for _ in range(n):
             amps = np.fft.ifft(np.fft.fft(amps * kick, axis=1) * drift, axis=1)
-        edge = state.with_amplitudes(amps).edge_mass()
-        if edge > ABORT_EDGE_MASS:
-            raise WraparoundError(f"trotter product (n = {n}): edge mass {edge:.3e}")
-        errors.append(float(np.linalg.norm(amps - exact)))
-    return errors
+        edges.append(state.with_amplitudes(amps).edge_mass())
+        errors.append(float(np.linalg.norm(amps - exact.amplitudes)))
+    return errors, edges
 
 
 @pytest.mark.parametrize(
@@ -257,11 +256,20 @@ def test_lockstep_trotter_errors_equal_the_sequential_products_bit_for_bit(level
     state = gaussian_grid_state(ladder_spectrum(levels, 0.05), size=size, box_length=64.0,
                                 sigma=3.5)
     report = accelerated_frame_trotter(state, 0.02, 2.0, steps=steps)
+    errors, edges = _sequential_trotter_errors(state, 0.02, 2.0, steps)
     assert report.steps.tolist() == list(steps)
-    assert report.errors.tolist() == _sequential_trotter_errors(state, 0.02, 2.0, steps)
+    assert report.errors.tolist() == errors
+    assert report.edge_mass == max(edges)
 
 
-def test_a_drifting_trotter_product_names_the_first_n_that_reaches_the_edge():
+def _edge_mass_check(kind, state, **params):
+    """The edge_mass check of one run of a grid kind, run from `state` as its plan."""
+    [report] = run_scenario(kind, ["edge"], [params], state, KINDS[kind].tolerances)
+    [check] = [check for check in report.checks if check["name"] == "edge_mass"]
+    return check
+
+
+def test_a_drifting_trotter_product_fails_the_edge_mass_check():
     # With a = 0.6 / 440 over T = 400 the kicks take the heavier branch from
     # p = 0.3 to -0.3, inside the regime, and the product with n steps
     # overshoots the exact packet by a T^2 / 2n toward the edge: the exact
@@ -270,27 +278,36 @@ def test_a_drifting_trotter_product_names_the_first_n_that_reaches_the_edge():
     state = gaussian_grid_state(SPEC, size=256, box_length=384.0, sigma=12.0, center=-40.0,
                                 momentum=0.3)
     a, duration = 0.6 / 440.0, 400.0
-    with pytest.raises(WraparoundError, match=r"trotter product \(n = 3\)"):
-        _sequential_trotter_errors(state, a, duration, (3, 5, 64))
-    with pytest.raises(WraparoundError, match=r"trotter product \(n = 3\)"):
-        accelerated_frame_trotter(state, a, duration, steps=(3, 5, 64))
-    with pytest.raises(WraparoundError, match=r"trotter product \(n = 5\)"):
-        accelerated_frame_trotter(state, a, duration, steps=(5, 64))
-    assert len(_sequential_trotter_errors(state, a, duration, (64,))) == 1
+    _, edges = _sequential_trotter_errors(state, a, duration, (3, 5, 64))
+    assert max(edges[:2] + edges[-1:]) <= ABORT_EDGE_MASS < min(edges[3], edges[2])
+    for steps, worst in [((3, 5, 64), edges[2]), ((5, 64), edges[3])]:
+        assert accelerated_frame_trotter(state, a, duration, steps=steps).edge_mass == worst
+        check = _edge_mass_check("trotter-accel", state, acceleration=a, duration=duration,
+                                 steps=steps)
+        assert (check["passed"], check["value"], check["tolerance"]) == (
+            False, worst, ABORT_EDGE_MASS)
 
 
-def test_packet_near_the_edge_aborts():
+def test_a_packet_near_the_edge_fails_the_edge_mass_check():
+    # The load refuses such a packet; an engine given it reports its edge mass.
     state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0, center=12.0)
-    with pytest.raises(WraparoundError):
-        evolve_linear_potential(state, -0.1, 0.1)
+    assert state.edge_mass() == pytest.approx(2.5e-4, rel=1e-2)
+    check = _edge_mass_check("impulse-boost", state, boost=0.01, dt_schedule=(0.1, 0.01),
+                             internal_coupled=True)
+    assert not check["passed"]
+    assert check["value"] >= state.edge_mass()
 
 
-def test_packet_driven_into_the_edge_aborts():
-    # Centered and healthy at t = 0, but the potential slides it into the
-    # boundary band by the end of the window.
-    state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0)
-    with pytest.raises(WraparoundError):
-        evolve_linear_potential(state, 2.0, 3.0)
+def test_a_packet_carried_into_the_edge_fails_the_edge_mass_check():
+    # Centered and healthy at t = 0, but its momentum carries it 25 units,
+    # past the 24 to the box edge, during the longest pulse.
+    state = gaussian_grid_state(SPEC, size=128, box_length=48.0, sigma=3.0, momentum=0.25)
+    assert state.edge_mass() <= ABORT_EDGE_MASS
+    report = impulsive_boost_limit(state, 0.01, dt_schedule=(100.0, 10.0))
+    assert report.edge_mass == pytest.approx(0.089, rel=1e-2)
+    check = _edge_mass_check("impulse-boost", state, boost=0.01, dt_schedule=(100.0, 10.0),
+                             internal_coupled=True)
+    assert (check["passed"], check["value"]) == (False, report.edge_mass)
 
 
 def _full_suite_spec(kind):
@@ -377,5 +394,5 @@ def test_linear_potential_evolutions_equal_the_complex_reference():
 def test_a_nan_edge_mass_is_refused():
     # NaN compares false both ways, so the guard asks for edge mass within bounds.
     state = SimpleNamespace(edge_mass=lambda: float("nan"))
-    with pytest.raises(WraparoundError, match="probability nan within"):
+    with pytest.raises(ValueError, match="probability nan within"):
         require_inside(state, "initial state")

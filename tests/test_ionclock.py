@@ -15,8 +15,9 @@ from mpmath import mp
 
 from helpers import excited_trap_frequency
 from qclocksim import ionclock, parse_config, run_config, runners
-from qclocksim.errors import GridTooNarrowError, IntegrationError, RegimeError
+from qclocksim.errors import RegimeError
 from qclocksim.ionclock import (
+    UNITARITY_TOL,
     TrapModel,
     _doubled_cutoff_vertex,
     _excitation_probabilities,
@@ -250,13 +251,35 @@ def test_scan_point_count_validation():
             _scan(model, span_factor=span_factor)
 
 
-def test_peak_outside_oracle_window_is_refused():
+def _ion_checks(params):
+    """Each check of one ion-spectroscopy run, by name."""
+    config = {"schema_version": 1, "scenarios": [
+        {"kind": "ion-spectroscopy", "name": "ion", "params": params}]}
+    [report] = run_config(parse_config(config))
+    return {check["name"]: check for check in report.checks}
+
+
+def test_a_peak_outside_the_oracle_window_fails_peak_inside_scan():
     # A deep-Lamb-Dicke violation with a strong drive drags the line far
     # enough off the static prediction that it leaves the oracle-centered
-    # grid; the scan must refuse rather than report the edge sample.
-    model = TrapModel(U, W, lamb_dicke=0.3, rabi_frequency=5e-6)
-    with pytest.raises(GridTooNarrowError):
-        _scan(model)
+    # grid; the scan reports the edge index, and the runner fails the run.
+    # Its vertex comes from the three samples next to the edge.
+    params = {"lamb_dicke": 0.3, "rabi_frequency": 5e-6}
+    scan = _scan(TrapModel(U, W, **params))
+    [edge] = scan.peak_indices[:1]
+    assert edge in (0, 60)
+    triplet = slice(0, 3) if edge == 0 else slice(58, 61)
+    assert scan.peak_detuning == ionclock._parabola_vertex(scan.detunings[triplet],
+                                                           scan.excitation[triplet])
+    check = _ion_checks(params)["peak_inside_scan"]
+    assert (check["passed"], check["value"], check["tolerance"]) == (False, 0.0, 1.0)
+
+
+def test_an_interior_peak_passes_peak_inside_scan():
+    scan = _scan(TrapModel(U, W), points=21)
+    assert scan.peak_indices == (10,)
+    check = _ion_checks({"points": 21})["peak_inside_scan"]
+    assert (check["passed"], check["value"]) == (True, 10.0)
 
 
 def test_the_runner_grades_the_scan_by_the_oracle_ratios():
@@ -270,7 +293,9 @@ def test_the_runner_grades_the_scan_by_the_oracle_ratios():
     assert checks["oracle_vs_first_order"] == pytest.approx(
         1.0 - 0.99925062445361673675, rel=1e-7
     )
-    assert [check["name"] for check in null.checks] == ["null_shift_bound", "cutoff_change"]
+    assert [check["name"] for check in null.checks] == [
+        "null_shift_bound", "cutoff_change", "decomposition_residual", "unitarity_defect",
+        "peak_inside_scan"]
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -286,7 +311,8 @@ def test_doubled_cutoff_triplet_vertex_equals_the_full_rescan(u, n):
     model = TrapModel(transition_energy=u, trap_frequency=W, fock_index=n)
     scan = _scan(model)
     idx = int(np.argmax(scan.excitation))
-    triplet_vertex = _doubled_cutoff_vertex(model, scan.detunings, idx)
+    triplet_vertex, rescanned, _ = _doubled_cutoff_vertex(model, scan.detunings, idx)
+    assert rescanned == () and scan.peak_indices == (idx,)
     full_vertex = _scan_peak(model, scan.detunings, 2 * model.fock_cutoff)[0]
     assert abs(triplet_vertex - full_vertex) <= 1e-17
     assert scan.cutoff_shift_change == abs(triplet_vertex - scan.peak_detuning)
@@ -299,7 +325,7 @@ def test_doubled_cutoff_rescans_when_the_triplet_has_no_interior_maximum(monkeyp
 
     def rising_triplet(model, detunings, dim):
         if len(detunings) == 3:
-            return np.array([0.1, 0.2, 0.3])
+            return np.array([0.1, 0.2, 0.3]), np.zeros(2)
         return real_probabilities(model, detunings, dim)
 
     def recording_scan_peak(model, detunings, dim):
@@ -311,8 +337,9 @@ def test_doubled_cutoff_rescans_when_the_triplet_has_no_interior_maximum(monkeyp
     model = TrapModel(transition_energy=U, trap_frequency=W)
     scan = _scan(model, points=21)
     assert scanned_dims == [32, 64]
-    full_vertex = real_scan_peak(model, scan.detunings, 64)[0]
+    full_vertex, full_peak = real_scan_peak(model, scan.detunings, 64)[:2]
     assert scan.cutoff_shift_change == abs(full_vertex - scan.peak_detuning)
+    assert scan.peak_indices == (10, full_peak)
 
 
 def test_wrong_eigenvectors_fail_the_decomposition_check(monkeypatch):
@@ -330,8 +357,35 @@ def test_wrong_eigenvectors_fail_the_decomposition_check(monkeypatch):
         return vals, vecs
 
     monkeypatch.setattr(ionclock.np.linalg, "eigh", rotated_eigh)
-    with pytest.raises(IntegrationError, match="eigendecomposition residual"):
-        _scan(TrapModel(transition_energy=U, trap_frequency=W), points=21)
+    scan = _scan(TrapModel(transition_energy=U, trap_frequency=W), points=21)
+    assert scan.decomposition_residual > 1e3 * UNITARITY_TOL
+    assert scan.norm_defect <= UNITARITY_TOL
+    checks = _ion_checks({"points": 21})
+    assert not checks["decomposition_residual"]["passed"]
+    assert checks["decomposition_residual"]["value"] == scan.decomposition_residual
+    assert checks["unitarity_defect"]["passed"]
+
+
+def test_eigenvectors_that_are_not_normalized_fail_the_unitarity_check(monkeypatch):
+    # Scaled eigenvectors still solve H V = V Lambda to roundoff, relative to
+    # |H|, but the propagated state comes out with norm (1 + 1e-9)^2.
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(ionclock.np.linalg, "eigh",
+                        lambda matrix: (lambda vals, vecs: (vals, (1.0 + 1e-9) * vecs))(
+                            *real_eigh(matrix)))
+    scan = _scan(TrapModel(transition_energy=U, trap_frequency=W), points=21)
+    assert scan.norm_defect == pytest.approx(2e-9, rel=1e-3)
+    assert scan.decomposition_residual <= UNITARITY_TOL
+    checks = _ion_checks({"points": 21})
+    assert checks["decomposition_residual"]["passed"]
+    assert not checks["unitarity_defect"]["passed"]
+    assert checks["unitarity_defect"]["value"] == scan.norm_defect
+
+
+def test_a_healthy_scan_passes_its_health_checks_near_roundoff():
+    scan = _scan(TrapModel(transition_energy=U, trap_frequency=W), points=21)
+    assert 0.0 < scan.decomposition_residual < 1e-14
+    assert scan.norm_defect < 1e-14
 
 
 def _complex_excitation_probabilities(model, detunings, dim):
@@ -359,7 +413,7 @@ def test_real_gauged_lineshape_equals_the_complex_reference(n, cutoff_factor):
     dim = cutoff_factor * model.fock_cutoff
     detunings = _scan(model).detunings
     np.testing.assert_allclose(
-        _excitation_probabilities(model, detunings, dim),
+        _excitation_probabilities(model, detunings, dim)[0],
         _complex_excitation_probabilities(model, detunings, dim),
         rtol=0.0,
         atol=1e-13,

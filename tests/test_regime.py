@@ -291,6 +291,16 @@ def test_validation_refuses_a_grid_run_iff_its_engine_raises_regime_error(
             assert refused is None
 
 
+def test_a_nan_momentum_is_out_of_the_regime_in_the_library():
+    # The loader refuses NaN before any engine sees it; a library call that
+    # passes one is refused by the engine's own kick check.
+    spectrum = ladder_spectrum(2, 0.1)
+    with pytest.raises(RegimeError, match="^momentum: squared momentum ratio nan "):
+        entanglement_frame_demo(spectrum, float("nan"), 0.01)
+    with pytest.raises(RegimeError, match="^VelocityBoost: squared momentum ratio nan "):
+        entanglement_frame_demo(spectrum, 0.1, float("nan"))
+
+
 def test_a_library_batch_out_of_the_regime_names_its_first_offending_run():
     # Runs 2 and 3 leave the regime; the error carries run 2.
     spectrum = ladder_spectrum(2, 0.1)

@@ -80,6 +80,16 @@ def test_check_kicks_raises_for_the_first_run_out_of_regime():
         check_kicks([("edge", [math.sqrt(KAPPA_MAX)])])  # the bound itself is excluded
 
 
+def test_check_kicks_refuses_a_nan_momentum():
+    # NaN compares false both ways, so a kick passes only below the bound.
+    with pytest.raises(RegimeError, match="^x: squared momentum ratio nan >= kappa_max") as exc:
+        check_kicks([("x", [float("nan")])])
+    assert exc.value.run is None
+    with pytest.raises(RegimeError, match="^second: ") as exc:
+        check_kicks([("first", np.zeros((3, 1))), ("second", [[0.0], [0.0], [math.nan]])])
+    assert exc.value.run == 2
+
+
 def test_regime_bounds():
     assert EPS_MAX == 0.2
     assert KAPPA_MAX == 0.1
