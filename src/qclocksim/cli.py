@@ -10,8 +10,11 @@ health included), 2 configuration problem (kicks out of the model's regime
 included), 3 an unexpected exception.  Result files are byte-stable across
 repeated runs; anything nondeterministic (wall-clock timings) goes to stderr.
 
-Emission follows the runs, WRITE_GROUP_REPORTS reports at a time: their
-summaries are printed and their files rendered, then written back to back.
+Each job's reports are emitted, in config order, as soon as that job and
+every job before it have finished, and then let go: WRITE_GROUP_REPORTS
+reports at a time, their summaries are printed and their files rendered,
+then written back to back.  A job that raises an unexpected exception writes
+no file; every other job is run and written, and the exit code is then 3.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_ENGINE = 3
 
-# Reports whose files are rendered before any of them is written; it bounds
-# the text held in memory at once.  Groups are faster too: on the 1,203 light
-# reports of perfbench's fanout workload (2 shared vCPUs), writing each report's
-# files right after rendering them took 0.46-0.53 s of wall time, against
-# 0.36-0.39 s in groups of 64.
+# Reports of one job whose files are rendered before any of them is written;
+# it bounds the text held in memory at once, as the job bounds the reports.
+# Groups are faster too: on the 1,203 light reports of perfbench's fanout
+# workload (2 shared vCPUs), writing each report's files right after rendering
+# them took 0.46-0.53 s of wall time, against 0.36-0.39 s in groups of 64.
 WRITE_GROUP_REPORTS = 64
 
 
@@ -127,40 +130,53 @@ def _cmd_run(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     overrides = dict(_parse_tolerance(item) for item in args.tolerance)
-    # The directory is made after the runs; refuse first a path that cannot become one.
+    # The directory is made at the first write; refuse first a path that cannot become one.
     parent = args.out_dir
     while parent and not os.path.exists(parent):
         parent = os.path.dirname(parent) or "."
     if parent is not None and not os.path.isdir(parent):
         raise ConfigError(f"--out-dir {args.out_dir!r}: {parent!r} is not a directory")
     config = load_config(args.config)
+    verdicts, raised = [], 0
+
+    def emit(outcome) -> None:
+        nonlocal raised
+        if isinstance(outcome, Exception):
+            raised += 1
+            print(_engine_error(outcome), file=sys.stderr)
+            return
+        verdicts.extend(report.passed for report in outcome)
+        for start in range(0, len(outcome), WRITE_GROUP_REPORTS):
+            files = []
+            for report in outcome[start:start + WRITE_GROUP_REPORTS]:
+                print("\n".join(report.summary_lines()))
+                if args.out_dir is not None:
+                    path = os.path.join(args.out_dir, report.name)
+                    if args.format in ("csv", "both"):
+                        files.append((report.write_csv, f"{path}.csv", report.csv_text()))
+                    if args.format in ("json", "both"):
+                        files.append((report.write_json, f"{path}.json", report.json_text()))
+            if files:
+                os.makedirs(args.out_dir, exist_ok=True)
+            for write, path, text in files:
+                write(path, text)
+
     started = time.perf_counter()
-    reports = run_config(config, threads=args.threads, tolerance_overrides=overrides)
+    run_config(config, threads=args.threads, tolerance_overrides=overrides, emit=emit)
     elapsed = time.perf_counter() - started
-
-    out_dir = args.out_dir
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    for start in range(0, len(reports), WRITE_GROUP_REPORTS):
-        files = []
-        for report in reports[start:start + WRITE_GROUP_REPORTS]:
-            print("\n".join(report.summary_lines()))
-            if out_dir is not None:
-                path = os.path.join(out_dir, report.name)
-                if args.format in ("csv", "both"):
-                    files.append((report.write_csv, f"{path}.csv", report.csv_text()))
-                if args.format in ("json", "both"):
-                    files.append((report.write_json, f"{path}.json", report.json_text()))
-        for write, path, text in files:
-            write(path, text)
-
-    failed = sum(1 for r in reports if not r.passed)
-    if failed:
-        print(f"{failed} of {len(reports)} run(s) had failing checks")
-    else:
-        print(f"all {len(reports)} run(s) passed")
+    failed = verdicts.count(False)
+    print(f"{failed} of {len(verdicts)} run(s) had failing checks" if failed
+          else f"all {len(verdicts)} run(s) passed")
+    if raised:
+        print(f"{raised} job(s) raised an engine error and wrote no files")
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_ENGINE if raised else EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def _engine_error(exc: Exception) -> str:
+    """The exception's type and text, and the failing run or batch its notes name."""
+    runs = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+    return f"engine error: {type(exc).__name__}: {exc}{runs}"
 
 
 def main(argv=None) -> int:
@@ -176,6 +192,5 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # engine failures: report, do not traceback-spam
-        runs = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
-        print(f"engine error: {type(exc).__name__}: {exc}{runs}", file=sys.stderr)
+        print(_engine_error(exc), file=sys.stderr)
         return EXIT_ENGINE

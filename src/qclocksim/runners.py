@@ -13,16 +13,19 @@ measurement against its closed form, makes every report and passes every
 verdict.  `run_scenario` makes one RunReport per run of a job, and the kind's
 runner fills them with rows and grades them against the kind's tolerances.
 Runners never print or write files; the CLI layer owns all I/O.  --threads N
-runs the jobs on a pool of N threads.  Only `eigh`-bound runs (ion lineshapes,
-grid evolutions) scale with N: the Python loops of grid split steps, SWP tick
-refinement and report building hold the GIL.  `import qclocksim` sets BLAS to
-one thread per process, and results are bit-identical whatever N or the core
-count; they are always returned in config order regardless of thread timing.
+runs the jobs on a pool of N threads, at most N + 1 jobs started and not yet
+handed back.  Only `eigh`-bound runs (ion lineshapes, grid evolutions) scale
+with N: the Python loops of grid split steps, SWP tick refinement and report
+building hold the GIL.  `import qclocksim` sets BLAS to one thread per process,
+and results are bit-identical whatever N or the core count; each job's reports
+are handed back in config order regardless of thread timing, to a caller's
+`emit` as soon as the job and every job before it have finished.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -649,9 +652,13 @@ def run_scenario(kind: str, names: list, runs: list, plan, tolerances: dict) -> 
     return reports
 
 
-def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None) -> list:
+def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None,
+               emit: Callable | None = None) -> list | None:
     """Run the jobs that the load planned, each from its plan, which the
-    engine only reads, and return reports in config order."""
+    engine only reads, and return reports in config order, or raise the first
+    failing job's exception.  With `emit`, return nothing: `emit` takes each
+    job's reports, or the exception it raised, in config order, and they are
+    let go when it returns, so a job that raises costs only its own reports."""
     overrides = dict(tolerance_overrides or {})
     known = {key for spec in config.scenarios for key in spec.tolerances}
     unknown = set(overrides) - known
@@ -675,11 +682,26 @@ def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None
             runs = (f"run {names[0]!r}" if len(names) == 1
                     else f"runs {names[0]!r} to {names[-1]!r}")
             exc.__notes__ = [*getattr(exc, "__notes__", ()), runs]
-            raise
+            return exc
 
+    reports = []
+
+    def collect(outcome):
+        if isinstance(outcome, Exception):
+            raise outcome
+        reports.extend(outcome)
+
+    take = emit or collect
     if threads <= 1 or len(jobs) <= 1:
-        results = [one(job) for job in jobs]
+        for job in jobs:
+            take(one(job))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    return [report for reports in results for report in reports]
+            pending = deque()
+            for job in jobs:
+                pending.append(pool.submit(one, job))
+                if len(pending) > threads:
+                    take(pending.popleft().result())
+            while pending:
+                take(pending.popleft().result())
+    return None if emit else reports

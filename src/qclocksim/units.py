@@ -58,8 +58,9 @@ def require_nonnegative(name: str, value) -> None:
 
 
 def check_epsilons(epsilons) -> None:
-    worst = max(epsilons)
-    if worst >= EPS_MAX:
+    worst = np.max(epsilons)
+    # NaN compares false both ways, so a level passes only below the bound.
+    if not worst < EPS_MAX:
         raise RegimeError(
             f"internal energy ratio {worst} >= eps_max = {EPS_MAX}; "
             "the first-order mass-energy expansion is not valid there"

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file output, and determinism."""
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -8,6 +9,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from qclocksim import (
     run_sequence,
 )
 from qclocksim.cli import main
+from qclocksim.report import RunReport
 from qclocksim.units import beta_from_velocity, epsilon_from_energy, epsilon_from_frequency
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -184,6 +187,56 @@ def test_emission_across_many_write_groups_matches_writing_report_by_report(
     assert sorted(p.name for p in out.iterdir()) == names
     for name in names:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+JOBS_CONFIG = {
+    "schema_version": 1,
+    "scenarios": [
+        {"kind": "twin-velocity", "name": "twins",
+         "sweep": {"parameter": "boost", "start": 0.01, "stop": 0.03, "count": 3}},
+        {"kind": "swp", "name": "clock"},
+        {"kind": "entanglement-demo", "name": "entangle",
+         "sweep": {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 2}},
+        {"kind": "swp", "name": "ticks",
+         "sweep": {"parameter": "boost", "start": 0.05, "stop": 0.1, "count": 2}},
+    ],
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_cli_holds_the_reports_of_one_job_at_a_time(monkeypatch, tmp_path, threads):
+    # Every report made is registered; at each file write, after a collection,
+    # the reports still alive are those of the job being written and, on a
+    # pool, of the `threads` jobs after it that may already be running.
+    alive = weakref.WeakSet()
+
+    class Tracked(RunReport):
+        __hash__ = object.__hash__
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.add(self)
+
+    path = _write_config(tmp_path / "jobs.json", JOBS_CONFIG)
+    jobs = [names for spec in load_config(path).scenarios for names, _, _ in spec.jobs]
+    job_of = {name: k for k, names in enumerate(jobs) for name in names}
+    held = []
+
+    def recorded(self, path, text):
+        gc.collect()
+        held.append((job_of[self.name], sorted(report.name for report in alive)))
+        RunReport.write_json(self, path, text)
+
+    monkeypatch.setattr(runners_module, "RunReport", Tracked)
+    monkeypatch.setattr(Tracked, "write_json", recorded)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out), "--threads", str(threads),
+                 "--format", "json"]) == 0
+    assert [k for k, _ in held] == [job_of[name] for names in jobs for name in names]
+    window = 1 if threads == 1 else threads + 1
+    for k, names in held:
+        assert set(jobs[k]) <= set(names), (k, names)
+        assert {job_of[name] for name in names} <= set(range(k, k + window)), (k, names)
 
 
 def test_timings_stay_out_of_stdout_and_files(tmp_path, base_config, capsys):
@@ -1165,17 +1218,27 @@ def test_a_bad_run_flag_is_refused_before_the_config_is_loaded(
     assert f"config error: {message}\n" in capsys.readouterr().err
 
 
-def test_a_missing_out_dir_is_made_with_its_parents_after_the_runs(
+def test_a_missing_out_dir_is_made_with_its_parents_at_the_first_write(
         monkeypatch, base_config, tmp_path):
-    def checked(*args, **kwargs):
-        assert not (tmp_path / "new").exists()
-        return run_config(*args, **kwargs)
+    out = tmp_path / "new" / "deeper"
+    made = []
+
+    def checked(*args, emit, **kwargs):
+        def recorded(outcome):
+            made.append(out.exists())
+            emit(outcome)
+            made.append(out.exists())
+        return run_config(*args, emit=recorded, **kwargs)
 
     monkeypatch.setattr(cli_module, "run_config", checked)
-    out = tmp_path / "new" / "deeper"
     assert main(["run", base_config, "--out-dir", str(out)]) == 0
+    assert made == [False, True, True, True]
     assert sorted(p.name for p in out.iterdir()) == [
         "boost-entangles.csv", "boost-entangles.json", "round-trip.csv", "round-trip.json"]
+    # An unknown tolerance key is refused after the load, before any job runs.
+    other = tmp_path / "other" / "deeper"
+    assert main(["run", base_config, "--out-dir", str(other), "--tolerance", "no_such=1"]) == 2
+    assert not (tmp_path / "other").exists()
 
 
 def test_a_zero_tolerance_is_allowed():
@@ -1266,21 +1329,54 @@ def test_a_packet_that_drifts_to_the_edge_fails_edge_mass_and_every_run_is_writt
     assert edge["tolerance"] == 1e-12
 
 
-def test_an_unexpected_engine_exception_exits_3_and_writes_no_file(
+def test_an_unexpected_engine_exception_exits_3_and_writes_only_the_other_runs(
         monkeypatch, tmp_path, capsys):
-    # Exit 3 is left for exceptions no check anticipates: nothing is written,
-    # not even the run that passed, and stderr names the run that raised.
+    # Exit 3 is left for exceptions no check anticipates.  The job that raised
+    # writes no file, every other job is run and written, and stderr names the
+    # run that raised, at every thread count.
     def broken(*args, **kwargs):
         raise RuntimeError("broken engine")
 
     monkeypatch.setattr(runners_module, "accelerated_frame_trotter", broken)
-    path = _write_config(tmp_path / "drift.json", DRIFT_CONFIG)
-    out = tmp_path / "results"
-    for threads in ("1", "2"):
-        assert main(["run", path, "--out-dir", str(out), "--threads", threads]) == 3
-        err = capsys.readouterr().err
-        assert "engine error: RuntimeError: broken engine (run 'drifts-out')" in err
-    assert not out.exists()
+    after = {"kind": "entanglement-demo", "name": "after"}
+    config = {**DRIFT_CONFIG, "scenarios": [*DRIFT_CONFIG["scenarios"], after]}
+    path = _write_config(tmp_path / "drift.json", config)
+    files, stdouts = {}, {}
+    for threads in (1, 2):
+        out = tmp_path / f"results-{threads}"
+        assert main(["run", path, "--out-dir", str(out), "--threads", str(threads)]) == 3
+        stdouts[threads], err = capsys.readouterr()
+        assert [line for line in err.splitlines() if not line.startswith("elapsed: ")] == [
+            "engine error: RuntimeError: broken engine (run 'drifts-out')"]
+        files[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert sorted(files[1]) == ["after.csv", "after.json", "fine.csv", "fine.json"]
+    assert files[1] == files[2]
+    assert stdouts[1] == stdouts[2]
+    assert stdouts[1].endswith("all 2 run(s) passed\n"
+                               "1 job(s) raised an engine error and wrote no files\n")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_every_job_that_raises_has_its_own_engine_error_line_in_config_order(
+        monkeypatch, tmp_path, capsys, threads):
+    def broken(state, boost, **kwargs):
+        raise RuntimeError(f"broken at boost {boost!r}")
+
+    monkeypatch.setattr(runners_module, "impulsive_boost_limit", broken)
+    sweep = {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 3}
+    path = _write_config(tmp_path / "jobs.json", {"schema_version": 1, "scenarios": [
+        {"kind": "impulse-boost", "name": "kick", "sweep": sweep},
+        {"kind": "twin-velocity", "name": "fine"},
+        {"kind": "impulse-boost", "name": "last", "params": {"boost": 0.03}}]})
+    out = tmp_path / "out"
+    assert main(["run", path, "--out-dir", str(out), "--threads", threads]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if not line.startswith("elapsed: ")] == [
+        "engine error: RuntimeError: broken at boost 0.01 (run 'kick-0')",
+        "engine error: RuntimeError: broken at boost 0.015 (run 'kick-1')",
+        "engine error: RuntimeError: broken at boost 0.02 (run 'kick-2')",
+        "engine error: RuntimeError: broken at boost 0.03 (run 'last')"]
+    assert sorted(p.name for p in out.iterdir()) == ["fine.csv", "fine.json"]
 
 
 @pytest.mark.parametrize(("momentum", "first"), [(0.31, "strict-0"), (0.3, "strict-2")])

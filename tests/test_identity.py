@@ -1,4 +1,5 @@
-"""tools/identity.py: a parent revision against the working tree, byte for byte.
+"""tools/identity.py: a parent revision against the working tree, or against
+a second revision, byte for byte.
 
 The parent here is a commit of this tree without its edge_mass checks, and
 the working tree puts them back, as a change that adds a check does.
@@ -54,3 +55,12 @@ def test_identity_shows_an_added_check_and_that_nothing_else_changed(repo):
     assert lines == ["same quick-demo.json validate",
                      "same quick-demo.json run --threads 1 (2 check rows dropped)",
                      "same quick-demo.json run --threads 2 (2 check rows dropped)"]
+
+
+def test_identity_compares_a_second_revision_in_place_of_the_working_tree(repo):
+    # HEAD against HEAD: the working tree's edge_mass checks take no part.
+    code, lines = _identity(repo, "--change", "HEAD")
+    assert code == 0
+    assert lines == ["same quick-demo.json validate",
+                     "same quick-demo.json run --threads 1",
+                     "same quick-demo.json run --threads 2"]

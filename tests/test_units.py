@@ -54,6 +54,13 @@ def test_check_epsilons_rejects_large_internal_energies():
         check_epsilons([0.2])  # the bound itself is excluded
 
 
+@pytest.mark.parametrize("epsilons", [[float("nan")], [0.1, float("nan")], [float("nan"), 0.1]])
+def test_check_epsilons_refuses_a_nan_level(epsilons):
+    # NaN compares false both ways, so `nan >= EPS_MAX` would let it through.
+    with pytest.raises(RegimeError, match="internal energy ratio nan"):
+        check_epsilons(epsilons)
+
+
 def test_check_phases_raises_for_the_first_run_past_the_cap():
     check_phases([0.0, -1e6, 1e6])  # the cap itself is allowed
     with pytest.raises(RegimeError, match="mod-2pi safety cap") as exc:

@@ -1,16 +1,19 @@
-"""Compare what a parent revision and the working tree print and write, byte for byte.
+"""Compare what a parent revision and a change print and write, byte for byte.
 
-    python tools/identity.py --parent REV [--without-check NAME ...] [--config PATH ...]
+    python tools/identity.py --parent REV [--change REV] [--without-check NAME ...]
+                             [--config PATH ...]
 
-The parent is exported with `git archive` into a temporary directory, so the
-repository's .git is only read.  The configs are those of the working tree:
+The change is the working tree, or with `--change` a second revision.  Each
+revision is exported with `git archive` into a temporary directory, so the
+repository's .git is only read.  The configs are those of the change:
 `configs/*.json` and the `suite` and `fanout` benchmark configs of seeds 1 to
-3, which `perfbench/workloads.py` generates; `--config` replaces that list.
-For each config, both trees run `qclocksim validate` and `qclocksim run
---format both` at `--threads` 1 and 2, and their exit codes, stdout, stderr
-without its `elapsed:` line and every result file are compared.  `--without-check NAME` drops the check rows named NAME
-from the working tree's JSON files and stdout before the comparison, so a
-change that adds a check can show that it changed nothing else.
+3, which its `perfbench/workloads.py` generates; `--config` replaces that
+list.  For each config, both trees run `qclocksim validate` and `qclocksim
+run --format both` at `--threads` 1 and 2, and their exit codes, stdout,
+stderr without its `elapsed:` line and every result file are compared.
+`--without-check NAME` drops the check rows named NAME from the change's
+JSON files and stdout before the comparison, so a change that adds a check
+can show that it changed nothing else.
 
 One line is printed per comparison; the first difference is printed with its
 file and line, and the tool exits 1.
@@ -40,11 +43,11 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def generated_configs(dest: Path) -> list:
-    """The suite and fanout configs of each seed, written as JSON into dest."""
+def generated_configs(tree: Path, dest: Path) -> list:
+    """The suite and fanout configs of each seed that tree generates, written as JSON into dest."""
     dest.mkdir()
     sys.dont_write_bytecode = True
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path.insert(0, str(tree / "perfbench"))
     import workloads
 
     paths = []
@@ -124,8 +127,10 @@ def compare(label: str, parent: tuple, change: tuple) -> str | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
+    parser.add_argument("--change", metavar="REV",
+                        help="compare this revision instead of the working tree")
     parser.add_argument("--without-check", action="append", default=[], metavar="NAME",
-                        help="drop this check's rows from the working tree's results")
+                        help="drop this check's rows from the change's results")
     parser.add_argument("--config", action="append", type=Path, metavar="PATH",
                         help="compare on this config only (repeatable)")
     args = parser.parse_args(argv)
@@ -133,9 +138,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="identity-") as scratch:
         scratch = Path(scratch)
         export(args.parent, scratch / "parent")
+        tree = ROOT
+        if args.change:
+            tree = scratch / "change"
+            export(args.change, tree)
         configs = ([path.resolve() for path in args.config] if args.config
-                   else sorted((ROOT / "configs").glob("*.json"))
-                   + generated_configs(scratch / "configs"))
+                   else sorted((tree / "configs").glob("*.json"))
+                   + generated_configs(tree, scratch / "configs"))
         for i, config in enumerate(configs):
             for threads in (None, 1, 2):
                 if threads is None:
@@ -146,7 +155,7 @@ def main(argv=None) -> int:
                 parent_out, change_out = (threads and scratch / f"out-{side}" / f"{i}-{threads}"
                                           for side in ("parent", "change"))
                 parent = run(scratch / "parent", command, parent_out)
-                change, dropped = without_checks(run(ROOT, command, change_out), names)
+                change, dropped = without_checks(run(tree, command, change_out), names)
                 difference = compare(f"{config.name} {label}", parent, change)
                 if difference:
                     print(f"DIFF {difference}")
