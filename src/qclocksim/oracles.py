@@ -78,13 +78,13 @@ def closed_form_phase(kind: SequenceKind, spectrum: InternalSpectrum, boost: flo
     return motional + g - 2.0 * duration * np.asarray(spectrum.epsilons)[..., level] * d
 
 
-def lorentz_gamma(kind: SequenceKind, spectrum: InternalSpectrum, boost, level: int):
-    """Lorentz factor of branch `level` after the sequence's first kick: a
-    velocity kick gives every branch the same speed, a momentum kick gives
-    branch n the speed p_b / M_n."""
+def lorentz_gamma(kind: SequenceKind, spectrum: InternalSpectrum, boost, level):
+    """Lorentz factor of a branch, or an array of branches, after the
+    sequence's first kick: a velocity kick gives every branch the same speed,
+    a momentum kick gives branch n the speed p_b / M_n."""
     # float_power is libm pow, as a float's ** is; numpy's ** 2 squares.
     return np.sqrt(1.0 + np.float_power(boost, 2) / (
-        np.float_power(spectrum.mass(level), 2) if kind is SequenceKind.MOMENTUM else 1.0
+        np.float_power(spectrum.masses[..., level], 2) if kind is SequenceKind.MOMENTUM else 1.0
     ))
 
 

@@ -101,6 +101,11 @@ class RunReport:
     def passed(self) -> bool:
         return all(check["passed"] for check in self.checks)
 
+    def add_rows(self, **columns) -> None:
+        """One row per index of the equally long columns, keyed in argument order."""
+        for values in zip(*columns.values(), strict=True):
+            self.rows.append(dict(zip(columns, values)))
+
     def add_check(self, name: str, passed: bool, value, tolerance, detail: str = "") -> None:
         self.checks.append({"name": name, "passed": bool(passed), "value": float(value),
                             "tolerance": float(tolerance), "detail": detail})

@@ -14,12 +14,14 @@ verdict.  `run_scenario` makes one RunReport per run of a job, and the kind's
 runner fills them with rows and grades them against the kind's tolerances.
 Runners never print or write files; the CLI layer owns all I/O.  --threads N
 runs the jobs on a pool of N threads, at most N + 1 jobs started and not yet
-handed back.  Only `eigh`-bound runs (ion lineshapes, grid evolutions) scale
-with N: the Python loops of grid split steps, SWP tick refinement and report
-building hold the GIL.  `import qclocksim` sets BLAS to one thread per process,
-and results are bit-identical whatever N or the core count; each job's reports
-are handed back in config order regardless of thread timing, to a caller's
-`emit` as soon as the job and every job before it have finished.
+handed back.  Only the `eigh` calls of ion lineshapes and grid evolutions
+release the GIL, and on two cores the ten-run benchmark suite is no faster at
+N = 2 than at N = 1: the Python loops of grid split steps, SWP tick
+refinement and report building hold the GIL.  `import qclocksim` sets BLAS to
+one thread per process, and results are bit-identical whatever N or the core
+count; each job's reports are handed back in config order regardless of
+thread timing, to a caller's `emit` as soon as the job and every job before it
+have finished.
 """
 
 from __future__ import annotations
@@ -153,6 +155,11 @@ def _require_level_dependent(factors: np.ndarray) -> None:
                          "or spacing")
 
 
+def _require_two_epsilons(epsilons: list) -> None:
+    """A twin grades the dilation of each level above the ground, which anchors the phase."""
+    require_two_levels(len(epsilons))
+
+
 def _positive(name: str) -> Callable:
     return partial(require_positive, name)
 
@@ -201,27 +208,25 @@ def _run_twin(sequence: SequenceKind, reports: list, runs: list, plan: tuple, to
     residual = np.max(np.abs(np.exp(1j * (result.phases - closed)) - 1.0), axis=-1).tolist()
     expected = probe.with_amplitudes(probe.amplitudes * np.exp(1j * closed))
     fidelity = fidelity_deviation(expected, result.final_state).tolist()
+    measured = result.global_phase.tolist()
     phase_closed = np.ravel(closed_global_phase(sequence, spectrum, b, t, translation)).tolist()
-    shape = (len(runs), spectrum.dim)
-    epsilons = np.broadcast_to(spectrum.epsilons, shape).tolist()
-    masses = np.broadcast_to(spectrum.masses, shape).tolist()
+    # (runs, levels) tables of the measured levels, each closed form evaluated once.
+    # They are made one at a time as flat lists, and run r reads the slice `at`:
+    # nested per-run lists raise the peak memory of a large sweep.
     levels = sorted(result.level_factors)
-    factors = {n: result.level_factors[n].tolist() for n in levels}
-    closed_factors = {n: np.ravel(closed_dilation_factor(sequence, spectrum, b, [n], branchwise))
-                      .tolist() for n in levels}
-    gammas = {n: np.ravel(lorentz_gamma(sequence, spectrum, b, n)).tolist() for n in levels}
+    k = len(levels)
+    def flat(table):
+        return np.broadcast_to(table, (len(runs), k)).ravel().tolist()
+    epsilons = flat(np.asarray(spectrum.epsilons)[..., levels])
+    masses = flat(spectrum.masses[..., levels])
+    factors = flat(np.transpose([result.level_factors[n] for n in levels]))
+    closed_factors = flat(closed_dilation_factor(sequence, spectrum, b, levels, branchwise))
+    gammas = flat(lorentz_gamma(sequence, spectrum, b, levels))
     for r, report in enumerate(reports):
-        for level in levels:
-            report.rows.append(
-                {
-                    "level": level,
-                    "epsilon": epsilons[r][level],
-                    "mass": masses[r][level],
-                    "dilation_factor": factors[level][r],
-                    "closed_form_factor": closed_factors[level][r],
-                    "gamma": gammas[level][r],
-                }
-            )
+        at = slice(r * k, r * k + k)
+        report.add_rows(level=levels, epsilon=epsilons[at], mass=masses[at],
+                        dilation_factor=factors[at], closed_form_factor=closed_factors[at],
+                        gamma=gammas[at])
         report.add_bound(
             "identity_residual", residual[r], tol["identity_residual"],
             "max phase residual against the closed form, per component",
@@ -230,8 +235,7 @@ def _run_twin(sequence: SequenceKind, reports: list, runs: list, plan: tuple, to
             "closed_form_fidelity", fidelity[r],
             tol["closed_form_fidelity"], "|<closed form|sequence output> - 1|",
         )
-        global_phase = float(result.global_phase[r])
-        global_phase_closed = phase_closed[r]
+        global_phase, global_phase_closed = measured[r], phase_closed[r]
         if sequence is SequenceKind.VELOCITY_OBSERVER:
             report.add_check(
                 "observer_global_phase_negative",
@@ -248,9 +252,9 @@ def _run_twin(sequence: SequenceKind, reports: list, runs: list, plan: tuple, to
 def _twin(sequence: SequenceKind, boost: float, **params) -> Kind:
     return Kind(
         params={
-            "levels": ParamSpec(int, 2, check=_positive("levels")),
+            "levels": ParamSpec(int, 2, check=require_two_levels),
             "spacing": ParamSpec(float, 0.1, sweepable=True, check=_positive("spacing")),
-            "epsilons": ParamSpec(list[float], None),
+            "epsilons": ParamSpec(list[float], None, check=_require_two_epsilons),
             "boost": ParamSpec(float, boost, sweepable=True, check=_require_drive),
             "duration": ParamSpec(float, 2.0, sweepable=True, check=_positive("duration")),
             "probe_momenta": ParamSpec(list[float], (0.0, 0.1)),
@@ -284,16 +288,10 @@ def _run_swp(reports: list, runs: list, plan: tuple, tol: dict) -> None:
     tau = clock.tau
     window = params["window_in_tau"]
     scan = find_effective_ticks(clock, profile, window, params["resolution_in_tau"])
-    ticks = len(scan.tick_times)
-    for i, (t, v) in enumerate(zip(scan.tick_times, scan.tick_variances)):
-        report.rows.append(
-            {
-                "tick_index": i,
-                "tick_time": t,
-                "tick_time_in_tau": t / tau,
-                "variance_in_tau2": v / (tau * tau),
-            }
-        )
+    ticks, variance = len(scan.tick_times), scan.tick_variances / (tau * tau)
+    report.add_rows(tick_index=range(ticks), tick_time=scan.tick_times.tolist(),
+                    tick_time_in_tau=(scan.tick_times / tau).tolist(),
+                    variance_in_tau2=variance.tolist())
     enough = ticks >= 2
     if enough:
         spacing = float(np.mean(np.diff(scan.tick_times)))
@@ -309,7 +307,7 @@ def _run_swp(reports: list, runs: list, plan: tuple, tol: dict) -> None:
     )
     # A classical profile claims full rephasing, the nonclassical one its loss.
     if params["profile"] != "momentum-nonclassical":
-        worst = float(np.max(scan.tick_variances / (tau * tau))) if enough else float("inf")
+        worst = float(np.max(variance)) if enough else float("inf")
         report.add_bound(
             "tick_variance_in_tau2", worst, tol["tick_variance_in_tau2"],
             "uniform dilation must rephase the pointer completely",
@@ -321,7 +319,7 @@ def _run_swp(reports: list, runs: list, plan: tuple, tol: dict) -> None:
             "tick spacing times the uniform factor must equal tau",
         )
     else:
-        floor = float(np.min(scan.tick_variances / (tau * tau))) if enough else float("-inf")
+        floor = float(np.min(variance)) if enough else float("-inf")
         report.add_check(
             "tick_variance_positive",
             floor > 0.0,
@@ -359,8 +357,7 @@ def _run_ion(reports: list, runs: list, plan: tuple, tol: dict) -> None:
     [report], [params], (model, oracle) = reports, runs, plan
     scan = spectroscopy_scan(model, oracle.carrier_shift, points=params["points"],
                              span_factor=params["span_factor"])
-    for detuning, excitation in zip(scan.detunings, scan.excitation):
-        report.rows.append({"detuning": detuning, "excitation": excitation})
+    report.add_rows(detuning=scan.detunings.tolist(), excitation=scan.excitation.tolist())
     report.notes.append(
         f"oracle carrier shift {oracle.carrier_shift!r}, extracted peak {scan.peak_detuning!r}"
     )
@@ -435,14 +432,8 @@ def _run_trotter(reports: list, runs: list, state: GridState, tol: dict) -> None
         state, params["acceleration"], params["duration"], steps=params["steps"]
     )
     ratios = result.errors[:-1] / result.errors[1:]
-    for i, (n, err) in enumerate(zip(result.steps, result.errors)):
-        report.rows.append(
-            {
-                "steps": int(n),
-                "error": err,
-                "ratio_to_next": ratios[i] if i < len(ratios) else float("nan"),
-            }
-        )
+    report.add_rows(steps=result.steps.tolist(), error=result.errors.tolist(),
+                    ratio_to_next=[*ratios.tolist(), float("nan")])
     report.add_range(
         "halving_ratios_in_range", ratios, tol["halving_ratio_low"], tol["halving_ratio_high"],
         f"error(n)/error(2n) ratios: {[float(r) for r in ratios]}",
@@ -462,12 +453,9 @@ def _run_impulse(reports: list, runs: list, state: GridState, tol: dict) -> None
         dt_schedule=params["dt_schedule"],
         internal_coupled=params["internal_coupled"],
     )
-    for dt, dv, dp in zip(
-        result.durations, result.deviation_velocity, result.deviation_momentum
-    ):
-        report.rows.append(
-            {"duration": dt, "deviation_velocity": dv, "deviation_momentum": dp}
-        )
+    report.add_rows(duration=result.durations.tolist(),
+                    deviation_velocity=result.deviation_velocity.tolist(),
+                    deviation_momentum=result.deviation_momentum.tolist())
     target, other = (("velocity", "momentum") if params["internal_coupled"]
                      else ("momentum", "velocity"))
     deviation = {"velocity": result.deviation_velocity, "momentum": result.deviation_momentum}
@@ -489,12 +477,12 @@ def _add_edge_mass(report: RunReport, edge_mass: float) -> None:
                      f"{EDGE_SITES} sites of the box edge over every evolution")
 
 
-def _grid_params(**params) -> dict:
+def _grid_params(levels: Callable, **params) -> dict:
     return {
         **params,
         "box_length": ParamSpec(float, 64.0, check=_positive("box_length")),
         "sigma": ParamSpec(float, 3.5, check=_positive("sigma")),
-        "levels": ParamSpec(int, 2, check=_positive("levels")),
+        "levels": ParamSpec(int, 2, check=levels),
         "spacing": ParamSpec(float, 0.1, check=_positive("spacing")),
     }
 
@@ -509,10 +497,10 @@ def _plan_entanglement(runs: list, at) -> tuple:
 def _run_entanglement(reports: list, runs: list, plan: tuple, tol: dict) -> None:
     spectrum, demo = plan
     max_entropy = math.log(spectrum.dim)
-    before = demo.entropy_before
+    before, ceiling = demo.entropy_before, (max_entropy, max_entropy)
     for report, after in zip(reports, demo.entropy_after.tolist()):
-        report.rows.append({"stage": "before-boost", "entropy": before, "ceiling": max_entropy})
-        report.rows.append({"stage": "after-boost", "entropy": after, "ceiling": max_entropy})
+        report.add_rows(stage=("before-boost", "after-boost"), entropy=(before, after),
+                        ceiling=ceiling)
         report.add_bound(
             "entropy_before_zero", abs(before), tol["entropy_abs"],
             "a product state has zero internal-motional entanglement",
@@ -574,6 +562,7 @@ KINDS = {
     ),
     "trotter-accel": Kind(
         params=_grid_params(
+            _positive("levels"),
             acceleration=ParamSpec(float, 0.02, sweepable=True, check=_require_drive),
             duration=ParamSpec(float, 2.0, sweepable=True, check=_positive("duration")),
             steps=ParamSpec(list[int], (32, 64, 128, 256, 512), check=_require_doubling_steps),
@@ -584,7 +573,9 @@ KINDS = {
         plan=_plan_trotter, run=_run_trotter,
     ),
     "impulse-boost": Kind(
+        # With one level M_0 = 1, so the velocity and momentum boosts coincide.
         params=_grid_params(
+            require_two_levels,
             boost=ParamSpec(float, 0.01, sweepable=True, check=_require_drive),
             dt_schedule=ParamSpec(list[float], (1e-1, 1e-2, 1e-3, 1e-4),
                                   check=_require_decade_durations),

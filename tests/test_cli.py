@@ -330,8 +330,8 @@ def test_epsilon_at_the_guard_limit_is_refused_at_validation(tmp_path, capsys):
     "params, key, message",
     [({"epsilons": [0.0, 0.1, 0.05]}, "epsilons", "levels must increase strictly"),
      ({"spacing": -0.1}, "spacing", "spacing must be positive, got -0.1"),
-     ({"levels": 0}, "levels", "levels must be positive, got 0"),
-     ({"levels": 1, "spacing": 0.0}, "spacing", "spacing must be positive, got 0.0"),
+     ({"levels": 0}, "levels", "at least two levels are needed, got 0"),
+     ({"levels": 1, "spacing": 0.0}, "levels", "at least two levels are needed, got 1"),
      ({"levels": 3, "spacing": 0.1}, "spacing", "internal energy ratio 0.2 >= eps_max")],
     ids=["unsorted-epsilons", "negative-spacing", "no-levels", "one-level-no-spacing",
          "ladder-at-the-guard-limit"],
@@ -339,8 +339,8 @@ def test_epsilon_at_the_guard_limit_is_refused_at_validation(tmp_path, capsys):
 def test_a_spectrum_the_engine_refuses_is_refused_at_validation(
     tmp_path, capsys, params, key, message
 ):
-    # A one-level ladder has no gap for its spacing to set, but a spacing is
-    # positive whatever the level count, as the library's ladder_spectrum holds.
+    # A twin grades the dilation of every level above the ground level, so a
+    # one-level ladder is refused at its level count before its spacing is read.
     config = {
         "schema_version": 1,
         "scenarios": [{"kind": "twin-momentum", "name": "bad", "params": params}],
@@ -708,9 +708,16 @@ def test_an_swp_profile_that_reads_its_boost_refuses_a_zero_one(tmp_path, capsys
      ("swp", {}, {"parameter": "boost", "start": 0.1, "stop": 1e-8, "count": 2}, "boost",
       "bad-1", "every level dilates by 1.0 in float"),
      ("ion-spectroscopy", {"transition_energy": 1e-20}, None, "transition_energy", "bad",
-      "the predicted line shift rounds to 0.0")],
+      "the predicted line shift rounds to 0.0"),
+     ("twin-velocity", {"levels": 1}, None, "levels", "bad",
+      "at least two levels are needed, got 1"),
+     ("twin-momentum", {"epsilons": [0.0]}, None, "epsilons", "bad",
+      "at least two levels are needed, got 1"),
+     ("impulse-boost", {"levels": 1}, None, "levels", "bad",
+      "at least two levels are needed, got 1")],
     ids=["steps-not-doubling", "dt-not-decades", "swp-boost", "swp-spacing", "swp-boost-sweep",
-         "ion-shift-rounds-to-zero"],
+         "ion-shift-rounds-to-zero", "twin-one-level", "twin-one-epsilon",
+         "impulse-one-level"],
 )
 def test_an_input_whose_claim_cannot_be_graded_is_refused_at_validation(
     tmp_path, capsys, kind, params, sweep, key, run, message
@@ -718,8 +725,11 @@ def test_an_input_whose_claim_cannot_be_graded_is_refused_at_validation(
     # Each runner grades its kind's claim on every run: the halving ratios of
     # a doubling schedule, the shrink per decade of dt, for a
     # momentum-nonclassical clock the residual variance of factors that
-    # differ, and for an ion with a transition energy the line shift relative
-    # to the oracle's.  An input that the claim cannot be graded on is refused.
+    # differ, for an ion with a transition energy the line shift relative to
+    # the oracle's, for a twin the dilation of each level above the ground
+    # level, and for an impulse the gap between the velocity and momentum
+    # boosts, which coincide on one level of mass 1.  An input that the claim
+    # cannot be graded on is refused.
     scenario = {"kind": kind, "name": "bad", "params": params}
     if sweep is not None:
         scenario["sweep"] = sweep

@@ -12,9 +12,10 @@ A job's engine objects are built once, by its plan at load: no runner in
 `runners` calls a constructor that the plans call.  A twin or entanglement
 job is measured once too, by its plan through the engine's entry point, so
 no runner calls a sequence engine and a loaded config runs with those entry
-points gone.  `runners` owns the job: `config` calls no plan and reads no
-kind's `batches` or parameter `check`, and `run_config` runs the stored jobs
-without expanding any run.  Which momenta a grid run reaches is the grid
+points gone.  Every runner makes its rows through `RunReport.add_rows`.
+`runners` owns the job: `config` calls no plan and reads no kind's `batches`
+or parameter `check`, and `run_config` runs the stored jobs without
+expanding any run.  Which momenta a grid run reaches is the grid
 engines' rule, so `runners` does no grid-kick arithmetic of its own.
 
 Nothing in `src/` is dead: an imported name is used in its module, a
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from qclocksim import load_config, run_config, runners
+from qclocksim import load_config, parse_config, run_config, runners
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qclocksim"
 ENGINES = ("units", "errors", "spectrum", "states", "operators", "sequences", "grid",
@@ -81,14 +82,19 @@ def test_an_engine_module_does_not_read_the_oracles(engine):
     assert ORACLES not in _imported_modules(engine)
 
 
-def _runner_calls() -> set:
-    """(runner, called name) for each call in a `_run_*` function of `runners`."""
+def _runners() -> list:
+    """The `_run_*` functions of `runners`."""
     tree = ast.parse((PACKAGE / "runners.py").read_text(encoding="utf-8"))
     functions = [node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
     assert len(functions) == 6
+    return functions
+
+
+def _runner_calls() -> set:
+    """(runner, called name) for each call in a `_run_*` function of `runners`."""
     return {(runner.name, getattr(node.func, "id", getattr(node.func, "attr", None)))
-            for runner in functions for node in ast.walk(runner) if isinstance(node, ast.Call)}
+            for runner in _runners() for node in ast.walk(runner) if isinstance(node, ast.Call)}
 
 
 def test_no_runner_calls_a_plan_time_constructor():
@@ -97,6 +103,34 @@ def test_no_runner_calls_a_plan_time_constructor():
 
 def test_no_runner_calls_a_sequence_engine():
     assert {(runner, name) for runner, name in _runner_calls() if name in SEQUENCE_ENGINE} == set()
+
+
+def test_every_runner_fills_its_rows_through_the_one_row_builder():
+    # `RunReport.add_rows` makes one row per index of equally long columns,
+    # keyed in argument order; no runner appends or extends `report.rows`.
+    functions = _runners()
+    assert {runner.name for runner in functions for node in ast.walk(runner)
+            if isinstance(node, ast.Attribute) and node.attr == "rows"} == set()
+    assert {runner for runner, name in _runner_calls() if name == "add_rows"} == {
+        runner.name for runner in functions}
+
+
+@pytest.mark.parametrize("kind", ["twin-momentum", "twin-velocity", "twin-observer"])
+def test_a_twin_job_evaluates_each_per_level_closed_form_once(monkeypatch, kind):
+    # Three runs of four levels: the factor and gamma columns of every run and
+    # level come from one call each, not one per level.
+    sweep = {"parameter": "boost", "start": 0.01, "stop": 0.02, "count": 3}
+    config = parse_config({"schema_version": 1, "scenarios": [
+        {"kind": kind, "params": {"levels": 4, "spacing": 0.05}, "sweep": sweep}]})
+    calls = []
+    for name in ("closed_dilation_factor", "lorentz_gamma"):
+        def counted(*args, _name=name, _form=getattr(runners, name), **kwargs):
+            calls.append(_name)
+            return _form(*args, **kwargs)
+        monkeypatch.setattr(runners, name, counted)
+    reports = run_config(config)
+    assert [len(report.rows) for report in reports] == [3, 3, 3]
+    assert sorted(calls) == ["closed_dilation_factor", "lorentz_gamma"]
 
 
 def test_runners_import_nothing_from_the_operators():

@@ -138,6 +138,18 @@ def test_a_failing_range_check_reports_the_bound_it_broke():
     assert "  FAIL high: value=2.5 tolerance=2.4" in report.summary_lines()
 
 
+def test_rows_are_made_from_equally_long_columns_keyed_in_argument_order():
+    report = RunReport(scenario="s", name="r", parameters={})
+    report.add_rows(zeta=range(2), alpha=(0.5, 1.5), mid=["a", "b"])
+    report.add_rows(zeta=[], alpha=[], mid=[])
+    assert report.rows == [{"zeta": 0, "alpha": 0.5, "mid": "a"},
+                           {"zeta": 1, "alpha": 1.5, "mid": "b"}]
+    assert [list(row) for row in report.rows] == [["zeta", "alpha", "mid"]] * 2
+    assert report.csv_text() == "zeta,alpha,mid\n0,0.5,a\n1,1.5,b\n"
+    with pytest.raises(ValueError):
+        report.add_rows(zeta=[2], alpha=[2.5, 3.5])
+
+
 @pytest.mark.parametrize("config", ["boost-sweep", "full-suite"])
 def test_every_written_result_json_is_the_bytes_of_json_dumps_and_holds_a_check(
     tmp_path, capsys, config

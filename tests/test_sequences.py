@@ -375,10 +375,10 @@ def _closed_forms(kind, spec, boost, duration, probe, translation_level=None,
                                    translation_level, state_dependent_translation),
         "global_phase": closed_global_phase(kind, spec, boost, duration, translation_level),
     }
-    for n in (1, 2):
-        forms[f"factor_{n}"] = closed_dilation_factor(kind, spec, boost, [n],
-                                                      state_dependent_translation)
-        forms[f"gamma_{n}"] = lorentz_gamma(kind, spec, boost, n)
+    # Each per-level closed form once, over the levels the probe measures.
+    forms["factors"] = closed_dilation_factor(kind, spec, boost, [1, 2],
+                                              state_dependent_translation)
+    forms["gammas"] = lorentz_gamma(kind, spec, boost, [1, 2])
     return forms
 
 
