@@ -1,7 +1,6 @@
 """Command-line interface.
 
-    qclocksim run CONFIG [--out-dir DIR] [--format csv|json|both]
-                         [--threads N] [--tolerance KEY=VALUE ...]
+    qclocksim run CONFIG [--out-dir DIR] [--format csv|json|both] [--threads N]
     qclocksim validate CONFIG
     qclocksim kinds
 
@@ -25,7 +24,7 @@ import os
 import sys
 import time
 
-from .config import coerce_tolerance, load_config
+from .config import load_config
 from .errors import ConfigError
 from .runners import KINDS, run_config
 
@@ -40,17 +39,6 @@ EXIT_ENGINE = 3
 # workload (2 shared vCPUs), writing each report's files right after rendering
 # them took 0.46-0.53 s of wall time, against 0.36-0.39 s in groups of 64.
 WRITE_GROUP_REPORTS = 64
-
-
-def _parse_tolerance(text: str) -> tuple:
-    key, sep, value = text.partition("=")
-    if not sep or not key:
-        raise ConfigError(f"--tolerance expects KEY=VALUE, got {text!r}")
-    try:
-        number = float(value)
-    except ValueError as exc:
-        raise ConfigError(f"--tolerance {key}: {value!r} is not a number") from exc
-    return key, coerce_tolerance(number, f"--tolerance {key}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,14 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "BLAS runs on one thread per process, so each worker uses one core and "
         "result files do not depend on the thread or core count",
     )
-    run.add_argument(
-        "--tolerance",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a named tolerance for every scenario that has it "
-        "(repeatable)",
-    )
 
     validate = sub.add_parser("validate", help="validate a config and exit")
     validate.add_argument("config", help="path to the JSON run configuration")
@@ -126,10 +106,9 @@ def _cmd_validate(path: str) -> int:
 
 def _cmd_run(args) -> int:
     # The flags are refused before the load, which measures every twin and
-    # entanglement job; an unknown tolerance key needs the loaded config.
+    # entanglement job.
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-    overrides = dict(_parse_tolerance(item) for item in args.tolerance)
     # The directory is made at the first write; refuse first a path that cannot become one.
     parent = args.out_dir
     while parent and not os.path.exists(parent):
@@ -162,7 +141,7 @@ def _cmd_run(args) -> int:
                 write(path, text)
 
     started = time.perf_counter()
-    run_config(config, threads=args.threads, tolerance_overrides=overrides, emit=emit)
+    run_config(config, threads=args.threads, emit=emit)
     elapsed = time.perf_counter() - started
     failed = verdicts.count(False)
     print(f"{failed} of {len(verdicts)} run(s) had failing checks" if failed

@@ -106,6 +106,8 @@ def _coerce(value, spec: ParamSpec, where: str):
             where,
             f"expected an integer, got {value!r}",
         )
+        # numpy takes every count, size and index as a 64-bit integer.
+        _require(-2**63 <= value < 2**63, where, f"expected a 64-bit integer, got {value!r}")
         return int(value)
     if spec.type is bool:
         _require(isinstance(value, bool), where, f"expected true/false, got {value!r}")
@@ -122,13 +124,6 @@ def _coerce(value, spec: ParamSpec, where: str):
     _require(isinstance(value, (list, tuple)), where, f"expected a list, got {value!r}")
     item = ParamSpec(spec.type.__args__[0], None)
     return tuple(_coerce(v, item, f"{where}[{i}]") for i, v in enumerate(value))
-
-
-def coerce_tolerance(value, where: str) -> float:
-    """A finite number that is not negative: every check bounds a non-negative quantity."""
-    number = _coerce(value, _NUMBER, where)
-    _require(number >= 0.0, where, f"must not be negative, got {value!r}")
-    return number
 
 
 def _apply_si(params: dict, si: dict, kind: str, where: str) -> dict:
@@ -201,7 +196,10 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
             f"{where}.tolerances.{key}",
             f"unknown tolerance for kind {kind!r}; valid: {sorted(tolerances)}",
         )
-        tolerances[key] = coerce_tolerance(value, f"{where}.tolerances.{key}")
+        # Every check bounds a quantity that is never negative.
+        tolerances[key] = _coerce(value, _NUMBER, f"{where}.tolerances.{key}")
+        _require(tolerances[key] >= 0.0, f"{where}.tolerances.{key}",
+                 f"must not be negative, got {value!r}")
 
     sweep = None
     if "sweep" in data:
@@ -224,6 +222,7 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
             f"{where}.sweep.count",
             f"expected an integer >= 2, got {count!r}",
         )
+        count = _coerce(count, ParamSpec(int, None), f"{where}.sweep.count")
         start, stop = (_coerce(raw[b], _NUMBER, f"{where}.sweep.{b}") for b in ("start", "stop"))
         sweep = Sweep(parameter=parameter, start=start, stop=stop, count=count)
     if "epsilons" in raw_params:

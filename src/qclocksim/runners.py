@@ -643,25 +643,15 @@ def run_scenario(kind: str, names: list, runs: list, plan, tolerances: dict) -> 
     return reports
 
 
-def run_config(config, threads: int = 1, tolerance_overrides: dict | None = None,
-               emit: Callable | None = None) -> list | None:
+def run_config(config, threads: int = 1, emit: Callable | None = None) -> list | None:
     """Run the jobs that the load planned, each from its plan, which the
-    engine only reads, and return reports in config order, or raise the first
-    failing job's exception.  With `emit`, return nothing: `emit` takes each
-    job's reports, or the exception it raised, in config order, and they are
-    let go when it returns, so a job that raises costs only its own reports."""
-    overrides = dict(tolerance_overrides or {})
-    known = {key for spec in config.scenarios for key in spec.tolerances}
-    unknown = set(overrides) - known
-    if unknown:
-        raise ConfigError(
-            f"tolerance overrides {sorted(unknown)} match no scenario in this "
-            f"config; known keys: {sorted(known)}"
-        )
-    jobs = []
-    for spec in config.scenarios:
-        tolerances = {key: overrides.get(key, value) for key, value in spec.tolerances.items()}
-        jobs += [(spec.kind, names, runs, plan, tolerances) for names, runs, plan in spec.jobs]
+    engine only reads, with its scenario's tolerances as loaded, and return
+    reports in config order, or raise the first failing job's exception.
+    With `emit`, return nothing: `emit` takes each job's reports, or the
+    exception it raised, in config order, and they are let go when it
+    returns, so a job that raises costs only its own reports."""
+    jobs = [(spec.kind, names, runs, plan, spec.tolerances)
+            for spec in config.scenarios for names, runs, plan in spec.jobs]
 
     def one(job):
         try:

@@ -74,4 +74,6 @@ def ladder_spectrum(dim: int, spacing: float) -> InternalSpectrum:
     """Equally spaced levels epsilon_n = n * spacing, n = 0 .. dim-1."""
     require_positive("dim", dim)
     require_positive("spacing", spacing)
+    # The top level is the largest: refuse it before a ladder of dim levels is built.
+    check_epsilons((dim - 1) * spacing)
     return make_spectrum([n * spacing for n in range(dim)])

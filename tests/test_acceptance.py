@@ -7,6 +7,7 @@ fixed seeds, and the CLI criterion compares output files byte for byte.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,11 @@ from qclocksim import (
     trace_chain,
 )
 from qclocksim.cli import main
+from qclocksim.config import RunConfig, load_config
 from qclocksim.oracles import swp_dilation_factors
+from qclocksim.runners import run_config
+
+FULL_SUITE = Path(__file__).resolve().parents[1] / "configs" / "full-suite.json"
 
 
 def test_criterion_01_momentum_sequence_identity():
@@ -263,3 +268,34 @@ def test_criterion_12_cli_output_is_byte_deterministic(tmp_path):
         assert (out_dirs[1] / name).read_bytes() == reference
         assert (out_dirs[2] / name).read_bytes() == reference
     assert time.perf_counter() - started < 10.0
+
+
+def test_criterion_13_momentum_boosts_miss_classical_time_dilation():
+    # The abstract's first claim, read from the twin rows of full-suite.json:
+    # a clock that moves at Lorentz factor gamma ticks at 1/gamma of the rest
+    # rate, and a clock at rest seen from the moving frame at gamma.
+    # Velocity and observer round trips show it up to fourth order:
+    # 1/gamma - d = 3 v^4 / 8 and gamma - d = -v^4 / 8, bounded here by v^4 / 2
+    # and v^4 / 4.  A momentum kick p gives branch n the speed p / M_n, and
+    # 1/gamma_n - d_n = p^2 eps_n / (2 M_n^2) + 3 (p / M_n)^4 / 8: a
+    # second-order gap that no classical speed gives, matched here to p^4 / 2.
+    started = time.perf_counter()
+    config = load_config(FULL_SUITE)
+    twins = [spec for spec in config.scenarios if spec.kind.startswith("twin-")]
+    reports = run_config(RunConfig(scenarios=twins))
+    assert sorted(report.scenario for report in reports) == [
+        "twin-momentum", "twin-observer", "twin-velocity"]
+    for report in reports:
+        boost = report.parameters["boost"]
+        assert report.rows
+        for row in report.rows:
+            d, gamma = row["dilation_factor"], row["gamma"]
+            if report.scenario == "twin-momentum":
+                gap = row["epsilon"] * boost ** 2 / (2.0 * row["mass"] ** 2)
+                assert gap > boost ** 4
+                assert abs(1.0 / gamma - d - gap) <= boost ** 4 / 2
+            elif report.scenario == "twin-velocity":
+                assert abs(1.0 / gamma - d) <= boost ** 4 / 2
+            else:
+                assert abs(gamma - d) <= boost ** 4 / 4
+    assert time.perf_counter() - started < 1.0

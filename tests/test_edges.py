@@ -2,8 +2,9 @@
 
 Each float or int parameter of each kind in `runners.KINDS` is set, alone, to
 each edge in turn: 0, the negated default (when the default is a nonzero
-number), NaN, Infinity and -Infinity.  The one-scenario config is run through
-`qclocksim run`.  tests/data/param_edges.json gives every case's outcome:
+number), NaN, Infinity and -Infinity, and for an int parameter 2**63, the
+first integer too wide for numpy's 64 bits.  The one-scenario config is run
+through `qclocksim run`.  tests/data/param_edges.json gives every case's outcome:
 exit 2 with the JSON path and a fragment of the refusal, or exit 0 or 1 with
 the check that decides it.  This is boundary-value analysis (Myers, The Art
 of Software Testing, 1979) driven from the schema: a parameter added to a
@@ -35,6 +36,8 @@ def _cases() -> list:
                 edges["-default"] = -spec.default
             edges.update({"NaN": float("nan"), "Infinity": float("inf"),
                           "-Infinity": float("-inf")})
+            if spec.type is int:
+                edges["2**63"] = 2 ** 63
             cases += [(kind, key, edge, value) for edge, value in edges.items()]
     return cases
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qclocksim import spectrum as spectrum_module
 from qclocksim.errors import RegimeError
 from qclocksim.spectrum import InternalSpectrum, ladder_spectrum, make_spectrum
 
@@ -46,6 +47,24 @@ def test_levels_must_strictly_increase():
 def test_guard_rejects_out_of_regime_spectrum():
     with pytest.raises(RegimeError):
         make_spectrum([0.0, 0.3])
+
+
+@pytest.mark.parametrize("dim", [30, 10 ** 6])
+def test_a_ladder_past_the_regime_bound_is_refused_before_its_levels_are_built(monkeypatch, dim):
+    # The top level, (dim - 1) * spacing, is the largest; the refusal must
+    # not wait for the whole ladder, and reads as the built ladder's would.
+    top = (dim - 1) * 0.01
+    with pytest.raises(RegimeError) as built:
+        make_spectrum([n * 0.01 for n in range(30)])
+    assert str(built.value).startswith("internal energy ratio 0.29 >= eps_max = 0.2;")
+
+    def never(epsilons):
+        raise AssertionError("make_spectrum was called")
+
+    monkeypatch.setattr(spectrum_module, "make_spectrum", never)
+    with pytest.raises(RegimeError) as refused:
+        ladder_spectrum(dim, 0.01)
+    assert str(refused.value) == str(built.value).replace("0.29", repr(top), 1)
 
 
 def test_spectra_compare_by_levels():
