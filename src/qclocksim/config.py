@@ -37,6 +37,8 @@ from .units import (
 )
 
 SCHEMA_VERSION = 1
+# A sweep expands every run at load; a million runs already take about 1 GB.
+MAX_SWEEP_COUNT = 1_000_000
 
 _NUMBER = ParamSpec(float, None)
 
@@ -223,6 +225,8 @@ def _parse_scenario(data: dict, index: int) -> ScenarioSpec:
             f"expected an integer >= 2, got {count!r}",
         )
         count = _coerce(count, ParamSpec(int, None), f"{where}.sweep.count")
+        _require(count <= MAX_SWEEP_COUNT, f"{where}.sweep.count",
+                 f"expected at most {MAX_SWEEP_COUNT} runs, got {count!r}")
         start, stop = (_coerce(raw[b], _NUMBER, f"{where}.sweep.{b}") for b in ("start", "stop"))
         sweep = Sweep(parameter=parameter, start=start, stop=stop, count=count)
     if "epsilons" in raw_params:

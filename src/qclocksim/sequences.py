@@ -122,8 +122,6 @@ class SequenceResult:
     final_state: PlaneWaveState
     global_phase: float
     level_factors: dict[int, float]
-    pair_factors: dict[tuple[int, int], float]
-    momentum_error_max: float
     level_phase_spread_max: float
 
     def __post_init__(self):
@@ -179,45 +177,32 @@ def run_sequence(
                          state_dependent_translation=state_dependent_translation)
     final, phases = trace_chain(probe, ops)
 
-    momentum_err = np.max(np.abs(final.momenta - probe.momenta), axis=-1, keepdims=True)
-    if np.max(momentum_err) > MERGE_TOL:
-        raise SequencingError(
-            f"sequence did not return momenta (max error {np.max(momentum_err):.3e})"
-        )
+    momentum_err = np.max(np.abs(final.momenta - probe.momenta))
+    if momentum_err > MERGE_TOL:
+        raise SequencingError(f"sequence did not return momenta (max error {momentum_err:.3e})")
     check_phases(phases)
 
     # Strip the motional part; what is left must be momentum-independent
     # within each level: G - 2 t epsilon_n d_n.
     internal = phases + 2.0 * t * kinetic_energy(spectrum, probe.levels, probe.momenta)
     epsilons = np.asarray(spectrum.epsilons)
-    occupied = sorted(set(probe.levels.tolist()))
-    level_phase = {}
-    spread_max = 0.0
-    for n in occupied:
-        vals = internal[..., probe.levels == n]
-        level_phase[n] = np.mean(vals, axis=-1, keepdims=True)
-        spread_max = np.maximum(
-            spread_max,
-            np.max(vals, axis=-1, keepdims=True) - np.min(vals, axis=-1, keepdims=True),
-        )
-
-    # Level 0 anchors G; every level above it has epsilon_n > 0, and any two
-    # levels differ in energy (make_spectrum).
-    g_extracted = level_phase[0]
-    factors = {n: (g_extracted - level_phase[n]) / (2.0 * t * epsilons[..., [n]])
-               for n in occupied[1:]}
-    pair_factors = {
-        (n, m): (level_phase[n] - level_phase[m])
-        / (2.0 * t * (epsilons[..., [m]] - epsilons[..., [n]]))
-        for i, n in enumerate(occupied) for m in occupied[i + 1:]
-    }
+    # One stable sort cuts the components into per-level blocks in probe
+    # order, so each level is read in one pass.  Level 0 comes first and
+    # anchors G; every level above it has epsilon_n > 0, and any two levels
+    # differ in energy (make_spectrum).
+    order = np.argsort(probe.levels, kind="stable")
+    occupied, starts = np.unique(probe.levels[order], return_index=True)
+    blocks = np.split(internal[..., order], starts[1:], axis=-1)
+    level_phase = [np.mean(vals, axis=-1, keepdims=True) for vals in blocks]
+    spread_max = np.max([np.max(vals, axis=-1, keepdims=True)
+                         - np.min(vals, axis=-1, keepdims=True) for vals in blocks], axis=0)
+    factors = {n: (level_phase[0] - phase) / (2.0 * t * epsilons[..., [n]])
+               for n, phase in zip(occupied.tolist()[1:], level_phase[1:])}
     return SequenceResult(
         phases=phases,
         final_state=final,
-        global_phase=per_run(g_extracted),
+        global_phase=per_run(level_phase[0]),
         level_factors={n: per_run(d) for n, d in factors.items()},
-        pair_factors={pair: per_run(f) for pair, f in pair_factors.items()},
-        momentum_error_max=per_run(momentum_err),
         level_phase_spread_max=per_run(spread_max),
     )
 

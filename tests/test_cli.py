@@ -898,6 +898,28 @@ def test_a_non_finite_number_is_refused_at_its_json_path(tmp_path, capsys, scena
 
 
 @pytest.mark.parametrize(
+    "count, message",
+    [(10**6 + 1, "expected at most 1000000 runs, got 1000001"),
+     (10**12, "expected at most 1000000 runs, got 1000000000000"),
+     (1, "expected an integer >= 2, got 1"), ("3", "expected an integer >= 2, got '3'")],
+    ids=["million-and-one", "trillion", "one", "string"],
+)
+def test_a_sweep_count_outside_two_to_a_million_runs_is_refused(tmp_path, capsys, count,
+                                                                 message):
+    # A sweep's runs are all expanded at load, so a count that numpy could
+    # hold would still try to allocate every run; the refusal states the limit.
+    sweep = {"parameter": "boost", "start": 0.0, "stop": 0.01, "count": count}
+    scenarios = [{"kind": "twin-velocity", "name": "fine"},
+                 {"kind": "twin-velocity", "name": "bad", "sweep": sweep}]
+    config_path = _write_config(tmp_path / "bad.json", {"schema_version": 1,
+                                                        "scenarios": scenarios})
+    for command in (["validate"], ["run", "--out-dir", str(tmp_path / "out")]):
+        assert main([command[0], config_path, *command[1:]]) == 2
+        assert f"scenarios[1].sweep.count: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "mass, message",
     [(0.0, "must be positive, got 0.0"), (-1e-25, "must be positive"),
      ("heavy", "expected a number, got 'heavy'")],

@@ -200,8 +200,6 @@ def test_every_module_of_the_package_is_an_engine_the_oracles_or_above_them():
 
 # Class members that nothing in src/ reads, each with the reason it stays.
 KEPT = {
-    "SequenceResult.pair_factors": "test_sequences holds it to the pairwise closed form",
-    "SequenceResult.momentum_error_max": "test_sequences checks that each round trip closes",
     "SequenceResult.level_phase_spread_max": "test_sequences checks that each round trip closes",
     "FrameEntanglement.state_before": "perfbench/tracer.py counts its components",
 }

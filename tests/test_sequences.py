@@ -7,13 +7,18 @@ phase increments), so agreement is evidence the double-precision engine and
 the closed-form algebra both implement the same physics.
 """
 
+import json
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qclocksim import sequences as sequences_module
+from qclocksim.cli import main
+from qclocksim.errors import SequencingError
 from qclocksim.oracles import (
     closed_dilation_factor,
     closed_form_phase,
@@ -103,8 +108,40 @@ def test_sequences_close_exactly_on_their_identity(kind):
     residual, fidelity = _distance(result, kind, spec, 0.05, 2.0)
     assert residual <= 1e-12
     assert fidelity <= 1e-12
-    assert result.momentum_error_max <= 1e-12
     assert result.level_phase_spread_max <= 1e-12
+
+
+@pytest.mark.parametrize("boost", [0.1, np.array([0.05, 0.1])], ids=["single", "batch"])
+def test_a_chain_that_does_not_return_the_momenta_is_refused(monkeypatch, boost):
+    # The raise is the one guard on the momentum return: drop the chain's
+    # last kick and the probe ends one boost away from where it began.
+    chain = sequences_module.build_sequence
+    monkeypatch.setattr(sequences_module, "build_sequence",
+                        lambda *args, **kwargs: chain(*args, **kwargs)[:-1])
+    with pytest.raises(SequencingError) as refused:
+        run_sequence(SequenceKind.MOMENTUM, ladder_spectrum(2, 0.1), boost, 2.0)
+    assert str(refused.value) == "sequence did not return momenta (max error 1.000e-01)"
+
+
+def test_a_round_trip_reads_its_levels_in_memory_linear_in_their_count(tmp_path, capsys):
+    # Each level is read from its own block of components, so the memory a
+    # round trip needs grows with its component count, not with its square.
+    spec = ladder_spectrum(1000, 1e-8)
+    probe = default_probe(spec, momenta=(0.0, 0.1), levels=tuple(range(1000)))
+    tracemalloc.start()
+    try:
+        run_sequence(SequenceKind.VELOCITY_CLOCK, spec, 0.01, 2.0, probe=probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # The load measures every twin job, so a wide ladder must load as quickly.
+    scenario = {"kind": "twin-velocity", "name": "wide", "params": {"levels": 2000,
+                                                                    "spacing": 1e-8}}
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"schema_version": 1, "scenarios": [scenario]}))
+    assert main(["validate", str(config)]) == 0
+    capsys.readouterr()
 
 
 def test_momentum_kick_dilation_factor_is_mass_dependent():
@@ -256,16 +293,20 @@ def test_pairwise_factor_matches_energy_difference_oracle():
     ids=["ladder", "uneven"],
 )
 def test_measured_pair_factors_equal_the_pairwise_closed_form(spec, boost):
-    # The run reads pair factors off the executed chain's phases; the closed
-    # form 1 - p_b^2 / (2 M_n M_m) never sees those phases.
+    # A pair's factor follows from the level factors the run reads off the
+    # executed chain's phases, F(n, m) = (eps_m d_m - eps_n d_n) / (eps_m - eps_n);
+    # the closed form 1 - p_b^2 / (2 M_n M_m) never sees those phases.
     levels = tuple(range(spec.dim))
     probe = default_probe(spec, momenta=(0.0, 0.05, 0.1), levels=levels)
     result = run_sequence(SequenceKind.MOMENTUM, spec, boost, 2.0, probe=probe)
+    assert sorted(result.level_factors) == list(levels[1:])
+    # eps_0 = 0, so level 0's term is 0 whatever its factor.
+    eps_d = {0: 0.0, **{n: spec.epsilons[n] * d for n, d in result.level_factors.items()}}
     closed = pairwise_factors(spec, boost)
-    expected_pairs = [(n, m) for n in levels for m in levels if n < m]
-    assert sorted(result.pair_factors) == expected_pairs
-    for (n, m), factor in result.pair_factors.items():
-        assert factor == pytest.approx(closed[n, m], rel=0, abs=1e-12)
+    for n in levels:
+        for m in levels[n + 1:]:
+            factor = (eps_d[m] - eps_d[n]) / (spec.epsilons[m] - spec.epsilons[n])
+            assert factor == pytest.approx(closed[n, m], rel=0, abs=1e-12)
 
 
 # Four gaps of at most this size keep the top level below eps_max, which
@@ -353,14 +394,12 @@ def test_a_batch_equals_its_runs_one_by_one_bit_for_bit(kind, translation, runs,
         scalar = run_sequence(kind, spec, float(boosts[r]), float(durations[r]),
                               probe=probe(spec), **options)
         for single, i in ((one, 0), (scalar, ())):
-            for field in ("phases", "global_phase"):
+            for field in ("phases", "global_phase", "level_phase_spread_max"):
                 assert _same_bits(getattr(batch, field)[r], getattr(single, field), i), field
             assert _same_bits(batch.final_state.amplitudes[r], single.final_state.amplitudes, i)
-            for field in ("level_factors", "pair_factors"):
-                ours, theirs = getattr(batch, field), getattr(single, field)
-                assert ours.keys() == theirs.keys()
-                for key in ours:
-                    assert _same_bits(ours[key][r], theirs[key], i), (field, key)
+            assert batch.level_factors.keys() == single.level_factors.keys()
+            for n, factor in batch.level_factors.items():
+                assert _same_bits(factor[r], single.level_factors[n], i), n
         alone = _closed_forms(kind, spec, float(boosts[r]), float(durations[r]), probe(spec),
                               **options)
         for name, values in closed.items():
