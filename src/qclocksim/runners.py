@@ -77,6 +77,7 @@ from .swp import (
     DilationProfile,
     SWPClock,
     find_effective_ticks,
+    require_tick_grid,
     require_tick_resolution,
     require_tick_window,
 )
@@ -269,6 +270,8 @@ def _plan_swp(runs: list, at) -> tuple:
     """The pointer clock and its dilation profile; the profile's boost is the
     clock's one kick."""
     [params] = runs
+    at(".params.window_in_tau", require_tick_grid, params["window_in_tau"],
+       params["resolution_in_tau"])
     name, spectrum = params["profile"], None
     if name != "none":
         at(".params.boost", _require_drive, params["boost"])

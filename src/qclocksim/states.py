@@ -18,7 +18,7 @@ import numpy as np
 
 from .spectrum import InternalSpectrum
 
-# Components whose momenta differ by less than this are the same plane wave.
+# Sorted momenta of one level this close to the one before are one plane wave.
 MERGE_TOL = 1e-12
 
 # Squared amplitude below which a merged component is dropped as cancelled.
@@ -52,29 +52,25 @@ class PlaneWaveState:
 
     @classmethod
     def from_components(cls, spectrum: InternalSpectrum, components) -> "PlaneWaveState":
-        """Build a state from (level, momentum, amplitude) triples.
-
-        Duplicate components (same level, momenta within MERGE_TOL) are
-        summed; the result is sorted by (level, momentum) and rescaled to
-        unit norm.
-        """
-        triples = [(int(n), float(p), complex(a)) for n, p, a in components]
-        if not triples:
+        """Build a state from (level, momentum, amplitude) triples, sorted by
+        (level, momentum): the components of one plane wave are summed in that
+        order at its first momentum, and the state is rescaled to unit norm."""
+        columns = list(zip(*components, strict=True))
+        if not columns:
             raise ValueError("state needs at least one component")
-        triples.sort(key=lambda c: (c[0], c[1]))
-        merged: list[list] = []
-        for n, p, a in triples:
-            if merged and merged[-1][0] == n and p - merged[-1][1] <= MERGE_TOL:
-                merged[-1][2] += a
-            else:
-                merged.append([n, p, a])
-        merged = [c for c in merged if abs(c[2]) ** 2 > _DROP_TOL]
-        if not merged:
+        levels, momenta, amps = (np.array(column, dtype=dtype) for column, dtype
+                                 in zip(columns, (np.int64, float, complex), strict=True))
+        order = np.lexsort((momenta, levels))
+        levels, momenta, amps = levels[order], momenta[order], amps[order]
+        ids = plane_waves(levels, momenta)
+        first = np.insert(np.diff(ids) != 0, 0, True)
+        summed = amps[first]
+        np.add.at(summed, ids[~first], amps[~first])  # in index order, as a_0 + a_1 + ... adds
+        kept = np.abs(summed) ** 2 > _DROP_TOL
+        if not kept.any():
             raise ValueError("all components cancelled")
-        levels = np.array([c[0] for c in merged], dtype=np.int64)
-        momenta = np.array([c[1] for c in merged], dtype=float)
-        amps = np.array([c[2] for c in merged], dtype=complex)
-        return cls(spectrum, levels, momenta, amps / np.linalg.norm(amps))
+        amps = summed[kept]
+        return cls(spectrum, levels[first][kept], momenta[first][kept], amps / np.linalg.norm(amps))
 
     def norm(self):
         return np.linalg.norm(self.amplitudes, axis=-1)
@@ -94,24 +90,37 @@ def internal_superposition(spectrum: InternalSpectrum, momentum: float) -> Plane
     )
 
 
-def inner_product(bra: PlaneWaveState, ket: PlaneWaveState):
-    """<bra|ket> with components matched by (level, momentum within tolerance).
+def plane_waves(levels: np.ndarray, momenta: np.ndarray) -> np.ndarray:
+    """Plane-wave id per component, per run, numbered in (level, momentum)
+    order: within one level, a sorted momentum within MERGE_TOL of the one
+    before it belongs to the same plane wave."""
+    levels = np.broadcast_to(levels, momenta.shape)
+    order = np.lexsort((momenta, levels), axis=-1)
+    n, p = (np.take_along_axis(x, order, axis=-1) for x in (levels, momenta))
+    new = (np.diff(n, axis=-1) != 0) | (np.diff(p, axis=-1) > MERGE_TOL)
+    ids = np.empty(momenta.shape, dtype=np.int64)
+    np.put_along_axis(ids, order, np.cumsum(np.insert(new, 0, False, axis=-1), axis=-1), -1)
+    return ids
 
-    Distinct momenta are exactly orthogonal, so unmatched components simply
-    contribute nothing.  States with a run axis give one product per run,
-    each rounded as the scalar sum 0 + c_0 + c_1 + ... in component order.
-    """
+
+def inner_product(bra: PlaneWaveState, ket: PlaneWaveState):
+    """<bra|ket>: a bra component meets the first ket component of its plane
+    wave; distinct plane waves are exactly orthogonal.  A run axis gives one
+    product per run, rounded as the scalar sum 0 + c_0 + c_1 + ... in bra order."""
     if bra.spectrum != ket.spectrum:
         raise ValueError("states live on different internal spectra")
-    match = (bra.levels[:, None] == ket.levels) & (
-        np.abs(bra.momenta[..., :, None] - ket.momenta[..., None, :]) <= MERGE_TOL
-    )
-    # A bra component meets at most one ket component, its first match.  The
-    # product is written out, as numpy's complex array multiply rounds otherwise.
-    a = np.conj(bra.amplitudes)
-    ket_amps = np.broadcast_to(ket.amplitudes, match.shape[:-2] + ket.amplitudes.shape[-1:])
-    b = np.take_along_axis(ket_amps, np.argmax(match, axis=-1), axis=-1)
-    found = match.any(axis=-1)
+    nb, nk = len(bra.levels), len(ket.levels)
+    runs = np.broadcast_shapes(bra.momenta.shape[:-1], ket.momenta.shape[:-1])
+    momenta = np.concatenate([np.broadcast_to(bra.momenta, runs + (nb,)),
+                              np.broadcast_to(ket.momenta, runs + (nk,))], axis=-1)
+    ids = plane_waves(np.concatenate([bra.levels, ket.levels]), momenta).reshape(-1, nb + nk)
+    first = np.full(ids.shape, nk)  # nk: the ket holds no component of that plane wave
+    np.minimum.at(first, (np.arange(len(ids))[:, None], ids[:, nb:]), np.arange(nk))
+    match = np.take_along_axis(first, ids[:, :nb], axis=-1).reshape(runs + (nb,))
+    # The product is written out, as numpy's complex array multiply rounds otherwise.
+    a, found = np.conj(bra.amplitudes), match < nk
+    b = np.take_along_axis(np.broadcast_to(ket.amplitudes, runs + (nk,)),
+                           np.minimum(match, nk - 1), axis=-1)
     real = np.add.accumulate(np.where(found, a.real * b.real - a.imag * b.imag, 0.0), axis=-1)
     imag = np.add.accumulate(np.where(found, a.real * b.imag + a.imag * b.real, 0.0), axis=-1)
     return real[..., -1] + 1j * imag[..., -1]
@@ -121,15 +130,6 @@ def fidelity_deviation(reference: PlaneWaveState, state: PlaneWaveState):
     """|<reference|state> - 1|, one per run: zero iff the states agree including phase."""
     overlap = inner_product(reference, state) - 1.0
     return np.hypot(overlap.real, overlap.imag)
-
-
-def _momentum_clusters(momenta: np.ndarray) -> np.ndarray:
-    """Cluster id per momentum, per run: a sorted gap above MERGE_TOL starts a new id."""
-    order = np.argsort(momenta, axis=-1)
-    gaps = np.diff(np.take_along_axis(momenta, order, axis=-1), axis=-1) > MERGE_TOL
-    ids = np.empty(momenta.shape, dtype=np.int64)
-    np.put_along_axis(ids, order, np.cumsum(np.insert(gaps, 0, False, axis=-1), axis=-1), -1)
-    return ids
 
 
 def reduced_internal_entropy(state: PlaneWaveState):
@@ -144,7 +144,7 @@ def reduced_internal_entropy(state: PlaneWaveState):
     momenta, amps = np.broadcast_arrays(state.momenta, state.amplitudes)
     runs = momenta.shape[:-1]
     momenta, amps = momenta.reshape(-1, len(state.levels)), amps.reshape(-1, len(state.levels))
-    ids = _momentum_clusters(momenta)
+    ids = plane_waves(np.zeros(len(state.levels), dtype=np.int64), momenta)
     n_clusters = ids.max(axis=-1) + 1
     dim = state.spectrum.dim
     entropy = np.empty(len(ids))

@@ -155,6 +155,13 @@ def require_tick_resolution(resolution: float) -> None:
         raise ValueError("tick scan resolution must be positive and at most tau / 50")
 
 
+def require_tick_grid(window, resolution: float) -> None:
+    # An input bound, not a setting: the defaults scan 192 points.
+    points = (window[1] - window[0]) / resolution
+    if points > 1_000_000:
+        raise ValueError(f"tick scan grid has {points:.7g} points, more than the limit of 1,000,000")
+
+
 def find_effective_ticks(
     clock: SWPClock,
     profile: DilationProfile,
@@ -167,10 +174,12 @@ def find_effective_ticks(
     minimum, then refines all of them together with golden-section search
     followed by one parabolic polish.  The window and the grid step are in
     units of tau: the window must span at least 3 and the step be at most
-    1/50, otherwise minima can slip between grid points.
+    1/50, otherwise minima can slip between grid points, and the grid may
+    hold at most 1,000,000 points.
     """
     require_tick_window(window_in_tau)
     require_tick_resolution(resolution_in_tau)
+    require_tick_grid(window_in_tau, resolution_in_tau)
     tau = clock.tau
     lo, hi = (w * tau for w in window_in_tau)
     resolution = resolution_in_tau * tau

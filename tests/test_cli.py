@@ -521,6 +521,10 @@ def test_a_box_too_small_for_the_packet_is_refused_at_validation(tmp_path, capsy
         ("swp", {"window_in_tau": [0.5]}, "window_in_tau", "(start, stop) pair"),
         ("swp", {"window_in_tau": [0.5, 3.5, 9.0]}, "window_in_tau", "(start, stop) pair"),
         ("swp", {"resolution_in_tau": 0.1}, "resolution_in_tau", "at most tau / 50"),
+        ("swp", {"window_in_tau": [0.5, 1e300]}, "window_in_tau",
+         "tick scan grid has 6.4e+301 points, more than the limit of 1,000,000"),
+        ("swp", {"resolution_in_tau": 1e-300}, "window_in_tau",
+         "tick scan grid has 3e+300 points, more than the limit of 1,000,000"),
         ("ion-spectroscopy", {"points": 3}, "points", "at least 5 scan points"),
         ("ion-spectroscopy", {"span_factor": 0.0}, "span_factor", "must be positive"),
         ("ion-spectroscopy", {"span_factor": -4.0}, "span_factor", "must be positive"),

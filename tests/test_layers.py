@@ -16,7 +16,8 @@ points gone.  Every runner makes its rows through `RunReport.add_rows`.
 `runners` owns the job: `config` calls no plan and reads no kind's `batches`
 or parameter `check`, and `run_config` runs the stored jobs without
 expanding any run.  Which momenta a grid run reaches is the grid
-engines' rule, so `runners` does no grid-kick arithmetic of its own.
+engines' rule, so `runners` does no grid-kick arithmetic of its own.  Which
+momenta are one plane wave is one rule too, `states.plane_waves`.
 
 Nothing in `src/` is dead: an imported name is used in its module, a
 module-level private name is read by another top-level statement, no module
@@ -191,6 +192,22 @@ def test_run_config_runs_the_stored_jobs_without_expanding_runs():
     called, read = _calls_and_reads(run_config)
     assert "run_scenario" in called and "jobs" in read
     assert called & {"expand", "jobs"} == set()
+
+
+def test_one_rule_decides_which_momenta_are_one_plane_wave():
+    # `states.plane_waves` groups components into plane waves for every state
+    # operation; the only other reader of MERGE_TOL is run_sequence's check
+    # that the round trip returned the momenta.
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for read in (n for n in ast.walk(tree) if isinstance(n, ast.Name)
+                     and n.id == "MERGE_TOL" and isinstance(n.ctx, ast.Load)):
+            # ast.walk is breadth first, so the innermost function comes last.
+            owners = [f.name for f in functions if any(n is read for n in ast.walk(f))]
+            readers.add(f"{path.stem}.{owners[-1] if owners else '<module>'}")
+    assert readers == {"states.plane_waves", "sequences.run_sequence"}
 
 
 def test_every_module_of_the_package_is_an_engine_the_oracles_or_above_them():

@@ -144,6 +144,28 @@ def test_a_round_trip_reads_its_levels_in_memory_linear_in_their_count(tmp_path,
     capsys.readouterr()
 
 
+def test_a_round_trip_is_graded_in_memory_linear_in_its_components(tmp_path, capsys):
+    # The overlap matches components through their plane waves, one id per
+    # component, not through a components x components table (65 MiB here).
+    spec = ladder_spectrum(1000, 1e-8)
+    probe = default_probe(spec, momenta=(0.0, 0.1), levels=tuple(range(1000)))
+    result = run_sequence(SequenceKind.VELOCITY_CLOCK, spec, 0.01, 2.0, probe=probe)
+    tracemalloc.start()
+    try:
+        fidelity_deviation(probe, result.final_state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # The runner grades every twin run by that overlap, so a wide ladder runs.
+    scenario = {"kind": "twin-velocity", "name": "wide", "params": {"levels": 2000,
+                                                                    "spacing": 1e-8}}
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({"schema_version": 1, "scenarios": [scenario]}))
+    assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+
 def test_momentum_kick_dilation_factor_is_mass_dependent():
     spec = ladder_spectrum(2, 0.1)
     result = run_sequence(SequenceKind.MOMENTUM, spec, boost=0.1, duration=2.0)

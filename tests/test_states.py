@@ -210,3 +210,97 @@ def test_batched_inner_product_and_entropy_equal_the_loop_references_bit_for_bit
         ket = PlaneWaveState(SPEC4, levels, ket_momenta[r], amps[1, r])
         assert complex(products[r]) == _loop_inner_product(bra, ket)
         assert entropies[r] == _loop_entropy(ket)
+
+
+def _merge_loop(components):
+    """Reference: the merge loop from_components ran before plane_waves.  A
+    sorted momentum joins its group when within 1e-12 of the group's first."""
+    merged = []
+    for n, p, a in sorted(((int(n), float(p), complex(a)) for n, p, a in components),
+                          key=lambda c: (c[0], c[1])):
+        if merged and merged[-1][0] == n and p - merged[-1][1] <= 1e-12:
+            merged[-1][2] += a
+        else:
+            merged.append([n, p, a])
+    merged = [c for c in merged if abs(c[2]) ** 2 > 1e-30]
+    if not merged:
+        raise ValueError("all components cancelled")
+    amps = np.array([c[2] for c in merged], dtype=complex)
+    return ([c[0] for c in merged], [c[1] for c in merged],
+            (amps / np.linalg.norm(amps)).tolist())
+
+
+def _pairwise_inner_product(bra, ket):
+    """Reference: the components x components match inner_product ran before
+    plane_waves.  A bra component meets the first ket component within 1e-12."""
+    match = (bra.levels[:, None] == ket.levels) & (
+        np.abs(bra.momenta[..., :, None] - ket.momenta[..., None, :]) <= 1e-12)
+    a = np.conj(bra.amplitudes)
+    ket_amps = np.broadcast_to(ket.amplitudes, match.shape[:-2] + ket.amplitudes.shape[-1:])
+    b = np.take_along_axis(ket_amps, np.argmax(match, axis=-1), axis=-1)
+    found = match.any(axis=-1)
+    real = np.add.accumulate(np.where(found, a.real * b.real - a.imag * b.imag, 0.0), axis=-1)
+    imag = np.add.accumulate(np.where(found, a.real * b.imag + a.imag * b.real, 0.0), axis=-1)
+    return real[..., -1] + 1j * imag[..., -1]
+
+
+def _bits(value):
+    return np.asarray(value).tobytes(), np.shape(value)
+
+
+# Momenta of one level are equal or at least 1e-9 apart, so no two of them
+# sit at the MERGE_TOL margin, where the two rules part.
+MOMENTA = st.sampled_from([-0.1, -2e-9, -1e-9, 0.0, 1e-9, 3e-9, 0.05, 0.1])
+AMPLITUDES = st.sampled_from([1.0, -1.0, 1j, 0.5 - 0.5j]) | st.complex_numbers(
+    max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+# One to four amplitudes per (level, momentum) draw, so that plane waves of
+# three and more components, whose sums round by their order, are common.
+COMPONENTS = st.lists(
+    st.tuples(st.integers(0, 3), MOMENTA, st.lists(AMPLITUDES, min_size=1, max_size=4)),
+    min_size=1, max_size=6,
+).map(lambda draws: [(n, p, a) for n, p, amps in draws for a in amps])
+
+
+@settings(max_examples=200, deadline=None)
+@given(COMPONENTS, COMPONENTS, st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=1, max_value=3))
+def test_plane_waves_equal_the_merge_loop_and_the_pairwise_match_bit_for_bit(
+        bra_components, ket_components, seed, runs):
+    built = []
+    for comps in (bra_components, ket_components):
+        try:
+            expected = _merge_loop(comps)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                PlaneWaveState.from_components(SPEC4, comps)
+            return
+        state = PlaneWaveState.from_components(SPEC4, comps)
+        got = (state.levels.tolist(), state.momenta.tolist(), state.amplitudes.tolist())
+        assert list(map(_bits, got)) == list(map(_bits, expected))
+        built.append(state)
+    bra, ket = built
+    # A ket with a run axis and, per run, its own momenta, duplicates included.
+    rng = np.random.default_rng(seed)
+    grid = np.array([-0.1, -2e-9, -1e-9, 0.0, 1e-9, 3e-9, 0.05, 0.1])
+    amps = rng.normal(size=(runs, len(ket.levels))) + 1j * rng.normal(size=(runs, len(ket.levels)))
+    batched = PlaneWaveState(SPEC4, ket.levels, rng.choice(grid, size=amps.shape),
+                             amps / np.linalg.norm(amps, axis=-1, keepdims=True))
+    for left, right in ((bra, ket), (ket, bra), (bra, batched), (batched, bra),
+                        (batched, batched)):
+        assert _bits(inner_product(left, right)) == _bits(_pairwise_inner_product(left, right))
+
+
+def test_the_plane_wave_rule_chains_momenta_at_the_merge_tol_margin():
+    # 0, 0.8e-12 and 1.6e-12 are one plane wave: each is within MERGE_TOL of
+    # the one before it.  The merge loop measured from the group's first
+    # momentum, so it split off 1.6e-12.
+    comps = [(0, 0.0, 1.0), (0, 0.8e-12, 1.0), (0, 1.6e-12, 1.0)]
+    assert components(PlaneWaveState.from_components(SPEC2, comps)) == [(0, 0.0, 1 + 0j)]
+    assert _merge_loop(comps)[:2] == ([0, 0], [0.0, 1.6e-12])
+    # A bra at 0 meets the first ket component of that plane wave, index 0;
+    # the pairwise match took the first within MERGE_TOL of the bra, index 1.
+    ket = PlaneWaveState(SPEC2, np.array([0, 0]), np.array([1.6e-12, 0.8e-12]),
+                         np.array([0.6, 0.8j]))
+    bra = plane_wave(SPEC2, 0, 0.0)
+    assert inner_product(bra, ket) == 0.6
+    assert _pairwise_inner_product(bra, ket) == 0.8j

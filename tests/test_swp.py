@@ -23,6 +23,7 @@ from qclocksim.swp import (
     find_effective_ticks,
     pointer_probabilities,
     read_pointer,
+    require_tick_grid,
 )
 
 
@@ -185,6 +186,16 @@ def test_tick_finder_window_and_resolution_validation():
     for window in ((0.5,), (0.5, 3.5, 9.0)):
         with pytest.raises(ValueError, match="pair"):
             find_effective_ticks(clock, profile, window_in_tau=window)
+    # A grid too large to allocate is refused by its point count; the
+    # defaults scan (3.5 - 0.5) * 64 = 192 points, and 1,000,000 is the limit.
+    with pytest.raises(ValueError, match=r"grid has 6\.4e\+301 points, more than the limit"):
+        find_effective_ticks(clock, profile, window_in_tau=(0.5, 1e300))
+    with pytest.raises(ValueError, match=r"grid has 1562500 points"):
+        find_effective_ticks(clock, profile, window_in_tau=(0.5, 3.5), resolution_in_tau=1.92e-6)
+    step = 2.0 ** -18  # exact spans: 1,000,000 steps pass, one more does not
+    require_tick_grid((0.0, 1_000_000 * step), step)
+    with pytest.raises(ValueError, match=r"grid has 1000001 points"):
+        require_tick_grid((0.0, 1_000_001 * step), step)
     # The scan takes its window in units of tau: a window in time units is
     # refused by name, never read as one in tau.
     with pytest.raises(TypeError, match="window"):
